@@ -8,6 +8,15 @@ certify the bounds numerically, and a probing harness uses such paths
 to exhibit discontinuities of scalar fields at the origin.
 """
 
+import os
+
+# pathcert computes on one thread.  Its matrix products are a few columns
+# wide, so a BLAS worker pool only costs start-up time and spins beside the
+# caller after each product; a count already set in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .errors import (
     DomainError,
     ExpressionError,

@@ -21,6 +21,18 @@ times stay outside even after widening by h_k.  Because the kernel is
 even with unit mass, the average reproduces affine stretches exactly;
 the smooth path is therefore still affine near the window edges and
 interpolates the anchors exactly.
+
+Since the skeleton is piecewise affine, the average has a closed form
+in two functions of the kernel, its mass K(x) = integral rho over
+(-1, x) and first moment M(x) = integral u rho over (-1, x).  Start
+from the affine piece that holds t - h, continued to t; every
+breakpoint kappa in (t - h, t + h) with slope jump delta then adds
+
+    delta * h * (x K(x) - M(x))  to s(t),    delta * K(x)  to s'(t),
+
+with x = (t - kappa) / h.  K and M come from piecewise Chebyshev
+series, built on first use from the kernel and checked at build time
+against adaptive quadrature, so evaluation needs no quadrature at all.
 """
 
 from __future__ import annotations
@@ -32,15 +44,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, InputError
-from .parallel import map_ordered
-from .quadrature import gauss_legendre_nodes, integrate_panels
+from .quadrature import integrate_panels
 from .skeleton import (
     AnchorSequence,
     PiecewiseAffinePath,
     build_skeleton,
     eval_affine_derivative_many,
     eval_affine_many,
-    kink_times,
 )
 
 KERNEL_MASS_TOL = 1e-12
@@ -131,6 +141,7 @@ class SmoothPath:
     domain_sup: float
     _lo: np.ndarray = field(init=False, repr=False)
     _hi: np.ndarray = field(init=False, repr=False)
+    _h: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (self.domain_inf < self.domain_sup):
@@ -140,6 +151,7 @@ class SmoothPath:
             raise InputError("domain exceeds the skeleton's parameter range")
         lo = np.array([w.lo for w in self.windows], dtype=float)
         hi = np.array([w.hi for w in self.windows], dtype=float)
+        h = np.array([w.h for w in self.windows], dtype=float)
         if np.any(np.diff(lo) <= 0.0) or np.any(lo[1:] <= hi[:-1]):
             raise InputError("windows must be ascending and disjoint")
         for w in self.windows:
@@ -154,10 +166,11 @@ class SmoothPath:
                 raise InputError(
                     f"window {w.k} has a slope change too close to its edge"
                 )
-        for arr in (lo, hi):
+        for arr in (lo, hi, h):
             arr.setflags(write=False)
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_hi", hi)
+        object.__setattr__(self, "_h", h)
 
     @property
     def dimension(self) -> int:
@@ -196,55 +209,80 @@ def build_smooth_path(
     )
 
 
-# ---- evaluation ---------------------------------------------------------
+# ---- kernel mass and moment -------------------------------------------
 
-# standard panel split of the kernel support; every averaging range holds
-# at most one slope change, inserted as a sixth edge where present
-_STD_EDGES = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-_BASE_ORDER = 32
-_CHUNK_ROWS = 1024
-
-
-def _quadrature_tol(magnitude: float) -> float:
-    return 1e-12 * max(1.0, magnitude)
+# Chebyshev panels on [-1, 0], graded toward the kernel's flat end; below
+# the first edge K and M are under 1e-17 and are taken as zero
+_TABLE_EDGES = np.array(
+    [-1.0 + 2.0**-6, -1.0 + 2.0**-5, -1.0 + 2.0**-4, -0.875, -0.75, -0.5, 0.0]
+)
+_TABLE_DEGREE = 18
+KERNEL_TABLE_TOL = 1e-14
 
 
-def mollified_value(
-    skeleton: PiecewiseAffinePath,
-    kernel: BumpKernel,
-    t: float,
-    h: float,
-    derivative: bool = False,
-) -> np.ndarray:
-    """Kernel average of the skeleton (or its slope field) around t.
+def _table_eval(coefs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K(x) and M(x) from the half-range coefficients; elementwise in x.
 
-    Computes integral rho(u) * p(t - u h) du over (-1, 1).  Thin wrapper
-    over the batched rule so scalar and batched evaluation agree exactly.
+    Outside (-1, 1) the result is K = 0 or 1 and M = 0, as for the
+    kernel itself, because every |x| >= 1 falls below the first edge.
     """
-    rows = _mollified_rows(
-        skeleton, kernel, np.array([float(t)]), np.array([float(h)]), derivative
+    z = -np.abs(x)
+    idx = np.clip(
+        np.searchsorted(_TABLE_EDGES, z, side="right") - 1, 0, _TABLE_EDGES.size - 2
     )
-    return rows[0]
+    a = _TABLE_EDGES[idx]
+    b = _TABLE_EDGES[idx + 1]
+    y = ((z - a) - (b - z)) / (b - a)
+    # Clenshaw recurrence for K and M together
+    y2 = (2.0 * y)[:, None]
+    b1 = np.zeros(z.shape + (2,))
+    b2 = b1
+    for c in coefs[:0:-1]:
+        b1, b2 = c[idx] + y2 * b1 - b2, b1
+    km = coefs[0][idx] + y[:, None] * b1 - b2
+    km[z < _TABLE_EDGES[0]] = 0.0
+    # rho is even: K(x) = 1 - K(-x) and M(x) = M(-x)
+    return np.where(x > 0.0, 1.0 - km[:, 0], km[:, 0]), km[:, 1]
 
 
-def _adaptive_row(
-    skeleton: PiecewiseAffinePath,
-    kernel: BumpKernel,
-    t: float,
-    h: float,
-    edges: np.ndarray,
-    derivative: bool,
-    tol: float,
-) -> np.ndarray:
-    lo, hi = skeleton.domain
-    floor = np.nextafter(lo, hi)
-    evaluate = eval_affine_derivative_many if derivative else eval_affine_many
+@lru_cache(maxsize=1)
+def _kernel_table(kernel: BumpKernel) -> np.ndarray:
+    """Chebyshev coefficients of K and M on each panel, verified to 1e-14."""
+    cheb = np.polynomial.chebyshev
+    panels = []
+    start = (0.0, 0.0)
+    for a, b in zip(_TABLE_EDGES[:-1], _TABLE_EDGES[1:]):
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        density = cheb.chebinterpolate(lambda y: kernel(mid + half * y), _TABLE_DEGREE)
+        moment = cheb.chebinterpolate(
+            lambda y: (mid + half * y) * kernel(mid + half * y), _TABLE_DEGREE
+        )
+        pair = [
+            cheb.chebint(series, lbnd=-1.0, k=k, scl=half)
+            for series, k in zip((density, moment), start)
+        ]
+        start = tuple(float(cheb.chebval(1.0, s)) for s in pair)
+        panels.append(np.stack(pair, axis=1))
+    coefs = np.ascontiguousarray(np.stack(panels, axis=1))
+    coefs.setflags(write=False)
+    xs = np.array([-0.9, -0.4, 0.0, 0.3, 0.8])
+    mass, moment = _table_eval(coefs, xs)
+    for x, k, m in zip(xs, mass, moment):
+        ref_k = float(integrate_panels(kernel, [-1.0, x], tol=1e-15))
+        ref_m = float(integrate_panels(lambda v: v * kernel(v), [-1.0, x], tol=1e-15))
+        if abs(k - ref_k) > KERNEL_TABLE_TOL or abs(m - ref_m) > KERNEL_TABLE_TOL:
+            raise RuntimeError(f"kernel tables drifted at x = {x!r}")
+    return coefs
 
-    def integrand(u: np.ndarray) -> np.ndarray:
-        pts = np.clip(t - u * h, floor, hi)
-        return kernel(u)[:, None] * evaluate(skeleton, pts)
 
-    return np.asarray(integrate_panels(integrand, edges, order=_BASE_ORDER, tol=tol))
+def kernel_mass_moment(kernel: BumpKernel, x) -> tuple[np.ndarray, np.ndarray]:
+    """K(x) = integral rho over (-1, x) and M(x) = integral u rho over (-1, x)."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    return _table_eval(_kernel_table(kernel), arr)
+
+
+# ---- evaluation ---------------------------------------------------------
 
 
 def _mollified_rows(
@@ -254,98 +292,40 @@ def _mollified_rows(
     hs: np.ndarray,
     derivative: bool,
 ) -> np.ndarray:
-    """Batched kernel averages; one row per parameter.
+    """Kernel averages of the skeleton (or its slopes), one row per t.
 
-    Each row integrates over the standard panel split with the row's
-    slope-change preimage inserted as an extra edge.  A base-order rule
-    is checked against the doubled order; rows that disagree fall back
-    to adaptive panel quadrature.
+    Starts from the affine piece holding t - h, continued to t.  Every
+    breakpoint kappa inside (t - h, t + h) with slope jump delta then
+    adds delta h (x K(x) - M(x)) to the value and delta K(x) to the
+    slope, where x = (t - kappa) / h.  All arithmetic is elementwise,
+    so a row never depends on the batch around it.
     """
     lo, hi = skeleton.domain
-    if ts.size == 0:
-        return np.empty((0, skeleton.dimension))
-    span_lo = ts - hs
-    span_hi = ts + hs
-    if float(span_lo.min()) < lo - 1e-12 or float(span_hi.max()) > hi + 1e-12:
+    if float((ts - hs).min()) < lo - 1e-12 or float((ts + hs).max()) > hi + 1e-12:
         raise DomainError("an averaging range leaves the skeleton domain")
-    kinks = kink_times(skeleton)
-
-    def chunk_rows(bounds: tuple[int, int]) -> np.ndarray:
-        a, b = bounds
-        return _rows_chunk(
-            skeleton, kernel, kinks, ts[a:b], hs[a:b], derivative
-        )
-
-    spans = [(a, min(a + _CHUNK_ROWS, ts.size)) for a in range(0, ts.size, _CHUNK_ROWS)]
-    return np.concatenate(map_ordered(chunk_rows, spans), axis=0)
-
-
-def _rows_chunk(
-    skeleton: PiecewiseAffinePath,
-    kernel: BumpKernel,
-    kinks: np.ndarray,
-    ts: np.ndarray,
-    hs: np.ndarray,
-    derivative: bool,
-) -> np.ndarray:
-    m = ts.size
-    n = skeleton.dimension
-    lo, hi = skeleton.domain
-    floor = np.nextafter(lo, hi)
-    evaluate = eval_affine_derivative_many if derivative else eval_affine_many
-
-    # locate the (at most one) slope change inside each averaging range
-    first = np.searchsorted(kinks, ts - hs, side="right")
-    last = np.searchsorted(kinks, ts + hs, side="left")
-    count = last - first
-    tau = np.ones(m)
-    pos = np.full(m, _STD_EDGES.size, dtype=int)
-    single = count == 1
-    if np.any(single):
-        tau[single] = (ts[single] - kinks[first[single]]) / hs[single]
-        pos[single] = np.searchsorted(_STD_EDGES, tau[single])
-    crowded = np.nonzero(count > 1)[0]
-
-    edges = np.empty((m, _STD_EDGES.size + 1))
-    for j in range(_STD_EDGES.size + 1):
-        below = _STD_EDGES[j] if j < _STD_EDGES.size else 1.0
-        above = _STD_EDGES[j - 1] if j >= 1 else -1.0
-        edges[:, j] = np.where(j < pos, below, np.where(j == pos, tau, above))
-
-    def rule(order: int) -> np.ndarray:
-        nodes, weights = gauss_legendre_nodes(order)
-        a = edges[:, :-1]
-        b = edges[:, 1:]
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        u = mid[:, :, None] + half[:, :, None] * nodes[None, None, :]
-        pts = np.clip(ts[:, None, None] - u * hs[:, None, None], floor, hi)
-        values = evaluate(skeleton, pts.ravel()).reshape(u.shape + (n,))
-        density = kernel(u.ravel()).reshape(u.shape)
-        return np.einsum("q,mpq,mpqn,mp->mn", weights, density, values, half)
-
-    coarse = rule(_BASE_ORDER)
-    fine = rule(2 * _BASE_ORDER)
-    out = fine
-    gap = np.max(np.abs(fine - coarse), axis=1)
-    scale = np.maximum(1.0, np.max(np.abs(fine), axis=1))
-    retry = np.nonzero(gap > 1e-12 * scale)[0]
-    for i in np.unique(np.concatenate([retry, crowded])):
-        bp = skeleton.breakpoints
-        f = int(np.searchsorted(bp, ts[i] - hs[i], side="right"))
-        l = int(np.searchsorted(bp, ts[i] + hs[i], side="left"))
-        inner = np.sort((ts[i] - bp[f:l]) / hs[i])
-        row_edges = np.unique(np.concatenate([_STD_EDGES, inner]))
-        row_edges = row_edges[(row_edges >= -1.0) & (row_edges <= 1.0)]
-        out[i] = _adaptive_row(
-            skeleton,
-            kernel,
-            float(ts[i]),
-            float(hs[i]),
-            row_edges,
-            derivative,
-            tol=1e-13 * float(scale[i]),
-        )
+    bp = skeleton.breakpoints
+    slopes = skeleton.slopes
+    last = bp.size - 2
+    first = np.clip(np.searchsorted(bp, ts - hs, side="right") - 1, 0, last)
+    stop = np.minimum(np.searchsorted(bp, ts + hs, side="left"), last + 1)
+    count = np.maximum(stop - first - 1, 0)
+    if derivative:
+        out = slopes[first]
+    else:
+        out = slopes[first] * ts[:, None] + skeleton.offsets[first]
+    if not np.any(count):
+        return out
+    row = np.repeat(np.arange(ts.size), count)
+    offset = np.cumsum(count) - count
+    kink = first[row] + 1 + (np.arange(row.size) - offset[row])
+    x = (ts[row] - bp[kink]) / hs[row]
+    mass, moment = kernel_mass_moment(kernel, x)
+    weight = mass if derivative else hs[row] * (x * mass - moment)
+    terms = (slopes[kink] - slopes[kink - 1]) * weight[:, None]
+    # each row adds its own terms in breakpoint order
+    for j in range(int(count.max())):
+        has = count > j
+        out[has] += terms[offset[has] + j]
     return out
 
 
@@ -370,9 +350,8 @@ def _eval_batch(path: SmoothPath, ts, derivative: bool) -> np.ndarray:
         out[plain] = evaluate(path.skeleton, arr[plain])
     windowed = np.nonzero(in_window)[0]
     if windowed.size:
-        hs = np.array([path.windows[i].h for i in idx[windowed]])
         out[windowed] = _mollified_rows(
-            path.skeleton, path.kernel, arr[windowed], hs, derivative
+            path.skeleton, path.kernel, arr[windowed], path._h[idx[windowed]], derivative
         )
     return out
 
@@ -398,6 +377,11 @@ def eval_smooth_derivative(path: SmoothPath, t: float) -> np.ndarray:
 # ---- sampling -----------------------------------------------------------
 
 
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, equal bit for bit to np.linalg.norm(row)."""
+    return np.sqrt(np.vecdot(v, v))
+
+
 @dataclass(frozen=True, eq=False)
 class SampleRow:
     """One sampled parameter with values, derivatives, and norms."""
@@ -417,8 +401,8 @@ def sample_path(path: SmoothPath, ts) -> list[SampleRow]:
         raise InputError("sampling grid is empty")
     values = eval_smooth_many(path, arr)
     derivs = eval_smooth_derivative_many(path, arr)
-    norm_s = np.linalg.norm(values, axis=1)
-    norm_ds = np.linalg.norm(derivs, axis=1)
+    norm_s = row_norms(values)
+    norm_ds = row_norms(derivs)
     product = norm_s * norm_ds
     return [
         SampleRow(
@@ -446,6 +430,8 @@ def dense_grid(
     path: SmoothPath, per_decade: int = 2048, per_window: int = 64
 ) -> np.ndarray:
     """Logarithmic grid over the domain, refined inside every window."""
+    if per_decade < 1 or per_window < 1:
+        raise InputError("grid densities must be at least 1")
     lo, hi = path.domain
     start = np.nextafter(lo, hi)
     decades = math.log10(hi / start)

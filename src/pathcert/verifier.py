@@ -28,11 +28,12 @@ from .errors import InputError
 from .mollifier import (
     BumpKernel,
     SmoothPath,
+    _mollified_rows,
     dense_grid,
     eval_smooth_derivative_many,
     eval_smooth_many,
     make_kernel,
-    mollified_value,
+    row_norms,
 )
 from .skeleton import (
     AnchorSequence,
@@ -101,7 +102,7 @@ def _report(
 
 def slope_norm_budget(path: PiecewiseAffinePath) -> float:
     """Sum of the segment slope norms; bounds any kernel average of p'."""
-    return float(np.sum(np.linalg.norm(path.slopes, axis=1)))
+    return float(np.sum(row_norms(path.slopes)))
 
 
 def lemma1_bound_check(
@@ -124,19 +125,14 @@ def lemma1_bound_check(
             "averaging support must stay inside the path's parameter interval"
         )
     budget = slope_norm_budget(path)
-    worst = -math.inf
-    worst_t = None
-    for t in ts:
-        avg = mollified_value(path, kernel, float(t), float(scale), derivative=True)
-        ratio = float(np.linalg.norm(avg)) / budget
-        if ratio > worst:
-            worst = ratio
-            worst_t = float(t)
+    avg = _mollified_rows(path, kernel, ts, np.full(ts.size, float(scale)), derivative=True)
+    ratios = row_norms(avg) / budget
+    i = int(np.argmax(ratios))
     return _report(
         "lemma1",
-        worst,
+        float(ratios[i]),
         1.0 + LEMMA1_TOL,
-        worst_t,
+        float(ts[i]),
         f"max ||averaged slope|| / budget over {ts.size} points; budget {budget:.6g}",
     )
 
@@ -243,7 +239,7 @@ def envelope_check(
         if ts.size == 0:
             continue
         levels += 1
-        norms = np.linalg.norm(eval_smooth_many(path, ts), axis=1)
+        norms = row_norms(eval_smooth_many(path, ts))
         excess = norms - 1.0 / k
         i = int(np.argmax(excess))
         if float(excess[i]) > worst:
@@ -266,8 +262,8 @@ def envelope_check(
 def product_profile(path: SmoothPath, grid=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t, ||s||, ||s'||) along the grid (dense default)."""
     ts = dense_grid(path) if grid is None else np.asarray(grid, dtype=float)
-    norm_s = np.linalg.norm(eval_smooth_many(path, ts), axis=1)
-    norm_ds = np.linalg.norm(eval_smooth_derivative_many(path, ts), axis=1)
+    norm_s = row_norms(eval_smooth_many(path, ts))
+    norm_ds = row_norms(eval_smooth_derivative_many(path, ts))
     return ts, norm_s, norm_ds
 
 
@@ -396,6 +392,8 @@ def smoothness_check(
     while a genuine kink drives it to order -1.  measured is the worst
     shortfall across both stages; the check passes at measured <= 0.
     """
+    if trials < 1:
+        raise InputError("smoothness needs at least one trial")
     rng = np.random.default_rng(seed)
     worst = -math.inf
     worst_t = None
@@ -407,12 +405,12 @@ def smoothness_check(
         derivs = eval_smooth_derivative_many(path, points)
         ref = derivs[0]
         fd1 = (values[1:6] - values[6:11]) / (2.0 * deltas[:, None])
-        err1 = np.linalg.norm(fd1 - ref[None, :], axis=1)
+        err1 = row_norms(fd1 - ref[None, :])
         floor1 = 1e-8 * max(1.0, float(np.linalg.norm(ref)))
         order1 = _order_estimate(err1, floor1)
         fd2 = (derivs[1:6] - derivs[6:11]) / (2.0 * deltas[:, None])
-        diff2 = np.linalg.norm(np.diff(fd2, axis=0), axis=1)
-        floor2 = 1e-7 * max(1.0, float(np.max(np.linalg.norm(fd2, axis=1))))
+        diff2 = row_norms(np.diff(fd2, axis=0))
+        floor2 = 1e-7 * max(1.0, float(np.max(row_norms(fd2))))
         order2 = _order_estimate(diff2, floor2)
         shortfall = max(min_order - order1, 1.0 - order2)
         if shortfall > worst:
@@ -469,9 +467,7 @@ def coincidence_check(
         if not (a < b):
             continue
         ts = np.linspace(a, b, points_per_region)
-        dev = np.linalg.norm(
-            eval_smooth_many(path, ts) - eval_affine_many(path.skeleton, ts), axis=1
-        )
+        dev = row_norms(eval_smooth_many(path, ts) - eval_affine_many(path.skeleton, ts))
         total += ts.size
         i = int(np.argmax(dev))
         if float(dev[i]) > worst:

@@ -9,10 +9,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pathcert.generators import GeneratorSpec, cone_confined_points, generate_points
 from pathcert.pipeline import build_path
 from pathcert.skeleton import WitnessSequence
+
+# property tests draw the same examples on every run
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 FIXTURE_KINDS = ("diagonal", "spiral", "cone")
 FIXTURE_DIMENSIONS = (2, 3)

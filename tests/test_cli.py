@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pathcert
 from pathcert import cli
 
 
@@ -163,6 +168,27 @@ def test_check_unknown_suite(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["--suite", "smoothness", "--trials", "0"],
+        ["--suite", "smoothness", "--trials", "-4"],
+        ["--suite", "product", "--per-decade", "0"],
+        ["--suite", "product", "--per-window", "-3"],
+    ],
+)
+def test_check_rejects_degenerate_sampling(tmp_path, capsys, options):
+    """A check that would sample nothing is bad input, not a vacuous pass."""
+    path_file = _build_path_file(tmp_path, capsys)
+    out = tmp_path / "reports.json"
+    rc, text, err = _run(["check", "--path", path_file, *options, "--out", str(out)], capsys)
+    assert rc == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert text == ""
+    assert not out.exists()
+
+
 def test_probe_certifies_builtin_rational(tmp_path, capsys):
     report_file = tmp_path / "probe.json"
     tail_file = tmp_path / "tail.csv"
@@ -260,3 +286,15 @@ def test_usage_errors_exit_2(capsys):
     assert _run(["cover"], capsys)[0] == 2
     assert _run(["cover", "--dimension", "2", "--bogus"], capsys)[0] == 2
     assert _run(["sample", "--path", "x.json"], capsys)[0] == 2
+
+
+def test_import_sets_one_blas_thread_unless_set():
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(pathcert.__file__).resolve().parents[1])
+    env["MKL_NUM_THREADS"] = "2"
+    names = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+    code = f"import os, pathcert; print(*(os.environ[v] for v in {names!r}))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["1", "2", "1"]

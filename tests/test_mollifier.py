@@ -4,24 +4,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcert.errors import InputError
 from pathcert.mollifier import (
     MollificationWindow,
     SmoothPath,
+    _mollified_rows,
     build_smooth_path,
     dense_grid,
     eval_smooth,
     eval_smooth_derivative,
     eval_smooth_derivative_many,
     eval_smooth_many,
+    kernel_mass_moment,
     log_grid,
     make_kernel,
+    row_norms,
     sample_path,
     windows_for_anchors,
 )
 from pathcert.quadrature import integrate_panels
 from pathcert.skeleton import (
+    affine_path_from_slopes,
     eval_affine_derivative_many,
     eval_affine_many,
     kink_times,
@@ -76,6 +82,34 @@ def test_kernel_scalar_matches_array():
 
 def test_kernel_cached():
     assert make_kernel() is make_kernel()
+
+
+# ---- mass and moment tables ---------------------------------------------
+
+
+def test_mass_moment_endpoints():
+    mass, moment = kernel_mass_moment(make_kernel(), [-1.0, 0.0, 1.0])
+    assert abs(float(mass[0])) <= 1e-15
+    assert abs(float(mass[1]) - 0.5) <= 1e-15
+    assert abs(float(mass[2]) - 1.0) <= 1e-15
+    assert abs(float(moment[0])) <= 1e-16
+    assert abs(float(moment[2])) <= 1e-16
+
+
+def test_mass_monotone():
+    mass, _ = kernel_mass_moment(make_kernel(), np.linspace(-1.0, 1.0, 401))
+    assert np.all(np.diff(mass) >= 0.0)
+
+
+def test_mass_moment_match_quadrature():
+    kernel = make_kernel()
+    xs = np.linspace(-0.995, 0.995, 41)
+    mass, moment = kernel_mass_moment(kernel, xs)
+    for x, k, m in zip(xs, mass, moment):
+        ref_k = integrate_panels(kernel, [-1.0, x], order=32, tol=1e-16)
+        ref_m = integrate_panels(lambda u: u * kernel(u), [-1.0, x], order=32, tol=1e-16)
+        assert abs(k - float(ref_k)) <= 1e-15
+        assert abs(m - float(ref_m)) <= 1e-15
 
 
 # ---- windows ------------------------------------------------------------
@@ -216,6 +250,60 @@ def test_eval_in_window_matches_direct_convolution(diagonal_build):
             assert np.allclose(eval_smooth_derivative(path, float(t)), direct_d, atol=1e-9)
 
 
+@st.composite
+def _crowded_averages(draw):
+    """A random continuous piecewise-affine path in dimensions 1-5 with
+    2-9 segments, plus parameters and a half-width wide enough that most
+    averaging ranges hold several slope changes."""
+    dimension = draw(st.integers(1, 5))
+    segments = draw(st.integers(2, 9))
+    unit = st.floats(0.0, 1.0)
+    gaps = np.array(draw(st.lists(unit, min_size=segments, max_size=segments)))
+    breakpoints = np.concatenate([[0.0], np.cumsum(0.05 + 0.35 * gaps)])
+    breakpoints += 2.0 * draw(unit) - 1.0
+    entries = st.lists(st.floats(-9.0, 9.0), min_size=dimension, max_size=dimension)
+    slopes = np.array(draw(st.lists(entries, min_size=segments, max_size=segments)))
+    path = affine_path_from_slopes(breakpoints, draw(entries), slopes)
+    lo, hi = path.domain
+    h = (0.2 + 0.6 * draw(unit)) * 0.5 * (hi - lo)
+    ts = lo + h + (hi - lo - 2.0 * h) * np.array(draw(st.lists(unit, min_size=1, max_size=6)))
+    return path, np.clip(ts, lo + h, hi - h), h
+
+
+@settings(max_examples=80)
+@given(case=_crowded_averages())
+def test_kernel_average_matches_direct_convolution_with_many_kinks(case):
+    """Kink sums agree with a direct kernel average of the path to 1e-12."""
+    path, ts, h = case
+    kernel = make_kernel()
+    hs = np.full(ts.size, h)
+    values = _mollified_rows(path, kernel, ts, hs, derivative=False)
+    derivs = _mollified_rows(path, kernel, ts, hs, derivative=True)
+    lo, hi = path.domain
+    for i, t in enumerate(ts):
+        preimages = (t - path.breakpoints[1:-1]) / h
+        edges = np.unique(np.concatenate([[-1.0, 1.0], preimages[np.abs(preimages) < 1.0]]))
+
+        def points(u):
+            return np.clip(t - h * u, np.nextafter(lo, hi), hi)
+
+        direct_v = integrate_panels(
+            lambda u: kernel(u)[:, None] * eval_affine_many(path, points(u)),
+            edges, order=32, tol=1e-15,
+        )
+        direct_d = integrate_panels(
+            lambda u: kernel(u)[:, None] * eval_affine_derivative_many(path, points(u)),
+            edges, order=32, tol=1e-15,
+        )
+        for got, ref in ((values[i], direct_v), (derivs[i], direct_d)):
+            tol = 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+            assert float(np.max(np.abs(got - ref))) <= tol
+        # a row is the same alone as in its batch
+        one = ts[i : i + 1]
+        assert np.array_equal(_mollified_rows(path, kernel, one, hs[:1], False)[0], values[i])
+        assert np.array_equal(_mollified_rows(path, kernel, one, hs[:1], True)[0], derivs[i])
+
+
 def test_derivative_consistent_with_finite_differences(diagonal_build):
     path = diagonal_build.path
     w = path.windows[3]
@@ -284,6 +372,15 @@ def test_sample_path_rows(diagonal_build):
         assert row.norm_s == float(np.linalg.norm(row.s))
         assert row.norm_ds == float(np.linalg.norm(row.ds))
         assert row.product == row.norm_s * row.norm_ds
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4, 5])
+def test_row_norms_equal_vector_norm(dimension):
+    rng = np.random.default_rng(dimension)
+    v = rng.normal(size=(2000, dimension)) * np.exp(rng.uniform(-5.0, 5.0, size=(2000, 1)))
+    norms = row_norms(v)
+    for i in range(v.shape[0]):
+        assert norms[i] == np.linalg.norm(v[i])
 
 
 def test_build_smooth_path_without_precomputed_skeleton(diagonal_build):
