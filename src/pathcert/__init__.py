@@ -32,6 +32,7 @@ from .geometry import (
     UnitDirection,
     build_sphere_cover,
     cone_contains,
+    cone_contains_many,
     select_dominant_cone,
     select_parity,
     shell_index,

@@ -11,8 +11,19 @@ whose membership test reduces to the closed form
 obtained by minimizing ||x - r z||^2 - r^2/3 over r (the minimum sits at
 r = (3/2) x.z).  The angular radius is arccos(sqrt(2/3)).
 
+``cone_contains_many`` is the one implementation of that test.  It sums
+each dot product and each ||x||^2 over the coordinates in index order with
+elementwise multiply-adds (no BLAS matrix product), so an entry has the
+same bits whether it is computed alone or inside any batch.  Cone
+selection and the anchor code call it, and the scalar ``cone_contains``
+is a one-entry call of it.
+
 Sphere covers supply candidate axes: a finite set of unit directions such
 that every unit vector lies within a prescribed angle of some direction.
+Dimension 3 uses a Fibonacci lattice (Gonzalez, Math. Geosci. 42, 2010),
+higher dimensions Gaussianised Halton points.  A randomized check draws
+its unit samples once per cover and tests them against blocks of
+directions, dropping the samples a block already covers.
 Dyadic shells partition the punctured unit ball by 1/(k+1) < ||x|| <= 1/k.
 """
 
@@ -35,6 +46,9 @@ DEFAULT_COVER_HALF_ANGLE = 0.5 * CONE_HALF_ANGLE
 COVER_SAMPLE_COUNT = 100_000
 _COVER_CHUNK = 4096
 _MAX_COVER_SIZE = 1 << 21
+# entries of one (directions x points) block; bounds the temporaries of
+# cone selection and cover verification independently of the cover size
+_BLOCK_ENTRIES = 1 << 20
 
 
 def _as_unit_vector(coords, tol: float = 1e-12) -> np.ndarray:
@@ -104,6 +118,28 @@ class SphereCover:
         return int(self.directions.shape[0])
 
 
+def cone_contains_many(axes, points) -> np.ndarray:
+    """Membership of every point in the cone about every axis, as bool[m, p].
+
+    ``axes`` has shape (m, n) and holds unit axes; ``points`` has shape
+    (p, n).  Sums run over the coordinates in index order, one elementwise
+    multiply-add at a time, so entry (i, j) does not depend on the other
+    rows or columns of the batch.
+    """
+    z = np.asarray(axes, dtype=float)
+    x = np.asarray(points, dtype=float)
+    if z.ndim != 2 or x.ndim != 2 or z.shape[1] != x.shape[1] or z.shape[1] < 1:
+        raise InputError(
+            f"axes of shape {z.shape} and points of shape {x.shape} do not pair up"
+        )
+    dot = z[:, :1] * x[:, 0]
+    norm_sq = x[:, 0] * x[:, 0]
+    for i in range(1, x.shape[1]):
+        dot += z[:, i : i + 1] * x[:, i]
+        norm_sq += x[:, i] * x[:, i]
+    return (norm_sq == 0.0) | ((dot >= 0.0) & (dot * dot >= TWO_THIRDS * norm_sq))
+
+
 def cone_contains(cone: ConeSpec, x) -> bool:
     """Exact closed-form membership test for the solid cone."""
     vec = np.asarray(x, dtype=float)
@@ -111,11 +147,7 @@ def cone_contains(cone: ConeSpec, x) -> bool:
         raise InputError(
             f"point of dimension {vec.size} tested against cone of dimension {cone.dimension}"
         )
-    norm_sq = float(vec @ vec)
-    if norm_sq == 0.0:
-        return True
-    dot = float(vec @ cone.axis.coords)
-    return dot >= 0.0 and dot * dot >= TWO_THIRDS * norm_sq
+    return bool(cone_contains_many(cone.axis.coords[None, :], vec[None, :])[0, 0])
 
 
 # ---- direction families -------------------------------------------------
@@ -135,13 +167,45 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     return np.stack([radial * np.cos(theta), radial * np.sin(theta), z], axis=1)
 
 
+def _primes(count: int) -> list[int]:
+    """The first ``count`` primes, by trial division."""
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def _radical_inverse(index: np.ndarray, base: int) -> np.ndarray:
+    """Van der Corput radical inverse of each index in ``base``.
+
+    Digits are added least significant first with weights 1/base,
+    1/base^2, ..., the order in which scipy.stats.qmc.Halton adds them, so
+    unscrambled Halton points agree with it bit for bit.
+    """
+    result = np.zeros(index.shape)
+    scale = 1.0 / base
+    index = index.copy()
+    while np.any(index > 0):
+        result += (index % base) * scale
+        index //= base
+        scale /= base
+    return result
+
+
+def _halton_points(count: int, dimension: int) -> np.ndarray:
+    """The first ``count`` unscrambled Halton points in [0, 1)^dimension,
+    starting from the origin; coordinate i uses the (i+1)-th prime."""
+    index = np.arange(count)
+    return np.stack([_radical_inverse(index, base) for base in _primes(dimension)], axis=1)
+
+
 def _halton_sphere(count: int, dimension: int) -> np.ndarray:
     from scipy.special import ndtri
-    from scipy.stats import qmc
 
-    sampler = qmc.Halton(d=dimension, scramble=False)
-    u = sampler.random(count)
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
+    u = np.clip(_halton_points(count, dimension), 1e-12, 1.0 - 1e-12)
     g = ndtri(u)
     norms = np.linalg.norm(g, axis=1)
     keep = norms > 1e-12
@@ -149,12 +213,14 @@ def _halton_sphere(count: int, dimension: int) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1)[:, None]
 
 
-def _verify_cover(directions: np.ndarray, half_angle: float, seed: int, samples: int) -> bool:
-    """Randomized covering check: every sampled unit vector must be within
-    half_angle of some direction.  Deterministic for a fixed seed."""
+def _cover_samples(dimension: int, seed: int, samples: int) -> list[np.ndarray]:
+    """Unit samples for the covering check, in chunks of _COVER_CHUNK draws.
+
+    Deterministic for a fixed seed; rows whose Gaussian draw is too short
+    to normalize are dropped.
+    """
     rng = np.random.default_rng(seed)
-    cos_threshold = math.cos(half_angle)
-    dimension = directions.shape[1]
+    chunks = []
     remaining = samples
     while remaining > 0:
         chunk = min(_COVER_CHUNK, remaining)
@@ -163,14 +229,34 @@ def _verify_cover(directions: np.ndarray, half_angle: float, seed: int, samples:
         norms = np.linalg.norm(g, axis=1)
         g = g[norms > 1e-12]
         g /= np.linalg.norm(g, axis=1)[:, None]
-        best = (g @ directions.T).max(axis=1)
-        if np.any(best < cos_threshold):
+        chunks.append(g)
+    return chunks
+
+
+def _verify_cover(directions: np.ndarray, half_angle: float, chunks: list[np.ndarray]) -> bool:
+    """Randomized covering check: every sample must lie within half_angle
+    of some direction.
+
+    Directions are tested a block at a time, and samples a block covers are
+    not tested again; a sample is covered exactly when its best cosine over
+    all directions reaches cos(half_angle).
+    """
+    cos_threshold = math.cos(half_angle)
+    block = max(1, _BLOCK_ENTRIES // _COVER_CHUNK)
+    for g in chunks:
+        for start in range(0, directions.shape[0], block):
+            if g.shape[0] == 0:
+                break
+            best = (g @ directions[start : start + block].T).max(axis=1)
+            g = g[best < cos_threshold]
+        if g.shape[0]:
             return False
     return True
 
 
 @lru_cache(maxsize=32)
 def _cached_cover(dimension: int, half_angle: float, seed: int, samples: int) -> SphereCover:
+    chunks = _cover_samples(dimension, seed, samples)
     if dimension == 1:
         directions = np.array([[1.0], [-1.0]])
     elif dimension == 2:
@@ -183,7 +269,7 @@ def _cached_cover(dimension: int, half_angle: float, seed: int, samples: int) ->
                 directions = _fibonacci_sphere(count)
             else:
                 directions = _halton_sphere(count, dimension)
-            if _verify_cover(directions, half_angle, seed, samples):
+            if _verify_cover(directions, half_angle, chunks):
                 break
             count *= 2
             if count > _MAX_COVER_SIZE:
@@ -191,7 +277,7 @@ def _cached_cover(dimension: int, half_angle: float, seed: int, samples: int) ->
                     f"could not cover the sphere in dimension {dimension} "
                     f"at half angle {half_angle}"
                 )
-    if dimension <= 2 and not _verify_cover(directions, half_angle, seed, samples):
+    if dimension <= 2 and not _verify_cover(directions, half_angle, chunks):
         raise InputError(f"cover construction failed in dimension {dimension}")
     return SphereCover(
         dimension=dimension,
@@ -244,14 +330,19 @@ def select_dominant_cone(points, cover: SphereCover) -> tuple[ConeSpec, list[int
             raise InputError(f"point {i} has non-finite entries")
         if float(p @ p) == 0.0:
             raise InputError(f"point {i} is the origin")
-    # count captures per direction through the scalar predicate itself, so
-    # the winner and the returned indices agree bit for bit with cone_contains
-    cones = [ConeSpec(UnitDirection(d)) for d in cover.directions]
-    counts = [sum(1 for p in pts if cone_contains(c, p)) for c in cones]
-    winner = int(np.argmax(counts))
-    cone = cones[winner]
-    indices = [i for i, p in enumerate(pts) if cone_contains(cone, p)]
-    return cone, indices
+    points_arr = np.stack(pts)
+    # one block of directions at a time, so memory does not grow with the
+    # cover; the strict > keeps the lowest index among tied counts
+    block = max(1, _BLOCK_ENTRIES // len(pts))
+    best_count, winner, captured = -1, 0, None
+    for start in range(0, cover.size, block):
+        inside = cone_contains_many(cover.directions[start : start + block], points_arr)
+        counts = np.count_nonzero(inside, axis=1)
+        top = int(np.argmax(counts))
+        if counts[top] > best_count:
+            best_count, winner, captured = int(counts[top]), start + top, inside[top]
+    cone = ConeSpec(UnitDirection(cover.directions[winner]))
+    return cone, np.flatnonzero(captured).tolist()
 
 
 # ---- dyadic shells ------------------------------------------------------

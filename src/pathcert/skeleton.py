@@ -32,7 +32,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DomainError, InputError
-from .geometry import ConeSpec, UnitDirection, cone_contains, shell_index
+from .geometry import ConeSpec, UnitDirection, cone_contains_many, shell_index
 
 _TIME_TOL = 1e-12
 _CONTINUITY_TOL = 1e-12
@@ -216,6 +216,11 @@ class AnchorSequence:
         if any(not (1 <= k <= len(self.entries)) for k in matched_ks):
             raise InputError("matched refers to an anchor index outside 1..K")
         matched_ks = set(matched_ks)
+        if any(entry.a.size != self.dimension for entry in self.entries):
+            raise InputError("anchor positions and the cone differ in dimension")
+        in_cone = cone_contains_many(
+            self.cone.axis.coords[None, :], np.stack([entry.a for entry in self.entries])
+        )[0]
         for pos, entry in enumerate(self.entries, start=1):
             if entry.k != pos:
                 raise InputError("anchor indices must run 1..K without gaps")
@@ -228,7 +233,7 @@ class AnchorSequence:
             d = anchor_spacing(entry.k, self.parity)
             if abs(entry.spacing - d) > _TIME_TOL:
                 raise InputError(f"anchor {entry.k} spacing deviates from d_k")
-            if not cone_contains(self.cone, entry.a):
+            if not in_cone[pos - 1]:
                 raise InputError(f"anchor {entry.k} lies outside the selected cone")
             if entry.source == "filler":
                 radial = entry.a / radius
@@ -268,7 +273,7 @@ def build_anchor_sequence(
         raise InputError("at least two anchors are required")
     if parity not in PARITIES:
         raise InputError(f"parity must be 'even' or 'odd', got {parity!r}")
-    in_cone = [cone_contains(cone, x) for x, _ in witness.pairs]
+    in_cone = cone_contains_many(cone.axis.coords[None, :], np.stack(witness.points()))[0]
     shells = [shell_index(x) for x, _ in witness.pairs]
     entries = []
     matched = []

@@ -1,20 +1,24 @@
 """Sphere covers, cone membership, and dyadic shell selection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathcert import geometry
 from pathcert.errors import InputError
 from pathcert.geometry import (
     CONE_HALF_ANGLE,
     DEFAULT_COVER_HALF_ANGLE,
+    TWO_THIRDS,
     ConeSpec,
     UnitDirection,
     build_sphere_cover,
     cone_contains,
+    cone_contains_many,
     select_dominant_cone,
     select_parity,
     shell_index,
@@ -117,6 +121,82 @@ def test_cone_dimension_mismatch():
         cone_contains(cone, [1.0, 0.0, 0.0])
 
 
+def _reference_contains(axis, x) -> bool:
+    """The closed form with the sums written out in Python floats, in
+    coordinate order: the arithmetic cone_contains_many must reproduce."""
+    dot = axis[0] * x[0]
+    norm_sq = x[0] * x[0]
+    for i in range(1, len(x)):
+        dot = dot + axis[i] * x[i]
+        norm_sq = norm_sq + x[i] * x[i]
+    return norm_sq == 0.0 or (dot >= 0.0 and dot * dot >= TWO_THIRDS * norm_sq)
+
+
+def _boundary_point(axis, across, ulps: int, radius: float):
+    """A point at CONE_HALF_ANGLE stepped by ``ulps`` from the axis, in the
+    plane of the axis and ``across``; None where that plane degenerates."""
+    w = across - (across @ axis) * axis
+    if float(np.linalg.norm(w)) < 1e-3:
+        return None
+    w = w / np.linalg.norm(w)
+    angle = CONE_HALF_ANGLE
+    toward = math.inf if ulps > 0 else 0.0
+    for _ in range(abs(ulps)):
+        angle = float(np.nextafter(angle, toward))
+    return radius * (math.cos(angle) * axis + math.sin(angle) * w)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_cone_contains_many_is_the_scalar_predicate(data):
+    """Every entry equals the scalar test and the written-out reference,
+    and a row computed alone has the bits it has inside the batch."""
+    dimension = data.draw(st.integers(1, 5))
+    vector = st.lists(
+        st.floats(-4.0, 4.0, allow_nan=False), min_size=dimension, max_size=dimension
+    ).map(np.array)
+    axes = [
+        v / np.linalg.norm(v)
+        for v in data.draw(st.lists(vector, min_size=1, max_size=4))
+        if float(np.linalg.norm(v)) > 1e-3
+    ]
+    if not axes:
+        axes = [np.eye(dimension)[0]]
+    points = data.draw(st.lists(vector, max_size=6)) + [np.zeros(dimension)]
+    for axis in axes:
+        for _ in range(data.draw(st.integers(0, 3))):
+            p = _boundary_point(
+                axis, data.draw(vector), data.draw(st.integers(-4, 4)),
+                data.draw(st.floats(1e-3, 10.0)),
+            )
+            if p is not None:
+                points.append(p)
+    axes_arr, points_arr = np.stack(axes), np.stack(points)
+    inside = cone_contains_many(axes_arr, points_arr)
+    assert inside.shape == (len(axes), len(points)) and inside.dtype == bool
+    for i, axis in enumerate(axes):
+        cone = ConeSpec(UnitDirection(axis))
+        for j, x in enumerate(points):
+            expected = _reference_contains(axis.tolist(), x.tolist())
+            assert inside[i, j] == cone_contains(cone, x) == expected
+        assert np.array_equal(cone_contains_many(axes_arr[i : i + 1], points_arr), inside[i : i + 1])
+
+
+def test_cone_contains_many_flips_within_ulps_of_the_boundary():
+    """Stepping a few ulp of angle across CONE_HALF_ANGLE flips membership."""
+    axis = np.array([1.0, 0.0])
+    inner = _boundary_point(axis, np.array([0.0, 1.0]), -4, 1.0)
+    outer = _boundary_point(axis, np.array([0.0, 1.0]), 4, 1.0)
+    assert cone_contains_many(axis[None, :], np.stack([inner, outer])).tolist() == [[True, False]]
+
+
+def test_cone_contains_many_rejects_mismatched_shapes():
+    with pytest.raises(InputError):
+        cone_contains_many(np.eye(3), np.ones((2, 2)))
+    with pytest.raises(InputError):
+        cone_contains_many(np.ones(3), np.ones((2, 3)))
+
+
 # ---- sphere covers ------------------------------------------------------
 
 
@@ -159,6 +239,65 @@ def test_cover_deterministic():
     a = build_sphere_cover(3)
     b = build_sphere_cover(3)
     assert np.array_equal(a.directions, b.directions)
+
+
+@pytest.mark.parametrize("dimension", range(2, 9))
+def test_halton_points_match_scipy(dimension):
+    """The in-module radical inverse reproduces scipy's unscrambled Halton
+    sequence bit for bit, so covers built from it keep their directions."""
+    from scipy.stats import qmc
+
+    for count in (1, 7, 256, 4097):
+        expected = qmc.Halton(d=dimension, scramble=False).random(count)
+        assert np.array_equal(geometry._halton_points(count, dimension), expected)
+
+
+@pytest.mark.parametrize("dimension,size", [(3, 128), (4, 2048), (5, 8192)])
+def test_cover_sizes_at_seed_zero(dimension, size):
+    assert build_sphere_cover(dimension).size == size
+
+
+def _brute_force_covered(directions, half_angle, chunks) -> bool:
+    g = np.concatenate(chunks)
+    return bool(np.all((g @ directions.T).max(axis=1) >= math.cos(half_angle)))
+
+
+@pytest.mark.parametrize("block_entries", [geometry._COVER_CHUNK * 8, geometry._BLOCK_ENTRIES])
+@pytest.mark.parametrize(
+    "dimension,counts",
+    [(2, (8, 10, 11, 21)), (3, (32, 64, 128, 256)), (4, (256, 1024, 2048))],
+)
+def test_pruned_cover_check_matches_brute_force(monkeypatch, block_entries, dimension, counts):
+    """Dropping covered samples block by block gives the verdict of the full
+    max over all directions, on covers that pass and covers that fail."""
+    monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", block_entries)
+    chunks = geometry._cover_samples(dimension, 3, 20_000)
+    half_angle = DEFAULT_COVER_HALF_ANGLE
+    verdicts = []
+    for count in counts:
+        if dimension == 2:
+            directions = geometry._circle_directions(count)
+        elif dimension == 3:
+            directions = geometry._fibonacci_sphere(count)
+        else:
+            directions = geometry._halton_sphere(count, dimension)
+        verdict = geometry._verify_cover(directions, half_angle, chunks)
+        assert verdict == _brute_force_covered(directions, half_angle, chunks)
+        verdicts.append(verdict)
+    assert verdicts[0] is False and verdicts[-1] is True
+
+
+def test_cover_memory_is_bounded():
+    """Verification holds one block of directions against one chunk of
+    samples, not the whole cover at once."""
+    tracemalloc.start()
+    try:
+        cover = build_sphere_cover(5, seed=918_273)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cover.size >= 8192
+    assert peak < 64 * 2**20
 
 
 def test_cover_validation():
@@ -209,6 +348,29 @@ def test_select_dominant_cone_tie_breaks_low():
     lowest = min(i for i, c in enumerate(counts) if c == top)
     assert np.array_equal(cone.axis.coords, cover.directions[lowest])
     assert captured == [0, 1, 2]
+
+
+@pytest.mark.parametrize("block_entries", [1, 5 * 40, 1 << 20])
+def test_select_dominant_cone_blocks_keep_the_winner(monkeypatch, block_entries):
+    """Splitting the cover into blocks of directions changes neither the
+    winner (lowest index among the top counts) nor the captured indices."""
+    monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(5)
+    cover = build_sphere_cover(3)
+    # two equally heavy tight clusters, so the top count is tied across
+    # directions far apart in the cover's order
+    centers = cover.directions[[17, 90]]
+    points = [
+        (0.1 + 0.8 * rng.uniform()) * (c + 0.02 * rng.standard_normal(3))
+        for c in centers
+        for _ in range(20)
+    ]
+    counts = cone_contains_many(cover.directions, np.stack(points)).sum(axis=1)
+    winner = int(np.argmax(counts))
+    assert np.count_nonzero(counts == counts[winner]) > 1
+    cone, captured = select_dominant_cone(points, cover)
+    assert np.array_equal(cone.axis.coords, cover.directions[winner])
+    assert captured == [i for i, p in enumerate(points) if cone_contains(cone, p)]
 
 
 def test_select_dominant_cone_rejects_origin():

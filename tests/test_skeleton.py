@@ -168,6 +168,12 @@ def test_anchor_sequence_rejects_off_cone_anchor():
         AnchorSequence(parity="even", cone=cone, entries=_tiny_entries(), matched=())
 
 
+def test_anchor_sequence_rejects_cone_of_other_dimension():
+    cone = ConeSpec(UnitDirection(np.array([1.0, 0.0, 0.0])))
+    with pytest.raises(InputError):
+        AnchorSequence(parity="even", cone=cone, entries=_tiny_entries(), matched=())
+
+
 def test_anchor_entry_validates_times():
     with pytest.raises(InputError):
         AnchorEntry(
