@@ -21,9 +21,17 @@ is a one-entry call of it.
 Sphere covers supply candidate axes: a finite set of unit directions such
 that every unit vector lies within a prescribed angle of some direction.
 Dimension 3 uses a Fibonacci lattice (Gonzalez, Math. Geosci. 42, 2010),
-higher dimensions Gaussianised Halton points.  A randomized check draws
-its unit samples once per cover and tests them against blocks of
-directions, dropping the samples a block already covers.
+higher dimensions Halton points (Halton, Numer. Math. 2, 1960) mapped
+through the inverse normal CDF and normalized.  That map is an in-module
+port of Cephes ``ndtri`` (Moshier, 1989) with libm ``log``, so it returns
+scipy.special.ndtri's bits and the module imports nothing from scipy.
+The candidate set doubles until a randomized check passes.  The check
+draws its unit samples once per cover and tests them against blocks of
+directions, dropping the samples a block already covers.  Halton
+candidates nest, each the first half of the next, so a doubling computes
+only the new points and the check resumes where the failed candidate
+stopped: chunks it covered are skipped, and the samples it left uncovered
+meet only the added directions.
 Dyadic shells partition the punctured unit ball by 1/(k+1) < ||x|| <= 1/k.
 """
 
@@ -32,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -195,22 +204,112 @@ def _radical_inverse(index: np.ndarray, base: int) -> np.ndarray:
     return result
 
 
-def _halton_points(count: int, dimension: int) -> np.ndarray:
-    """The first ``count`` unscrambled Halton points in [0, 1)^dimension,
-    starting from the origin; coordinate i uses the (i+1)-th prime."""
-    index = np.arange(count)
+def _halton_points(count: int, dimension: int, start: int = 0) -> np.ndarray:
+    """Unscrambled Halton points ``start`` to ``count - 1`` in [0, 1)^dimension,
+    the sequence starting from the origin; coordinate i uses the (i+1)-th prime."""
+    index = np.arange(start, count)
     return np.stack([_radical_inverse(index, base) for base in _primes(dimension)], axis=1)
 
 
-def _halton_sphere(count: int, dimension: int) -> np.ndarray:
-    from scipy.special import ndtri
+# Cephes ndtri (Moshier, Methods and Programs for Mathematical Functions,
+# 1989), the coefficients scipy.special.ndtri uses; leading 1 of Q omitted
+_SQRT_2PI = 2.50662827463100050242e0
+_EXP_M2 = 0.13533528323661269189  # exp(-2), the branch point
+# |u - 1/2| <= 1/2 - exp(-2)
+_NDTRI_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+# tails with 2 <= sqrt(-2 log y) < 8
+_NDTRI_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+# tails with sqrt(-2 log y) >= 8
+_NDTRI_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_NDTRI_Q2 = (
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
 
-    u = np.clip(_halton_points(count, dimension), 1e-12, 1.0 - 1e-12)
-    g = ndtri(u)
+
+def _polevl(x: np.ndarray, coefficients) -> np.ndarray:
+    """Cephes polevl: Horner's rule from the highest coefficient down."""
+    result = np.full_like(x, coefficients[0])
+    for c in coefficients[1:]:
+        result = result * x + c
+    return result
+
+
+def _p1evl(x: np.ndarray, coefficients) -> np.ndarray:
+    """Cephes p1evl: polevl with a leading coefficient 1 left out of the table."""
+    return _polevl(x, (1.0, *coefficients))
+
+
+def _log(values: np.ndarray) -> np.ndarray:
+    # libm log per element, as Cephes calls it; numpy's vectorised log can
+    # round differently in the last bit
+    return np.fromiter(map(math.log, values.tolist()), float, count=values.size)
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF of each entry of ``u`` in (0, 1).
+
+    The operations of Cephes ndtri in the same order, so the result equals
+    scipy.special.ndtri bit for bit on a platform whose libm log matches.
+    """
+    upper = u > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - u, u)
+    out = np.empty_like(y)
+    central = y > _EXP_M2
+    yc = y[central] - 0.5
+    y2 = yc * yc
+    ratio = y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0)
+    out[central] = (yc + yc * ratio) * _SQRT_2PI
+    tail = ~central
+    x = np.sqrt(-2.0 * _log(y[tail]))
+    x0 = x - _log(x) / x
+    z = 1.0 / x
+    x1 = np.where(
+        x < 8.0,
+        z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1),
+        z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2),
+    )
+    x = x0 - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
+
+
+def _unit_rows(g: np.ndarray) -> np.ndarray:
+    """The rows of ``g`` long enough to normalize, each divided by its norm."""
     norms = np.linalg.norm(g, axis=1)
     keep = norms > 1e-12
-    g = g[keep]
-    return g / np.linalg.norm(g, axis=1)[:, None]
+    return g[keep] / norms[keep, None]
+
+
+def _halton_sphere(count: int, dimension: int, start: int = 0) -> np.ndarray:
+    """Directions from Halton points ``start`` to ``count - 1``, pushed through
+    the inverse normal CDF and normalized.  Each point maps on its own, so
+    the directions for [0, 2n) are those for [0, n) followed by those for
+    [n, 2n)."""
+    u = np.clip(_halton_points(count, dimension, start), 1e-12, 1.0 - 1e-12)
+    return _unit_rows(_ndtri(u))
 
 
 def _cover_samples(dimension: int, seed: int, samples: int) -> list[np.ndarray]:
@@ -225,33 +324,52 @@ def _cover_samples(dimension: int, seed: int, samples: int) -> list[np.ndarray]:
     while remaining > 0:
         chunk = min(_COVER_CHUNK, remaining)
         remaining -= chunk
-        g = rng.standard_normal((chunk, dimension))
-        norms = np.linalg.norm(g, axis=1)
-        g = g[norms > 1e-12]
-        g /= np.linalg.norm(g, axis=1)[:, None]
-        chunks.append(g)
+        chunks.append(_unit_rows(rng.standard_normal((chunk, dimension))))
     return chunks
 
 
-def _verify_cover(directions: np.ndarray, half_angle: float, chunks: list[np.ndarray]) -> bool:
+class _CoverProgress(NamedTuple):
+    """Where a failed covering check stopped: chunks before ``chunk`` are
+    covered by the first ``tested`` directions, and ``uncovered`` holds the
+    samples of ``chunk`` that none of them covers."""
+
+    chunk: int
+    uncovered: np.ndarray
+    tested: int
+
+
+def _verify_cover(
+    directions: np.ndarray,
+    half_angle: float,
+    chunks: list[np.ndarray],
+    resume: _CoverProgress | None = None,
+) -> tuple[bool, _CoverProgress | None]:
     """Randomized covering check: every sample must lie within half_angle
     of some direction.
 
     Directions are tested a block at a time, and samples a block covers are
     not tested again; a sample is covered exactly when its best cosine over
-    all directions reaches cos(half_angle).
+    all directions reaches cos(half_angle).  The check stops at the first
+    chunk left with an uncovered sample and returns where it stopped.
+    Passing that back as ``resume`` with directions that begin with the
+    ones tested continues from there: covered chunks are skipped and the
+    uncovered samples meet only the added directions.
     """
     cos_threshold = math.cos(half_angle)
     block = max(1, _BLOCK_ENTRIES // _COVER_CHUNK)
-    for g in chunks:
-        for start in range(0, directions.shape[0], block):
+    first = 0 if resume is None else resume.chunk
+    for index in range(first, len(chunks)):
+        g, start = chunks[index], 0
+        if resume is not None and index == resume.chunk:
+            g, start = resume.uncovered, resume.tested
+        for lo in range(start, directions.shape[0], block):
             if g.shape[0] == 0:
                 break
-            best = (g @ directions[start : start + block].T).max(axis=1)
+            best = (g @ directions[lo : lo + block].T).max(axis=1)
             g = g[best < cos_threshold]
         if g.shape[0]:
-            return False
-    return True
+            return False, _CoverProgress(index, g, directions.shape[0])
+    return True, None
 
 
 @lru_cache(maxsize=32)
@@ -263,21 +381,27 @@ def _cached_cover(dimension: int, half_angle: float, seed: int, samples: int) ->
         count = max(int(math.ceil(2.0 * math.pi / half_angle)), 4)
         directions = _circle_directions(count)
     else:
-        count = 32 if dimension == 3 else 256
+        count, start, progress = (32 if dimension == 3 else 256), 0, None
+        directions = np.empty((0, dimension))
         while True:
             if dimension == 3:
-                directions = _fibonacci_sphere(count)
+                # Fibonacci lattices of different sizes do not nest
+                directions, progress = _fibonacci_sphere(count), None
             else:
-                directions = _halton_sphere(count, dimension)
-            if _verify_cover(directions, half_angle, chunks):
+                # the Halton candidates nest: add the new points, resume the check
+                directions = np.concatenate(
+                    [directions, _halton_sphere(count, dimension, start)]
+                )
+            covered, progress = _verify_cover(directions, half_angle, chunks, progress)
+            if covered:
                 break
-            count *= 2
+            start, count = count, 2 * count
             if count > _MAX_COVER_SIZE:
                 raise InputError(
                     f"could not cover the sphere in dimension {dimension} "
                     f"at half angle {half_angle}"
                 )
-    if dimension <= 2 and not _verify_cover(directions, half_angle, chunks):
+    if dimension <= 2 and not _verify_cover(directions, half_angle, chunks)[0]:
         raise InputError(f"cover construction failed in dimension {dimension}")
     return SphereCover(
         dimension=dimension,

@@ -298,3 +298,29 @@ def test_import_sets_one_blas_thread_unless_set():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.split() == ["1", "2", "1"]
+
+
+def test_high_dimensional_commands_import_no_scipy(tmp_path):
+    """Covers, builds and probes in dimension >= 4 run without scipy."""
+    witness = tmp_path / "witness5.json"
+    witness.write_text(
+        json.dumps(
+            {"dimension": 5, "generator": {"kind": "spiral", "count": 200, "stop": 0.012}}
+        )
+    )
+    runs = [
+        ["cover", "--dimension", "5", "--out", str(tmp_path / "cover.json")],
+        ["build", "--witness", str(witness), "--out", str(tmp_path / "path.json")],
+        ["probe", "--field", "expr:x1^2/(x1^2+x2^2+x3^2+x4^2)", "--generator", "spiral"],
+    ]
+    code = (
+        "import sys\n"
+        "from pathcert import cli\n"
+        f"print('exit codes:', *(cli.main(argv) for argv in {runs!r}))\n"
+        "print('scipy modules:', *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(pathcert.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines()[-2:] == ["exit codes: 0 0 0", "scipy modules:"]

@@ -258,33 +258,131 @@ def test_cover_sizes_at_seed_zero(dimension, size):
 
 
 def _brute_force_covered(directions, half_angle, chunks) -> bool:
-    g = np.concatenate(chunks)
-    return bool(np.all((g @ directions.T).max(axis=1) >= math.cos(half_angle)))
+    """Every sample's best cosine over all directions, taken 1024 directions
+    at a time so that the products stay small."""
+    for g in chunks:
+        slices = range(0, len(directions), 1024)
+        best = np.max([(g @ directions[lo : lo + 1024].T).max(axis=1) for lo in slices], axis=0)
+        if np.any(best < math.cos(half_angle)):
+            return False
+    return True
 
 
 @pytest.mark.parametrize("block_entries", [geometry._COVER_CHUNK * 8, geometry._BLOCK_ENTRIES])
 @pytest.mark.parametrize(
     "dimension,counts",
-    [(2, (8, 10, 11, 21)), (3, (32, 64, 128, 256)), (4, (256, 1024, 2048))],
+    [
+        (2, (8, 10, 11, 21)),
+        (3, (32, 64, 128, 256)),
+        (4, (256, 512, 1024)),
+        (5, (256, 512, 1024, 2048, 4096)),
+    ],
 )
 def test_pruned_cover_check_matches_brute_force(monkeypatch, block_entries, dimension, counts):
     """Dropping covered samples block by block gives the verdict of the full
-    max over all directions, on covers that pass and covers that fail."""
+    max over all directions, on covers that pass and covers that fail.  In
+    dimension >= 4 the candidates nest as in the cover build, and each check
+    resumes where the failed one before it stopped."""
     monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", block_entries)
     chunks = geometry._cover_samples(dimension, 3, 20_000)
     half_angle = DEFAULT_COVER_HALF_ANGLE
-    verdicts = []
+    verdicts, progress, start = [], None, 0
+    directions = np.empty((0, dimension))
     for count in counts:
         if dimension == 2:
             directions = geometry._circle_directions(count)
         elif dimension == 3:
             directions = geometry._fibonacci_sphere(count)
         else:
-            directions = geometry._halton_sphere(count, dimension)
-        verdict = geometry._verify_cover(directions, half_angle, chunks)
+            halton = geometry._halton_sphere(count, dimension, start)
+            directions, start = np.concatenate([directions, halton]), count
+        verdict, resumed = geometry._verify_cover(
+            directions, half_angle, chunks, progress if dimension >= 4 else None
+        )
+        assert verdict == _brute_force_covered(directions, half_angle, chunks)
+        assert (resumed is None) == verdict
+        verdicts.append(verdict)
+        progress = resumed
+    if dimension >= 4:
+        assert verdicts == [False] * (len(counts) - 1) + [True]
+    assert verdicts[0] is False and verdicts[-1] is True
+
+
+def test_resumed_cover_check_retests_the_failed_chunk():
+    """On resume, the samples the failed candidate left uncovered must meet
+    an added direction; the chunks after them meet all directions."""
+    half_angle = DEFAULT_COVER_HALF_ANGLE
+    circle = geometry._circle_directions(24)
+
+    def on_circle(lo, hi):
+        angles = np.linspace(lo, hi, 50)
+        return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+    # the first 12 directions span 0..165 degrees: they cover ``upper`` only
+    upper, lower = on_circle(0.1, 3.0), on_circle(3.4, 5.9)
+    chunks = [np.concatenate([upper, lower]), upper, upper]
+    candidates = [
+        circle[:12],
+        np.concatenate([circle[:12], circle[5:6]]),  # adds a direction inside the span
+        np.concatenate([circle[:12], circle[5:6], circle[12:]]),
+    ]
+    verdicts, progress = [], None
+    for directions in candidates:
+        verdict, progress = geometry._verify_cover(directions, half_angle, chunks, progress)
         assert verdict == _brute_force_covered(directions, half_angle, chunks)
         verdicts.append(verdict)
-    assert verdicts[0] is False and verdicts[-1] is True
+    assert verdicts == [False, False, True]
+
+
+@pytest.mark.parametrize("dimension", [4, 5, 8])
+@pytest.mark.parametrize("count", [1, 256, 1000])
+def test_halton_sphere_nests(dimension, count):
+    """The first n directions of a 2n-point set are the n-point set, and the
+    set is the concatenation of its ``start``-sliced parts."""
+    whole = geometry._halton_sphere(2 * count, dimension)
+    assert np.array_equal(whole[:count], geometry._halton_sphere(count, dimension))
+    parts = [
+        geometry._halton_sphere(stop, dimension, begin)
+        for begin, stop in ((0, count // 2), (count // 2, count), (count, 2 * count))
+    ]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("dimension", [2, 3, 4, 5])
+def test_cover_samples_normalize_with_one_norm_pass(dimension, seed):
+    """Samples equal the two-pass form that normalized the kept rows by
+    recomputed norms."""
+    rng = np.random.default_rng(seed)
+    expected = []
+    for size in (4096,) * 24 + (1696,):
+        g = rng.standard_normal((size, dimension))
+        g = g[np.linalg.norm(g, axis=1) > 1e-12]
+        g /= np.linalg.norm(g, axis=1)[:, None]
+        expected.append(g)
+    chunks = geometry._cover_samples(dimension, seed, geometry.COVER_SAMPLE_COUNT)
+    assert len(chunks) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(chunks, expected))
+
+
+def test_ndtri_matches_scipy_bit_for_bit():
+    """The in-module Cephes port returns scipy's bits on Halton coordinates,
+    uniform draws, both deep tails and the branch points."""
+    from scipy.special import ndtri
+
+    rng = np.random.default_rng(11)
+    edges = (1e-12, 1.0 - 1e-12, 0.5, math.exp(-2.0), 1.0 - math.exp(-2.0))
+    inputs = [
+        # the leading d columns of the 8-D Halton set are the d-D set
+        np.clip(geometry._halton_points(65_536, 8), 1e-12, 1.0 - 1e-12).ravel(),
+        rng.uniform(size=1_000_000),
+        10.0 ** rng.uniform(-300.0, -1.0, size=100_000),
+        1.0 - 10.0 ** rng.uniform(-16.0, -1.0, size=100_000),
+        np.array([w for v in edges for w in (np.nextafter(v, 0.0), v, np.nextafter(v, 1.0))]),
+    ]
+    for u in inputs:
+        assert u.min() > 0.0 and u.max() < 1.0
+        assert np.array_equal(geometry._ndtri(u).view(np.int64), ndtri(u).view(np.int64))
 
 
 def test_cover_memory_is_bounded():
