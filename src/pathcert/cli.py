@@ -151,13 +151,17 @@ def cmd_probe(args: argparse.Namespace) -> int:
     if args.witness:
         witness = load_witness(args.witness)
     else:
+        try:
+            axis = tuple(float(v) for v in args.axis.split(",")) if args.axis else None
+        except ValueError:
+            raise InputError(f"--axis needs comma separated numbers, got {args.axis!r}") from None
         spec = GeneratorSpec(
             kind=args.generator,
             dimension=field.dimension,
             count=args.count,
             start=args.start,
             stop=args.stop,
-            axis=tuple(float(v) for v in args.axis.split(",")) if args.axis else None,
+            axis=axis,
         )
         try:
             witness = derive_witness(

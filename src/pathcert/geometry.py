@@ -25,9 +25,11 @@ higher dimensions Halton points (Halton, Numer. Math. 2, 1960) mapped
 through the inverse normal CDF and normalized.  That map is an in-module
 port of Cephes ``ndtri`` (Moshier, 1989) with libm ``log``, so it returns
 scipy.special.ndtri's bits and the module imports nothing from scipy.
-The candidate set doubles until a randomized check passes.  The check
-draws its unit samples once per cover and tests them against blocks of
-directions, dropping the samples a block already covers.  Halton
+``build_sphere_cover(dimension, half_angle, *, seed)`` doubles the
+candidate set until a randomized check passes.  The check draws its
+COVER_SAMPLE_COUNT unit samples from ``seed`` once per cover and tests
+them against blocks of directions, dropping the samples a block already
+covers.  Halton
 candidates nest, each the first half of the next, so a doubling computes
 only the new points and the check resumes where the failed candidate
 stopped: chunks it covered are skipped, and the samples it left uncovered
@@ -102,15 +104,12 @@ class ConeSpec:
 class SphereCover:
     """Finite set of unit directions covering the sphere to half_angle.
 
-    ``directions`` has shape (m, n); rows are unit vectors.  ``seed`` and
-    ``samples`` record how the covering property was verified.
+    ``directions`` has shape (m, n); rows are unit vectors.
     """
 
     dimension: int
     half_angle: float
     directions: np.ndarray
-    seed: int
-    samples: int
 
     def __post_init__(self) -> None:
         dirs = np.array(self.directions, dtype=float)
@@ -373,8 +372,8 @@ def _verify_cover(
 
 
 @lru_cache(maxsize=32)
-def _cached_cover(dimension: int, half_angle: float, seed: int, samples: int) -> SphereCover:
-    chunks = _cover_samples(dimension, seed, samples)
+def _cached_cover(dimension: int, half_angle: float, seed: int) -> SphereCover:
+    chunks = _cover_samples(dimension, seed, COVER_SAMPLE_COUNT)
     if dimension == 1:
         directions = np.array([[1.0], [-1.0]])
     elif dimension == 2:
@@ -403,36 +402,25 @@ def _cached_cover(dimension: int, half_angle: float, seed: int, samples: int) ->
                 )
     if dimension <= 2 and not _verify_cover(directions, half_angle, chunks)[0]:
         raise InputError(f"cover construction failed in dimension {dimension}")
-    return SphereCover(
-        dimension=dimension,
-        half_angle=half_angle,
-        directions=directions,
-        seed=seed,
-        samples=samples,
-    )
+    return SphereCover(dimension=dimension, half_angle=half_angle, directions=directions)
 
 
 def build_sphere_cover(
-    dimension: int,
-    half_angle: float = DEFAULT_COVER_HALF_ANGLE,
-    *,
-    seed: int = 0,
-    samples: int = COVER_SAMPLE_COUNT,
+    dimension: int, half_angle: float = DEFAULT_COVER_HALF_ANGLE, *, seed: int = 0
 ) -> SphereCover:
     """Deterministic sphere cover at the requested angular resolution.
 
     Dimension 1 uses {+1, -1}; dimension 2 equally spaced circle points;
     dimension 3 a Fibonacci lattice; higher dimensions a low-discrepancy
     Gaussian construction.  The candidate set is doubled until the
-    randomized covering check passes.
+    randomized covering check on COVER_SAMPLE_COUNT samples drawn from
+    ``seed`` passes.
     """
     if not isinstance(dimension, int) or dimension < 1:
         raise InputError(f"dimension must be a positive integer, got {dimension!r}")
     if not (0.0 < half_angle < math.pi / 2.0):
         raise InputError(f"half_angle must lie in (0, pi/2), got {half_angle!r}")
-    if samples < 1:
-        raise InputError("samples must be positive")
-    return _cached_cover(dimension, float(half_angle), int(seed), int(samples))
+    return _cached_cover(dimension, float(half_angle), int(seed))
 
 
 # ---- dominant cone selection -------------------------------------------

@@ -199,17 +199,14 @@ def certify_discontinuity(
     epsilon: float | None = None,
     *,
     seed: int = 0,
-    per_decade: int = 1024,
-    per_window: int = 32,
     extra_deltas: Iterable[float] = (),
-    tol: float = CERTIFY_TOL,
 ) -> tuple[ProbeReport, PathBuild]:
     """Build a smooth path through the witness data and bound |f(s(t))|.
 
     epsilon defaults to the smallest |f| over the witness points.  The
     tail profile records sup |f(s(t))| over t < delta for a decreasing
     delta ladder; the verdict is certified when the sup at the smallest
-    ladder rung still reaches epsilon (within tol).
+    ladder rung still reaches epsilon (within CERTIFY_TOL).
     """
     if field.dimension != witness.dimension:
         raise InputError("field and witness dimensions differ")
@@ -224,11 +221,12 @@ def certify_discontinuity(
     if epsilon <= 0.0:
         raise InputError("epsilon must be positive")
 
-    grid = dense_grid(path, per_decade=per_decade, per_window=per_window)
+    domain_inf = path.domain[0]
+    grid = dense_grid(path, per_decade=1024, per_window=32)
     anchor_times = [
         build.anchors.entry(k).t0
         for k, _ in build.anchors.matched
-        if build.anchors.entry(k).t0 > path.domain_inf
+        if build.anchors.entry(k).t0 > domain_inf
     ]
     ts = np.unique(np.concatenate([grid, np.asarray(anchor_times)]))
     samples = eval_smooth_many(path, ts)
@@ -239,8 +237,8 @@ def certify_discontinuity(
 
     # the smallest rung must keep a matched anchor (or at least one
     # sample) below it, so the deepest sup still sees witness data
-    floor = min(anchor_times) if anchor_times else path.domain_inf
-    ladder = _delta_ladder(path.domain_inf, floor, extra_deltas)
+    floor = min(anchor_times) if anchor_times else domain_inf
+    ladder = _delta_ladder(domain_inf, floor, extra_deltas)
     ladder = [d for d in ladder if d > float(finite_ts.min())]
     if not ladder:
         ladder = [float(finite_ts.max())]
@@ -250,7 +248,7 @@ def certify_discontinuity(
         sup = float(np.max(magnitudes[mask])) if np.any(mask) else 0.0
         profile.append((delta, sup))
     limsup_estimate = profile[-1][1]
-    certified = limsup_estimate >= epsilon - tol
+    certified = limsup_estimate >= epsilon - CERTIFY_TOL
     report = ProbeReport(
         field_name=field.name,
         epsilon=float(epsilon),

@@ -4,7 +4,9 @@ The kernel is the classical bump
 
     rho(u) = c * exp(-1 / (1 - u^2))   for |u| < 1,   0 otherwise,
 
-normalized so its integral over (-1, 1) equals one.  The smooth path
+normalized so its integral over (-1, 1) equals one; ``make_kernel()``
+builds it once, and every average below uses it.  The smooth path
+``SmoothPath(skeleton, windows)`` is defined on the skeleton's domain and
 agrees with the skeleton outside a family of disjoint windows, one per
 pair of consecutive anchors; inside window k the path is the local
 average
@@ -130,25 +132,18 @@ def windows_for_anchors(anchors: AnchorSequence) -> tuple[MollificationWindow, .
 class SmoothPath:
     """Windowed mollification of a piecewise-affine skeleton.
 
-    Valid parameters are domain_inf < t <= domain_sup.  Outside every
-    window the path coincides with the skeleton.
+    Valid parameters are lo < t <= hi for (lo, hi) = skeleton.domain.
+    Outside every window the path coincides with the skeleton.
     """
 
     skeleton: PiecewiseAffinePath
-    kernel: BumpKernel
     windows: tuple[MollificationWindow, ...]
-    domain_inf: float
-    domain_sup: float
     _lo: np.ndarray = field(init=False, repr=False)
     _hi: np.ndarray = field(init=False, repr=False)
     _h: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not (self.domain_inf < self.domain_sup):
-            raise InputError("empty parameter domain")
         skel_lo, skel_hi = self.skeleton.domain
-        if self.domain_inf < skel_lo or self.domain_sup > skel_hi:
-            raise InputError("domain exceeds the skeleton's parameter range")
         lo = np.array([w.lo for w in self.windows], dtype=float)
         hi = np.array([w.hi for w in self.windows], dtype=float)
         h = np.array([w.h for w in self.windows], dtype=float)
@@ -178,35 +173,27 @@ class SmoothPath:
 
     @property
     def domain(self) -> tuple[float, float]:
-        return self.domain_inf, self.domain_sup
+        return self.skeleton.domain
+
+    def window_indices(self, ts: np.ndarray) -> np.ndarray:
+        """Per parameter, the index into windows of the one holding it, else -1."""
+        idx = np.searchsorted(self._lo, ts, side="right") - 1
+        if self._hi.size:
+            idx[~(ts <= self._hi[np.clip(idx, 0, None)])] = -1
+        return idx
 
     def window_index(self, t: float) -> int:
         """Index into windows if t lies in one, else -1."""
-        i = int(np.searchsorted(self._lo, t, side="right")) - 1
-        if i >= 0 and t <= float(self._hi[i]):
-            return i
-        return -1
+        return int(self.window_indices(np.array([float(t)]))[0])
 
 
 def build_smooth_path(
-    anchors: AnchorSequence,
-    skeleton: PiecewiseAffinePath | None = None,
-    kernel: BumpKernel | None = None,
+    anchors: AnchorSequence, skeleton: PiecewiseAffinePath | None = None
 ) -> SmoothPath:
     """Mollify the skeleton of an anchor sequence on its window family."""
     if skeleton is None:
         skeleton = build_skeleton(anchors)
-    if kernel is None:
-        kernel = make_kernel()
-    windows = windows_for_anchors(anchors)
-    lo, hi = skeleton.domain
-    return SmoothPath(
-        skeleton=skeleton,
-        kernel=kernel,
-        windows=windows,
-        domain_inf=lo,
-        domain_sup=hi,
-    )
+    return SmoothPath(skeleton=skeleton, windows=windows_for_anchors(anchors))
 
 
 # ---- kernel mass and moment -------------------------------------------
@@ -246,8 +233,9 @@ def _table_eval(coefs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 @lru_cache(maxsize=1)
-def _kernel_table(kernel: BumpKernel) -> np.ndarray:
+def _kernel_table() -> np.ndarray:
     """Chebyshev coefficients of K and M on each panel, verified to 1e-14."""
+    kernel = make_kernel()
     cheb = np.polynomial.chebyshev
     panels = []
     start = (0.0, 0.0)
@@ -276,10 +264,10 @@ def _kernel_table(kernel: BumpKernel) -> np.ndarray:
     return coefs
 
 
-def kernel_mass_moment(kernel: BumpKernel, x) -> tuple[np.ndarray, np.ndarray]:
+def kernel_mass_moment(x) -> tuple[np.ndarray, np.ndarray]:
     """K(x) = integral rho over (-1, x) and M(x) = integral u rho over (-1, x)."""
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    return _table_eval(_kernel_table(kernel), arr)
+    return _table_eval(_kernel_table(), arr)
 
 
 # ---- evaluation ---------------------------------------------------------
@@ -287,7 +275,6 @@ def kernel_mass_moment(kernel: BumpKernel, x) -> tuple[np.ndarray, np.ndarray]:
 
 def _mollified_rows(
     skeleton: PiecewiseAffinePath,
-    kernel: BumpKernel,
     ts: np.ndarray,
     hs: np.ndarray,
     derivative: bool,
@@ -319,7 +306,7 @@ def _mollified_rows(
     offset = np.cumsum(count) - count
     kink = first[row] + 1 + (np.arange(row.size) - offset[row])
     x = (ts[row] - bp[kink]) / hs[row]
-    mass, moment = kernel_mass_moment(kernel, x)
+    mass, moment = kernel_mass_moment(x)
     weight = mass if derivative else hs[row] * (x * mass - moment)
     terms = (slopes[kink] - slopes[kink - 1]) * weight[:, None]
     # each row adds its own terms in breakpoint order
@@ -337,21 +324,16 @@ def _eval_batch(path: SmoothPath, ts, derivative: bool) -> np.ndarray:
     if float(arr.min()) <= lo or float(arr.max()) > hi:
         bad = float(arr.min()) if float(arr.min()) <= lo else float(arr.max())
         raise DomainError(f"t = {bad!r} outside the path domain ({lo!r}, {hi!r}]")
-    if path._lo.size:
-        idx = np.searchsorted(path._lo, arr, side="right") - 1
-        in_window = (idx >= 0) & (arr <= path._hi[np.clip(idx, 0, None)])
-    else:
-        idx = np.full(arr.size, -1)
-        in_window = np.zeros(arr.size, dtype=bool)
+    idx = path.window_indices(arr)
     out = np.empty((arr.size, path.dimension))
-    plain = ~in_window
+    plain = idx < 0
     if np.any(plain):
         evaluate = eval_affine_derivative_many if derivative else eval_affine_many
         out[plain] = evaluate(path.skeleton, arr[plain])
-    windowed = np.nonzero(in_window)[0]
+    windowed = np.nonzero(idx >= 0)[0]
     if windowed.size:
         out[windowed] = _mollified_rows(
-            path.skeleton, path.kernel, arr[windowed], path._h[idx[windowed]], derivative
+            path.skeleton, arr[windowed], path._h[idx[windowed]], derivative
         )
     return out
 

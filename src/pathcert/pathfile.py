@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from typing import Iterable
 
 import numpy as np
@@ -19,12 +20,7 @@ from .generators import GeneratorSpec, generate_points
 from .geometry import ConeSpec, UnitDirection
 from .mollifier import SampleRow, build_smooth_path, make_kernel
 from .pipeline import PathBuild
-from .skeleton import (
-    AnchorEntry,
-    AnchorSequence,
-    WitnessSequence,
-    build_skeleton,
-)
+from .skeleton import AnchorEntry, AnchorSequence, WitnessSequence
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -44,6 +40,19 @@ def _f17(value: float) -> str:
     return format(float(value), ".17g")
 
 
+@contextmanager
+def _malformed(what: str):
+    """Report a missing key or a value of the wrong type or shape as InputError."""
+    try:
+        yield
+    except InputError:
+        raise
+    except KeyError as exc:
+        raise InputError(f"{what} misses key {exc}") from exc
+    except (IndexError, TypeError, ValueError) as exc:
+        raise InputError(f"{what} is malformed: {exc}") from exc
+
+
 # ---- witness files ------------------------------------------------------
 
 
@@ -54,7 +63,7 @@ def witness_from_dict(data: dict) -> WitnessSequence:
     if "dimension" not in data:
         raise InputError("witness document needs a 'dimension' key")
     dimension = data["dimension"]
-    if not isinstance(dimension, int) or dimension < 1:
+    if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
         raise InputError(f"dimension must be a positive integer, got {dimension!r}")
     if ("pairs" in data) == ("generator" in data):
         raise InputError("witness document needs exactly one of 'pairs' or 'generator'")
@@ -66,14 +75,15 @@ def witness_from_dict(data: dict) -> WitnessSequence:
         unknown = set(g) - known
         if unknown:
             raise InputError(f"unknown generator keys: {', '.join(sorted(unknown))}")
-        spec = GeneratorSpec(
-            kind=g["kind"],
-            dimension=dimension,
-            count=int(g.get("count", GeneratorSpec.count)),
-            start=float(g.get("start", GeneratorSpec.start)),
-            stop=float(g.get("stop", GeneratorSpec.stop)),
-            axis=tuple(g["axis"]) if "axis" in g else None,
-        )
+        with _malformed("generator"):
+            spec = GeneratorSpec(
+                kind=g["kind"],
+                dimension=dimension,
+                count=int(g.get("count", GeneratorSpec.count)),
+                start=float(g.get("start", GeneratorSpec.start)),
+                stop=float(g.get("stop", GeneratorSpec.stop)),
+                axis=tuple(g["axis"]) if "axis" in g else None,
+            )
         return WitnessSequence.ingest(generate_points(spec))
     pairs = data["pairs"]
     if not isinstance(pairs, list) or not pairs:
@@ -84,15 +94,22 @@ def witness_from_dict(data: dict) -> WitnessSequence:
     for i, pair in enumerate(pairs):
         if not isinstance(pair, dict) or "x" not in pair:
             raise InputError(f"pair {i} must be an object with an 'x' key")
-        points.append(np.asarray(pair["x"], dtype=float))
         has_y = "y" in pair
         if explicit is None:
             explicit = has_y
         elif explicit != has_y:
             raise InputError("either every pair carries 'y' or none does")
-        if has_y:
-            directions.append(np.asarray(pair["y"], dtype=float))
-    return WitnessSequence.ingest(points, directions if explicit else None)
+        with _malformed(f"pair {i}"):
+            points.append(np.asarray(pair["x"], dtype=float))
+            if has_y:
+                directions.append(np.asarray(pair["y"], dtype=float))
+    witness = WitnessSequence.ingest(points, directions if explicit else None)
+    if witness.dimension != dimension:
+        raise InputError(
+            f"witness points have dimension {witness.dimension}, "
+            f"but the document declares {dimension}"
+        )
+    return witness
 
 
 def load_witness(path: str) -> WitnessSequence:
@@ -119,8 +136,8 @@ def build_to_dict(build: PathBuild) -> dict:
         "cover_size": build.cover_size,
         "parity": anchors.parity,
         "cone_axis": [float(v) for v in anchors.cone.axis.coords],
-        "kernel_c": build.path.kernel.c,
-        "domain": [build.path.domain_inf, build.path.domain_sup],
+        "kernel_c": make_kernel().c,
+        "domain": list(build.path.domain),
         "witness_scale": build.witness.scale if build.witness is not None else 1.0,
         "matched": [[int(k), int(i)] for k, i in anchors.matched],
         "anchors": [
@@ -160,48 +177,45 @@ def build_from_dict(data: dict) -> PathBuild:
     missing = required - set(data)
     if missing:
         raise InputError(f"path document misses keys: {', '.join(sorted(missing))}")
-    cone = ConeSpec(UnitDirection(np.asarray(data["cone_axis"], dtype=float)))
-    entries = []
-    for item in data["anchors"]:
-        entries.append(
-            AnchorEntry(
-                k=int(item["k"]),
-                a=np.asarray(item["a"], dtype=float),
-                b=UnitDirection(np.asarray(item["b"], dtype=float)),
-                source=str(item["source"]),
-                t0=float(item["t0"]),
-                t1=float(item["t1"]),
-                t2=float(item["t2"]),
+    with _malformed("path document"):
+        cone = ConeSpec(UnitDirection(np.asarray(data["cone_axis"], dtype=float)))
+        entries = []
+        for item in data["anchors"]:
+            entries.append(
+                AnchorEntry(
+                    k=int(item["k"]),
+                    a=np.asarray(item["a"], dtype=float),
+                    b=UnitDirection(np.asarray(item["b"], dtype=float)),
+                    source=str(item["source"]),
+                    t0=float(item["t0"]),
+                    t1=float(item["t1"]),
+                    t2=float(item["t2"]),
+                )
             )
+        anchors = AnchorSequence(
+            parity=str(data["parity"]),
+            cone=cone,
+            entries=tuple(entries),
+            matched=tuple((int(k), int(i)) for k, i in data["matched"]),
         )
-    anchors = AnchorSequence(
-        parity=str(data["parity"]),
-        cone=cone,
-        entries=tuple(entries),
-        matched=tuple((int(k), int(i)) for k, i in data["matched"]),
-    )
-    skeleton = build_skeleton(anchors)
-    path = build_smooth_path(anchors, skeleton=skeleton)
-    stored_kernel = data.get("kernel_c")
-    if stored_kernel is not None and abs(stored_kernel - path.kernel.c) > 1e-12:
-        raise InputError("stored kernel constant deviates from the computed one")
-    stored_domain = data.get("domain")
-    if stored_domain is not None:
-        lo, hi = float(stored_domain[0]), float(stored_domain[1])
-        if lo != path.domain_inf or hi != path.domain_sup:
-            raise InputError("stored domain deviates from the rebuilt one")
-    return PathBuild(
-        witness=None,
-        k_max=int(data["k_max"]),
-        half_angle=float(data["half_angle"]),
-        seed=int(data["seed"]),
-        cover_size=int(data.get("cover_size", 0)),
-        cone=cone,
-        parity=anchors.parity,
-        anchors=anchors,
-        skeleton=skeleton,
-        path=path,
-    )
+        build = PathBuild(
+            witness=None,
+            k_max=int(data["k_max"]),
+            half_angle=float(data["half_angle"]),
+            seed=int(data["seed"]),
+            cover_size=int(data.get("cover_size", 0)),
+            anchors=anchors,
+            path=build_smooth_path(anchors),
+        )
+        stored_kernel = data.get("kernel_c")
+        if stored_kernel is not None and abs(float(stored_kernel) - make_kernel().c) > 1e-12:
+            raise InputError("stored kernel constant deviates from the computed one")
+        stored_domain = data.get("domain")
+        if stored_domain is not None:
+            lo, hi = (float(v) for v in stored_domain)
+            if (lo, hi) != build.path.domain:
+                raise InputError("stored domain deviates from the rebuilt one")
+    return build
 
 
 def save_build(path: str, build: PathBuild) -> None:

@@ -24,7 +24,6 @@ from .geometry import (
 from .mollifier import SmoothPath, build_smooth_path
 from .skeleton import (
     AnchorSequence,
-    PiecewiseAffinePath,
     WitnessSequence,
     build_anchor_sequence,
     build_skeleton,
@@ -42,11 +41,16 @@ class PathBuild:
     half_angle: float
     seed: int
     cover_size: int
-    cone: ConeSpec
-    parity: str
     anchors: AnchorSequence
-    skeleton: PiecewiseAffinePath
     path: SmoothPath
+
+    @property
+    def cone(self) -> ConeSpec:
+        return self.anchors.cone
+
+    @property
+    def parity(self) -> str:
+        return self.anchors.parity
 
 
 @contextmanager
@@ -94,9 +98,6 @@ def build_path(
         half_angle=float(half_angle),
         seed=int(seed),
         cover_size=cover.size,
-        cone=cone,
-        parity=parity,
         anchors=anchors,
-        skeleton=skeleton,
         path=path,
     )

@@ -146,14 +146,7 @@ def test_smoothness_order(capsys, builds):
     # the spiral skeleton carries order-one slope jumps at its kinks;
     # the diagonal one is collinear and its kinks vanish to rounding
     control_build = builds[("spiral", 2, 20)]
-    lo, hi = control_build.skeleton.domain
-    control = SmoothPath(
-        skeleton=control_build.skeleton,
-        kernel=control_build.path.kernel,
-        windows=(),
-        domain_inf=lo,
-        domain_sup=hi,
-    )
+    control = SmoothPath(skeleton=control_build.path.skeleton, windows=())
     control_report = smoothness_check(control, trials=40, seed=0, min_order=1.9)
     elapsed = time.perf_counter() - started
     ok = not failures and not control_report.passed and elapsed < 10.0

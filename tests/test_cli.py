@@ -189,6 +189,61 @@ def test_check_rejects_degenerate_sampling(tmp_path, capsys, options):
     assert not out.exists()
 
 
+def _edit_path_file(edit):
+    def write(tmp_path, capsys):
+        path_file = _build_path_file(tmp_path, capsys)
+        document = json.loads(Path(path_file).read_text())
+        edit(document)
+        Path(path_file).write_text(json.dumps(document))
+        return ["check", "--path", path_file, "--suite", "interpolation"]
+
+    return write
+
+
+def _witness_file(document):
+    def write(tmp_path, capsys):
+        target = tmp_path / "witness.json"
+        target.write_text(json.dumps(document))
+        return ["build", "--witness", str(target), "--out", str(tmp_path / "path.json")]
+
+    return write
+
+
+MALFORMED_INPUTS = {
+    "probe-axis-not-a-number": lambda tmp_path, capsys: [
+        "probe", "--field", "builtin:ray_bump2d", "--generator", "ray", "--axis", "1,x"
+    ],
+    "generator-count-not-a-number": _witness_file(
+        {"dimension": 2, "generator": {"kind": "diagonal", "count": "abc"}}
+    ),
+    "pair-coordinate-not-a-number": _witness_file(
+        {"dimension": 2, "pairs": [{"x": ["a", 1]}]}
+    ),
+    "dimension-not-an-integer": _witness_file(
+        {"dimension": True, "generator": {"kind": "ray"}}
+    ),
+    "pair-dimension-below-declared": _witness_file(
+        {"dimension": 3, "pairs": [{"x": [0.4 / 2**i, 0.3 / 2**i]} for i in range(40)]}
+    ),
+    "anchor-without-t1": _edit_path_file(lambda doc: doc["anchors"][0].pop("t1")),
+    "anchors-not-a-list": _edit_path_file(lambda doc: doc.update(anchors="x")),
+    "matched-entry-too-short": _edit_path_file(lambda doc: doc.update(matched=[[1]])),
+    "domain-with-one-bound": _edit_path_file(lambda doc: doc.update(domain=[0.1])),
+    "k-max-not-a-number": _edit_path_file(lambda doc: doc.update(k_max="abc")),
+    "kernel-c-not-a-number": _edit_path_file(lambda doc: doc.update(kernel_c="abc")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_2(tmp_path, capsys, case):
+    """Malformed witness or path data is an input error, never a traceback."""
+    argv = MALFORMED_INPUTS[case](tmp_path, capsys)
+    rc, _, err = _run(argv, capsys)
+    assert rc == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_probe_certifies_builtin_rational(tmp_path, capsys):
     report_file = tmp_path / "probe.json"
     tail_file = tmp_path / "tail.csv"

@@ -158,14 +158,7 @@ def test_certify_rejects_shallow_extra_delta():
     field = get_builtin_field("rational2d")
     witness = derive_witness(field, _diagonal_spec(count=40, stop=0.05))
     with pytest.raises(InputError, match="does not exceed the domain floor"):
-        certify_discontinuity(
-            field,
-            witness,
-            k_max=8,
-            per_decade=128,
-            per_window=8,
-            extra_deltas=(1e-9,),
-        )
+        certify_discontinuity(field, witness, k_max=8, extra_deltas=(1e-9,))
 
 
 def test_certify_dimension_mismatch():

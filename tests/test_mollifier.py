@@ -88,7 +88,7 @@ def test_kernel_cached():
 
 
 def test_mass_moment_endpoints():
-    mass, moment = kernel_mass_moment(make_kernel(), [-1.0, 0.0, 1.0])
+    mass, moment = kernel_mass_moment([-1.0, 0.0, 1.0])
     assert abs(float(mass[0])) <= 1e-15
     assert abs(float(mass[1]) - 0.5) <= 1e-15
     assert abs(float(mass[2]) - 1.0) <= 1e-15
@@ -97,14 +97,14 @@ def test_mass_moment_endpoints():
 
 
 def test_mass_monotone():
-    mass, _ = kernel_mass_moment(make_kernel(), np.linspace(-1.0, 1.0, 401))
+    mass, _ = kernel_mass_moment(np.linspace(-1.0, 1.0, 401))
     assert np.all(np.diff(mass) >= 0.0)
 
 
 def test_mass_moment_match_quadrature():
     kernel = make_kernel()
     xs = np.linspace(-0.995, 0.995, 41)
-    mass, moment = kernel_mass_moment(kernel, xs)
+    mass, moment = kernel_mass_moment(xs)
     for x, k, m in zip(xs, mass, moment):
         ref_k = integrate_panels(kernel, [-1.0, x], order=32, tol=1e-16)
         ref_m = integrate_panels(lambda u: u * kernel(u), [-1.0, x], order=32, tol=1e-16)
@@ -159,6 +159,26 @@ def test_window_index_boundaries(diagonal_build):
     assert path.window_index(w.hi) == 0
     gap = 0.5 * (w.hi + path.windows[1].lo)
     assert path.window_index(gap) == -1
+    # the batched lookup agrees with the scalar one at every edge, one ulp
+    # to either side of it, and in the gaps between windows
+    edges = np.array([[v.lo, v.hi] for v in path.windows]).ravel()
+    gaps = 0.5 * (edges[1:-1:2] + edges[2::2])
+    ts = np.concatenate(
+        [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), gaps]
+    )
+    batched = path.window_indices(ts)
+    assert np.array_equal(batched, [path.window_index(float(t)) for t in ts])
+    k = np.arange(len(path.windows))
+    none = np.full(k.size, -1)
+    expected = np.concatenate(
+        [
+            np.stack([k, k], axis=1).ravel(),  # lo, hi
+            np.stack([none, k], axis=1).ravel(),  # lo - ulp, hi - ulp
+            np.stack([k, none], axis=1).ravel(),  # lo + ulp, hi + ulp
+            np.full(gaps.size, -1),
+        ]
+    )
+    assert np.array_equal(batched, expected)
 
 
 def test_window_validation():
@@ -172,13 +192,7 @@ def test_smooth_path_rejects_disordered_windows(diagonal_build):
     path = diagonal_build.path
     reversed_windows = tuple(sorted(path.windows, key=lambda w: -w.lo))
     with pytest.raises(InputError):
-        SmoothPath(
-            skeleton=path.skeleton,
-            kernel=path.kernel,
-            windows=reversed_windows,
-            domain_inf=path.domain_inf,
-            domain_sup=path.domain_sup,
-        )
+        SmoothPath(skeleton=path.skeleton, windows=reversed_windows)
 
 
 # ---- evaluation ---------------------------------------------------------
@@ -223,7 +237,7 @@ def test_eval_in_window_matches_direct_convolution(diagonal_build):
     quadrature with explicit splits at the kink preimages.
     """
     path = diagonal_build.path
-    kernel = path.kernel
+    kernel = make_kernel()
     kinks = kink_times(path.skeleton)
     rng = np.random.default_rng(42)
     for w in (path.windows[0], path.windows[7], path.windows[-1]):
@@ -277,8 +291,8 @@ def test_kernel_average_matches_direct_convolution_with_many_kinks(case):
     path, ts, h = case
     kernel = make_kernel()
     hs = np.full(ts.size, h)
-    values = _mollified_rows(path, kernel, ts, hs, derivative=False)
-    derivs = _mollified_rows(path, kernel, ts, hs, derivative=True)
+    values = _mollified_rows(path, ts, hs, derivative=False)
+    derivs = _mollified_rows(path, ts, hs, derivative=True)
     lo, hi = path.domain
     for i, t in enumerate(ts):
         preimages = (t - path.breakpoints[1:-1]) / h
@@ -300,8 +314,8 @@ def test_kernel_average_matches_direct_convolution_with_many_kinks(case):
             assert float(np.max(np.abs(got - ref))) <= tol
         # a row is the same alone as in its batch
         one = ts[i : i + 1]
-        assert np.array_equal(_mollified_rows(path, kernel, one, hs[:1], False)[0], values[i])
-        assert np.array_equal(_mollified_rows(path, kernel, one, hs[:1], True)[0], derivs[i])
+        assert np.array_equal(_mollified_rows(path, one, hs[:1], False)[0], values[i])
+        assert np.array_equal(_mollified_rows(path, one, hs[:1], True)[0], derivs[i])
 
 
 def test_derivative_consistent_with_finite_differences(diagonal_build):

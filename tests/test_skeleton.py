@@ -301,7 +301,7 @@ def test_build_skeleton_two_anchor_geometry():
 
 def test_skeleton_hits_every_anchor(diagonal_build):
     anchors = diagonal_build.anchors
-    skel = diagonal_build.skeleton
+    skel = diagonal_build.path.skeleton
     for entry in anchors.entries[:-1]:
         dev = float(np.linalg.norm(eval_affine(skel, entry.t0) - entry.a))
         assert dev <= 1e-12
@@ -311,7 +311,7 @@ def test_skeleton_slope_near_anchors(diagonal_build):
     """Immediately around each interior anchor time the slope is the
     anchor's prescribed direction."""
     anchors = diagonal_build.anchors
-    skel = diagonal_build.skeleton
+    skel = diagonal_build.path.skeleton
     for entry in anchors.entries[1:-1]:
         eps = 0.05 * anchor_spacing(entry.k, anchors.parity)
         below = eval_affine_derivative(skel, entry.t0 - eps)
@@ -322,7 +322,7 @@ def test_skeleton_slope_near_anchors(diagonal_build):
 
 def test_skeleton_breakpoints_are_anchor_times(diagonal_build):
     anchors = diagonal_build.anchors
-    skel = diagonal_build.skeleton
+    skel = diagonal_build.path.skeleton
     expected = {anchors.entries[-1].t0}
     for entry in anchors.entries[:-1]:
         expected.update((entry.t0, entry.t1, entry.t2))

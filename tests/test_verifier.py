@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from pathcert.errors import InputError
-from pathcert.mollifier import SmoothPath, build_smooth_path, make_kernel
+from pathcert.mollifier import (
+    SmoothPath,
+    build_smooth_path,
+    eval_smooth,
+    eval_smooth_derivative,
+)
 from pathcert.skeleton import affine_path_from_slopes
 from pathcert.verifier import (
     FINITE_THRESHOLD,
@@ -31,7 +36,7 @@ from pathcert.verifier import (
 
 def _rescaled_skeleton(build, factor):
     """The same skeleton with all values scaled by a constant."""
-    skel = build.skeleton
+    skel = build.path.skeleton
     t0 = float(skel.breakpoints[0])
     v0 = skel.slopes[0] * t0 + skel.offsets[0]
     return affine_path_from_slopes(skel.breakpoints, factor * v0, factor * skel.slopes)
@@ -42,14 +47,7 @@ def _with_skeleton(build, skeleton):
 
 
 def _windowless(build):
-    lo, hi = build.skeleton.domain
-    return SmoothPath(
-        skeleton=build.skeleton,
-        kernel=build.path.kernel,
-        windows=(),
-        domain_inf=lo,
-        domain_sup=hi,
-    )
+    return SmoothPath(skeleton=build.path.skeleton, windows=())
 
 
 # ---- averaged-derivative bound ------------------------------------------
@@ -60,8 +58,7 @@ def test_straight_line_average_is_exact():
     path = affine_path_from_slopes(
         np.array([0.0, 1.0]), np.array([1.0, -2.0]), np.array([[3.0, 4.0]])
     )
-    kernel = make_kernel()
-    report = lemma1_bound_check(path, kernel, scale=0.2, t_values=[0.3, 0.5, 0.7])
+    report = lemma1_bound_check(path, scale=0.2, t_values=[0.3, 0.5, 0.7])
     assert report.passed
     assert abs(report.measured - 1.0) <= 1e-12
     assert slope_norm_budget(path) == 5.0
@@ -73,8 +70,7 @@ def test_two_segment_average_stays_below_budget():
         np.array([0.0]),
         np.array([[1.0], [-1.0]]),
     )
-    kernel = make_kernel()
-    report = lemma1_bound_check(path, kernel, scale=0.5, t_values=np.linspace(0.6, 1.4, 9))
+    report = lemma1_bound_check(path, scale=0.5, t_values=np.linspace(0.6, 1.4, 9))
     assert report.passed
     assert report.measured < 1.0
 
@@ -84,7 +80,7 @@ def test_average_support_must_fit():
         np.array([0.0, 1.0]), np.array([0.0]), np.array([[1.0]])
     )
     with pytest.raises(InputError):
-        lemma1_bound_check(path, make_kernel(), scale=0.3, t_values=[0.1])
+        lemma1_bound_check(path, scale=0.3, t_values=[0.1])
 
 
 def test_random_suite_small_run():
@@ -113,7 +109,7 @@ def test_interpolation_passes_on_fixture(diagonal_build):
 def test_interpolation_fails_on_shifted_skeleton(diagonal_build):
     """Perturbing the incoming slope of the top anchor moves the path off
     that anchor, which the check must flag."""
-    skel = diagonal_build.skeleton
+    skel = diagonal_build.path.skeleton
     slopes = np.array(skel.slopes)
     slopes[-1] += 0.05
     t0 = float(skel.breakpoints[0])
@@ -124,6 +120,33 @@ def test_interpolation_fails_on_shifted_skeleton(diagonal_build):
     report = interpolation_check(bad, diagonal_build.anchors)
     assert not report.passed
     assert report.measured > 1e-5
+
+
+@pytest.mark.parametrize("distortion", ["shift", "scale"])
+def test_interpolation_matches_per_anchor_reference(diagonal_build, distortion):
+    """The batched check reports the worst anchor of a per-anchor loop, bit
+    for bit.  A shift moves only the positions; a scaling moves the
+    directions more than the positions, which all lie inside the unit ball."""
+    skel = diagonal_build.path.skeleton
+    if distortion == "shift":
+        t0 = float(skel.breakpoints[0])
+        v0 = skel.slopes[0] * t0 + skel.offsets[0] + 1e-4
+        moved = affine_path_from_slopes(skel.breakpoints, v0, skel.slopes)
+    else:
+        moved = _rescaled_skeleton(diagonal_build, 1.001)
+    path = _with_skeleton(diagonal_build, moved)
+    entries = diagonal_build.anchors.entries[:-1]
+    devs = [
+        max(
+            float(np.linalg.norm(eval_smooth(path, e.t0) - e.a)),
+            float(np.linalg.norm(eval_smooth_derivative(path, e.t0) - e.b.coords)),
+        )
+        for e in entries
+    ]
+    i = int(np.argmax(devs))
+    report = interpolation_check(path, diagonal_build.anchors)
+    assert report.measured == devs[i] > 1e-5
+    assert report.witness_t == entries[i].t0
 
 
 # ---- envelope -----------------------------------------------------------
