@@ -13,6 +13,13 @@ Variables are x1, x2, ... indexing coordinates; norm(x) is the
 Euclidean norm of the whole point.  '^' is right associative and binds
 tighter than unary minus, so -x1^2 is -(x1^2).  Division by zero and
 invalid powers evaluate to nan rather than raising.
+
+The expression tree may be at most MAX_DEPTH levels deep: each
+operator, parenthesis pair and abs() is one level, and so is the
+number, variable or norm(x) at a leaf.  A chain a + b + c parses as
+(a + b) + c, so a chain of n terms is n levels deep.  Parsing and
+evaluation both recurse along the tree; the limit keeps them well
+inside Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ _TOKEN = re.compile(
 )
 
 Evaluator = Callable[[np.ndarray], float]
+
+MAX_DEPTH = 100
 
 
 class _Parser:
@@ -67,66 +76,80 @@ class _Parser:
             raise ExpressionError(f"expected {op!r}", pos)
         self.index += 1
 
+    def nest(self, depth: int, pos: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ExpressionError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
+        return depth
+
     def parse(self) -> Evaluator:
-        result = self.expr()
+        result, _ = self.expr(1)
         tok = self.peek()
         if tok is not None:
             raise ExpressionError(f"unexpected {tok[1]!r}", tok[2])
         return result
 
-    def expr(self) -> Evaluator:
-        left = self.term()
+    # Each rule parses a subtree whose root sits at ``depth`` and returns
+    # its evaluator with the deepest level inside it.  A chain operator
+    # pushes the subtree parsed so far one level down.
+
+    def expr(self, depth: int) -> tuple[Evaluator, int]:
+        left, deepest = self.term(depth)
         while True:
             tok = self.peek()
             if tok is None or tok[0] != "op" or tok[1] not in "+-":
-                return left
+                return left, deepest
             self.index += 1
-            right = self.term()
+            right, right_deepest = self.term(depth + 1)
+            deepest = self.nest(max(deepest + 1, right_deepest), tok[2])
             if tok[1] == "+":
                 left = _binary(left, right, lambda a, b: a + b)
             else:
                 left = _binary(left, right, lambda a, b: a - b)
 
-    def term(self) -> Evaluator:
-        left = self.factor()
+    def term(self, depth: int) -> tuple[Evaluator, int]:
+        left, deepest = self.factor(depth)
         while True:
             tok = self.peek()
             if tok is None or tok[0] != "op" or tok[1] not in "*/":
-                return left
+                return left, deepest
             self.index += 1
-            right = self.factor()
+            right, right_deepest = self.factor(depth + 1)
+            deepest = self.nest(max(deepest + 1, right_deepest), tok[2])
             if tok[1] == "*":
                 left = _binary(left, right, lambda a, b: a * b)
             else:
                 left = _binary(left, right, _safe_div)
 
-    def factor(self) -> Evaluator:
+    def factor(self, depth: int) -> tuple[Evaluator, int]:
         tok = self.peek()
+        # every descent passes through here, so the recursion stops at the limit
+        self.nest(depth, tok[2] if tok else len(self.text))
         if tok is not None and tok[0] == "op" and tok[1] == "-":
             self.index += 1
-            inner = self.factor()
-            return lambda x: -inner(x)
-        return self.power()
+            inner, deepest = self.factor(depth + 1)
+            return (lambda x: -inner(x)), deepest
+        return self.power(depth)
 
-    def power(self) -> Evaluator:
-        base = self.atom()
+    def power(self, depth: int) -> tuple[Evaluator, int]:
+        base, deepest = self.atom(depth)
         tok = self.peek()
         if tok is not None and tok[0] == "op" and tok[1] == "^":
             self.index += 1
-            exponent = self.factor()
-            return _binary(base, exponent, _safe_pow)
-        return base
+            exponent, exponent_deepest = self.factor(depth + 1)
+            deepest = self.nest(max(deepest + 1, exponent_deepest), tok[2])
+            return _binary(base, exponent, _safe_pow), deepest
+        return base, deepest
 
-    def atom(self) -> Evaluator:
+    def atom(self, depth: int) -> tuple[Evaluator, int]:
         tok = self.take()
         kind, value, pos = tok
         if kind == "num":
             const = float(value)
-            return lambda x: const
+            return (lambda x: const), depth
         if kind == "op" and value == "(":
-            inner = self.expr()
+            inner, deepest = self.expr(depth + 1)
             self.expect_op(")")
-            return inner
+            return inner, deepest
         if kind == "name":
             if value in ("abs", "norm"):
                 self.expect_op("(")
@@ -135,19 +158,19 @@ class _Parser:
                     if arg is not None and arg[0] == "name" and arg[1] == "x":
                         self.index += 1
                         self.expect_op(")")
-                        return lambda x: float(np.linalg.norm(x))
+                        return (lambda x: float(np.linalg.norm(x))), depth
                     raise ExpressionError("norm takes the whole point: norm(x)",
                                           arg[2] if arg else len(self.text))
-                inner = self.expr()
+                inner, deepest = self.expr(depth + 1)
                 self.expect_op(")")
-                return lambda x, f=inner: abs(f(x))
+                return (lambda x, f=inner: abs(f(x))), deepest
             m = re.fullmatch(r"x(\d+)", value)
             if m:
                 idx = int(m.group(1))
                 if idx < 1:
                     raise ExpressionError("variables are numbered from x1", pos)
                 self.max_var = max(self.max_var, idx)
-                return lambda x, i=idx - 1: float(x[i])
+                return (lambda x, i=idx - 1: float(x[i])), depth
             raise ExpressionError(f"unknown name {value!r}", pos)
         raise ExpressionError(f"unexpected {value!r}", pos)
 

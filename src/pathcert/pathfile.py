@@ -53,6 +53,19 @@ def _malformed(what: str):
         raise InputError(f"{what} is malformed: {exc}") from exc
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer; a float or a boolean is rejected, not truncated."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 # ---- witness files ------------------------------------------------------
 
 
@@ -79,7 +92,7 @@ def witness_from_dict(data: dict) -> WitnessSequence:
             spec = GeneratorSpec(
                 kind=g["kind"],
                 dimension=dimension,
-                count=int(g.get("count", GeneratorSpec.count)),
+                count=_integer(g.get("count", GeneratorSpec.count), "generator count"),
                 start=float(g.get("start", GeneratorSpec.start)),
                 stop=float(g.get("stop", GeneratorSpec.stop)),
                 axis=tuple(g["axis"]) if "axis" in g else None,
@@ -183,38 +196,42 @@ def build_from_dict(data: dict) -> PathBuild:
         for item in data["anchors"]:
             entries.append(
                 AnchorEntry(
-                    k=int(item["k"]),
+                    k=_integer(item["k"], "anchor k"),
                     a=np.asarray(item["a"], dtype=float),
                     b=UnitDirection(np.asarray(item["b"], dtype=float)),
                     source=str(item["source"]),
-                    t0=float(item["t0"]),
-                    t1=float(item["t1"]),
-                    t2=float(item["t2"]),
+                    t0=_number(item["t0"], "anchor t0"),
+                    t1=_number(item["t1"], "anchor t1"),
+                    t2=_number(item["t2"], "anchor t2"),
                 )
             )
         anchors = AnchorSequence(
             parity=str(data["parity"]),
             cone=cone,
             entries=tuple(entries),
-            matched=tuple((int(k), int(i)) for k, i in data["matched"]),
+            matched=tuple(
+                (_integer(k, "matched anchor"), _integer(i, "matched witness index"))
+                for k, i in data["matched"]
+            ),
         )
         build = PathBuild(
             witness=None,
-            k_max=int(data["k_max"]),
-            half_angle=float(data["half_angle"]),
-            seed=int(data["seed"]),
-            cover_size=int(data.get("cover_size", 0)),
+            k_max=_integer(data["k_max"], "k_max"),
+            half_angle=_number(data["half_angle"], "half_angle"),
+            seed=_integer(data["seed"], "seed"),
+            cover_size=_integer(data.get("cover_size", 0), "cover_size"),
             anchors=anchors,
             path=build_smooth_path(anchors),
         )
-        stored_kernel = data.get("kernel_c")
-        if stored_kernel is not None and abs(float(stored_kernel) - make_kernel().c) > 1e-12:
-            raise InputError("stored kernel constant deviates from the computed one")
-        stored_domain = data.get("domain")
-        if stored_domain is not None:
-            lo, hi = (float(v) for v in stored_domain)
-            if (lo, hi) != build.path.domain:
-                raise InputError("stored domain deviates from the rebuilt one")
+        if "kernel_c" in data:
+            stored_kernel = _number(data["kernel_c"], "kernel_c")
+            if abs(stored_kernel - make_kernel().c) > 1e-12:
+                raise InputError("stored kernel constant deviates from the computed one")
+        domain = data["domain"]
+        if not isinstance(domain, list) or len(domain) != 2:
+            raise InputError(f"domain must be a list [lo, hi], got {domain!r}")
+        if tuple(_number(v, "domain bound") for v in domain) != build.path.domain:
+            raise InputError("stored domain deviates from the rebuilt one")
     return build
 
 

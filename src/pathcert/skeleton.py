@@ -135,9 +135,12 @@ class WitnessSequence:
         for i, x in enumerate(xs):
             if x.ndim != 1 or x.size != dimension:
                 raise InputError(f"point {i} does not have dimension {dimension}")
-            n = float(np.linalg.norm(x))
+            with np.errstate(over="ignore"):
+                n = float(np.linalg.norm(x))
             if n == 0.0:
                 raise InputError(f"point {i} is the origin")
+            if n == np.inf and np.all(np.isfinite(x)):
+                raise InputError(f"point {i} is too large: its norm overflows float64")
             norms.append(n)
         top = max(norms)
         scale = 1.0 if top <= 1.0 else 1.0 / top

@@ -15,6 +15,11 @@ The checks:
   and differences of s' are Cauchy at second order,
 * coincidence: the path equals its skeleton outside the windows and on
   the affine stretches around the anchor times inside them.
+
+Each sampled check builds its whole parameter grid first, evaluates it
+in one batch, and reports the first t that attains the worst value.
+A row evaluates to the same bits alone or in any batch, so the report
+does not depend on how the grid is split.
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ class CheckReport:
 
 
 def _report(
-    name: str, measured: float, threshold: float, witness_t: float | None, details: str
+    name: str, measured: float, threshold: float, witness_t: float, details: str
 ) -> CheckReport:
     return CheckReport(
         name=name,
@@ -93,6 +98,12 @@ def _report(
         witness_t=witness_t,
         details=details,
     )
+
+
+def _worst(name: str, excess, ts, threshold: float, details: str) -> CheckReport:
+    """Report the largest excess, at the first t that attains it."""
+    i = int(np.argmax(excess))
+    return _report(name, float(excess[i]), threshold, float(ts[i]), details)
 
 
 # ---- derivative bound for kernel averages ------------------------------
@@ -114,13 +125,11 @@ def lemma1_bound_check(path: PiecewiseAffinePath, scale: float, t_values) -> Che
         raise InputError("at least one t value is required")
     budget = slope_norm_budget(path)
     avg = _mollified_rows(path, ts, np.full(ts.size, float(scale)), derivative=True)
-    ratios = row_norms(avg) / budget
-    i = int(np.argmax(ratios))
-    return _report(
+    return _worst(
         "lemma1",
-        float(ratios[i]),
+        row_norms(avg) / budget,
+        ts,
         1.0 + LEMMA1_TOL,
-        float(ts[i]),
         f"max ||averaged slope|| / budget over {ts.size} points; budget {budget:.6g}",
     )
 
@@ -141,24 +150,19 @@ def lemma1_random_suite(
     paths: int = 100, t_per_path: int = 50, seed: int = 0
 ) -> CheckReport:
     """Run the derivative-average bound on a family of random paths."""
-    children = np.random.SeedSequence(seed).spawn(paths)
-    worst = -math.inf
-    worst_t = None
-    for child in children:
+    reports = []
+    for child in np.random.SeedSequence(seed).spawn(paths):
         rng = np.random.default_rng(child)
         path = random_affine_path(rng)
         lo, hi = path.domain
         scale = float(rng.uniform(0.2, 0.8)) * 0.5 * (hi - lo)
         ts = rng.uniform(lo + scale, hi - scale, size=t_per_path)
-        report = lemma1_bound_check(path, scale, ts)
-        if report.measured > worst:
-            worst = report.measured
-            worst_t = report.witness_t
-    return _report(
+        reports.append(lemma1_bound_check(path, scale, ts))
+    return _worst(
         "lemma1",
-        worst,
+        [r.measured for r in reports],
+        [r.witness_t for r in reports],
         1.0 + LEMMA1_TOL,
-        worst_t,
         f"max ratio over {paths} random paths, {t_per_path} points each, seed {seed}",
     )
 
@@ -180,14 +184,12 @@ def interpolation_check(
     deriv_dev = row_norms(
         eval_smooth_derivative_many(path, ts) - np.array([e.b.coords for e in checked])
     )
-    dev = np.maximum(value_dev, deriv_dev)
-    i = int(np.argmax(dev))
     given = sum(1 for e in checked if e.source == "given")
-    return _report(
+    return _worst(
         "interpolation",
-        float(dev[i]),
+        np.maximum(value_dev, deriv_dev),
+        ts,
         tol,
-        float(ts[i]),
         f"max anchor deviation over {len(checked)} anchors ({given} given)",
     )
 
@@ -203,45 +205,31 @@ def envelope_check(
 ) -> CheckReport:
     """||s(t)|| <= 1/k + tol whenever t < 1/(2k), for k = 1..k_max."""
     lo, hi = path.domain
-    worst = -math.inf
-    worst_t = None
-    levels = 0
+    start = np.nextafter(lo, hi)
+    grids = []
+    ceilings = []
     for k in range(1, k_max + 1):
         top = min(1.0 / (2.0 * k), hi)
-        start = np.nextafter(lo, hi)
         if top <= start:
             continue
         ts = np.geomspace(start, top, samples_per_level)
         ts = ts[ts < 1.0 / (2.0 * k)]
-        if ts.size == 0:
-            continue
-        levels += 1
-        norms = row_norms(eval_smooth_many(path, ts))
-        excess = norms - 1.0 / k
-        i = int(np.argmax(excess))
-        if float(excess[i]) > worst:
-            worst = float(excess[i])
-            worst_t = float(ts[i])
+        grids.append(ts)
+        ceilings.append(np.full(ts.size, 1.0 / k))
+    levels = sum(1 for ts in grids if ts.size)
     if levels == 0:
         raise InputError("no envelope level fits inside the path domain")
-    return _report(
+    ts = np.concatenate(grids)
+    return _worst(
         "envelope",
-        worst,
+        row_norms(eval_smooth_many(path, ts)) - np.concatenate(ceilings),
+        ts,
         tol,
-        worst_t,
         f"max ||s(t)|| - 1/k over {levels} levels, {samples_per_level} samples each",
     )
 
 
 # ---- product bound ------------------------------------------------------
-
-
-def product_profile(path: SmoothPath, grid=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, ||s||, ||s'||) along the grid (dense default)."""
-    ts = dense_grid(path) if grid is None else np.asarray(grid, dtype=float)
-    norm_s = row_norms(eval_smooth_many(path, ts))
-    norm_ds = row_norms(eval_smooth_derivative_many(path, ts))
-    return ts, norm_s, norm_ds
 
 
 def product_bound_scan(
@@ -250,51 +238,42 @@ def product_bound_scan(
     grid=None,
     restricted: bool = False,
 ) -> CheckReport:
-    """Scan ||s|| ||s'|| on a grid.
+    """Scan ||s|| ||s'|| on a grid (dense default).
 
     Unrestricted data only asserts finiteness.  For witness data close
     to the cone axis the product must stay below 28 and the speed below
     28 k between consecutive anchor times.
     """
-    ts, norm_s, norm_ds = product_profile(path, grid)
+    ts = dense_grid(path) if grid is None else np.asarray(grid, dtype=float)
+    norm_s = row_norms(eval_smooth_many(path, ts))
+    norm_ds = row_norms(eval_smooth_derivative_many(path, ts))
     product = norm_s * norm_ds
-    i = int(np.argmax(product))
-    worst = float(product[i])
-    worst_t = float(ts[i])
-    details = [f"max product over {ts.size} grid points"]
-    threshold = PRODUCT_BOUND if restricted else FINITE_THRESHOLD
+    details = f"max product over {ts.size} grid points"
+    threshold = FINITE_THRESHOLD
     if restricted:
-        entries = anchors.entries
-        speed_fail = None
-        for k in range(1, len(entries)):
-            upper = entries[k - 1].t0
-            lower = entries[k].t0
-            mask = (ts > lower) & (ts <= upper)
-            if not np.any(mask):
-                continue
-            top_speed = float(np.max(norm_ds[mask]))
-            if top_speed > PRODUCT_BOUND * k:
-                speed_fail = (k, top_speed)
-                break
-        if speed_fail is not None:
-            k, top_speed = speed_fail
+        # leg k is (t_{k+1,0}, t_{k,0}]: with the K anchor times ascending,
+        # a t above j of them lies on leg K - j
+        times = np.array([entry.t0 for entry in reversed(anchors.entries)])
+        legs = times.size - np.searchsorted(times, ts)
+        on_leg = (legs >= 1) & (legs < times.size)
+        top_speed = np.full(times.size, -math.inf)
+        np.maximum.at(top_speed, legs[on_leg], norm_ds[on_leg])
+        failing = np.flatnonzero(top_speed > PRODUCT_BOUND * np.arange(times.size))
+        if failing.size:
+            k = int(failing[0])
             return _report(
                 "product",
-                top_speed / k,
+                float(top_speed[k]) / k,
                 PRODUCT_BOUND,
-                worst_t,
-                f"speed {top_speed:.6g} exceeds 28 k on leg {k}",
+                float(ts[np.argmax(product)]),
+                f"speed {top_speed[k]:.6g} exceeds 28 k on leg {k}",
             )
-        details.append("per-leg speed within 28 k")
-    if not np.all(np.isfinite(product)):
-        return _report(
-            "product",
-            math.inf,
-            threshold,
-            float(ts[np.nonzero(~np.isfinite(product))[0][0]]),
-            "non-finite product",
-        )
-    return _report("product", worst, threshold, worst_t, "; ".join(details))
+        details += "; per-leg speed within 28 k"
+        threshold = PRODUCT_BOUND
+    bad = np.flatnonzero(~np.isfinite(product))
+    if bad.size:
+        return _report("product", math.inf, threshold, float(ts[bad[0]]), "non-finite product")
+    return _worst("product", product, ts, threshold, details)
 
 
 # ---- smoothness ---------------------------------------------------------
@@ -372,32 +351,27 @@ def smoothness_check(
     if trials < 1:
         raise InputError("smoothness needs at least one trial")
     rng = np.random.default_rng(seed)
-    worst = -math.inf
-    worst_t = None
-    for _ in range(trials):
-        t, delta0 = _fd_trial_points(path, rng)
-        deltas = delta0 / np.power(2.0, np.arange(5))
-        points = np.concatenate([[t], t + deltas, t - deltas])
-        values = eval_smooth_many(path, points)
-        derivs = eval_smooth_derivative_many(path, points)
-        ref = derivs[0]
-        fd1 = (values[1:6] - values[6:11]) / (2.0 * deltas[:, None])
-        err1 = row_norms(fd1 - ref[None, :])
-        floor1 = 1e-8 * max(1.0, float(np.linalg.norm(ref)))
-        order1 = _order_estimate(err1, floor1)
-        fd2 = (derivs[1:6] - derivs[6:11]) / (2.0 * deltas[:, None])
-        diff2 = row_norms(np.diff(fd2, axis=0))
-        floor2 = 1e-7 * max(1.0, float(np.max(row_norms(fd2))))
-        order2 = _order_estimate(diff2, floor2)
-        shortfall = max(min_order - order1, 1.0 - order2)
-        if shortfall > worst:
-            worst = shortfall
-            worst_t = t
-    return _report(
+    t, delta0 = np.array([_fd_trial_points(path, rng) for _ in range(trials)]).T
+    deltas = delta0[:, None] / np.power(2.0, np.arange(5))
+    points = np.concatenate([t[:, None], t[:, None] + deltas, t[:, None] - deltas], axis=1)
+    values = eval_smooth_many(path, points.ravel()).reshape(trials, 11, -1)
+    derivs = eval_smooth_derivative_many(path, points.ravel()).reshape(trials, 11, -1)
+    ref = derivs[:, 0]
+    fd1 = (values[:, 1:6] - values[:, 6:11]) / (2.0 * deltas[:, :, None])
+    err1 = row_norms(fd1 - ref[:, None, :])
+    floor1 = 1e-8 * np.maximum(1.0, row_norms(ref))
+    fd2 = (derivs[:, 1:6] - derivs[:, 6:11]) / (2.0 * deltas[:, :, None])
+    diff2 = row_norms(np.diff(fd2, axis=1))
+    floor2 = 1e-7 * np.maximum(1.0, np.max(row_norms(fd2), axis=1))
+    shortfall = [
+        max(min_order - _order_estimate(e1, f1), 1.0 - _order_estimate(e2, f2))
+        for e1, f1, e2, f2 in zip(err1, floor1, diff2, floor2)
+    ]
+    return _worst(
         "smoothness",
-        worst,
+        shortfall,
+        t,
         0.0,
-        worst_t,
         f"worst order shortfall over {trials} trials, seed {seed}",
     )
 
@@ -434,28 +408,15 @@ def coincidence_check(
         regions.append((w.lo, kink_lo - w.h))
         regions.append((kink_lo + w.h, kink_hi - w.h))
         regions.append((kink_hi + w.h, w.hi))
-    worst = -math.inf
-    worst_t = None
-    total = 0
     eps = np.nextafter(lo, hi)
-    for a, b in regions:
-        a = max(a, eps)
-        b = min(b, hi)
-        if not (a < b):
-            continue
-        ts = np.linspace(a, b, points_per_region)
-        dev = row_norms(eval_smooth_many(path, ts) - eval_affine_many(path.skeleton, ts))
-        total += ts.size
-        i = int(np.argmax(dev))
-        if float(dev[i]) > worst:
-            worst = float(dev[i])
-            worst_t = float(ts[i])
-    return _report(
+    bounded = [(max(a, eps), min(b, hi)) for a, b in regions]
+    ts = np.concatenate([np.linspace(a, b, points_per_region) for a, b in bounded if a < b])
+    return _worst(
         "coincidence",
-        worst,
+        row_norms(eval_smooth_many(path, ts) - eval_affine_many(path.skeleton, ts)),
+        ts,
         tol,
-        worst_t,
-        f"max |s - skeleton| over {total} points in {len(regions)} regions",
+        f"max |s - skeleton| over {ts.size} points in {len(regions)} regions",
     )
 
 

@@ -231,6 +231,43 @@ MALFORMED_INPUTS = {
     "domain-with-one-bound": _edit_path_file(lambda doc: doc.update(domain=[0.1])),
     "k-max-not-a-number": _edit_path_file(lambda doc: doc.update(k_max="abc")),
     "kernel-c-not-a-number": _edit_path_file(lambda doc: doc.update(kernel_c="abc")),
+    "kernel-c-null": _edit_path_file(lambda doc: doc.update(kernel_c=None)),
+    "k-max-not-an-integer": _edit_path_file(lambda doc: doc.update(k_max=3.7)),
+    "k-max-boolean": _edit_path_file(lambda doc: doc.update(k_max=True)),
+    "seed-not-an-integer": _edit_path_file(lambda doc: doc.update(seed=2.9)),
+    "cover-size-not-an-integer": _edit_path_file(
+        lambda doc: doc.update(cover_size=doc["cover_size"] + 0.5)
+    ),
+    "anchor-k-not-an-integer": _edit_path_file(lambda doc: doc["anchors"][0].update(k=1.5)),
+    "matched-index-not-an-integer": _edit_path_file(
+        lambda doc: doc["matched"][0].__setitem__(1, doc["matched"][0][1] + 0.5)
+    ),
+    "domain-null": _edit_path_file(lambda doc: doc.update(domain=None)),
+    "domain-not-a-list": _edit_path_file(lambda doc: doc.update(domain="(0, 1]")),
+    "domain-bound-not-a-number": _edit_path_file(
+        lambda doc: doc.update(domain=[doc["domain"][0], "hi"])
+    ),
+    "generator-count-above-cap": _witness_file(
+        {"dimension": 2, "generator": {"kind": "diagonal", "count": 100000}}
+    ),
+    "generator-count-not-an-integer": _witness_file(
+        {"dimension": 2, "generator": {"kind": "diagonal", "count": 120.5}}
+    ),
+    "pair-norm-overflows": _witness_file(
+        {"dimension": 2, "pairs": [{"x": [1e308, 1e308]}, {"x": [0.1, 0.1]}]}
+    ),
+    "probe-count-above-cap": lambda tmp_path, capsys: [
+        "probe", "--field", "rational2d", "--generator", "diagonal", "--count", "10001"
+    ],
+    "expression-deep-parens": lambda tmp_path, capsys: [
+        "probe", "--field", "expr:" + "(" * 3000 + "x1" + ")" * 3000
+    ],
+    "expression-deep-unary-minus": lambda tmp_path, capsys: [
+        "probe", "--field", "expr:" + "-" * 3000 + "x1"
+    ],
+    "expression-long-sum": lambda tmp_path, capsys: [
+        "probe", "--field", "x1+" * 5000 + "x2"
+    ],
 }
 
 

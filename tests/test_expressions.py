@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pathcert.errors import ExpressionError
-from pathcert.expressions import parse_expression
+from pathcert.expressions import MAX_DEPTH, parse_expression
 
 
 def _eval(text, point):
@@ -99,3 +99,27 @@ def test_nan_semantics():
     assert math.isnan(_eval("(0-1)^0.5", [0.0]))
     assert math.isnan(_eval("10^400^2", [0.0]))
     assert _eval("1/x1", [0.25]) == 4.0
+
+
+@pytest.mark.parametrize(
+    "nested",
+    [
+        lambda n: "(" * (n - 1) + "x1" + ")" * (n - 1),
+        lambda n: "abs(" * (n - 1) + "x1" + ")" * (n - 1),
+        lambda n: "-" * (n - 1) + "x1",
+        lambda n: "x1^" * (n - 1) + "2",
+        lambda n: "x1+" * (n - 1) + "x1",
+        lambda n: "x1*" * (n - 1) + "x1",
+    ],
+    ids=["parens", "abs", "unary-minus", "power", "sum-chain", "product-chain"],
+)
+def test_depth_limit_is_exact(nested):
+    """A tree of MAX_DEPTH levels parses and evaluates; one more level is
+    rejected at the token where the tree passes the limit."""
+    evaluator, _ = parse_expression(nested(MAX_DEPTH))
+    assert math.isfinite(evaluator(np.array([0.5])))
+    text = nested(MAX_DEPTH + 1)
+    with pytest.raises(ExpressionError, match="deeper than 100 levels") as info:
+        parse_expression(text)
+    assert 0 < info.value.position < len(text)
+

@@ -8,6 +8,7 @@ import pytest
 from pathcert.errors import InputError
 from pathcert.generators import (
     GENERATOR_KINDS,
+    MAX_COUNT,
     GeneratorSpec,
     cone_confined_points,
     generate_points,
@@ -31,6 +32,11 @@ def test_spec_validation():
         GeneratorSpec(kind="ray", dimension=2, axis=(1.0, 0.0, 0.0))
     with pytest.raises(InputError):
         GeneratorSpec(kind="ray", dimension=2, axis=(0.0, 0.0))
+    with pytest.raises(InputError, match="too large"):
+        GeneratorSpec(kind="ray", dimension=2, axis=(1e308, 1e308))
+    assert GeneratorSpec(kind="ray", dimension=2, count=MAX_COUNT).count == MAX_COUNT
+    with pytest.raises(InputError, match="10000"):
+        GeneratorSpec(kind="ray", dimension=2, count=MAX_COUNT + 1)
 
 
 def test_norms_follow_geometric_ladder():

@@ -80,6 +80,14 @@ def test_witness_ingest_rescales_into_unit_ball():
     assert math.isclose(max(norms), 1.0, rel_tol=1e-15)
 
 
+def test_witness_ingest_names_an_overflowing_point():
+    """Finite coordinates whose norm overflows are named as such, with no
+    numpy overflow warning (pytest turns RuntimeWarning into an error)."""
+    points = [np.array([0.4, 0.0]), np.array([1e308, 1e308])]
+    with pytest.raises(InputError, match="point 1 is too large: its norm overflows"):
+        WitnessSequence.ingest(points)
+
+
 def test_witness_ingest_keeps_small_points():
     w = WitnessSequence.ingest([np.array([0.4, 0.0]), np.array([0.2, 0.0])])
     assert w.scale == 1.0

@@ -9,16 +9,23 @@ import math
 
 import numpy as np
 import pytest
+from conftest import FIXTURE_CASES
 
+from pathcert import verifier
 from pathcert.errors import InputError
 from pathcert.mollifier import (
     SmoothPath,
     build_smooth_path,
+    dense_grid,
     eval_smooth,
     eval_smooth_derivative,
+    eval_smooth_derivative_many,
+    eval_smooth_many,
+    row_norms,
 )
-from pathcert.skeleton import affine_path_from_slopes
+from pathcert.skeleton import affine_path_from_slopes, eval_affine_many
 from pathcert.verifier import (
+    PRODUCT_BOUND,
     FINITE_THRESHOLD,
     SUITE_NAMES,
     coincidence_check,
@@ -267,6 +274,200 @@ def test_report_dict_shape(diagonal_build):
     }
     assert data["name"] == "envelope"
     assert isinstance(data["passed"], bool)
+
+
+# ---- batched checks against per-level, per-region, per-trial loops ------
+#
+# Each reference below evaluates one level, region, trial or leg at a time
+# and keeps the first strict maximum.  The checks evaluate one grid in one
+# batch; since a row has the same bits in any batch, the reports must agree
+# exactly.
+
+
+def _reference_envelope(path, k_max=20, samples_per_level=256):
+    lo, hi = path.domain
+    worst, worst_t, levels = -math.inf, None, 0
+    for k in range(1, k_max + 1):
+        top = min(1.0 / (2.0 * k), hi)
+        start = np.nextafter(lo, hi)
+        if top <= start:
+            continue
+        ts = np.geomspace(start, top, samples_per_level)
+        ts = ts[ts < 1.0 / (2.0 * k)]
+        if ts.size == 0:
+            continue
+        levels += 1
+        excess = row_norms(eval_smooth_many(path, ts)) - 1.0 / k
+        i = int(np.argmax(excess))
+        if float(excess[i]) > worst:
+            worst, worst_t = float(excess[i]), float(ts[i])
+    details = f"max ||s(t)|| - 1/k over {levels} levels, {samples_per_level} samples each"
+    return worst, worst_t, details
+
+
+def _reference_coincidence(path, points_per_region=64):
+    lo, hi = path.domain
+    regions = []
+    cursor = lo
+    for w in path.windows:
+        if w.lo > cursor:
+            regions.append((cursor, w.lo))
+        cursor = w.hi
+    if cursor < hi:
+        regions.append((cursor, hi))
+    for w in path.windows:
+        kink_lo = w.hi - 6.0 * w.h
+        kink_hi = w.hi - 2.0 * w.h
+        regions += [
+            (w.lo, kink_lo - w.h),
+            (kink_lo + w.h, kink_hi - w.h),
+            (kink_hi + w.h, w.hi),
+        ]
+    worst, worst_t, total = -math.inf, None, 0
+    eps = np.nextafter(lo, hi)
+    for a, b in regions:
+        a, b = max(a, eps), min(b, hi)
+        if not (a < b):
+            continue
+        ts = np.linspace(a, b, points_per_region)
+        dev = row_norms(eval_smooth_many(path, ts) - eval_affine_many(path.skeleton, ts))
+        total += ts.size
+        i = int(np.argmax(dev))
+        if float(dev[i]) > worst:
+            worst, worst_t = float(dev[i]), float(ts[i])
+    details = f"max |s - skeleton| over {total} points in {len(regions)} regions"
+    return worst, worst_t, details
+
+
+def _reference_smoothness(path, trials=100, seed=0, min_order=verifier.MIN_FD_ORDER):
+    rng = np.random.default_rng(seed)
+    worst, worst_t = -math.inf, None
+    for _ in range(trials):
+        t, delta0 = verifier._fd_trial_points(path, rng)
+        deltas = delta0 / np.power(2.0, np.arange(5))
+        points = np.concatenate([[t], t + deltas, t - deltas])
+        values = eval_smooth_many(path, points)
+        derivs = eval_smooth_derivative_many(path, points)
+        ref = derivs[0]
+        fd1 = (values[1:6] - values[6:11]) / (2.0 * deltas[:, None])
+        floor1 = 1e-8 * max(1.0, float(np.linalg.norm(ref)))
+        order1 = verifier._order_estimate(row_norms(fd1 - ref[None, :]), floor1)
+        fd2 = (derivs[1:6] - derivs[6:11]) / (2.0 * deltas[:, None])
+        floor2 = 1e-7 * max(1.0, float(np.max(row_norms(fd2))))
+        order2 = verifier._order_estimate(row_norms(np.diff(fd2, axis=0)), floor2)
+        shortfall = max(min_order - order1, 1.0 - order2)
+        if shortfall > worst:
+            worst, worst_t = shortfall, t
+    return worst, worst_t, f"worst order shortfall over {trials} trials, seed {seed}"
+
+
+def _reference_product(path, anchors, grid, restricted):
+    norm_s = row_norms(eval_smooth_many(path, grid))
+    norm_ds = row_norms(eval_smooth_derivative_many(path, grid))
+    product = norm_s * norm_ds
+    worst_t = float(grid[int(np.argmax(product))])
+    details = f"max product over {grid.size} grid points"
+    if restricted:
+        entries = anchors.entries
+        for k in range(1, len(entries)):
+            mask = (grid > entries[k].t0) & (grid <= entries[k - 1].t0)
+            if not np.any(mask):
+                continue
+            top_speed = float(np.max(norm_ds[mask]))
+            if top_speed > PRODUCT_BOUND * k:
+                return top_speed / k, worst_t, f"speed {top_speed:.6g} exceeds 28 k on leg {k}"
+        details += "; per-leg speed within 28 k"
+    return float(np.max(product)), worst_t, details
+
+
+def _triple(report):
+    return report.measured, report.witness_t, report.details
+
+
+@pytest.mark.parametrize("windowless", [False, True], ids=["mollified", "windowless"])
+@pytest.mark.parametrize("case", FIXTURE_CASES, ids=lambda c: f"{c[0]}-d{c[1]}-k{c[2]}")
+def test_batched_checks_match_per_part_reference(builds, case, windowless):
+    """Every batched check reports the reference loop's worst point, bit for bit."""
+    build = builds[case]
+    path = _windowless(build) if windowless else build.path
+    assert _triple(envelope_check(path)) == _reference_envelope(path)
+    assert _triple(coincidence_check(path)) == _reference_coincidence(path)
+    assert _triple(smoothness_check(path, seed=3)) == _reference_smoothness(path, seed=3)
+    grid = dense_grid(path, per_decade=256, per_window=16)
+    for restricted in (False, True):
+        report = product_bound_scan(path, build.anchors, grid, restricted)
+        assert _triple(report) == _reference_product(path, build.anchors, grid, restricted)
+
+
+@pytest.mark.parametrize("skipped_legs, failing_leg", [(2, 3), (4, 6)])
+def test_product_reports_first_failing_leg_past_the_grid_start(
+    builds, skipped_legs, failing_leg
+):
+    """Inflated by 40, the cone fixture fails the 28 k speed bound on legs
+    1-4 and 6 but not 5.  A grid without points on the first legs must
+    name the first failing leg it does reach, with that leg's top speed."""
+    build = builds[("cone", 2, 20)]
+    inflated = _with_skeleton(build, _rescaled_skeleton(build, 40.0))
+    entries = build.anchors.entries
+    grid = dense_grid(inflated)
+    grid = grid[grid <= entries[skipped_legs].t0]
+    report = product_bound_scan(inflated, build.anchors, grid, restricted=True)
+    on_leg = (grid > entries[failing_leg].t0) & (grid <= entries[failing_leg - 1].t0)
+    top_speed = float(np.max(row_norms(eval_smooth_derivative_many(inflated, grid[on_leg]))))
+    assert not report.passed
+    assert report.details.endswith(f"on leg {failing_leg}")
+    assert report.measured == top_speed / failing_leg
+
+
+def test_anchor_time_is_the_top_of_its_leg(diagonal_build):
+    """Leg k is (t_{k+1,0}, t_{k,0}].  Inflated by 40 the path moves at
+    speed 40 at every anchor time, which breaks 28 k on leg 1 only."""
+    inflated = _with_skeleton(diagonal_build, _rescaled_skeleton(diagonal_build, 40.0))
+    times = np.array([entry.t0 for entry in diagonal_build.anchors.entries[:-1]])
+    below_top = product_bound_scan(inflated, diagonal_build.anchors, times[1:], restricted=True)
+    assert below_top.details.endswith("per-leg speed within 28 k")
+    report = product_bound_scan(inflated, diagonal_build.anchors, times, restricted=True)
+    speed = float(np.linalg.norm(eval_smooth_derivative(inflated, times[0])))
+    assert report.details.endswith("on leg 1")
+    assert report.measured == speed
+
+
+def test_product_ignores_grid_points_off_the_legs(builds):
+    """A k40 path reaches below the last anchor time of the k20 anchors;
+    those points lie on no leg and only enter the product."""
+    path = builds[("diagonal", 2, 40)].path
+    anchors = builds[("diagonal", 2, 20)].anchors
+    grid = dense_grid(path, per_decade=256, per_window=16)
+    assert grid.min() < anchors.entries[-1].t0
+    report = product_bound_scan(path, anchors, grid, restricted=True)
+    assert _triple(report) == _reference_product(path, anchors, grid, True)
+
+
+def test_each_check_evaluates_its_grid_in_one_batch(diagonal_build, monkeypatch):
+    """envelope and coincidence make one smooth-path evaluation call,
+    smoothness and product one for values and one for derivatives."""
+    calls = []
+
+    def counted(name, evaluate):
+        def wrapper(*args):
+            calls.append(name)
+            return evaluate(*args)
+
+        return wrapper
+
+    for name in ("eval_smooth_many", "eval_smooth_derivative_many", "eval_affine_many"):
+        monkeypatch.setattr(verifier, name, counted(name, getattr(verifier, name)))
+    path, anchors = diagonal_build.path, diagonal_build.anchors
+    expected = {
+        "envelope": ["eval_smooth_many"],
+        "coincidence": ["eval_smooth_many", "eval_affine_many"],
+        "smoothness": ["eval_smooth_many", "eval_smooth_derivative_many"],
+        "product": ["eval_smooth_many", "eval_smooth_derivative_many"],
+    }
+    for name, names in expected.items():
+        calls.clear()
+        run_checks(path, anchors, (name,), restricted=True)
+        assert calls == names, name
 
 
 def test_suite_names_frozen():
