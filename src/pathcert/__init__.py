@@ -49,7 +49,6 @@ from .harness import (
 from .mollifier import (
     BumpKernel,
     MollificationWindow,
-    SampleRow,
     SmoothPath,
     build_smooth_path,
     dense_grid,

@@ -110,9 +110,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
         grid = log_grid(t_min, t_max, args.points)
     else:
         grid = np.linspace(t_min, t_max, args.points)
-    rows = sample_path(build.path, grid)
-    atomic_write_text(args.out, samples_to_csv(rows, build.path.dimension))
-    print(f"sample: {len(rows)} rows ({args.grid} grid) -> {args.out}")
+    table = sample_path(build.path, grid)
+    atomic_write_text(args.out, samples_to_csv(table, build.path.dimension))
+    print(f"sample: {len(table)} rows ({args.grid} grid) -> {args.out}")
     return 0
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .geometry import _fibonacci_sphere, _halton_sphere, vector_norm
 
 GENERATOR_KINDS = ("ray", "diagonal", "spiral")
 DEFAULT_COUNT = 200
@@ -50,12 +51,10 @@ class GeneratorSpec:
             axis = np.asarray(self.axis, dtype=float)
             if axis.shape != (self.dimension,):
                 raise InputError("generator axis dimension mismatch")
-            with np.errstate(over="ignore"):
-                norm = float(np.linalg.norm(axis))
-            if norm == 0.0:
+            if not np.all(np.isfinite(axis)):
+                raise InputError("generator axis is not finite")
+            if vector_norm(axis, "generator axis") == 0.0:
                 raise InputError("generator axis must be nonzero")
-            if not np.isfinite(norm):
-                raise InputError("generator axis is too large or not finite")
             object.__setattr__(self, "axis", tuple(float(v) for v in axis))
 
 
@@ -67,11 +66,7 @@ def _spiral_directions(count: int, dimension: int) -> np.ndarray:
         angles = golden * np.arange(count)
         return np.stack([np.cos(angles), np.sin(angles)], axis=1)
     if dimension == 3:
-        from .geometry import _fibonacci_sphere
-
         return _fibonacci_sphere(count)
-    from .geometry import _halton_sphere
-
     dirs = _halton_sphere(count + 8, dimension)
     return dirs[:count]
 
@@ -88,7 +83,7 @@ def generate_points(spec: GeneratorSpec) -> list[np.ndarray]:
             axis[0] = 1.0
         else:
             axis = np.asarray(spec.axis, dtype=float)
-            axis = axis / np.linalg.norm(axis)
+            axis = axis / vector_norm(axis, "generator axis")
         return [r * axis for r in radii]
     directions = _spiral_directions(spec.count, spec.dimension)
     return [r * directions[i] for i, r in enumerate(radii)]

@@ -62,13 +62,33 @@ _MAX_COVER_SIZE = 1 << 21
 _BLOCK_ENTRIES = 1 << 20
 
 
+def vector_norm(v: np.ndarray, what: str) -> float:
+    """Euclidean norm of an input vector, without overflow or underflow warnings.
+
+    A positive finite result of np.linalg.norm is returned as is, so its
+    bits are kept.  A 0 from nonzero entries, whose squares underflowed,
+    is recomputed on the entries divided by their largest magnitude, so
+    a tiny vector is not taken for the origin.  Finite entries whose
+    squared norm overflows raise an InputError naming ``what``: every
+    later dot product on them would overflow too.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(v))
+        if norm == 0.0 and np.any(v):
+            top = float(np.max(np.abs(v)))
+            norm = top * float(np.linalg.norm(v / top))
+    if norm == math.inf and np.all(np.isfinite(v)):
+        raise InputError(f"{what} is too large: its norm overflows float64")
+    return norm
+
+
 def _as_unit_vector(coords, tol: float = 1e-12) -> np.ndarray:
     arr = np.array(coords, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise InputError("a direction must be a 1-d vector")
     if not np.all(np.isfinite(arr)):
         raise InputError("direction has non-finite entries")
-    norm = float(np.linalg.norm(arr))
+    norm = vector_norm(arr, "direction")
     if abs(norm - 1.0) > tol:
         raise InputError(f"direction norm {norm!r} deviates from 1 by more than {tol}")
     arr.setflags(write=False)
@@ -440,7 +460,7 @@ def select_dominant_cone(points, cover: SphereCover) -> tuple[ConeSpec, list[int
             raise InputError(f"point {i} does not have dimension {cover.dimension}")
         if not np.all(np.isfinite(p)):
             raise InputError(f"point {i} has non-finite entries")
-        if float(p @ p) == 0.0:
+        if not np.any(p):
             raise InputError(f"point {i} is the origin")
     points_arr = np.stack(pts)
     # one block of directions at a time, so memory does not grow with the
@@ -465,10 +485,14 @@ def shell_index(x) -> int:
 
     Requires 0 < ||x|| <= 1.
     """
-    vec = np.asarray(x, dtype=float)
-    radius = float(np.linalg.norm(vec))
+    radius = vector_norm(np.asarray(x, dtype=float), "point")
     if not (0.0 < radius <= 1.0):
         raise InputError(f"shell index needs 0 < ||x|| <= 1, got norm {radius!r}")
+    if radius < 2.0**-50:
+        # shells here are narrower than the spacing of floats near 1/radius,
+        # where the rounding guards below would never end: floor exactly
+        numerator, denominator = radius.as_integer_ratio()
+        return denominator // numerator
     k = int(math.floor(1.0 / radius))
     # guard the floor against rounding at shell boundaries
     while k >= 1 and radius > 1.0 / k:

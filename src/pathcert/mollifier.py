@@ -364,20 +364,12 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
-@dataclass(frozen=True, eq=False)
-class SampleRow:
-    """One sampled parameter with values, derivatives, and norms."""
+def sample_path(path: SmoothPath, ts) -> np.ndarray:
+    """Evaluate the path and its derivative on a parameter grid.
 
-    t: float
-    s: np.ndarray
-    ds: np.ndarray
-    norm_s: float
-    norm_ds: float
-    product: float
-
-
-def sample_path(path: SmoothPath, ts) -> list[SampleRow]:
-    """Evaluate the path and its derivative on a parameter grid."""
+    Returns one float64 table of shape (m, 2 * dimension + 4) whose
+    columns are t, s1..sd, d1..dd, norm_s, norm_ds and product.
+    """
     arr = np.atleast_1d(np.asarray(ts, dtype=float))
     if arr.size == 0:
         raise InputError("sampling grid is empty")
@@ -385,18 +377,7 @@ def sample_path(path: SmoothPath, ts) -> list[SampleRow]:
     derivs = eval_smooth_derivative_many(path, arr)
     norm_s = row_norms(values)
     norm_ds = row_norms(derivs)
-    product = norm_s * norm_ds
-    return [
-        SampleRow(
-            t=float(arr[i]),
-            s=values[i],
-            ds=derivs[i],
-            norm_s=float(norm_s[i]),
-            norm_ds=float(norm_ds[i]),
-            product=float(product[i]),
-        )
-        for i in range(arr.size)
-    ]
+    return np.column_stack([arr, values, derivs, norm_s, norm_ds, norm_s * norm_ds])
 
 
 def log_grid(lo: float, hi: float, count: int) -> np.ndarray:

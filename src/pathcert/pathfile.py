@@ -1,8 +1,10 @@
 """File formats: witness JSON, path JSON, sample CSV, report JSON.
 
 All floats serialize through repr (JSON) or %.17g (CSV), which round
-trips float64 exactly, so a written path reloads bit for bit.  Writes
-go through a temporary file and an atomic rename.
+trips float64 exactly, so a written path reloads bit for bit.  A CSV
+body is one float table formatted by a single %-operation with a
+"%.17g,...,%.17g\n" row template.  Writes go through a temporary file
+and an atomic rename.
 """
 
 from __future__ import annotations
@@ -11,14 +13,13 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
-from typing import Iterable
 
 import numpy as np
 
 from .errors import InputError
 from .generators import GeneratorSpec, generate_points
 from .geometry import ConeSpec, UnitDirection
-from .mollifier import SampleRow, build_smooth_path, make_kernel
+from .mollifier import build_smooth_path, make_kernel
 from .pipeline import PathBuild
 from .skeleton import AnchorEntry, AnchorSequence, WitnessSequence
 
@@ -36,10 +37,6 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _f17(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 @contextmanager
 def _malformed(what: str):
     """Report a missing key or a value of the wrong type or shape as InputError."""
@@ -49,7 +46,7 @@ def _malformed(what: str):
         raise
     except KeyError as exc:
         raise InputError(f"{what} misses key {exc}") from exc
-    except (IndexError, TypeError, ValueError) as exc:
+    except (IndexError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"{what} is malformed: {exc}") from exc
 
 
@@ -64,6 +61,13 @@ def _number(value, what: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise InputError(f"{what} must be a number, got {value!r}")
     return float(value)
+
+
+def _vector(value, what: str) -> np.ndarray:
+    """A JSON list of numbers; a string, boolean or list entry is rejected."""
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list of numbers, got {value!r}")
+    return np.array([_number(v, f"{what} coordinate") for v in value], dtype=float)
 
 
 # ---- witness files ------------------------------------------------------
@@ -113,9 +117,9 @@ def witness_from_dict(data: dict) -> WitnessSequence:
         elif explicit != has_y:
             raise InputError("either every pair carries 'y' or none does")
         with _malformed(f"pair {i}"):
-            points.append(np.asarray(pair["x"], dtype=float))
+            points.append(_vector(pair["x"], f"pair {i} x"))
             if has_y:
-                directions.append(np.asarray(pair["y"], dtype=float))
+                directions.append(_vector(pair["y"], f"pair {i} y"))
     witness = WitnessSequence.ingest(points, directions if explicit else None)
     if witness.dimension != dimension:
         raise InputError(
@@ -191,14 +195,14 @@ def build_from_dict(data: dict) -> PathBuild:
     if missing:
         raise InputError(f"path document misses keys: {', '.join(sorted(missing))}")
     with _malformed("path document"):
-        cone = ConeSpec(UnitDirection(np.asarray(data["cone_axis"], dtype=float)))
+        cone = ConeSpec(UnitDirection(_vector(data["cone_axis"], "cone_axis")))
         entries = []
         for item in data["anchors"]:
             entries.append(
                 AnchorEntry(
                     k=_integer(item["k"], "anchor k"),
-                    a=np.asarray(item["a"], dtype=float),
-                    b=UnitDirection(np.asarray(item["b"], dtype=float)),
+                    a=_vector(item["a"], "anchor a"),
+                    b=UnitDirection(_vector(item["b"], "anchor b")),
                     source=str(item["source"]),
                     t0=_number(item["t0"], "anchor t0"),
                     t1=_number(item["t1"], "anchor t1"),
@@ -253,23 +257,21 @@ def load_build(path: str) -> PathBuild:
 # ---- samples and reports ------------------------------------------------
 
 
-def samples_to_csv(rows: Iterable[SampleRow], dimension: int) -> str:
+def _csv_rows(table: np.ndarray) -> str:
+    """Each row of a 2-d float table as one line of %.17g values."""
+    rows, cols = table.shape
+    return (",".join(["%.17g"] * cols) + "\n") * rows % tuple(table.ravel().tolist())
+
+
+def samples_to_csv(table: np.ndarray, dimension: int) -> str:
+    """CSV of a ``sample_path`` table: a header, then one line per row."""
     header = (
         ["t"]
         + [f"s{i}" for i in range(1, dimension + 1)]
         + [f"d{i}" for i in range(1, dimension + 1)]
         + ["norm_s", "norm_ds", "product"]
     )
-    lines = [",".join(header)]
-    for row in rows:
-        fields = (
-            [_f17(row.t)]
-            + [_f17(v) for v in row.s]
-            + [_f17(v) for v in row.ds]
-            + [_f17(row.norm_s), _f17(row.norm_ds), _f17(row.product)]
-        )
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    return ",".join(header) + "\n" + _csv_rows(table)
 
 
 def reports_to_json(reports) -> str:
@@ -292,7 +294,5 @@ def probe_to_json(report) -> str:
 
 
 def tail_to_csv(report) -> str:
-    lines = ["delta,sup"]
-    for delta, sup in report.tail_profile:
-        lines.append(f"{_f17(delta)},{_f17(sup)}")
-    return "\n".join(lines) + "\n"
+    table = np.array(report.tail_profile, dtype=float).reshape(-1, 2)
+    return "delta,sup\n" + _csv_rows(table)

@@ -32,7 +32,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DomainError, InputError
-from .geometry import ConeSpec, UnitDirection, cone_contains_many, shell_index
+from .geometry import ConeSpec, UnitDirection, cone_contains_many, shell_index, vector_norm
 
 _TIME_TOL = 1e-12
 _CONTINUITY_TOL = 1e-12
@@ -101,12 +101,12 @@ class WitnessSequence:
                 raise InputError(f"pair {i} does not have dimension {self.dimension}")
             if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(yv))):
                 raise InputError(f"pair {i} has non-finite entries")
-            norm = float(np.linalg.norm(xv))
+            norm = vector_norm(xv, f"pair {i}: point")
             if not (0.0 < norm <= 1.0):
                 raise InputError(
                     f"pair {i}: point norm must lie in (0, 1], got {norm!r}"
                 )
-            if abs(float(np.linalg.norm(yv)) - 1.0) > 1e-12:
+            if abs(vector_norm(yv, f"pair {i}: derivative direction") - 1.0) > 1e-12:
                 raise InputError(f"pair {i}: derivative direction is not unit")
             if float(xv @ yv) < -1e-12:
                 raise InputError(
@@ -135,18 +135,15 @@ class WitnessSequence:
         for i, x in enumerate(xs):
             if x.ndim != 1 or x.size != dimension:
                 raise InputError(f"point {i} does not have dimension {dimension}")
-            with np.errstate(over="ignore"):
-                n = float(np.linalg.norm(x))
+            n = vector_norm(x, f"point {i}")
             if n == 0.0:
                 raise InputError(f"point {i} is the origin")
-            if n == np.inf and np.all(np.isfinite(x)):
-                raise InputError(f"point {i} is too large: its norm overflows float64")
             norms.append(n)
         top = max(norms)
         scale = 1.0 if top <= 1.0 else 1.0 / top
         xs = [x * scale for x in xs]
         if directions is None:
-            ys = [x / np.linalg.norm(x) for x in xs]
+            ys = [x / vector_norm(x, "point") for x in xs]
         else:
             ys = [np.asarray(d, dtype=float) for d in directions]
             if len(ys) != len(xs):
@@ -182,7 +179,7 @@ class AnchorEntry:
             raise InputError(f"anchor {self.k}: position and direction dimensions differ")
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
-        radius = float(np.linalg.norm(a))
+        radius = vector_norm(a, f"anchor {self.k} position")
         if abs(self.t0 - radius) > _TIME_TOL:
             raise InputError(f"anchor {self.k}: t0 must equal ||a||")
         if not (self.t2 > 0.0 and self.t2 < self.t1 < self.t0):

@@ -127,6 +127,17 @@ def test_sample_uniform_grid_with_range(tmp_path, capsys):
     assert len(ts) == 10
 
 
+@pytest.mark.parametrize("options", [["--points", "1"], ["--grid", "uniform", "--points", "10"]])
+def test_sample_writes_one_line_per_point(tmp_path, capsys, options):
+    path_file = _build_path_file(tmp_path, capsys)
+    out = tmp_path / "samples.csv"
+    rc, text, _ = _run(["sample", "--path", path_file, "--out", str(out), *options], capsys)
+    assert rc == 0
+    points = int(options[-1])
+    assert f"sample: {points} rows" in text
+    assert len(out.read_text().splitlines()) == points + 1
+
+
 def test_sample_range_outside_domain(tmp_path, capsys):
     path_file = _build_path_file(tmp_path, capsys)
     rc, _, err = _run(
@@ -256,6 +267,24 @@ MALFORMED_INPUTS = {
     "pair-norm-overflows": _witness_file(
         {"dimension": 2, "pairs": [{"x": [1e308, 1e308]}, {"x": [0.1, 0.1]}]}
     ),
+    "pair-direction-norm-overflows": _witness_file(
+        {"dimension": 2, "pairs": [{"x": [0.1, 0.1], "y": [1e308, 1e308]}]}
+    ),
+    "pair-coordinate-string-number": _witness_file(
+        {"dimension": 2, "pairs": [{"x": ["0.4", "0.4"]}]}
+    ),
+    "pair-coordinate-boolean": _witness_file(
+        {"dimension": 2, "pairs": [{"x": [0.4, 0.4], "y": [True, 0.0]}]}
+    ),
+    "pair-coordinate-huge-integer": _witness_file(
+        {"dimension": 2, "pairs": [{"x": [10**400, 0.4]}]}
+    ),
+    "anchor-a-norm-overflows": _edit_path_file(
+        lambda doc: doc["anchors"][0].update(a=[1e308, 1e308])
+    ),
+    "cone-axis-norm-overflows": _edit_path_file(
+        lambda doc: doc.update(cone_axis=[1e308, 1e308])
+    ),
     "probe-count-above-cap": lambda tmp_path, capsys: [
         "probe", "--field", "rational2d", "--generator", "diagonal", "--count", "10001"
     ],
@@ -279,6 +308,22 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert rc == 2
     assert "error:" in err
     assert "Traceback" not in err
+    assert "Warning" not in err
+
+
+def test_build_does_not_call_a_tiny_point_the_origin(tmp_path, capsys):
+    """A point whose norm underflows float64 is not the origin: with company
+    it builds, and alone it fails where any single deep point fails."""
+    witness = tmp_path / "witness.json"
+    diagonal = [{"x": [0.4 / 1.1**i, 0.4 / 1.1**i]} for i in range(40)]
+    for pairs, code in (([{"x": [1e-200, 1e-200]}] + diagonal, 0), ([{"x": [1e-200, 1e-200]}], 3)):
+        witness.write_text(json.dumps({"dimension": 2, "pairs": pairs}))
+        rc, _, err = _run(
+            ["build", "--witness", str(witness), "--out", str(tmp_path / "path.json")], capsys
+        )
+        assert rc == code
+        assert "origin" not in err
+        assert "Warning" not in err
 
 
 def test_probe_certifies_builtin_rational(tmp_path, capsys):

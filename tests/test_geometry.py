@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from pathcert.geometry import (
     select_dominant_cone,
     select_parity,
     shell_index,
+    vector_norm,
 )
 from pathcert.skeleton import shell_bounds
 
@@ -497,6 +499,27 @@ def test_shell_index_brackets_norm():
         k = shell_index(x)
         lo, hi = shell_bounds(k)
         assert lo < r <= hi
+
+
+@pytest.mark.parametrize("scale", [1e-17, 1e-200, 5e-324])
+def test_shell_index_of_a_tiny_point(scale):
+    """Shells narrower than a float's spacing are indexed exactly, not looped over."""
+    x = np.array([scale, 0.0])
+    k = shell_index(x)
+    assert Fraction(1, k + 1) < Fraction(scale) <= Fraction(1, k)
+
+
+def test_vector_norm_keeps_bits_and_survives_extremes():
+    rng = np.random.default_rng(5)
+    for v in rng.normal(size=(200, 4)) * np.exp(rng.uniform(-30.0, 30.0, size=(200, 1))):
+        assert vector_norm(v, "v") == np.linalg.norm(v)
+    assert math.isclose(
+        vector_norm(np.array([1e-200, -1e-200]), "v"), math.sqrt(2.0) * 1e-200, rel_tol=1e-15
+    )
+    assert vector_norm(np.array([5e-324, 0.0]), "v") == 5e-324
+    assert vector_norm(np.zeros(3), "v") == 0.0
+    with pytest.raises(InputError, match="v is too large: its norm overflows float64"):
+        vector_norm(np.array([1e308, 1e308]), "v")
 
 
 def test_shell_index_range_errors():

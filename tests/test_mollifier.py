@@ -379,13 +379,17 @@ def test_dense_grid_covers_windows(diagonal_build):
 def test_sample_path_rows(diagonal_build):
     path = diagonal_build.path
     ts = _mixed_parameters(path, count=12, seed=4)[:12]
-    rows = sample_path(path, ts)
-    assert len(rows) == 12
-    for row in rows:
-        assert row.s.shape == (path.dimension,)
-        assert row.norm_s == float(np.linalg.norm(row.s))
-        assert row.norm_ds == float(np.linalg.norm(row.ds))
-        assert row.product == row.norm_s * row.norm_ds
+    d = path.dimension
+    table = sample_path(path, ts)
+    assert table.shape == (12, 2 * d + 4)
+    assert table.dtype == np.float64
+    assert np.array_equal(table[:, 0], ts)
+    for row in table:
+        s, ds = row[1 : 1 + d], row[1 + d : 1 + 2 * d]
+        norm_s, norm_ds, product = row[-3:]
+        assert norm_s == float(np.linalg.norm(s))
+        assert norm_ds == float(np.linalg.norm(ds))
+        assert product == norm_s * norm_ds
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3, 4, 5])

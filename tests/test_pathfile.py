@@ -171,20 +171,53 @@ def test_load_build_reports_missing_keys(tmp_path, diagonal_build):
 def test_samples_csv_round_trips_floats(diagonal_build):
     path = diagonal_build.path
     ts = dense_grid(path, per_decade=32, per_window=4)[:40]
-    rows = sample_path(path, ts)
-    text = samples_to_csv(rows, path.dimension)
+    table = sample_path(path, ts)
+    text = samples_to_csv(table, path.dimension)
     lines = text.strip().split("\n")
     assert lines[0] == "t,s1,s2,d1,d2,norm_s,norm_ds,product"
-    assert len(lines) == len(rows) + 1
-    for line, row in zip(lines[1:], rows):
+    assert len(lines) == len(table) + 1
+    for line, row in zip(lines[1:], table):
         parts = [float(p) for p in line.split(",")]
-        expected = (
-            [row.t]
-            + list(row.s)
-            + list(row.ds)
-            + [row.norm_s, row.norm_ds, row.product]
-        )
-        assert parts == expected
+        assert parts == row.tolist()
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4, 5])
+def test_samples_csv_matches_per_value_format(dimension):
+    """The one-template writer gives the bytes of formatting each value alone."""
+    rng = np.random.default_rng(dimension)
+    cols = 2 * dimension + 4
+    table = rng.normal(size=(40, cols)) * np.exp(rng.uniform(-300.0, 300.0, size=(40, cols)))
+    special = np.array([-0.0, 5e-324, 1e308, 0.1 + 0.2])
+    table[:4] = special[:, None]
+    table[4:8] = -special[:, None]
+    header = (
+        ["t"]
+        + [f"s{i}" for i in range(1, dimension + 1)]
+        + [f"d{i}" for i in range(1, dimension + 1)]
+        + ["norm_s", "norm_ds", "product"]
+    )
+    reference = ",".join(header) + "\n" + "".join(
+        ",".join(format(v, ".17g") for v in row) + "\n" for row in table.tolist()
+    )
+    assert samples_to_csv(table, dimension) == reference
+
+
+@pytest.mark.parametrize("bad", ["0.4", True, [0.4]])
+@pytest.mark.parametrize("field", ["x", "y", "cone_axis", "a", "b"])
+def test_vector_fields_reject_non_numbers(diagonal_build, field, bad):
+    """Coordinates must be JSON numbers; the error names the field."""
+    if field in ("x", "y"):
+        pair = {"x": [0.4, 0.4], "y": [0.6, 0.8]}
+        pair[field][0] = bad
+        with pytest.raises(InputError, match=f"pair 0 {field} coordinate must be a number"):
+            witness_from_dict({"dimension": 2, "pairs": [pair]})
+        return
+    data = build_to_dict(diagonal_build)
+    vector = data["cone_axis"] if field == "cone_axis" else data["anchors"][0][field]
+    vector[0] = bad
+    name = "cone_axis" if field == "cone_axis" else f"anchor {field}"
+    with pytest.raises(InputError, match=f"{name} coordinate must be a number"):
+        build_from_dict(data)
 
 
 def test_reports_json_shape():
@@ -250,6 +283,7 @@ def test_probe_json_shape():
 
 def test_tail_csv_lines():
     text = tail_to_csv(_demo_probe_report())
+    assert text == "delta,sup\n0.25,1\n0.125,0.9375\n"
     lines = text.strip().split("\n")
     assert lines[0] == "delta,sup"
     assert len(lines) == 3
