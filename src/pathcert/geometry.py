@@ -14,9 +14,11 @@ r = (3/2) x.z).  The angular radius is arccos(sqrt(2/3)).
 ``cone_contains_many`` is the one implementation of that test.  It sums
 each dot product and each ||x||^2 over the coordinates in index order with
 elementwise multiply-adds (no BLAS matrix product), so an entry has the
-same bits whether it is computed alone or inside any batch.  Cone
-selection and the anchor code call it, and the scalar ``cone_contains``
-is a one-entry call of it.
+same bits whether it is computed alone or inside any batch.  A point
+whose largest entry lies outside [2^-256, 2^256], where squares could
+underflow or overflow, is first scaled by an exact power of two that
+only its own entries decide.  Cone selection and the anchor code call
+it, and the scalar ``cone_contains`` is a one-entry call of it.
 
 Sphere covers supply candidate axes: a finite set of unit directions such
 that every unit vector lies within a prescribed angle of some direction.
@@ -25,15 +27,18 @@ higher dimensions Halton points (Halton, Numer. Math. 2, 1960) mapped
 through the inverse normal CDF and normalized.  That map is an in-module
 port of Cephes ``ndtri`` (Moshier, 1989) with libm ``log``, so it returns
 scipy.special.ndtri's bits and the module imports nothing from scipy.
-``build_sphere_cover(dimension, half_angle, *, seed)`` doubles the
-candidate set until a randomized check passes.  The check draws its
-COVER_SAMPLE_COUNT unit samples from ``seed`` once per cover and tests
-them against blocks of directions, dropping the samples a block already
-covers.  Halton
-candidates nest, each the first half of the next, so a doubling computes
-only the new points and the check resumes where the failed candidate
-stopped: chunks it covered are skipped, and the samples it left uncovered
-meet only the added directions.
+In dimension 1, {+1, -1} is the whole sphere, and in dimension 2 the
+spacing of the circle points proves the cover: every unit vector lies
+within pi / count of one of ``count`` equally spaced directions.  From
+dimension 3 on, ``build_sphere_cover(dimension, half_angle, *, seed)``
+doubles the candidate set until a randomized check passes.  The check
+draws its COVER_SAMPLE_COUNT unit samples from ``seed`` once per cover
+and tests them against blocks of directions, dropping the samples a
+block already covers.  Halton candidates nest, each the first half of
+the next, so a doubling computes only the new points and the check
+resumes where the failed candidate stopped: chunks it covered are
+skipped, and the samples it left uncovered meet only the added
+directions.
 Dyadic shells partition the punctured unit ball by 1/(k+1) < ||x|| <= 1/k.
 """
 
@@ -146,13 +151,36 @@ class SphereCover:
         return int(self.directions.shape[0])
 
 
+# points whose largest entry lies outside this range are rescaled before
+# the cone test, so that no square the verdict rests on underflows or
+# overflows
+_SAFE_TOP = (2.0**-256, 2.0**256)
+
+
+def _rescale_extreme_points(x: np.ndarray) -> np.ndarray:
+    """``x`` with each nonzero finite row whose largest |entry| lies outside
+    _SAFE_TOP multiplied by the power of two that brings that entry into
+    [1/2, 1).  The scaling is exact unless an entry falls far below its
+    row's largest, and other rows keep their bits."""
+    top = np.max(np.abs(x), axis=1)
+    extreme = ((top > 0.0) & (top < _SAFE_TOP[0])) | (
+        (top > _SAFE_TOP[1]) & (top < math.inf)
+    )
+    if not np.any(extreme):
+        return x
+    x = x.copy()
+    x[extreme] = np.ldexp(x[extreme], -np.frexp(top[extreme])[1][:, None])
+    return x
+
+
 def cone_contains_many(axes, points) -> np.ndarray:
     """Membership of every point in the cone about every axis, as bool[m, p].
 
     ``axes`` has shape (m, n) and holds unit axes; ``points`` has shape
     (p, n).  Sums run over the coordinates in index order, one elementwise
     multiply-add at a time, so entry (i, j) does not depend on the other
-    rows or columns of the batch.
+    rows or columns of the batch.  Points too small or too large for
+    their squares are first rescaled by an exact power of two.
     """
     z = np.asarray(axes, dtype=float)
     x = np.asarray(points, dtype=float)
@@ -160,6 +188,7 @@ def cone_contains_many(axes, points) -> np.ndarray:
         raise InputError(
             f"axes of shape {z.shape} and points of shape {x.shape} do not pair up"
         )
+    x = _rescale_extreme_points(x)
     dot = z[:, :1] * x[:, 0]
     norm_sq = x[:, 0] * x[:, 0]
     for i in range(1, x.shape[1]):
@@ -393,36 +422,42 @@ def _verify_cover(
 
 @lru_cache(maxsize=32)
 def _cached_cover(dimension: int, half_angle: float, seed: int) -> SphereCover:
-    chunks = _cover_samples(dimension, seed, COVER_SAMPLE_COUNT)
     if dimension == 1:
+        # {+1, -1} is the whole 0-sphere
         directions = np.array([[1.0], [-1.0]])
     elif dimension == 2:
+        # every unit vector lies within half the spacing 2 pi / count of
+        # a circle direction, so this bound proves the cover
         count = max(int(math.ceil(2.0 * math.pi / half_angle)), 4)
+        if math.pi / count > half_angle:
+            raise InputError(f"cover construction failed in dimension {dimension}")
         directions = _circle_directions(count)
     else:
-        count, start, progress = (32 if dimension == 3 else 256), 0, None
-        directions = np.empty((0, dimension))
-        while True:
-            if dimension == 3:
-                # Fibonacci lattices of different sizes do not nest
-                directions, progress = _fibonacci_sphere(count), None
-            else:
-                # the Halton candidates nest: add the new points, resume the check
-                directions = np.concatenate(
-                    [directions, _halton_sphere(count, dimension, start)]
-                )
-            covered, progress = _verify_cover(directions, half_angle, chunks, progress)
-            if covered:
-                break
-            start, count = count, 2 * count
-            if count > _MAX_COVER_SIZE:
-                raise InputError(
-                    f"could not cover the sphere in dimension {dimension} "
-                    f"at half angle {half_angle}"
-                )
-    if dimension <= 2 and not _verify_cover(directions, half_angle, chunks)[0]:
-        raise InputError(f"cover construction failed in dimension {dimension}")
+        directions = _sampled_cover(dimension, half_angle, seed)
     return SphereCover(dimension=dimension, half_angle=half_angle, directions=directions)
+
+
+def _sampled_cover(dimension: int, half_angle: float, seed: int) -> np.ndarray:
+    """Directions in dimension >= 3, doubled until the sampled check passes."""
+    chunks = _cover_samples(dimension, seed, COVER_SAMPLE_COUNT)
+    count, start, progress = (32 if dimension == 3 else 256), 0, None
+    directions = np.empty((0, dimension))
+    while True:
+        if dimension == 3:
+            # Fibonacci lattices of different sizes do not nest
+            directions, progress = _fibonacci_sphere(count), None
+        else:
+            # the Halton candidates nest: add the new points, resume the check
+            directions = np.concatenate([directions, _halton_sphere(count, dimension, start)])
+        covered, progress = _verify_cover(directions, half_angle, chunks, progress)
+        if covered:
+            return directions
+        start, count = count, 2 * count
+        if count > _MAX_COVER_SIZE:
+            raise InputError(
+                f"could not cover the sphere in dimension {dimension} "
+                f"at half angle {half_angle}"
+            )
 
 
 def build_sphere_cover(
@@ -430,11 +465,12 @@ def build_sphere_cover(
 ) -> SphereCover:
     """Deterministic sphere cover at the requested angular resolution.
 
-    Dimension 1 uses {+1, -1}; dimension 2 equally spaced circle points;
-    dimension 3 a Fibonacci lattice; higher dimensions a low-discrepancy
-    Gaussian construction.  The candidate set is doubled until the
-    randomized covering check on COVER_SAMPLE_COUNT samples drawn from
-    ``seed`` passes.
+    Dimension 1 uses {+1, -1}; dimension 2 the fewest equally spaced
+    circle points whose spacing proves the cover (``seed`` is unused in
+    both); dimension 3 a Fibonacci lattice; higher dimensions a
+    low-discrepancy Gaussian construction.  From dimension 3 on, the
+    candidate set is doubled until the randomized covering check on
+    COVER_SAMPLE_COUNT samples drawn from ``seed`` passes.
     """
     if not isinstance(dimension, int) or dimension < 1:
         raise InputError(f"dimension must be a positive integer, got {dimension!r}")

@@ -6,6 +6,10 @@ sequence into a smooth path s with s(t) -> 0 as t -> 0+ that passes
 through the x_k, then estimates limsup |f(s(t))| as t -> 0+ along a
 dense grid.  A certified verdict means the estimate stays above eps,
 exhibiting the discontinuity along a single smooth bounded-speed path.
+
+``ScalarField.values`` evaluates a field on a batch of rows with one
+shape check and one origin test, giving the bits of one call per row;
+the probe uses it for the witness points and for the whole grid.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 from .errors import InputError, WitnessNotFoundError
 from .expressions import parse_expression
 from .generators import GeneratorSpec, generate_points
-from .mollifier import dense_grid, eval_smooth_many
+from .mollifier import dense_grid, eval_smooth_many, sorted_unique
 from .pipeline import PathBuild, build_path
 from .skeleton import WitnessSequence
 
@@ -45,6 +49,24 @@ class ScalarField:
         if not np.any(vec):
             return 0.0
         return float(self.evaluator(vec))
+
+    def values(self, rows) -> np.ndarray:
+        """The field at each row of an (m, dimension) array, as float64[m].
+
+        Equal bit for bit to ``[self(row) for row in rows]``, with one
+        shape check and one origin test for the whole batch.
+        """
+        arr = np.asarray(rows, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != self.dimension:
+            raise InputError(
+                f"field {self.name} expects rows of dimension {self.dimension}, "
+                f"got shape {arr.shape}"
+            )
+        evaluator = self.evaluator
+        nonzero = np.any(arr, axis=1).tolist()
+        return np.array(
+            [float(evaluator(row)) if keep else 0.0 for row, keep in zip(arr, nonzero)]
+        )
 
     @classmethod
     def normalized(
@@ -86,6 +108,11 @@ def _ray_bump(axis: np.ndarray, width: float) -> Callable[[np.ndarray], float]:
         dot = float(x @ axis)
         if dot <= 0.0:
             return 0.0
+        if dot * dot == 0.0:
+            # dot^2 underflowed: scale a tiny point up, as the bump sees only
+            # its direction; a unit-sized one is at right angles to the axis
+            top = float(np.max(np.abs(x)))
+            return evaluator(x / top) if top < 1.0 else 0.0
         # exp(-tan(angle)^2 / width^2) with angle measured from the axis
         tan_sq = r2 / (dot * dot) - 1.0
         return math.exp(-tan_sq / (width * width))
@@ -157,11 +184,15 @@ def derive_witness(
         points = generate_points(generator)
     else:
         points = [np.asarray(p, dtype=float) for p in generator]
-    survivors = []
-    for p in points:
-        value = field(p)
-        if math.isfinite(value) and abs(value) >= epsilon:
-            survivors.append(p)
+        for p in points:
+            if p.shape != (field.dimension,):
+                raise InputError(
+                    f"field {field.name} expects dimension {field.dimension}, got shape {p.shape}"
+                )
+    magnitudes = np.abs(field.values(np.reshape(points, (-1, field.dimension))))
+    survivors = [
+        p for p, m in zip(points, magnitudes.tolist()) if math.isfinite(m) and m >= epsilon
+    ]
     if len(survivors) < min_count:
         raise WitnessNotFoundError(
             f"only {len(survivors)} of {len(points)} points reach |f| >= {epsilon}"
@@ -213,11 +244,11 @@ def certify_discontinuity(
     build = build_path(witness, k_max=k_max, seed=seed)
     path = build.path
     if epsilon is None:
-        values = [abs(field(x)) for x, _ in witness.pairs]
-        finite = [v for v in values if math.isfinite(v)]
-        if not finite:
+        magnitudes = np.abs(field.values(np.stack(witness.points())))
+        finite = magnitudes[np.isfinite(magnitudes)]
+        if not finite.size:
             raise InputError("field is non-finite on every witness point")
-        epsilon = min(finite)
+        epsilon = float(np.min(finite))
     if epsilon <= 0.0:
         raise InputError("epsilon must be positive")
 
@@ -228,9 +259,8 @@ def certify_discontinuity(
         for k, _ in build.anchors.matched
         if build.anchors.entry(k).t0 > domain_inf
     ]
-    ts = np.unique(np.concatenate([grid, np.asarray(anchor_times)]))
-    samples = eval_smooth_many(path, ts)
-    field_values = np.array([field(row) for row in samples])
+    ts = sorted_unique(np.concatenate([grid, np.asarray(anchor_times)]))
+    field_values = field.values(eval_smooth_many(path, ts))
     finite_mask = np.isfinite(field_values)
     magnitudes = np.abs(field_values[finite_mask])
     finite_ts = ts[finite_mask]

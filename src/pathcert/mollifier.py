@@ -389,6 +389,16 @@ def log_grid(lo: float, hi: float, count: int) -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a NaN-free 1-d array in increasing order, as
+    np.unique returns them, without the numpy.ma import np.unique makes."""
+    ordered = np.sort(values)
+    keep = np.empty(ordered.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
+
+
 def dense_grid(
     path: SmoothPath, per_decade: int = 2048, per_window: int = 64
 ) -> np.ndarray:
@@ -402,5 +412,5 @@ def dense_grid(
     parts = [np.geomspace(start, hi, count)]
     for w in path.windows:
         parts.append(np.linspace(w.lo, w.hi, per_window))
-    grid = np.unique(np.concatenate(parts))
+    grid = sorted_unique(np.concatenate(parts))
     return grid[(grid > lo) & (grid <= hi)]

@@ -293,7 +293,21 @@ def _order_estimate(errors: np.ndarray, floor: float) -> float:
             orders.append(math.log2(a / b))
     if not orders:
         return 10.0
-    return float(max(np.median(orders), orders[-1]))
+    return max(_median(orders), orders[-1])
+
+
+def _median(values: list[float]) -> float:
+    """np.median of a short list, bit for bit, without numpy: the middle
+    value, or (a + b) / 2 of the two middle values; nan if any is nan.
+    np.median takes a mean, whose sum starts from 0.0 and so turns -0.0
+    into 0.0; adding 0.0 does the same and changes no other value."""
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid] + 0.0
+    return (ordered[mid - 1] + ordered[mid]) / 2.0 + 0.0
 
 
 def _fd_trial_points(path: SmoothPath, rng: np.random.Generator) -> tuple[float, float]:

@@ -461,3 +461,41 @@ def test_high_dimensional_commands_import_no_scipy(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.splitlines()[-2:] == ["exit codes: 0 0 0", "scipy modules:"]
+
+
+def test_two_dimensional_commands_skip_numpy_random_and_ma(tmp_path):
+    """A 2-D build and a 2-D probe load neither numpy.random (their covers
+    are proved by spacing, not sampled) nor numpy.ma; check and sample,
+    run after them, never load numpy.ma."""
+    witness = tmp_path / "witness2.json"
+    witness.write_text(
+        json.dumps(
+            {"dimension": 2, "generator": {"kind": "diagonal", "count": 160, "stop": 0.012}}
+        )
+    )
+    path = str(tmp_path / "path.json")
+    first = [
+        ["build", "--witness", str(witness), "--out", path],
+        ["probe", "--field", "builtin:rational2d", "--generator", "diagonal"],
+        ["probe", "--field", "expr:2*x1*x2/(x1^2+x2^2)", "--generator", "spiral"],
+    ]
+    then = [
+        ["check", "--path", path, "--out", str(tmp_path / "report.json")],
+        ["sample", "--path", path, "--out", str(tmp_path / "samples.csv")],
+    ]
+    code = (
+        "import sys\n"
+        "from pathcert import cli\n"
+        "def loaded(*names):\n"
+        "    return [name for name in names if name in sys.modules]\n"
+        f"print('exit codes:', *(cli.main(argv) for argv in {first!r}))\n"
+        "print('loaded:', *loaded('numpy.random', 'numpy.ma'))\n"
+        f"print('exit codes:', *(cli.main(argv) for argv in {then!r}))\n"
+        "print('loaded:', *loaded('numpy.ma'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(pathcert.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    lines = [line for line in done.stdout.splitlines() if line.startswith(("exit", "loaded"))]
+    assert lines == ["exit codes: 0 0 0", "loaded:", "exit codes: 0 0", "loaded:"]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcert.errors import ExpressionError
 from pathcert.expressions import MAX_DEPTH, parse_expression
@@ -123,3 +125,46 @@ def test_depth_limit_is_exact(nested):
         parse_expression(text)
     assert 0 < info.value.position < len(text)
 
+
+
+_PIECES = (
+    "x1", "x2", "x3", "x0", "x", "y", "abs", "norm", "pi", "_", "1", "0", "2.5",
+    ".5", "7.", "1e3", "1e-400", "e", "E", "9" * 320, "+", "-", "*", "/", "^",
+    "(", ")", ",", ".", " ", "@", "#", "\t", "\u00e9",
+)
+
+
+_WELL_FORMED = st.recursive(
+    st.sampled_from(["x1", "x2", "x3", "2.5", "0", "1e3", "norm(x)"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map("".join),
+        inner.map("({})".format),
+        inner.map("-{}".format),
+        inner.map("abs({})".format),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=120)
+@given(
+    text=st.one_of(
+        _WELL_FORMED,
+        st.tuples(_WELL_FORMED, st.integers(0, 40)).map(lambda t: t[0][: t[1]]),
+        st.lists(st.sampled_from(_PIECES), max_size=80).map("".join),
+        st.text(alphabet="x123().^*/+-eEa bsnorm_", max_size=60),
+        st.text(max_size=20),
+    )
+)
+def test_parser_raises_only_expression_errors(text):
+    """Any text either parses into an evaluator that returns a float on a
+    point of its dimension, or raises ExpressionError naming a position
+    inside the text."""
+    try:
+        evaluator, dimension = parse_expression(text)
+    except ExpressionError as error:
+        assert 0 <= error.position <= len(text)
+        return
+    assert dimension >= 1
+    if dimension <= 3:
+        assert isinstance(evaluator(np.full(dimension, 0.5)), float)

@@ -125,7 +125,13 @@ def test_cone_dimension_mismatch():
 
 def _reference_contains(axis, x) -> bool:
     """The closed form with the sums written out in Python floats, in
-    coordinate order: the arithmetic cone_contains_many must reproduce."""
+    coordinate order: the arithmetic cone_contains_many must reproduce.
+    A point whose largest entry lies outside [2^-256, 2^256] is first
+    brought to a largest entry in [1/2, 1) by an exact power of two."""
+    top = max(abs(v) for v in x)
+    if 0.0 < top < 2.0**-256 or 2.0**256 < top < math.inf:
+        shift = math.frexp(top)[1]
+        x = [math.ldexp(v, -shift) for v in x]
     dot = axis[0] * x[0]
     norm_sq = x[0] * x[0]
     for i in range(1, len(x)):
@@ -192,6 +198,47 @@ def test_cone_contains_many_flips_within_ulps_of_the_boundary():
     assert cone_contains_many(axis[None, :], np.stack([inner, outer])).tolist() == [[True, False]]
 
 
+def test_cone_contains_many_judges_a_tiny_point_by_its_direction():
+    """(x.z)^2 and ||x||^2 of this point both underflow to 0; it lies 79
+    degrees off the axis and must not count as the origin."""
+    axis = np.array([[1.0, 0.0]])
+    assert cone_contains_many(axis, [[1e-200, 5e-200]]).tolist() == [[False]]
+    assert cone_contains_many(axis, [[5e-200, 1e-200]]).tolist() == [[True]]
+    assert cone_contains_many(axis, [[1e200, 5e200]]).tolist() == [[False]]
+    assert cone_contains_many(axis, [[0.0, 0.0], [-0.0, 0.0]]).tolist() == [[True, True]]
+
+
+_SCALABLE_ENTRY = st.one_of(
+    st.just(0.0),
+    st.tuples(st.booleans(), st.floats(2.0**-20, 1.0)).map(lambda t: -t[1] if t[0] else t[1]),
+)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_cone_verdict_survives_power_of_two_scaling(data):
+    """Scaling a point by 2^-k for |k| <= 1000 never changes its verdict,
+    alone or in a batch; entries within 2^20 of the largest scale exactly."""
+    dimension = data.draw(st.integers(1, 5))
+    vector = st.lists(_SCALABLE_ENTRY, min_size=dimension, max_size=dimension).map(np.array)
+    axes = [
+        v / np.linalg.norm(v)
+        for v in data.draw(st.lists(vector, min_size=1, max_size=3))
+        if float(np.linalg.norm(v)) > 1e-3
+    ] or [np.eye(dimension)[0]]
+    points = np.stack(data.draw(st.lists(vector, min_size=1, max_size=4)))
+    shifts = data.draw(st.lists(st.integers(-1000, 1000), min_size=1, max_size=4))
+    axes_arr = np.stack(axes)
+    verdict = cone_contains_many(axes_arr, points)
+    for k in shifts:
+        scaled = np.ldexp(points, -k)
+        assert np.array_equal(cone_contains_many(axes_arr, scaled), verdict), k
+        for j in range(len(points)):
+            assert np.array_equal(
+                cone_contains_many(axes_arr, scaled[j : j + 1])[:, 0], verdict[:, j]
+            )
+
+
 def test_cone_contains_many_rejects_mismatched_shapes():
     with pytest.raises(InputError):
         cone_contains_many(np.eye(3), np.ones((2, 2)))
@@ -215,6 +262,31 @@ def test_cover_dimension_two_count():
     assert cover.size == expected
     norms = np.linalg.norm(cover.directions, axis=1)
     assert float(np.max(np.abs(norms - 1.0))) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("half_angle", [DEFAULT_COVER_HALF_ANGLE, 0.05, 0.3, 1.5])
+def test_circle_cover_passes_the_sampled_check(half_angle, seed):
+    """The 2-D cover, proved by its spacing, also passes the randomized
+    check that higher dimensions rely on."""
+    cover = build_sphere_cover(2, half_angle, seed=seed)
+    assert math.pi / cover.size <= half_angle
+    chunks = geometry._cover_samples(2, seed, geometry.COVER_SAMPLE_COUNT)
+    assert geometry._verify_cover(cover.directions, half_angle, chunks) == (True, None)
+
+
+def test_low_dimensional_covers_draw_no_samples(monkeypatch):
+    """Covers in dimensions 1 and 2 need no random samples."""
+
+    def no_samples(*args):
+        raise AssertionError("sampled a cover that its spacing proves")
+
+    monkeypatch.setattr(geometry, "_cover_samples", no_samples)
+    build = geometry._cached_cover.__wrapped__  # past the cache
+    assert build(1, 0.7, 91).size == 2
+    assert build(2, 0.7, 91).size == math.ceil(2.0 * math.pi / 0.7)
+    with pytest.raises(AssertionError, match="sampled"):
+        build(3, 0.7, 91)
 
 
 @pytest.mark.parametrize("dimension", [2, 3, 4])

@@ -65,10 +65,62 @@ def test_ray_bump_peak_and_falloff():
     assert field([-0.1, -0.1]) == 0.0
 
 
+def test_ray_bump_of_a_tiny_point():
+    """A point whose dot product with the axis squares to 0 is judged by
+    its direction; it used to raise ZeroDivisionError."""
+    for name in ("ray_bump2d", "ray_bump3d"):
+        field = get_builtin_field(name)
+        d = field.dimension
+        assert field(np.full(d, 1e-200)) == pytest.approx(1.0, rel=1e-14)
+        assert field(np.full(d, 5e-324)) == pytest.approx(1.0, rel=1e-14)
+
+
 def test_field_rejects_wrong_shape():
     field = get_builtin_field("rational2d")
     with pytest.raises(InputError):
         field([0.1, 0.2, 0.3])
+
+
+def _value_rows(dimension: int) -> np.ndarray:
+    """Rows for comparing ``values`` with per-row calls: the origin, a
+    signed-zero origin, ordinary points, points where the builtin fields
+    divide 0 by 0, and rows holding inf and nan."""
+    rng = np.random.default_rng(dimension)
+    special = [
+        np.zeros(dimension),
+        -np.zeros(dimension),
+        np.full(dimension, 1e-200),
+        np.eye(dimension)[0] * 5e-324,
+        np.full(dimension, math.inf),
+        np.r_[math.nan, np.ones(dimension - 1)],
+        np.r_[-math.inf, np.zeros(dimension - 1)],
+    ]
+    return np.concatenate([np.stack(special), rng.uniform(-1.0, 1.0, size=(40, dimension))])
+
+
+@pytest.mark.parametrize(
+    "field",
+    [*BUILTIN_FIELDS.values(), field_from_expression("x1/x2 + 1"), field_from_expression("x3")],
+    ids=lambda f: f.name,
+)
+def test_values_equal_per_row_calls(field):
+    """``values`` gives the bits of one call per row, origin and
+    non-finite rows included."""
+    rows = _value_rows(field.dimension)
+    with np.errstate(all="ignore"):
+        expected = np.array([field(row) for row in rows])
+        got = field.values(rows)
+    assert got.dtype == np.float64 and got.shape == (len(rows),)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert not np.all(np.isfinite(expected)) and expected[0] == 0.0
+    assert field.values(np.empty((0, field.dimension))).shape == (0,)
+
+
+def test_values_rejects_wrong_shape():
+    field = get_builtin_field("rational2d")
+    for rows in ([0.1, 0.2], np.ones((3, 3)), np.ones((2, 2, 2))):
+        with pytest.raises(InputError, match="rational2d"):
+            field.values(rows)
 
 
 def test_unknown_builtin():

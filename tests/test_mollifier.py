@@ -23,6 +23,7 @@ from pathcert.mollifier import (
     make_kernel,
     row_norms,
     sample_path,
+    sorted_unique,
     windows_for_anchors,
 )
 from pathcert.quadrature import integrate_panels
@@ -374,6 +375,41 @@ def test_dense_grid_covers_windows(diagonal_build):
     assert np.all(np.diff(grid) > 0)
     for w in path.windows:
         assert int(np.count_nonzero((grid >= w.lo) & (grid <= w.hi))) >= 8
+
+
+@settings(max_examples=40)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, 1e-300, 0.25, 0.5, 1.0, 3.0]),
+            st.floats(allow_nan=False),
+        ),
+        max_size=40,
+    )
+)
+def test_sorted_unique_equals_np_unique(values):
+    """The sort-and-dedupe helper returns np.unique's array, bit for bit
+    (a 0.0 and a -0.0 may come out as either, as they compare equal)."""
+    arr = np.array(values, dtype=float)
+    got, want = sorted_unique(arr), np.unique(arr)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    nonzero = want != 0.0
+    assert np.array_equal(got[nonzero].view(np.int64), want[nonzero].view(np.int64))
+
+
+def test_sorted_unique_on_dense_grid_parts(builds):
+    """On the parts dense_grid joins, the helper matches np.unique bit for bit."""
+    for build in builds.values():
+        path = build.path
+        lo, hi = path.domain
+        parts = [np.geomspace(np.nextafter(lo, hi), hi, 4096)]
+        parts += [np.linspace(w.lo, w.hi, 32) for w in path.windows]
+        parts.append(parts[0][::7].copy())
+        joined = np.concatenate(parts)
+        assert np.array_equal(
+            sorted_unique(joined).view(np.int64), np.unique(joined).view(np.int64)
+        )
 
 
 def test_sample_path_rows(diagonal_build):

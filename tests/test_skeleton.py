@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import witness_fixture
 
 from pathcert.errors import DomainError, InputError
 from pathcert.geometry import ConeSpec, UnitDirection
@@ -335,3 +336,18 @@ def test_skeleton_breakpoints_are_anchor_times(diagonal_build):
     for entry in anchors.entries[:-1]:
         expected.update((entry.t0, entry.t1, entry.t2))
     assert set(skel.breakpoints.tolist()) == expected
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_fixtures_with_non_radial_directions(dimension):
+    """The tangent fixture's y is orthogonal to its x; the half-space
+    fixture's y keeps x.y >= 0 and is mostly far from radial."""
+    for x, y in witness_fixture("tangent", dimension).pairs:
+        assert abs(float(x @ y)) <= 1e-12 * float(np.linalg.norm(x))
+        assert float(np.linalg.norm(y)) == pytest.approx(1.0, abs=1e-12)
+    cosines = [
+        float(x @ y) / float(np.linalg.norm(x))
+        for x, y in witness_fixture("halfspace", dimension).pairs
+    ]
+    assert min(cosines) >= 0.0
+    assert float(np.median(cosines)) < 0.9

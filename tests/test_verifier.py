@@ -207,6 +207,29 @@ def test_product_restricted_catches_inflated_speed(diagonal_build):
 # ---- smoothness ---------------------------------------------------------
 
 
+@pytest.mark.parametrize("length", range(1, 13))
+def test_median_equals_np_median_bit_for_bit(length):
+    """The sort-based median gives np.median's bits on lists of 1-12 values,
+    with ties, signed zeros, infinities and nans among them."""
+    rng = np.random.default_rng(length)
+    pool = [0.0, -0.0, 1.0, -1.0, 2.5, 1e308, -1e308, math.inf, -math.inf, 5e-324, math.nan]
+    for trial in range(300):
+        if trial % 3 == 0:
+            values = [pool[i] for i in rng.integers(0, len(pool), size=length)]
+        else:
+            values = (rng.standard_normal(length) * 10.0 ** rng.uniform(-300, 300)).tolist()
+        if trial % 5 == 0:
+            values[-1] = values[0]
+        with np.errstate(all="ignore"):
+            want = np.median(values)
+        got = verifier._median(values)
+        assert type(got) is float
+        if math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert np.float64(got).view(np.int64) == want.view(np.int64), values
+
+
 def test_smoothness_passes_on_fixture(diagonal_build):
     report = smoothness_check(diagonal_build.path, trials=60, seed=0)
     assert report.passed
