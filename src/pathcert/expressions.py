@@ -9,7 +9,8 @@ Grammar (recursive descent):
     atom    := number | variable | call | '(' expr ')'
     call    := ('abs' | 'norm') '(' args ')'
 
-Variables are x1, x2, ... indexing coordinates; norm(x) is the
+Variables are x1, x2, ..., x64 (MAX_VARIABLE) indexing coordinates, and
+the largest index used is the field's dimension; norm(x) is the
 Euclidean norm of the whole point.  '^' is right associative and binds
 tighter than unary minus, so -x1^2 is -(x1^2).  Division by zero and
 invalid powers evaluate to nan rather than raising.
@@ -42,6 +43,7 @@ _TOKEN = re.compile(
 Evaluator = Callable[[np.ndarray], float]
 
 MAX_DEPTH = 100
+MAX_VARIABLE = 64
 
 
 class _Parser:
@@ -166,9 +168,11 @@ class _Parser:
                 return (lambda x, f=inner: abs(f(x))), deepest
             m = re.fullmatch(r"x(\d+)", value)
             if m:
-                idx = int(m.group(1))
-                if idx < 1:
-                    raise ExpressionError("variables are numbered from x1", pos)
+                digits = m.group(1).lstrip("0")
+                # a long digit string is out of range and never reaches int()
+                idx = int(digits) if 0 < len(digits) <= 9 else 0
+                if not 1 <= idx <= MAX_VARIABLE:
+                    raise ExpressionError(f"variables run from x1 to x{MAX_VARIABLE}", pos)
                 self.max_var = max(self.max_var, idx)
                 return (lambda x, i=idx - 1: float(x[i])), depth
             raise ExpressionError(f"unknown name {value!r}", pos)

@@ -90,6 +90,8 @@ class ScalarField:
 
 def _rational2d(x: np.ndarray) -> float:
     denom = x[0] * x[0] + x[1] * x[1]
+    if denom == 0.0 and np.any(x):  # the squares underflowed; only x's direction counts
+        return _rational2d(x / np.max(np.abs(x)))
     return 2.0 * x[0] * x[1] / denom
 
 
@@ -99,6 +101,8 @@ def _parabola(x: np.ndarray) -> float:
 
 def _rational3d(x: np.ndarray) -> float:
     denom = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
+    if denom == 0.0 and np.any(x):  # the squares underflowed; only x's direction counts
+        return _rational3d(x / np.max(np.abs(x)))
     return 2.0 * x[0] * x[1] / denom
 
 

@@ -1,11 +1,11 @@
 """Bump kernel and windowed mollification of the skeleton.
 
-The kernel is the classical bump
+The kernel is the classical bump (Friedrichs, Trans. AMS 55, 1944)
 
     rho(u) = c * exp(-1 / (1 - u^2))   for |u| < 1,   0 otherwise,
 
-normalized so its integral over (-1, 1) equals one; ``make_kernel()``
-builds it once, and every average below uses it.  The smooth path
+with the stored constant c = KERNEL_C giving unit mass over (-1, 1);
+every average below uses the one ``make_kernel()``.  The smooth path
 ``SmoothPath(skeleton, windows)`` is defined on the skeleton's domain and
 agrees with the skeleton outside a family of disjoint windows, one per
 pair of consecutive anchors; inside window k the path is the local
@@ -33,8 +33,8 @@ breakpoint kappa in (t - h, t + h) with slope jump delta then adds
     delta * h * (x K(x) - M(x))  to s(t),    delta * K(x)  to s'(t),
 
 with x = (t - kappa) / h.  K and M come from piecewise Chebyshev
-series, built on first use from the kernel and checked at build time
-against adaptive quadrature, so evaluation needs no quadrature at all.
+series, built on first use from the kernel and checked against their
+closed forms at x = 0, so nothing here computes a quadrature.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, InputError
-from .quadrature import integrate_panels
 from .skeleton import (
     AnchorSequence,
     PiecewiseAffinePath,
@@ -55,16 +54,10 @@ from .skeleton import (
     eval_affine_many,
 )
 
-KERNEL_MASS_TOL = 1e-12
-
-
-def _bare_bump(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
-    return out
+# 1 / integral of exp(-1 / (1 - u^2)) over (-1, 1); path files carry it as kernel_c
+KERNEL_C = 2.2522836210435817  # 0x1.204ad466d96d1p+1
+# the exponential integral E1(1) = 0.2193839343955202736..., rounded to nearest
+E1_AT_ONE = 0.21938393439552029
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,21 +68,19 @@ class BumpKernel:
 
     def __call__(self, u):
         arr = np.asarray(u, dtype=float)
-        scalar = arr.ndim == 0
-        values = self.c * _bare_bump(np.atleast_1d(arr))
-        return float(values[0]) if scalar else values
+        flat = np.atleast_1d(arr)
+        bare = np.zeros_like(flat)
+        inside = np.abs(flat) < 1.0
+        ui = flat[inside]
+        bare[inside] = np.exp(-1.0 / (1.0 - ui * ui))
+        values = self.c * bare
+        return float(values[0]) if arr.ndim == 0 else values
 
 
 @lru_cache(maxsize=1)
 def make_kernel() -> BumpKernel:
-    """Construct the normalized kernel and verify unit mass to 1e-12."""
-    edges = (-1.0, -0.5, 0.0, 0.5, 1.0)
-    base = float(integrate_panels(_bare_bump, edges, order=20, tol=1e-15))
-    kernel = BumpKernel(c=1.0 / base)
-    mass = float(integrate_panels(kernel, edges, order=20, tol=1e-15))
-    if abs(mass - 1.0) > KERNEL_MASS_TOL:
-        raise RuntimeError(f"kernel normalization drifted: mass {mass!r}")
-    return kernel
+    """The normalized kernel; ``_kernel_table`` checks its unit mass."""
+    return BumpKernel(KERNEL_C)
 
 
 # ---- windows ------------------------------------------------------------
@@ -234,7 +225,7 @@ def _table_eval(coefs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 @lru_cache(maxsize=1)
 def _kernel_table() -> np.ndarray:
-    """Chebyshev coefficients of K and M on each panel, verified to 1e-14."""
+    """Chebyshev coefficients of K and M on each panel, checked to 1e-14."""
     kernel = make_kernel()
     cheb = np.polynomial.chebyshev
     panels = []
@@ -254,13 +245,12 @@ def _kernel_table() -> np.ndarray:
         panels.append(np.stack(pair, axis=1))
     coefs = np.ascontiguousarray(np.stack(panels, axis=1))
     coefs.setflags(write=False)
-    xs = np.array([-0.9, -0.4, 0.0, 0.3, 0.8])
-    mass, moment = _table_eval(coefs, xs)
-    for x, k, m in zip(xs, mass, moment):
-        ref_k = float(integrate_panels(kernel, [-1.0, x], tol=1e-15))
-        ref_m = float(integrate_panels(lambda v: v * kernel(v), [-1.0, x], tol=1e-15))
-        if abs(k - ref_k) > KERNEL_TABLE_TOL or abs(m - ref_m) > KERNEL_TABLE_TOL:
-            raise RuntimeError(f"kernel tables drifted at x = {x!r}")
+    # K(0) = 1/2 because rho is even with unit mass, and v = u^2 turns M(0)
+    # into -(c/2) * integral of exp(-1/w) over (0, 1) = -(c/2) (1/e - E1(1))
+    mass, moment = _table_eval(coefs, np.zeros(1))
+    exact = (0.5, -0.5 * kernel.c * (math.exp(-1.0) - E1_AT_ONE))
+    if max(abs(mass[0] - exact[0]), abs(moment[0] - exact[1])) > KERNEL_TABLE_TOL:
+        raise RuntimeError("kernel tables drifted from their closed forms at x = 0")
     return coefs
 
 

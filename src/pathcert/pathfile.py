@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InputError
 from .generators import GeneratorSpec, generate_points
 from .geometry import ConeSpec, UnitDirection
-from .mollifier import build_smooth_path, make_kernel
+from .mollifier import KERNEL_C, build_smooth_path
 from .pipeline import PathBuild
 from .skeleton import AnchorEntry, AnchorSequence, WitnessSequence
 
@@ -153,7 +153,7 @@ def build_to_dict(build: PathBuild) -> dict:
         "cover_size": build.cover_size,
         "parity": anchors.parity,
         "cone_axis": [float(v) for v in anchors.cone.axis.coords],
-        "kernel_c": make_kernel().c,
+        "kernel_c": KERNEL_C,
         "domain": list(build.path.domain),
         "witness_scale": build.witness.scale if build.witness is not None else 1.0,
         "matched": [[int(k), int(i)] for k, i in anchors.matched],
@@ -229,8 +229,8 @@ def build_from_dict(data: dict) -> PathBuild:
         )
         if "kernel_c" in data:
             stored_kernel = _number(data["kernel_c"], "kernel_c")
-            if abs(stored_kernel - make_kernel().c) > 1e-12:
-                raise InputError("stored kernel constant deviates from the computed one")
+            if abs(stored_kernel - KERNEL_C) > 1e-12:
+                raise InputError("stored kernel constant deviates from KERNEL_C")
         domain = data["domain"]
         if not isinstance(domain, list) or len(domain) != 2:
             raise InputError(f"domain must be a list [lo, hi], got {domain!r}")

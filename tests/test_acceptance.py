@@ -15,7 +15,7 @@ from conftest import FIXTURE_CASES, RESTRICTED_KINDS
 
 from pathcert import cli
 from pathcert.mollifier import SmoothPath, eval_smooth_many, make_kernel
-from pathcert.quadrature import integrate_panels
+from quadrature import integrate_panels
 from pathcert.skeleton import eval_affine_many
 from pathcert.verifier import (
     coincidence_check,

@@ -297,6 +297,12 @@ MALFORMED_INPUTS = {
     "expression-long-sum": lambda tmp_path, capsys: [
         "probe", "--field", "x1+" * 5000 + "x2"
     ],
+    "expression-variable-index-huge": lambda tmp_path, capsys: [
+        "probe", "--field", "expr:x123456789012"
+    ],
+    "expression-variable-index-5000-digits": lambda tmp_path, capsys: [
+        "probe", "--field", "expr:x" + "1" * 5000
+    ],
 }
 
 
@@ -466,7 +472,8 @@ def test_high_dimensional_commands_import_no_scipy(tmp_path):
 def test_two_dimensional_commands_skip_numpy_random_and_ma(tmp_path):
     """A 2-D build and a 2-D probe load neither numpy.random (their covers
     are proved by spacing, not sampled) nor numpy.ma; check and sample,
-    run after them, never load numpy.ma."""
+    run after them, never load numpy.ma.  The build, which evaluates no
+    path, never constructs the kernel."""
     witness = tmp_path / "witness2.json"
     witness.write_text(
         json.dumps(
@@ -474,8 +481,8 @@ def test_two_dimensional_commands_skip_numpy_random_and_ma(tmp_path):
         )
     )
     path = str(tmp_path / "path.json")
+    build = ["build", "--witness", str(witness), "--out", path]
     first = [
-        ["build", "--witness", str(witness), "--out", path],
         ["probe", "--field", "builtin:rational2d", "--generator", "diagonal"],
         ["probe", "--field", "expr:2*x1*x2/(x1^2+x2^2)", "--generator", "spiral"],
     ]
@@ -486,8 +493,11 @@ def test_two_dimensional_commands_skip_numpy_random_and_ma(tmp_path):
     code = (
         "import sys\n"
         "from pathcert import cli\n"
+        "from pathcert.mollifier import make_kernel\n"
         "def loaded(*names):\n"
         "    return [name for name in names if name in sys.modules]\n"
+        f"print('exit codes:', cli.main({build!r}))\n"
+        "print('kernels built:', make_kernel.cache_info().currsize)\n"
         f"print('exit codes:', *(cli.main(argv) for argv in {first!r}))\n"
         "print('loaded:', *loaded('numpy.random', 'numpy.ma'))\n"
         f"print('exit codes:', *(cli.main(argv) for argv in {then!r}))\n"
@@ -497,5 +507,8 @@ def test_two_dimensional_commands_skip_numpy_random_and_ma(tmp_path):
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    lines = [line for line in done.stdout.splitlines() if line.startswith(("exit", "loaded"))]
-    assert lines == ["exit codes: 0 0 0", "loaded:", "exit codes: 0 0", "loaded:"]
+    keep = ("exit", "loaded", "kernels")
+    lines = [line for line in done.stdout.splitlines() if line.startswith(keep)]
+    assert lines == [
+        "exit codes: 0", "kernels built: 0", "exit codes: 0 0", "loaded:", "exit codes: 0 0", "loaded:"
+    ]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathcert.errors import ExpressionError
-from pathcert.expressions import MAX_DEPTH, parse_expression
+from pathcert.expressions import MAX_DEPTH, MAX_VARIABLE, parse_expression
 
 
 def _eval(text, point):
@@ -89,6 +89,16 @@ def test_parse_errors_carry_position():
     assert info.value.position == 4
     with pytest.raises(ExpressionError):
         parse_expression("   ")
+
+
+def test_variable_index_is_capped():
+    """An index above MAX_VARIABLE is rejected at its variable, however many
+    digits it has, instead of becoming the field's dimension."""
+    assert parse_expression("x064")[1] == MAX_VARIABLE == 64
+    for text, position in (("x65", 0), ("1 + x123456789012", 4), ("x1*x" + "9" * 5000, 3)):
+        with pytest.raises(ExpressionError, match="x1 to x64") as info:
+            parse_expression(text)
+        assert info.value.position == position
 
 
 def test_trailing_garbage_rejected():

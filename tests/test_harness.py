@@ -48,6 +48,16 @@ def test_rational3d_values():
     assert field([0.0, 0.0, 0.2]) == 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rational_fields_of_a_tiny_point():
+    """A nonzero point whose squares underflow is judged by its direction;
+    it used to give nan with a RuntimeWarning."""
+    rational2d, rational3d = get_builtin_field("rational2d"), get_builtin_field("rational3d")
+    assert rational2d([1e-200, 1e-200]) == 1.0
+    assert rational3d([1e-200, 1e-200, 0.0]) == 1.0
+    assert rational3d([5e-324] * 3) == pytest.approx(2.0 / 3.0, rel=1e-15)
+
+
 def test_parabola_is_squared_norm():
     field = get_builtin_field("parabola")
     assert field([0.3, 0.4]) == pytest.approx(0.25, rel=1e-14)

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathcert import mollifier
 from pathcert.errors import InputError
 from pathcert.mollifier import (
+    E1_AT_ONE,
+    KERNEL_C,
     MollificationWindow,
     SmoothPath,
     _mollified_rows,
@@ -26,7 +29,7 @@ from pathcert.mollifier import (
     sorted_unique,
     windows_for_anchors,
 )
-from pathcert.quadrature import integrate_panels
+from quadrature import integrate_panels
 from pathcert.skeleton import (
     affine_path_from_slopes,
     eval_affine_derivative_many,
@@ -83,6 +86,36 @@ def test_kernel_scalar_matches_array():
 
 def test_kernel_cached():
     assert make_kernel() is make_kernel()
+
+
+def test_stored_constants_match_closed_forms():
+    """KERNEL_C is 1 / (exp(-1/2) (K1(1/2) - K0(1/2))), the inverse integral
+    of exp(-1 / (1 - u^2)) over (-1, 1), to 1 ulp, and E1_AT_ONE is E1(1);
+    scipy's exp1(1) sits 8 ulp above the correctly rounded value."""
+    from scipy.special import exp1, k0, k1
+
+    closed = 1.0 / (math.exp(-0.5) * (k1(0.5) - k0(0.5)))
+    assert abs(KERNEL_C - closed) <= np.spacing(closed)
+    assert make_kernel().c == KERNEL_C
+    assert abs(E1_AT_ONE - exp1(1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("KERNEL_C", KERNEL_C * (1.0 + 1e-13)), ("E1_AT_ONE", E1_AT_ONE + 1e-13)],
+    ids=["KERNEL_C", "E1_AT_ONE"],
+)
+def test_kernel_table_check_catches_a_drift(monkeypatch, name, value):
+    """A constant off by 1e-13 fails the closed-form check of the table."""
+    monkeypatch.setattr(mollifier, name, value)
+    make_kernel.cache_clear()
+    mollifier._kernel_table.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="closed forms"):
+            mollifier._kernel_table()
+    finally:
+        make_kernel.cache_clear()
+        mollifier._kernel_table.cache_clear()
 
 
 # ---- mass and moment tables ---------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pathcert.quadrature import gauss_legendre_nodes, integrate_panels
+from quadrature import gauss_legendre_nodes, integrate_panels
 
 
 def test_nodes_and_weights_basics():
