@@ -71,22 +71,18 @@ def _spiral_directions(count: int, dimension: int) -> np.ndarray:
     return dirs[:count]
 
 
-def generate_points(spec: GeneratorSpec) -> list[np.ndarray]:
-    """Points of the sequence, norms geometric from start down to stop."""
+def generate_points(spec: GeneratorSpec) -> np.ndarray:
+    """Points of the sequence as the rows of a (count, dimension) array,
+    norms geometric from start down to stop."""
     radii = np.geomspace(spec.start, spec.stop, spec.count)
     if spec.kind == "diagonal":
-        axis = np.ones(spec.dimension) / math.sqrt(spec.dimension)
-        return [r * axis for r in radii]
-    if spec.kind == "ray":
-        if spec.axis is None:
-            axis = np.zeros(spec.dimension)
-            axis[0] = 1.0
-        else:
-            axis = np.asarray(spec.axis, dtype=float)
-            axis = axis / vector_norm(axis, "generator axis")
-        return [r * axis for r in radii]
-    directions = _spiral_directions(spec.count, spec.dimension)
-    return [r * directions[i] for i, r in enumerate(radii)]
+        directions = np.ones(spec.dimension) / math.sqrt(spec.dimension)
+    elif spec.kind == "ray":
+        axis = np.eye(spec.dimension)[0] if spec.axis is None else np.asarray(spec.axis, float)
+        directions = axis / vector_norm(axis, "generator axis")
+    else:
+        directions = _spiral_directions(spec.count, spec.dimension)
+    return radii[:, None] * directions
 
 
 def cone_confined_points(

@@ -17,8 +17,10 @@ elementwise multiply-adds (no BLAS matrix product), so an entry has the
 same bits whether it is computed alone or inside any batch.  A point
 whose largest entry lies outside [2^-256, 2^256], where squares could
 underflow or overflow, is first scaled by an exact power of two that
-only its own entries decide.  Cone selection and the anchor code call
-it, and the scalar ``cone_contains`` is a one-entry call of it.
+only its own entries decide.  Each predicate has one batched form over
+the rows of an array, and its scalar form is a one-row call of it:
+``cone_contains_many`` and ``cone_contains``, ``vector_norms`` and
+``vector_norm`` (input-vector norms), ``shell_indices`` and ``shell_index``.
 
 Sphere covers supply candidate axes: a finite set of unit directions such
 that every unit vector lies within a prescribed angle of some direction.
@@ -67,24 +69,62 @@ _MAX_COVER_SIZE = 1 << 21
 _BLOCK_ENTRIES = 1 << 20
 
 
-def vector_norm(v: np.ndarray, what: str) -> float:
-    """Euclidean norm of an input vector, without overflow or underflow warnings.
+def require_rows(ok: np.ndarray, message: str) -> None:
+    """Raise InputError(message) at the first False entry of ``ok``, ``{}`` its index."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise InputError(message.format(int(bad[0])))
 
-    A positive finite result of np.linalg.norm is returned as is, so its
-    bits are kept.  A 0 from nonzero entries, whose squares underflowed,
-    is recomputed on the entries divided by their largest magnitude, so
-    a tiny vector is not taken for the origin.  Finite entries whose
-    squared norm overflows raise an InputError naming ``what``: every
-    later dot product on them would overflow too.
+
+def stack_rows(values, what: str) -> np.ndarray:
+    """``values`` as one (m, n) float array, n the size of the first row; a
+    row of another shape is an InputError naming it (``what`` names a row)."""
+    rows = values if isinstance(values, np.ndarray) else list(values)
+    if len(rows) == 0:
+        raise InputError(f"at least one {what} is required")
+    n = np.size(rows[0])
+    try:
+        arr = np.array(rows, dtype=float)
+    except ValueError:  # ragged rows, or entries that are not numbers
+        arr = None
+    if arr is None or arr.shape != (len(rows), n):
+        bad = next((i for i, row in enumerate(rows) if np.shape(row) != (n,)), 0)
+        raise InputError(f"{what} {bad} is not a vector of {n} numbers")
+    return arr
+
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, equal bit for bit to np.linalg.norm(row)."""
+    v = np.ascontiguousarray(v)  # strided rows would miss the dot product norm uses
+    return np.sqrt(np.vecdot(v, v))
+
+
+def vector_norms(rows, what: str) -> np.ndarray:
+    """Norm of each row of an (m, n) array of input vectors, with the bits
+    np.linalg.norm gives that row alone and no overflow or underflow warning.
+
+    A nonzero row whose squares underflow to 0 is recomputed on the row over
+    its largest magnitude, so a tiny vector is not taken for the origin.  The
+    first finite row whose norm overflows raises an InputError, as every later
+    dot product on it would overflow too; ``what`` names it, ``{}`` its index.
     """
+    rows = np.asarray(rows, dtype=float)
     with np.errstate(over="ignore", under="ignore"):
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0 and np.any(v):
-            top = float(np.max(np.abs(v)))
-            norm = top * float(np.linalg.norm(v / top))
-    if norm == math.inf and np.all(np.isfinite(v)):
-        raise InputError(f"{what} is too large: its norm overflows float64")
-    return norm
+        norms = row_norms(rows)
+        tiny = (norms == 0.0) & np.any(rows, axis=1)
+        if np.any(tiny):
+            top = np.max(np.abs(rows[tiny]), axis=1)
+            norms[tiny] = top * row_norms(rows[tiny] / top[:, None])
+    require_rows(
+        (norms != math.inf) | ~np.all(np.isfinite(rows), axis=1),
+        f"{what} is too large: its norm overflows float64",
+    )
+    return norms
+
+
+def vector_norm(v, what: str) -> float:
+    """Norm of one input vector: a one-row call of ``vector_norms``."""
+    return float(vector_norms(np.reshape(v, (1, -1)), what)[0])
 
 
 def _as_unit_vector(coords, tol: float = 1e-12) -> np.ndarray:
@@ -140,8 +180,7 @@ class SphereCover:
         dirs = np.array(self.directions, dtype=float)
         if dirs.ndim != 2 or dirs.shape[1] != self.dimension:
             raise InputError("directions must have shape (m, dimension)")
-        norms = np.linalg.norm(dirs, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-12:
+        if np.max(np.abs(row_norms(dirs) - 1.0)) > 1e-12:
             raise InputError("cover directions must be unit vectors")
         dirs.setflags(write=False)
         object.__setattr__(self, "directions", dirs)
@@ -488,20 +527,12 @@ def select_dominant_cone(points, cover: SphereCover) -> tuple[ConeSpec, list[int
     Ties break to the lowest direction index.  Returns the winning cone
     and the indices of the captured points, in input order.
     """
-    pts = [np.asarray(p, dtype=float) for p in points]
-    if not pts:
-        raise InputError("at least one point is required")
-    for i, p in enumerate(pts):
-        if p.ndim != 1 or p.size != cover.dimension:
-            raise InputError(f"point {i} does not have dimension {cover.dimension}")
-        if not np.all(np.isfinite(p)):
-            raise InputError(f"point {i} has non-finite entries")
-        if not np.any(p):
-            raise InputError(f"point {i} is the origin")
-    points_arr = np.stack(pts)
+    points_arr = stack_rows(points, "point")  # cone_contains_many checks the dimension
+    require_rows(np.all(np.isfinite(points_arr), axis=1), "point {} has non-finite entries")
+    require_rows(np.any(points_arr, axis=1), "point {} is the origin")
     # one block of directions at a time, so memory does not grow with the
     # cover; the strict > keeps the lowest index among tied counts
-    block = max(1, _BLOCK_ENTRIES // len(pts))
+    block = max(1, _BLOCK_ENTRIES // len(points_arr))
     best_count, winner, captured = -1, 0, None
     for start in range(0, cover.size, block):
         inside = cone_contains_many(cover.directions[start : start + block], points_arr)
@@ -516,12 +547,7 @@ def select_dominant_cone(points, cover: SphereCover) -> tuple[ConeSpec, list[int
 # ---- dyadic shells ------------------------------------------------------
 
 
-def shell_index(x) -> int:
-    """Index k of the shell 1/(k+1) < ||x|| <= 1/k containing x.
-
-    Requires 0 < ||x|| <= 1.
-    """
-    radius = vector_norm(np.asarray(x, dtype=float), "point")
+def _shell_of_radius(radius: float) -> int:
     if not (0.0 < radius <= 1.0):
         raise InputError(f"shell index needs 0 < ||x|| <= 1, got norm {radius!r}")
     if radius < 2.0**-50:
@@ -530,14 +556,23 @@ def shell_index(x) -> int:
         numerator, denominator = radius.as_integer_ratio()
         return denominator // numerator
     k = int(math.floor(1.0 / radius))
-    # guard the floor against rounding at shell boundaries
-    while k >= 1 and radius > 1.0 / k:
+    # guard the floor against rounding at shell boundaries (k stays >= 1)
+    while radius > 1.0 / k:
         k -= 1
     while radius <= 1.0 / (k + 1):
         k += 1
-    if k < 1:
-        raise InputError(f"norm {radius!r} lies outside every shell")
     return k
+
+
+def shell_indices(points) -> list[int]:
+    """Index k of the shell 1/(k+1) < ||x|| <= 1/k containing each row x of
+    an (m, n) array, which needs 0 < ||x|| <= 1; one batched norm."""
+    return [_shell_of_radius(r) for r in vector_norms(points, "point {}").tolist()]
+
+
+def shell_index(x) -> int:
+    """Shell index of one point: a one-row call of ``shell_indices``."""
+    return shell_indices(np.reshape(x, (1, -1)))[0]
 
 
 def select_parity(points) -> tuple[str, dict[int, list[int]]]:
@@ -546,13 +581,10 @@ def select_parity(points) -> tuple[str, dict[int, list[int]]]:
     The count is over distinct shell indices, not points.  Ties break to
     'even'.  Also returns the shell -> point indices map.
     """
-    shells: dict[int, list[int]] = {}
-    for i, p in enumerate(points):
-        k = shell_index(p)
-        shells.setdefault(k, []).append(i)
-    if not shells:
+    if len(points) == 0:
         raise InputError("at least one point is required")
+    shells: dict[int, list[int]] = {}
+    for i, k in enumerate(shell_indices(points)):
+        shells.setdefault(k, []).append(i)
     even = sum(1 for k in shells if k % 2 == 0)
-    odd = len(shells) - even
-    parity = "even" if even >= odd else "odd"
-    return parity, shells
+    return ("even" if 2 * even >= len(shells) else "odd"), shells

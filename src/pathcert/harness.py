@@ -23,6 +23,7 @@ import numpy as np
 from .errors import InputError, WitnessNotFoundError
 from .expressions import parse_expression
 from .generators import GeneratorSpec, generate_points
+from .geometry import stack_rows
 from .mollifier import dense_grid, eval_smooth_many, sorted_unique
 from .pipeline import PathBuild, build_path
 from .skeleton import WitnessSequence
@@ -30,6 +31,8 @@ from .skeleton import WitnessSequence
 DEFAULT_EPSILON = 0.5
 DEFAULT_MIN_WITNESSES = 8
 CERTIFY_TOL = 1e-9
+# below the smallest normal float a denominator has lost bits to underflow
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +93,7 @@ class ScalarField:
 
 def _rational2d(x: np.ndarray) -> float:
     denom = x[0] * x[0] + x[1] * x[1]
-    if denom == 0.0 and np.any(x):  # the squares underflowed; only x's direction counts
+    if denom < _TINY and np.any(x):  # the squares lost bits; only x's direction counts
         return _rational2d(x / np.max(np.abs(x)))
     return 2.0 * x[0] * x[1] / denom
 
@@ -101,7 +104,7 @@ def _parabola(x: np.ndarray) -> float:
 
 def _rational3d(x: np.ndarray) -> float:
     denom = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
-    if denom == 0.0 and np.any(x):  # the squares underflowed; only x's direction counts
+    if denom < _TINY and np.any(x):  # the squares lost bits; only x's direction counts
         return _rational3d(x / np.max(np.abs(x)))
     return 2.0 * x[0] * x[1] / denom
 
@@ -112,9 +115,9 @@ def _ray_bump(axis: np.ndarray, width: float) -> Callable[[np.ndarray], float]:
         dot = float(x @ axis)
         if dot <= 0.0:
             return 0.0
-        if dot * dot == 0.0:
-            # dot^2 underflowed: scale a tiny point up, as the bump sees only
-            # its direction; a unit-sized one is at right angles to the axis
+        if dot * dot < _TINY:
+            # dot^2 lost bits or underflowed: scale a tiny point up, as the bump
+            # sees only its direction; a unit-sized one is at right angles to the axis
             top = float(np.max(np.abs(x)))
             return evaluator(x / top) if top < 1.0 else 0.0
         # exp(-tan(angle)^2 / width^2) with angle measured from the axis
@@ -187,16 +190,9 @@ def derive_witness(
             raise InputError("generator and field dimensions differ")
         points = generate_points(generator)
     else:
-        points = [np.asarray(p, dtype=float) for p in generator]
-        for p in points:
-            if p.shape != (field.dimension,):
-                raise InputError(
-                    f"field {field.name} expects dimension {field.dimension}, got shape {p.shape}"
-                )
-    magnitudes = np.abs(field.values(np.reshape(points, (-1, field.dimension))))
-    survivors = [
-        p for p, m in zip(points, magnitudes.tolist()) if math.isfinite(m) and m >= epsilon
-    ]
+        points = stack_rows(generator, "point")
+    magnitudes = np.abs(field.values(points))
+    survivors = points[np.isfinite(magnitudes) & (magnitudes >= epsilon)]
     if len(survivors) < min_count:
         raise WitnessNotFoundError(
             f"only {len(survivors)} of {len(points)} points reach |f| >= {epsilon}"
@@ -248,7 +244,7 @@ def certify_discontinuity(
     build = build_path(witness, k_max=k_max, seed=seed)
     path = build.path
     if epsilon is None:
-        magnitudes = np.abs(field.values(np.stack(witness.points())))
+        magnitudes = np.abs(field.values(witness.x))
         finite = magnitudes[np.isfinite(magnitudes)]
         if not finite.size:
             raise InputError("field is non-finite on every witness point")

@@ -46,6 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, InputError
+from .geometry import row_norms
 from .skeleton import (
     AnchorSequence,
     PiecewiseAffinePath,
@@ -347,11 +348,6 @@ def eval_smooth_derivative(path: SmoothPath, t: float) -> np.ndarray:
 
 
 # ---- sampling -----------------------------------------------------------
-
-
-def row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, equal bit for bit to np.linalg.norm(row)."""
-    return np.sqrt(np.vecdot(v, v))
 
 
 def sample_path(path: SmoothPath, ts) -> np.ndarray:

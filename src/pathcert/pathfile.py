@@ -107,20 +107,16 @@ def witness_from_dict(data: dict) -> WitnessSequence:
         raise InputError("'pairs' must be a non-empty list")
     points = []
     directions = []
-    explicit = None
     for i, pair in enumerate(pairs):
         if not isinstance(pair, dict) or "x" not in pair:
             raise InputError(f"pair {i} must be an object with an 'x' key")
-        has_y = "y" in pair
-        if explicit is None:
-            explicit = has_y
-        elif explicit != has_y:
-            raise InputError("either every pair carries 'y' or none does")
         with _malformed(f"pair {i}"):
             points.append(_vector(pair["x"], f"pair {i} x"))
-            if has_y:
+            if "y" in pair:
                 directions.append(_vector(pair["y"], f"pair {i} y"))
-    witness = WitnessSequence.ingest(points, directions if explicit else None)
+    if directions and len(directions) != len(points):
+        raise InputError("either every pair carries 'y' or none does")
+    witness = WitnessSequence.ingest(points, directions or None)
     if witness.dimension != dimension:
         raise InputError(
             f"witness points have dimension {witness.dimension}, "

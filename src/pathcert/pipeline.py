@@ -76,11 +76,10 @@ def build_path(
         cover: SphereCover = build_sphere_cover(
             witness.dimension, half_angle, seed=seed
         )
-    points = witness.points()
     with _stage("cone"):
-        cone, captured = select_dominant_cone(points, cover)
+        cone, captured = select_dominant_cone(witness.x, cover)
     with _stage("parity"):
-        parity, _ = select_parity([points[i] for i in captured])
+        parity, _ = select_parity(witness.x[captured])
     with _stage("anchors"):
         anchors = build_anchor_sequence(witness, cone, parity, k_max + 1)
         if len(anchors.matched) < MIN_MATCHED:

@@ -1,8 +1,10 @@
 """Witness sequences, anchor selection, and the piecewise-affine skeleton.
 
-A witness sequence is a finite list of pairs (x_i, y_i) with x_i nonzero
-points in the closed unit ball and y_i unit vectors satisfying
-x_i . y_i >= 0.  Anchors are picked one per shell of a fixed parity:
+A witness sequence holds pairs (x_k, y_k), nonzero points x_k in the closed
+unit ball and unit vectors y_k with x_k . y_k >= 0, as the rows of two
+(m, n) arrays; its checks, ``ingest`` and anchor selection take whole arrays
+through ``vector_norms``, ``shell_indices`` and ``cone_contains_many``.
+Anchors are picked one per shell of a fixed parity:
 anchor k of 'even' parity lives in shell 2k (1/(2k+1) < ||a_k|| <= 1/(2k)),
 of 'odd' parity in shell 2k-1.  A witness point in the right shell and
 inside the chosen cone becomes the anchor (lowest witness index wins);
@@ -32,7 +34,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DomainError, InputError
-from .geometry import ConeSpec, UnitDirection, cone_contains_many, shell_index, vector_norm
+from .geometry import ConeSpec, UnitDirection, cone_contains_many, require_rows, shell_indices
+from .geometry import stack_rows, vector_norm, vector_norms
 
 _TIME_TOL = 1e-12
 _CONTINUITY_TOL = 1e-12
@@ -78,80 +81,73 @@ def breakpoints_for(k: int, parity: str, radius: float) -> tuple[float, float, f
 
 @dataclass(frozen=True, eq=False)
 class WitnessSequence:
-    """Validated point/derivative pairs, rescaled into the unit ball.
+    """The paper's x_k and y_k as the rows of two read-only (m, n) arrays.
 
+    All rows are checked at once, and an error names the first bad index.
     ``scale`` is the factor the raw points were multiplied by (1 when no
     rescaling was needed).
     """
 
-    dimension: int
-    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
+    x: np.ndarray
+    y: np.ndarray
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise InputError("dimension must be >= 1")
-        if not self.pairs:
-            raise InputError("a witness sequence needs at least one pair")
-        frozen = []
-        for i, (x, y) in enumerate(self.pairs):
-            xv = np.array(x, dtype=float)
-            yv = np.array(y, dtype=float)
-            if xv.shape != (self.dimension,) or yv.shape != (self.dimension,):
-                raise InputError(f"pair {i} does not have dimension {self.dimension}")
-            if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(yv))):
-                raise InputError(f"pair {i} has non-finite entries")
-            norm = vector_norm(xv, f"pair {i}: point")
-            if not (0.0 < norm <= 1.0):
-                raise InputError(
-                    f"pair {i}: point norm must lie in (0, 1], got {norm!r}"
-                )
-            if abs(vector_norm(yv, f"pair {i}: derivative direction") - 1.0) > 1e-12:
-                raise InputError(f"pair {i}: derivative direction is not unit")
-            if float(xv @ yv) < -1e-12:
-                raise InputError(
-                    f"pair {i}: point and direction must satisfy x . y >= 0"
-                )
-            xv.setflags(write=False)
-            yv.setflags(write=False)
-            frozen.append((xv, yv))
-        object.__setattr__(self, "pairs", tuple(frozen))
+        x = np.array(self.x, dtype=float)
+        y = np.array(self.y, dtype=float)
+        if x.ndim != 2 or 0 in x.shape:
+            raise InputError(f"witness points must form a nonempty (m, n) array, got {x.shape}")
+        if y.shape != x.shape:
+            raise InputError(f"directions of shape {y.shape} do not pair with points {x.shape}")
+        finite = np.all(np.isfinite(x) & np.isfinite(y), axis=1)
+        require_rows(finite, "pair {} has non-finite entries")
+        norms = vector_norms(x, "pair {}: point")
+        require_rows((0.0 < norms) & (norms <= 1.0), "pair {}: point norm must lie in (0, 1]")
+        unit = np.abs(vector_norms(y, "pair {}: derivative direction") - 1.0) <= 1e-12
+        require_rows(unit, "pair {}: derivative direction is not unit")
+        dot_ok = np.vecdot(x, y) >= -1e-12
+        require_rows(dot_ok, "pair {}: point and direction must satisfy x . y >= 0")
         if not (0.0 < self.scale <= 1.0 + 1e-12):
             raise InputError(f"scale must lie in (0, 1], got {self.scale!r}")
+        for name, arr in (("x", x), ("y", y)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def dimension(self) -> int:
+        return int(self.x.shape[1])
+
+    @property
+    def pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        return tuple(zip(self.x, self.y))
 
     @classmethod
     def ingest(cls, points: Iterable, directions: Iterable | None = None) -> "WitnessSequence":
         """Build a sequence from raw points, rescaling into the unit ball.
 
-        When ``directions`` is omitted every y_i defaults to the radial
-        direction x_i / ||x_i|| (computed after rescaling; the direction
+        When ``directions`` is omitted every y_k defaults to the radial
+        direction x_k / ||x_k|| (computed after rescaling; the direction
         is scale invariant).
         """
-        xs = [np.asarray(p, dtype=float) for p in points]
-        if not xs:
-            raise InputError("a witness sequence needs at least one pair")
-        dimension = xs[0].size
-        norms = []
-        for i, x in enumerate(xs):
-            if x.ndim != 1 or x.size != dimension:
-                raise InputError(f"point {i} does not have dimension {dimension}")
-            n = vector_norm(x, f"point {i}")
-            if n == 0.0:
-                raise InputError(f"point {i} is the origin")
-            norms.append(n)
-        top = max(norms)
+        x = stack_rows(points, "point")
+        norms = vector_norms(x, "point {}")
+        require_rows(norms != 0.0, "point {} is the origin")
+        top = float(np.max(norms))
         scale = 1.0 if top <= 1.0 else 1.0 / top
-        xs = [x * scale for x in xs]
+        # rounding can leave the longest scaled norm an ulp above 1
+        while np.max(norms := vector_norms(x * scale, "point {}")) > 1.0:
+            scale = float(np.nextafter(scale, 0.0))
+        x = x * scale
         if directions is None:
-            ys = [x / vector_norm(x, "point") for x in xs]
+            y = x / norms[:, None]
         else:
-            ys = [np.asarray(d, dtype=float) for d in directions]
-            if len(ys) != len(xs):
+            y = stack_rows(directions, "direction")
+            if len(y) != len(x):
                 raise InputError("points and directions must have equal length")
-        return cls(dimension=dimension, pairs=tuple(zip(xs, ys)), scale=scale)
+        return cls(x, y, scale)
 
-    def points(self) -> list[np.ndarray]:
-        return [x for x, _ in self.pairs]
+    def points(self) -> np.ndarray:
+        return self.x
 
 
 # ---- anchors ------------------------------------------------------------
@@ -216,16 +212,14 @@ class AnchorSequence:
         if any(not (1 <= k <= len(self.entries)) for k in matched_ks):
             raise InputError("matched refers to an anchor index outside 1..K")
         matched_ks = set(matched_ks)
-        if any(entry.a.size != self.dimension for entry in self.entries):
-            raise InputError("anchor positions and the cone differ in dimension")
-        in_cone = cone_contains_many(
-            self.cone.axis.coords[None, :], np.stack([entry.a for entry in self.entries])
-        )[0]
+        positions = stack_rows([entry.a for entry in self.entries], "anchor position")
+        in_cone = cone_contains_many(self.cone.axis.coords[None, :], positions)[0]
+        radii = vector_norms(positions, "row {} of the anchor positions").tolist()
         for pos, entry in enumerate(self.entries, start=1):
             if entry.k != pos:
                 raise InputError("anchor indices must run 1..K without gaps")
             lo, hi = shell_bounds(anchor_shell(entry.k, self.parity))
-            radius = float(np.linalg.norm(entry.a))
+            radius = radii[pos - 1]
             if not (lo < radius <= hi):
                 raise InputError(
                     f"anchor {entry.k} radius {radius!r} outside its shell ({lo}, {hi}]"
@@ -266,36 +260,27 @@ def build_anchor_sequence(
     A witness pair is eligible for anchor k when its point lies in the
     cone and in shell(k, parity); the lowest witness index wins.  Empty
     shells receive fillers on the cone axis at the shell midpoint radius.
+    The cone test rejects a witness of another dimension than the cone.
     """
-    if witness.dimension != cone.dimension:
-        raise InputError("witness and cone dimensions differ")
     if count < 2:
         raise InputError("at least two anchors are required")
     if parity not in PARITIES:
         raise InputError(f"parity must be 'even' or 'odd', got {parity!r}")
-    in_cone = cone_contains_many(cone.axis.coords[None, :], np.stack(witness.points()))[0]
-    shells = [shell_index(x) for x, _ in witness.pairs]
+    inside = np.flatnonzero(cone_contains_many(cone.axis.coords[None, :], witness.x)[0])
+    first_in_shell: dict[int, int] = {}
+    for i, shell in zip(inside.tolist(), shell_indices(witness.x[inside])):
+        first_in_shell.setdefault(shell, i)
     entries = []
     matched = []
-    axis = cone.axis.coords
     for k in range(1, count + 1):
         s = anchor_shell(k, parity)
-        pick = None
-        for i, (x, y) in enumerate(witness.pairs):
-            if in_cone[i] and shells[i] == s:
-                pick = i
-                break
+        pick = first_in_shell.get(s)
         if pick is not None:
-            x, y = witness.pairs[pick]
-            a = x
-            b = UnitDirection(y)
-            source = "given"
+            a, b, source = witness.x[pick], UnitDirection(witness.y[pick]), "given"
             matched.append((k, pick))
         else:
             lo, hi = shell_bounds(s)
-            a = (0.5 * (lo + hi)) * axis
-            b = cone.axis
-            source = "filler"
+            a, b, source = (0.5 * (lo + hi)) * cone.axis.coords, cone.axis, "filler"
         t0, t1, t2 = breakpoints_for(k, parity, float(np.linalg.norm(a)))
         entries.append(AnchorEntry(k=k, a=a, b=b, source=source, t0=t0, t1=t1, t2=t2))
     return AnchorSequence(

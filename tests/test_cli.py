@@ -279,6 +279,17 @@ MALFORMED_INPUTS = {
     "pair-coordinate-huge-integer": _witness_file(
         {"dimension": 2, "pairs": [{"x": [10**400, 0.4]}]}
     ),
+    "pair-x-of-another-length": _witness_file(
+        {"dimension": 2, "pairs": [{"x": [0.4, 0.4]}, {"x": [0.2, 0.2, 0.2]}]}
+    ),
+    "pair-y-shorter-than-x": _witness_file(
+        {"dimension": 2, "pairs": [{"x": [0.4, 0.0], "y": [1.0]}]}
+    ),
+    "pair-y-lengths-differ": _witness_file(
+        {"dimension": 2, "pairs": [
+            {"x": [0.4, 0.0], "y": [1.0, 0.0]}, {"x": [0.2, 0.0], "y": [1.0, 0.0, 0.0]}
+        ]}
+    ),
     "anchor-a-norm-overflows": _edit_path_file(
         lambda doc: doc["anchors"][0].update(a=[1e308, 1e308])
     ),

@@ -23,7 +23,9 @@ from pathcert.geometry import (
     select_dominant_cone,
     select_parity,
     shell_index,
+    shell_indices,
     vector_norm,
+    vector_norms,
 )
 from pathcert.skeleton import shell_bounds
 
@@ -592,6 +594,54 @@ def test_vector_norm_keeps_bits_and_survives_extremes():
     assert vector_norm(np.zeros(3), "v") == 0.0
     with pytest.raises(InputError, match="v is too large: its norm overflows float64"):
         vector_norm(np.array([1e308, 1e308]), "v")
+
+
+def _norm_of_one_row(row: np.ndarray) -> float:
+    """The per-row formula: np.linalg.norm, recomputed on row / max|row|
+    where the squares underflow to 0."""
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(row))
+        if norm == 0.0 and np.any(row):
+            top = float(np.max(np.abs(row)))
+            norm = top * float(np.linalg.norm(row / top))
+    return norm
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3, 5, 17])
+def test_vector_norms_keep_the_bits_of_the_per_row_formula(dimension):
+    """Each batched norm has the bits of the formula on its row alone, tiny,
+    zero, infinite and strided rows included; the first overflowing row is named."""
+    rng = np.random.default_rng(dimension)
+    special = np.zeros((7, dimension))
+    special[1, 0] = 5e-324
+    special[2] = 1e-200
+    special[3, -1] = -1e-200
+    special[4, 0] = 3e-162  # squares subnormal, not 0
+    special[5, 0] = -1e154  # its square still fits in a float
+    special[6, -1] = math.inf
+    scales = np.exp(rng.uniform(-420.0, 340.0, size=(300, 1)))
+    rows = np.concatenate([special, rng.standard_normal((300, dimension)) * scales])
+    expected = np.array([_norm_of_one_row(row) for row in rows])
+    for batch in (rows, np.asfortranarray(rows)):
+        got = vector_norms(batch, "row {}")
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert [vector_norm(row, "row") for row in rows] == expected.tolist()
+    rows[[40, 90]] = 1e308
+    rows[90, 0] = -1e308
+    with pytest.raises(InputError, match=r"^row 40 is too large: its norm overflows float64$"):
+        vector_norms(rows, "row {}")
+
+
+def test_shell_indices_match_shell_index():
+    """The batched shell indices equal one-row calls on shell boundaries,
+    their neighbouring floats and tiny radii."""
+    radii = [2.0**-50, 2.0**-51, 1e-17, 1e-200, 5e-324]
+    for k in range(1, 80):
+        radii += [1.0 / k, np.nextafter(1.0 / k, 0.0), np.nextafter(1.0 / (k + 1), 1.0)]
+    rows = np.array(radii)[:, None] * np.array([0.6, 0.8])
+    rows = np.concatenate([rows, [[3e-162, 1e-162], [1.0, 0.0]]])
+    assert shell_indices(rows) == [shell_index(row) for row in rows]
+    assert shell_indices(np.empty((0, 2))) == []
 
 
 def test_shell_index_range_errors():

@@ -56,6 +56,17 @@ def test_rational_fields_of_a_tiny_point():
     assert rational2d([1e-200, 1e-200]) == 1.0
     assert rational3d([1e-200, 1e-200, 0.0]) == 1.0
     assert rational3d([5e-324] * 3) == pytest.approx(2.0 / 3.0, rel=1e-15)
+    # squares that are subnormal but not 0: the field is scale invariant,
+    # so the point scaled by an exact power of two is the reference
+    for field, x in (
+        (rational2d, [-6.894445735998655e-163, 1.6529164142023946e-162]),
+        (rational2d, [3e-162, 1e-162]),
+        (rational2d, [1.57e-162, 4.9e-163]),
+        (rational3d, [3e-162, 1e-162, 1e-162]),
+    ):
+        expected = field(np.array(x) * 2.0**540)
+        assert abs(expected) > 0.5
+        assert field(x) == pytest.approx(expected, rel=1e-14)
 
 
 def test_parabola_is_squared_norm():
@@ -83,6 +94,11 @@ def test_ray_bump_of_a_tiny_point():
         d = field.dimension
         assert field(np.full(d, 1e-200)) == pytest.approx(1.0, rel=1e-14)
         assert field(np.full(d, 5e-324)) == pytest.approx(1.0, rel=1e-14)
+    # (x . axis)^2 subnormal but not 0; the bump lies in [0, 1]
+    field = get_builtin_field("ray_bump2d")
+    x = np.array([1.14238012030717e-162, 1.1486402373392284e-162])
+    assert field(x) == pytest.approx(field(x * 2.0**540), rel=1e-14)
+    assert 0.9999 < field(x) <= 1.0
 
 
 def test_field_rejects_wrong_shape():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import witness_fixture
+from conftest import FIXTURE_DIMENSIONS, FIXTURE_KINDS, witness_fixture
 
 from pathcert.errors import DomainError, InputError
 from pathcert.geometry import ConeSpec, UnitDirection
@@ -64,13 +64,13 @@ def test_breakpoints_for_ordering():
 
 def test_witness_rejects_bad_pairs():
     with pytest.raises(InputError):
-        WitnessSequence(dimension=2, pairs=((np.array([0.3, 0.0]), np.array([1.0, 1.0])),))
+        WitnessSequence(np.array([[0.3, 0.0]]), np.array([[1.0, 1.0]]))
     with pytest.raises(InputError):
-        WitnessSequence(dimension=2, pairs=((np.array([0.3, 0.0]), np.array([-1.0, 0.0])),))
+        WitnessSequence(np.array([[0.3, 0.0]]), np.array([[-1.0, 0.0]]))
     with pytest.raises(InputError):
-        WitnessSequence(dimension=2, pairs=((np.array([0.0, 0.0]), E1),))
+        WitnessSequence(np.array([[0.0, 0.0]]), np.array([E1]))
     with pytest.raises(InputError):
-        WitnessSequence(dimension=2, pairs=())
+        WitnessSequence(np.empty((0, 2)), np.empty((0, 2)))
 
 
 def test_witness_ingest_rescales_into_unit_ball():
@@ -107,6 +107,71 @@ def test_witness_explicit_directions_checked():
         WitnessSequence.ingest(points, [np.array([0.0, -2.0])])
     w = WitnessSequence.ingest(points, [np.array([0.0, 1.0])])
     assert float(w.pairs[0][1][1]) == 1.0
+
+
+def _ingest_one_row_at_a_time(points, directions):
+    """The per-point arithmetic ``ingest`` batches: each norm by np.linalg.norm
+    (over max|x| where the squares underflow to 0), one scale for all, taken
+    an ulp lower while a scaled norm exceeds 1, and each radial y as the
+    scaled point over its own norm."""
+
+    def norm(x):
+        top = float(np.max(np.abs(x)))
+        n = float(np.linalg.norm(x))
+        return top * float(np.linalg.norm(x / top)) if n == 0.0 and top > 0.0 else n
+
+    xs = [np.asarray(p, dtype=float) for p in points]
+    top = max(norm(x) for x in xs)
+    scale = 1.0 if top <= 1.0 else 1.0 / top
+    while max(norm(x * scale) for x in xs) > 1.0:
+        scale = float(np.nextafter(scale, 0.0))
+    xs = [x * scale for x in xs]
+    if directions is None:
+        ys = [x / norm(x) for x in xs]
+    else:
+        ys = [np.asarray(d, dtype=float) for d in directions]
+    return np.stack(xs), np.stack(ys), scale
+
+
+@pytest.mark.parametrize("dimension", FIXTURE_DIMENSIONS)
+@pytest.mark.parametrize("kind", [*FIXTURE_KINDS, "scaled"])
+def test_ingest_keeps_the_bits_of_the_per_row_reference(monkeypatch, kind, dimension):
+    """``ingest`` of every conftest witness, and of raw points that need
+    rescaling and hold a tiny point, equals the per-row arithmetic bit for bit."""
+    seen = []
+    ingest = WitnessSequence.ingest.__func__
+
+    def recording(cls, points, directions=None):
+        seen.append((points, directions))
+        return ingest(cls, points, directions)
+
+    monkeypatch.setattr(WitnessSequence, "ingest", classmethod(recording))
+    if kind == "scaled":
+        rng = np.random.default_rng(dimension)
+        raw = [rng.standard_normal(dimension) * 10.0**e for e in (3.0, 0.0, -1.0, -150.0, -200.0)]
+        witness = WitnessSequence.ingest(raw)
+    else:
+        witness = witness_fixture(kind, dimension)
+    [(points, directions)] = seen
+    x, y, scale = _ingest_one_row_at_a_time(points, directions)
+    assert witness.scale == scale
+    assert np.array_equal(witness.x.view(np.int64), x.view(np.int64))
+    assert np.array_equal(witness.y.view(np.int64), y.view(np.int64))
+    assert not witness.x.flags.writeable and not witness.y.flags.writeable
+    assert witness.points() is witness.x
+    pairs = [(a.tolist(), b.tolist()) for a, b in witness.pairs]
+    assert pairs == list(zip(x.tolist(), y.tolist()))
+
+
+def test_ingest_keeps_a_rescaled_point_inside_the_unit_ball():
+    """1 / ||x|| can scale the longest point to a norm an ulp above 1; the
+    scale is then taken an ulp lower instead of rejecting the data."""
+    longest = np.array([189.05338179353308, -522.7484414807474])
+    top = float(np.linalg.norm(longest))
+    assert float(np.linalg.norm(longest * (1.0 / top))) > 1.0
+    w = WitnessSequence.ingest([longest, np.array([0.1, 0.1])])
+    assert w.scale == np.nextafter(1.0 / top, 0.0)
+    assert float(np.linalg.norm(w.x[0])) == 1.0
 
 
 # ---- anchor sequences ---------------------------------------------------
