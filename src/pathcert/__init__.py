@@ -48,7 +48,6 @@ from .harness import (
 )
 from .mollifier import (
     BumpKernel,
-    MollificationWindow,
     SmoothPath,
     build_smooth_path,
     dense_grid,
@@ -61,7 +60,6 @@ from .mollifier import (
 )
 from .pipeline import PathBuild, build_path
 from .skeleton import (
-    AnchorEntry,
     AnchorSequence,
     PiecewiseAffinePath,
     WitnessSequence,

@@ -83,45 +83,3 @@ def generate_points(spec: GeneratorSpec) -> np.ndarray:
     else:
         directions = _spiral_directions(spec.count, spec.dimension)
     return radii[:, None] * directions
-
-
-def cone_confined_points(
-    rng: np.random.Generator,
-    dimension: int,
-    axis,
-    max_angle: float,
-    count: int,
-    start: float = DEFAULT_START,
-    stop: float = DEFAULT_STOP,
-) -> list[np.ndarray]:
-    """Random points within max_angle of an axis, geometric norms.
-
-    Helper for stress fixtures; not a generator kind of its own.
-    """
-    u = np.asarray(axis, dtype=float)
-    u = u / np.linalg.norm(u)
-    if not (0.0 < max_angle < math.pi / 2.0):
-        raise InputError("max_angle must lie in (0, pi/2)")
-    radii = np.geomspace(start, stop, count)
-    points = []
-    for r in radii:
-        phi = float(rng.uniform(0.0, max_angle))
-        if dimension == 1:
-            direction = u
-        elif dimension == 2:
-            sign = 1.0 if rng.uniform() < 0.5 else -1.0
-            c, s = math.cos(sign * phi), math.sin(sign * phi)
-            direction = np.array(
-                [c * u[0] - s * u[1], s * u[0] + c * u[1]]
-            )
-        else:
-            w = rng.standard_normal(dimension)
-            w -= (w @ u) * u
-            norm = float(np.linalg.norm(w))
-            if norm < 1e-12:
-                direction = u
-            else:
-                w /= norm
-                direction = math.cos(phi) * u + math.sin(phi) * w
-        points.append(r * direction)
-    return points

@@ -67,13 +67,16 @@ _MAX_COVER_SIZE = 1 << 21
 # entries of one (directions x points) block; bounds the temporaries of
 # cone selection and cover verification independently of the cover size
 _BLOCK_ENTRIES = 1 << 20
+# below this norm a row's sum of squares is subnormal or 0
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
 
-def require_rows(ok: np.ndarray, message: str) -> None:
-    """Raise InputError(message) at the first False entry of ``ok``, ``{}`` its index."""
+def require_rows(ok: np.ndarray, message: str, first: int = 0) -> None:
+    """Raise InputError(message) at the first False entry of ``ok``, ``{}`` its
+    index counted from ``first``."""
     bad = np.flatnonzero(~ok)
     if bad.size:
-        raise InputError(message.format(int(bad[0])))
+        raise InputError(message.format(int(bad[0]) + first))
 
 
 def stack_rows(values, what: str) -> np.ndarray:
@@ -99,25 +102,28 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
-def vector_norms(rows, what: str) -> np.ndarray:
+def vector_norms(rows, what: str, first: int = 0) -> np.ndarray:
     """Norm of each row of an (m, n) array of input vectors, with the bits
     np.linalg.norm gives that row alone and no overflow or underflow warning.
 
-    A nonzero row whose squares underflow to 0 is recomputed on the row over
-    its largest magnitude, so a tiny vector is not taken for the origin.  The
-    first finite row whose norm overflows raises an InputError, as every later
-    dot product on it would overflow too; ``what`` names it, ``{}`` its index.
+    A nonzero row whose norm lies below sqrt(tiny), where the sum of squares
+    is subnormal or 0 and has lost bits, is recomputed on the row over its
+    largest magnitude, so a tiny vector keeps its true norm.  The first
+    finite row whose norm overflows raises an InputError, as every later dot
+    product on it would overflow too; ``what`` names it, ``{}`` its index
+    counted from ``first``.
     """
     rows = np.asarray(rows, dtype=float)
     with np.errstate(over="ignore", under="ignore"):
         norms = row_norms(rows)
-        tiny = (norms == 0.0) & np.any(rows, axis=1)
+        tiny = (norms < _SQRT_TINY) & np.any(rows, axis=1)
         if np.any(tiny):
             top = np.max(np.abs(rows[tiny]), axis=1)
             norms[tiny] = top * row_norms(rows[tiny] / top[:, None])
     require_rows(
         (norms != math.inf) | ~np.all(np.isfinite(rows), axis=1),
         f"{what} is too large: its norm overflows float64",
+        first,
     )
     return norms
 

@@ -254,12 +254,9 @@ def certify_discontinuity(
 
     domain_inf = path.domain[0]
     grid = dense_grid(path, per_decade=1024, per_window=32)
-    anchor_times = [
-        build.anchors.entry(k).t0
-        for k, _ in build.anchors.matched
-        if build.anchors.entry(k).t0 > domain_inf
-    ]
-    ts = sorted_unique(np.concatenate([grid, np.asarray(anchor_times)]))
+    anchor_times = build.anchors.times[build.anchors.given, 0]
+    anchor_times = anchor_times[anchor_times > domain_inf]
+    ts = sorted_unique(np.concatenate([grid, anchor_times]))
     field_values = field.values(eval_smooth_many(path, ts))
     finite_mask = np.isfinite(field_values)
     magnitudes = np.abs(field_values[finite_mask])
@@ -267,7 +264,7 @@ def certify_discontinuity(
 
     # the smallest rung must keep a matched anchor (or at least one
     # sample) below it, so the deepest sup still sees witness data
-    floor = min(anchor_times) if anchor_times else domain_inf
+    floor = float(anchor_times.min()) if anchor_times.size else domain_inf
     ladder = _delta_ladder(domain_inf, floor, extra_deltas)
     ladder = [d for d in ladder if d > float(finite_ts.min())]
     if not ladder:

@@ -6,10 +6,11 @@ The kernel is the classical bump (Friedrichs, Trans. AMS 55, 1944)
 
 with the stored constant c = KERNEL_C giving unit mass over (-1, 1);
 every average below uses the one ``make_kernel()``.  The smooth path
-``SmoothPath(skeleton, windows)`` is defined on the skeleton's domain and
+``SmoothPath(skeleton, lo, hi, h)`` is defined on the skeleton's domain and
 agrees with the skeleton outside a family of disjoint windows, one per
-pair of consecutive anchors; inside window k the path is the local
-average
+pair of consecutive anchors, held once as the three arrays of their edges
+and half-widths that validation and evaluation read whole; inside window
+k the path is the local average
 
     s(t) = integral rho(u) * skeleton(t - u * h_k) du over (-1, 1)
 
@@ -40,13 +41,14 @@ closed forms at x = 0, so nothing here computes a quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, InputError
-from .geometry import row_norms
+from .geometry import require_rows, row_norms
 from .skeleton import (
     AnchorSequence,
     PiecewiseAffinePath,
@@ -84,80 +86,47 @@ def make_kernel() -> BumpKernel:
     return BumpKernel(KERNEL_C)
 
 
-# ---- windows ------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class MollificationWindow:
-    """Closed interval [lo, hi] mollified with half-width h."""
-
-    k: int
-    lo: float
-    hi: float
-    h: float
-
-    def __post_init__(self) -> None:
-        if not (self.lo < self.hi):
-            raise InputError(f"window {self.k}: lo must stay below hi")
-        if not (self.h > 0.0):
-            raise InputError(f"window {self.k}: half-width must be positive")
-
-
-def windows_for_anchors(anchors: AnchorSequence) -> tuple[MollificationWindow, ...]:
-    """One window per consecutive anchor pair, ascending in t."""
-    entries = anchors.entries
-    windows = []
-    for k in range(len(entries) - 1, 0, -1):
-        upper = entries[k - 1]
-        lower = entries[k]
-        lo = 0.5 * (lower.t0 + upper.t2)
-        hi = 0.5 * (upper.t1 + upper.t0)
-        h = 0.25 * (upper.t0 - upper.t1)
-        windows.append(MollificationWindow(k=k, lo=lo, hi=hi, h=h))
-    return tuple(windows)
-
-
 # ---- smooth path --------------------------------------------------------
+
+
+_WindowRecord = namedtuple("_WindowRecord", "lo hi")
 
 
 @dataclass(frozen=True, eq=False)
 class SmoothPath:
     """Windowed mollification of a piecewise-affine skeleton.
 
-    Valid parameters are lo < t <= hi for (lo, hi) = skeleton.domain.
-    Outside every window the path coincides with the skeleton.
+    Window i is the closed interval [lo[i], hi[i]], averaged with half-width
+    h[i]; the three read-only arrays ascend in t.  Valid parameters are
+    lo < t <= hi for (lo, hi) = skeleton.domain.  Outside every window the
+    path coincides with the skeleton.
     """
 
     skeleton: PiecewiseAffinePath
-    windows: tuple[MollificationWindow, ...]
-    _lo: np.ndarray = field(init=False, repr=False)
-    _hi: np.ndarray = field(init=False, repr=False)
-    _h: np.ndarray = field(init=False, repr=False)
+    lo: np.ndarray
+    hi: np.ndarray
+    h: np.ndarray
 
     def __post_init__(self) -> None:
-        skel_lo, skel_hi = self.skeleton.domain
-        lo = np.array([w.lo for w in self.windows], dtype=float)
-        hi = np.array([w.hi for w in self.windows], dtype=float)
-        h = np.array([w.h for w in self.windows], dtype=float)
+        lo, hi, h = (np.array(v, dtype=float) for v in (self.lo, self.hi, self.h))
+        if lo.ndim != 1 or hi.shape != lo.shape or h.shape != lo.shape:
+            raise InputError("window edges and half-widths must be 1-d arrays of one length")
+        require_rows(lo < hi, "window {}: lo must stay below hi")
+        require_rows(h > 0.0, "window {}: half-width must be positive")
         if np.any(np.diff(lo) <= 0.0) or np.any(lo[1:] <= hi[:-1]):
             raise InputError("windows must be ascending and disjoint")
-        for w in self.windows:
-            if w.lo - w.h <= skel_lo or w.hi + w.h > skel_hi + 1e-12:
-                raise InputError(
-                    f"window {w.k} widened by h leaves the skeleton range"
-                )
-            inner = self.skeleton.breakpoints
-            covered = (inner > w.lo - w.h) & (inner < w.hi + w.h)
-            kinks = inner[covered]
-            if np.any((kinks < w.lo + w.h) | (kinks > w.hi - w.h)):
-                raise InputError(
-                    f"window {w.k} has a slope change too close to its edge"
-                )
-        for arr in (lo, hi, h):
+        skel_lo, skel_hi = self.skeleton.domain
+        inside = (lo - h > skel_lo) & (hi + h <= skel_hi + 1e-12)
+        require_rows(inside, "window {} widened by h leaves the skeleton range")
+        # no breakpoint may lie within h of an edge, on either side of it
+        bp = self.skeleton.breakpoints
+        lo_clear, hi_clear = (
+            np.searchsorted(bp, e + h) == np.searchsorted(bp, e - h, "right") for e in (lo, hi)
+        )
+        require_rows(lo_clear & hi_clear, "window {} has a slope change too close to its edge")
+        for name, arr in (("lo", lo), ("hi", hi), ("h", h)):
             arr.setflags(write=False)
-        object.__setattr__(self, "_lo", lo)
-        object.__setattr__(self, "_hi", hi)
-        object.__setattr__(self, "_h", h)
+            object.__setattr__(self, name, arr)
 
     @property
     def dimension(self) -> int:
@@ -167,25 +136,40 @@ class SmoothPath:
     def domain(self) -> tuple[float, float]:
         return self.skeleton.domain
 
+    @property
+    def windows(self) -> tuple[_WindowRecord, ...]:
+        """Per-window (lo, hi) records, built on access.  A view kept only for
+        the benchmark's row counts in perfbench; the program reads ``lo``,
+        ``hi`` and ``h``."""
+        return tuple(map(_WindowRecord, self.lo.tolist(), self.hi.tolist()))
+
     def window_indices(self, ts: np.ndarray) -> np.ndarray:
-        """Per parameter, the index into windows of the one holding it, else -1."""
-        idx = np.searchsorted(self._lo, ts, side="right") - 1
-        if self._hi.size:
-            idx[~(ts <= self._hi[np.clip(idx, 0, None)])] = -1
+        """Per parameter, the index of the window holding it, else -1."""
+        idx = np.searchsorted(self.lo, ts, side="right") - 1
+        if self.hi.size:
+            idx[~(ts <= self.hi[np.clip(idx, 0, None)])] = -1
         return idx
 
     def window_index(self, t: float) -> int:
-        """Index into windows if t lies in one, else -1."""
+        """Index of the window holding t, else -1."""
         return int(self.window_indices(np.array([float(t)]))[0])
 
 
 def build_smooth_path(
     anchors: AnchorSequence, skeleton: PiecewiseAffinePath | None = None
 ) -> SmoothPath:
-    """Mollify the skeleton of an anchor sequence on its window family."""
+    """Mollify the skeleton of an anchor sequence on its windows, one per
+    consecutive anchor pair, ascending in t."""
     if skeleton is None:
         skeleton = build_skeleton(anchors)
-    return SmoothPath(skeleton=skeleton, windows=windows_for_anchors(anchors))
+    times = anchors.times[::-1]
+    lower_t0, t0, t1, t2 = times[:-1, 0], times[1:, 0], times[1:, 1], times[1:, 2]
+    return SmoothPath(
+        skeleton=skeleton,
+        lo=0.5 * (lower_t0 + t2),
+        hi=0.5 * (t1 + t0),
+        h=0.25 * (t0 - t1),
+    )
 
 
 # ---- kernel mass and moment -------------------------------------------
@@ -324,7 +308,7 @@ def _eval_batch(path: SmoothPath, ts, derivative: bool) -> np.ndarray:
     windowed = np.nonzero(idx >= 0)[0]
     if windowed.size:
         out[windowed] = _mollified_rows(
-            path.skeleton, arr[windowed], path._h[idx[windowed]], derivative
+            path.skeleton, arr[windowed], path.h[idx[windowed]], derivative
         )
     return out
 
@@ -395,8 +379,6 @@ def dense_grid(
     start = np.nextafter(lo, hi)
     decades = math.log10(hi / start)
     count = max(int(math.ceil(per_decade * decades)), 2)
-    parts = [np.geomspace(start, hi, count)]
-    for w in path.windows:
-        parts.append(np.linspace(w.lo, w.hi, per_window))
-    grid = sorted_unique(np.concatenate(parts))
+    windows = np.linspace(path.lo, path.hi, per_window, axis=1).ravel()
+    grid = sorted_unique(np.concatenate([np.geomspace(start, hi, count), windows]))
     return grid[(grid > lo) & (grid <= hi)]

@@ -10,18 +10,20 @@ and an atomic rename.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from contextlib import contextmanager
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import InputError
 from .generators import GeneratorSpec, generate_points
-from .geometry import ConeSpec, UnitDirection
+from .geometry import ConeSpec, UnitDirection, require_rows
 from .mollifier import KERNEL_C, build_smooth_path
 from .pipeline import PathBuild
-from .skeleton import AnchorEntry, AnchorSequence, WitnessSequence
+from .skeleton import AnchorSequence, WitnessSequence
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -63,11 +65,19 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
+def _numbers(value, what: str, n: int | None = None) -> list:
+    """A JSON list of numbers (of length n if given); a string, boolean or
+    list entry is rejected."""
+    if not isinstance(value, list) or n not in (None, len(value)):
+        size = "" if n is None else f"{n} "
+        raise InputError(f"{what} must be a list of {size}numbers, got {value!r}")
+    for v in value:
+        _number(v, f"{what} coordinate")
+    return value
+
+
 def _vector(value, what: str) -> np.ndarray:
-    """A JSON list of numbers; a string, boolean or list entry is rejected."""
-    if not isinstance(value, list):
-        raise InputError(f"{what} must be a list of numbers, got {value!r}")
-    return np.array([_number(v, f"{what} coordinate") for v in value], dtype=float)
+    return np.array(_numbers(value, what), dtype=float)
 
 
 # ---- witness files ------------------------------------------------------
@@ -141,6 +151,8 @@ def load_witness(path: str) -> WitnessSequence:
 
 def build_to_dict(build: PathBuild) -> dict:
     anchors = build.anchors
+    times = anchors.times.tolist()
+    sources = np.where(anchors.given, "given", "filler").tolist()
     return {
         "dimension": anchors.dimension,
         "k_max": build.k_max,
@@ -148,78 +160,105 @@ def build_to_dict(build: PathBuild) -> dict:
         "half_angle": build.half_angle,
         "cover_size": build.cover_size,
         "parity": anchors.parity,
-        "cone_axis": [float(v) for v in anchors.cone.axis.coords],
+        "cone_axis": anchors.cone.axis.coords.tolist(),
         "kernel_c": KERNEL_C,
         "domain": list(build.path.domain),
         "witness_scale": build.witness.scale if build.witness is not None else 1.0,
         "matched": [[int(k), int(i)] for k, i in anchors.matched],
         "anchors": [
-            {
-                "k": entry.k,
-                "source": entry.source,
-                "a": [float(v) for v in entry.a],
-                "b": [float(v) for v in entry.b.coords],
-                "t0": entry.t0,
-                "t1": entry.t1,
-                "t2": entry.t2,
-            }
-            for entry in anchors.entries
+            {"k": k, "source": source, "a": a, "b": b, "t0": t[0], "t1": t[1], "t2": t[2]}
+            for k, source, a, b, t in zip(
+                range(1, len(times) + 1), sources, anchors.a.tolist(), anchors.b.tolist(), times
+            )
         ],
     }
+
+
+_ANCHOR_KEYS = ("k", "source", "a", "b", "t0", "t1", "t2")
+
+
+def _anchor_columns(items, n: int) -> tuple:
+    """The JSON anchors as the columns k, source, a, b, t0, t1, t2, after one
+    type-checking pass over the items; an anchor is named by its place."""
+    if not isinstance(items, list) or len(items) < 2:
+        raise InputError("anchors must be a list of at least two objects")
+    get = itemgetter(*_ANCHOR_KEYS)
+    rows = []
+    for j, item in enumerate(items, start=1):
+        try:
+            row = get(item)
+        except (KeyError, TypeError) as exc:
+            keys = ", ".join(_ANCHOR_KEYS)
+            raise InputError(f"anchor {j} must be an object with keys {keys}") from exc
+        k, source, a, b, *times = row
+        _integer(k, f"anchor {j} k")
+        if source not in ("given", "filler"):
+            raise InputError(f"anchor {j} source must be 'given' or 'filler', got {source!r}")
+        _numbers(a, f"anchor {j} a", n)
+        _numbers(b, f"anchor {j} b", n)
+        for key, t in zip(_ANCHOR_KEYS[4:], times):
+            _number(t, f"anchor {j} {key}")
+        rows.append(row)
+    return tuple(zip(*rows))
+
+
+def _require(ok: bool, key: str, rule: str, value) -> None:
+    if not ok:
+        raise InputError(f"{key} must {rule}, got {value!r}")
 
 
 def build_from_dict(data: dict) -> PathBuild:
     """Rebuild a path from its JSON form.
 
     The skeleton and windows are reconstructed from the stored anchors,
-    so a reloaded path evaluates bit for bit like the original.
+    so a reloaded path evaluates bit for bit like the original.  The
+    metadata must agree with the anchors: ``dimension`` is theirs, ``k_max``
+    is their count minus one, and ``source`` is 'given' exactly for the
+    anchors in ``matched``.
     """
     if not isinstance(data, dict):
         raise InputError("path document must be a JSON object")
-    required = {
-        "dimension",
-        "k_max",
-        "seed",
-        "half_angle",
-        "parity",
-        "cone_axis",
-        "domain",
-        "matched",
-        "anchors",
-    }
-    missing = required - set(data)
+    required = ("dimension", "k_max", "seed", "half_angle", "parity", "cone_axis", "domain")
+    missing = {*required, "matched", "anchors"} - set(data)
     if missing:
         raise InputError(f"path document misses keys: {', '.join(sorted(missing))}")
     with _malformed("path document"):
         cone = ConeSpec(UnitDirection(_vector(data["cone_axis"], "cone_axis")))
-        entries = []
-        for item in data["anchors"]:
-            entries.append(
-                AnchorEntry(
-                    k=_integer(item["k"], "anchor k"),
-                    a=_vector(item["a"], "anchor a"),
-                    b=UnitDirection(_vector(item["b"], "anchor b")),
-                    source=str(item["source"]),
-                    t0=_number(item["t0"], "anchor t0"),
-                    t1=_number(item["t1"], "anchor t1"),
-                    t2=_number(item["t2"], "anchor t2"),
-                )
-            )
+        ks, sources, a, b, t0, t1, t2 = _anchor_columns(data["anchors"], cone.dimension)
+        require_rows(np.array(ks) == np.arange(1, len(ks) + 1), "anchor {0} must have k = {0}", 1)
         anchors = AnchorSequence(
             parity=str(data["parity"]),
             cone=cone,
-            entries=tuple(entries),
+            a=np.array(a, dtype=float),
+            b=np.array(b, dtype=float),
+            times=np.column_stack([t0, t1, t2]).astype(float),
             matched=tuple(
                 (_integer(k, "matched anchor"), _integer(i, "matched witness index"))
                 for k, i in data["matched"]
             ),
         )
+        require_rows(
+            (np.array(sources) == "given") == anchors.given,
+            "anchor {}: source must be 'given' exactly when matched names it",
+            1,
+        )
+        dimension, k_max = data["dimension"], data["k_max"]
+        _require(type(dimension) is int and dimension == anchors.dimension, "dimension",
+                 f"equal the anchors' dimension {anchors.dimension}", dimension)
+        _require(_integer(k_max, "k_max") == len(ks) - 1, "k_max",
+                 f"equal the anchor count minus one, {len(ks) - 1}", k_max)
+        half_angle = _number(data["half_angle"], "half_angle")
+        _require(0.0 < half_angle < math.pi / 2.0, "half_angle", "lie in (0, pi/2)", half_angle)
+        cover_size = _integer(data.get("cover_size", 0), "cover_size")
+        _require(cover_size >= 0, "cover_size", "be a non-negative integer", cover_size)
+        scale = _number(data.get("witness_scale", 1.0), "witness_scale")
+        _require(0.0 < scale <= 1.0, "witness_scale", "lie in (0, 1]", scale)
         build = PathBuild(
             witness=None,
-            k_max=_integer(data["k_max"], "k_max"),
-            half_angle=_number(data["half_angle"], "half_angle"),
+            k_max=k_max,
+            half_angle=half_angle,
             seed=_integer(data["seed"], "seed"),
-            cover_size=_integer(data.get("cover_size", 0), "cover_size"),
+            cover_size=cover_size,
             anchors=anchors,
             path=build_smooth_path(anchors),
         )

@@ -4,6 +4,9 @@ A witness sequence holds pairs (x_k, y_k), nonzero points x_k in the closed
 unit ball and unit vectors y_k with x_k . y_k >= 0, as the rows of two
 (m, n) arrays; its checks, ``ingest`` and anchor selection take whole arrays
 through ``vector_norms``, ``shell_indices`` and ``cone_contains_many``.
+Anchors are stored the same way, as rows of the arrays a, b and times of an
+``AnchorSequence``, which selection fills, validation checks and the
+skeleton reads without a per-anchor object.
 Anchors are picked one per shell of a fixed parity:
 anchor k of 'even' parity lives in shell 2k (1/(2k+1) < ||a_k|| <= 1/(2k)),
 of 'odd' parity in shell 2k-1.  A witness point in the right shell and
@@ -28,14 +31,15 @@ the anchor times.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .errors import DomainError, InputError
-from .geometry import ConeSpec, UnitDirection, cone_contains_many, require_rows, shell_indices
-from .geometry import stack_rows, vector_norm, vector_norms
+from .geometry import ConeSpec, cone_contains_many, require_rows, shell_indices, stack_rows
+from .geometry import vector_norms
 
 _TIME_TOL = 1e-12
 _CONTINUITY_TOL = 1e-12
@@ -43,35 +47,36 @@ _CONTINUITY_TOL = 1e-12
 PARITIES = ("even", "odd")
 
 
-def anchor_shell(k: int, parity: str) -> int:
-    """Shell index assigned to anchor k under the given parity."""
-    if k < 1:
+def anchor_shell(k, parity: str):
+    """Shell index assigned to anchor k under the given parity; elementwise
+    over an integer array k."""
+    if np.any(np.asarray(k) < 1):
         raise InputError(f"anchor index must be >= 1, got {k}")
     if parity not in PARITIES:
         raise InputError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return 2 * k if parity == "even" else 2 * k - 1
+    return 2 * k - (parity == "odd")
 
 
-def shell_bounds(shell: int) -> tuple[float, float]:
-    """Open-below, closed-above radial bounds of a shell."""
-    if shell < 1:
+def shell_bounds(shell):
+    """Open-below, closed-above radial bounds of a shell; elementwise over an
+    integer array."""
+    if np.any(np.asarray(shell) < 1):
         raise InputError(f"shell index must be >= 1, got {shell}")
     return 1.0 / (shell + 1), 1.0 / shell
 
 
-def anchor_spacing(k: int, parity: str) -> float:
+def anchor_spacing(k, parity: str):
     """Time step d_k between the three anchor times of anchor k."""
     s = anchor_shell(k, parity)
     return (1.0 / (s + 1) - 1.0 / (s + 2)) / 3.0
 
 
-def breakpoints_for(k: int, parity: str, radius: float) -> tuple[float, float, float]:
-    """The three anchor times (t_{k,0}, t_{k,1}, t_{k,2}) for ||a_k|| = radius."""
+def breakpoints_for(k, parity: str, radius):
+    """The three anchor times (t_{k,0}, t_{k,1}, t_{k,2}) for ||a_k|| = radius;
+    elementwise when k and radius are arrays."""
     lo, hi = shell_bounds(anchor_shell(k, parity))
-    if not (lo < radius <= hi):
-        raise InputError(
-            f"anchor {k} ({parity}) needs radius in ({lo}, {hi}], got {radius!r}"
-        )
+    if not np.all((lo < radius) & (radius <= hi)):
+        raise InputError(f"anchor {k} ({parity}) needs radius in ({lo}, {hi}], got {radius!r}")
     d = anchor_spacing(k, parity)
     return radius, radius - d, radius - 2.0 * d
 
@@ -137,6 +142,7 @@ class WitnessSequence:
         # rounding can leave the longest scaled norm an ulp above 1
         while np.max(norms := vector_norms(x * scale, "point {}")) > 1.0:
             scale = float(np.nextafter(scale, 0.0))
+        require_rows(norms != 0.0, "point {} is too small to rescale with the others: it becomes 0")
         x = x * scale
         if directions is None:
             y = x / norms[:, None]
@@ -153,103 +159,82 @@ class WitnessSequence:
 # ---- anchors ------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class AnchorEntry:
-    """One anchor: position a, unit derivative direction b, three times."""
-
-    k: int
-    a: np.ndarray
-    b: UnitDirection
-    source: str  # 'given' or 'filler'
-    t0: float
-    t1: float
-    t2: float
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise InputError("anchor index must be >= 1")
-        if self.source not in ("given", "filler"):
-            raise InputError(f"anchor source must be 'given' or 'filler', got {self.source!r}")
-        a = np.array(self.a, dtype=float)
-        if a.ndim != 1 or a.size != self.b.dimension:
-            raise InputError(f"anchor {self.k}: position and direction dimensions differ")
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        radius = vector_norm(a, f"anchor {self.k} position")
-        if abs(self.t0 - radius) > _TIME_TOL:
-            raise InputError(f"anchor {self.k}: t0 must equal ||a||")
-        if not (self.t2 > 0.0 and self.t2 < self.t1 < self.t0):
-            raise InputError(f"anchor {self.k}: times must decrease and stay positive")
-        if abs((self.t0 - self.t1) - (self.t1 - self.t2)) > _TIME_TOL:
-            raise InputError(f"anchor {self.k}: times must be equally spaced")
-
-    @property
-    def spacing(self) -> float:
-        return self.t0 - self.t1
+_AnchorRecord = namedtuple("_AnchorRecord", "a t0 t1 t2")
 
 
 @dataclass(frozen=True, eq=False)
 class AnchorSequence:
-    """Anchors k = 1..K with parity, cone, and witness matches.
+    """Anchors k = 1..K as rows k - 1 of read-only arrays, with parity and cone.
 
+    ``a`` and ``b`` are (K, n) arrays of positions and unit derivative
+    directions, and ``times`` is (K, 3) with rows (t_{k,0}, t_{k,1}, t_{k,2}).
     ``matched`` lists (k, witness_index) pairs for anchors taken from the
-    witness sequence; all other anchors are fillers on the cone axis.
+    witness sequence; all other anchors are fillers on the cone axis.  All
+    rows are checked at once, and an error names the first bad anchor.
     """
 
     parity: str
     cone: ConeSpec
-    entries: tuple[AnchorEntry, ...]
+    a: np.ndarray
+    b: np.ndarray
+    times: np.ndarray
     matched: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         if self.parity not in PARITIES:
             raise InputError(f"parity must be 'even' or 'odd', got {self.parity!r}")
-        if len(self.entries) < 2:
+        a, b, times = (np.array(v, dtype=float) for v in (self.a, self.b, self.times))
+        if a.ndim != 2 or len(a) < 2:
             raise InputError("an anchor sequence needs at least two anchors")
+        if b.shape != a.shape or times.shape != (len(a), 3):
+            raise InputError(f"anchor arrays of shapes {a.shape}, {b.shape}, {times.shape}")
+        for name, arr in (("a", a), ("b", b), ("times", times)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         matched_ks = [k for k, _ in self.matched]
         if len(matched_ks) != len(set(matched_ks)):
             raise InputError("matched anchors must be unique")
-        if any(not (1 <= k <= len(self.entries)) for k in matched_ks):
+        if any(not (1 <= k <= len(a)) for k in matched_ks):
             raise InputError("matched refers to an anchor index outside 1..K")
-        matched_ks = set(matched_ks)
-        positions = stack_rows([entry.a for entry in self.entries], "anchor position")
-        in_cone = cone_contains_many(self.cone.axis.coords[None, :], positions)[0]
-        radii = vector_norms(positions, "row {} of the anchor positions").tolist()
-        for pos, entry in enumerate(self.entries, start=1):
-            if entry.k != pos:
-                raise InputError("anchor indices must run 1..K without gaps")
-            lo, hi = shell_bounds(anchor_shell(entry.k, self.parity))
-            radius = radii[pos - 1]
-            if not (lo < radius <= hi):
-                raise InputError(
-                    f"anchor {entry.k} radius {radius!r} outside its shell ({lo}, {hi}]"
-                )
-            d = anchor_spacing(entry.k, self.parity)
-            if abs(entry.spacing - d) > _TIME_TOL:
-                raise InputError(f"anchor {entry.k} spacing deviates from d_k")
-            if not in_cone[pos - 1]:
-                raise InputError(f"anchor {entry.k} lies outside the selected cone")
-            if entry.source == "filler":
-                radial = entry.a / radius
-                if float(np.max(np.abs(entry.b.coords - radial))) > 1e-12:
-                    raise InputError(f"filler anchor {entry.k} must point radially")
-                if entry.k in matched_ks:
-                    raise InputError(f"anchor {entry.k} is a filler but appears in matched")
-            elif entry.k not in matched_ks:
-                raise InputError(f"anchor {entry.k} is given but missing from matched")
-        for prev, nxt in zip(self.entries[:-1], self.entries[1:]):
-            if not (nxt.t0 < prev.t2):
-                raise InputError(
-                    f"anchors {prev.k} and {nxt.k} do not interleave: "
-                    f"t_{{{nxt.k},0}} must stay below t_{{{prev.k},2}}"
-                )
+        finite = np.all(np.isfinite(np.hstack([a, b, times])), axis=1)
+        require_rows(finite, "anchor {} has non-finite entries", 1)
+        radius = vector_norms(a, "anchor {} position", 1)
+        unit = np.abs(vector_norms(b, "anchor {} direction", 1) - 1.0) <= 1e-12
+        require_rows(unit, "anchor {}: direction is not unit", 1)
+        t0, t1, t2 = times.T
+        require_rows(np.abs(t0 - radius) <= _TIME_TOL, "anchor {}: t0 must equal ||a||", 1)
+        decreasing = (t2 > 0.0) & (t2 < t1) & (t1 < t0)
+        require_rows(decreasing, "anchor {}: times must decrease and stay positive", 1)
+        even = np.abs((t0 - t1) - (t1 - t2)) <= _TIME_TOL
+        require_rows(even, "anchor {}: times must be equally spaced", 1)
+        k = np.arange(1, len(a) + 1)
+        lo, hi = shell_bounds(anchor_shell(k, self.parity))
+        require_rows((lo < radius) & (radius <= hi), "anchor {} radius lies outside its shell", 1)
+        spacing = np.abs((t0 - t1) - anchor_spacing(k, self.parity)) <= _TIME_TOL
+        require_rows(spacing, "anchor {} spacing deviates from d_k", 1)
+        in_cone = cone_contains_many(self.cone.axis.coords[None, :], a)[0]
+        require_rows(in_cone, "anchor {} lies outside the selected cone", 1)
+        radial = np.max(np.abs(b - a / radius[:, None]), axis=1) <= 1e-12
+        require_rows(radial | self.given, "filler anchor {} must point radially", 1)
+        require_rows(t0[1:] < t2[:-1], "anchor {} does not interleave with the next", 1)
 
     @property
     def dimension(self) -> int:
         return self.cone.dimension
 
-    def entry(self, k: int) -> AnchorEntry:
-        return self.entries[k - 1]
+    @property
+    def given(self) -> np.ndarray:
+        """Per anchor, whether a witness pair supplied it: its k is in ``matched``."""
+        mask = np.zeros(len(self.a), dtype=bool)
+        mask[[k - 1 for k, _ in self.matched]] = True
+        return mask
+
+    @property
+    def entries(self) -> tuple[_AnchorRecord, ...]:
+        """Per-anchor (a, t0, t1, t2) records, built on access.  A view kept
+        only for the benchmark's replay in perfbench; the program reads ``a``,
+        ``b`` and ``times``."""
+        return tuple(_AnchorRecord(a, *t) for a, t in zip(self.a, self.times.tolist()))
 
 
 def build_anchor_sequence(
@@ -264,28 +249,26 @@ def build_anchor_sequence(
     """
     if count < 2:
         raise InputError("at least two anchors are required")
-    if parity not in PARITIES:
-        raise InputError(f"parity must be 'even' or 'odd', got {parity!r}")
+    k = np.arange(1, count + 1)
+    shells = anchor_shell(k, parity)
     inside = np.flatnonzero(cone_contains_many(cone.axis.coords[None, :], witness.x)[0])
-    first_in_shell: dict[int, int] = {}
-    for i, shell in zip(inside.tolist(), shell_indices(witness.x[inside])):
-        first_in_shell.setdefault(shell, i)
-    entries = []
-    matched = []
-    for k in range(1, count + 1):
-        s = anchor_shell(k, parity)
-        pick = first_in_shell.get(s)
-        if pick is not None:
-            a, b, source = witness.x[pick], UnitDirection(witness.y[pick]), "given"
-            matched.append((k, pick))
-        else:
-            lo, hi = shell_bounds(s)
-            a, b, source = (0.5 * (lo + hi)) * cone.axis.coords, cone.axis, "filler"
-        t0, t1, t2 = breakpoints_for(k, parity, float(np.linalg.norm(a)))
-        entries.append(AnchorEntry(k=k, a=a, b=b, source=source, t0=t0, t1=t1, t2=t2))
-    return AnchorSequence(
-        parity=parity, cone=cone, entries=tuple(entries), matched=tuple(matched)
-    )
+    # shells past the deepest anchor's match nothing; capping keeps them in int64
+    cap = int(shells[-1]) + 1
+    held = np.array([min(s, cap) for s in shell_indices(witness.x[inside])], dtype=np.int64)
+    # a stable sort keeps the lowest witness index first among a shell's points
+    order = np.argsort(held, kind="stable")
+    at = np.searchsorted(held[order], shells)
+    has = at < held.size
+    has[has] = held[order[at[has]]] == shells[has]
+    pick = inside[order[at[has]]]
+    lo, hi = shell_bounds(shells)
+    a = (0.5 * (lo + hi))[:, None] * cone.axis.coords
+    b = np.tile(cone.axis.coords, (count, 1))
+    a[has] = witness.x[pick]
+    b[has] = witness.y[pick]
+    times = np.stack(breakpoints_for(k, parity, vector_norms(a, "anchor {} position", 1)), axis=1)
+    matched = tuple(zip(k[has].tolist(), pick.tolist()))
+    return AnchorSequence(parity=parity, cone=cone, a=a, b=b, times=times, matched=matched)
 
 
 # ---- piecewise-affine paths --------------------------------------------
@@ -397,39 +380,26 @@ def build_skeleton(anchors: AnchorSequence) -> PiecewiseAffinePath:
     Between anchors k+1 and k the path runs with slope b_{k+1} on
     (t_{k+1,0}, t_{k,2}], a connecting slope on (t_{k,2}, t_{k,1}], and
     slope b_k on (t_{k,1}, t_{k,0}]; it takes value a_{k+1} at t_{k+1,0}
-    and a_k at t_{k,0}.
+    and a_k at t_{k,0}.  Each pair gives three rows, ascending in t.
     """
-    entries = anchors.entries
+    # pair j joins the lower anchor (row j of the reversed arrays) to the upper (row j + 1)
+    a, b, times = anchors.a[::-1], anchors.b[::-1], anchors.times[::-1]
+    lower_a, lower_b, lower_t0 = a[:-1], b[:-1], times[:-1, :1]
+    upper_a, upper_b = a[1:], b[1:]
+    t0, t1, t2 = times[1:, :1], times[1:, 1:2], times[1:, 2:]
+    # the connecting segment reaches the point where the upper anchor's
+    # incoming segment must start
+    at_t2 = lower_a + (t2 - lower_t0) * lower_b
+    target = upper_a + (t1 - t0) * upper_b
+    v = (target - at_t2) / (t1 - t2)
     n = anchors.dimension
-    breakpoints = [entries[-1].t0]
-    slopes: list[np.ndarray] = []
-    offsets: list[np.ndarray] = []
-
-    def push(slope: np.ndarray, value_at: float, value: np.ndarray, upper: float) -> None:
-        slopes.append(slope)
-        offsets.append(value - slope * value_at)
-        breakpoints.append(upper)
-
-    for k in range(len(entries) - 1, 0, -1):
-        upper = entries[k - 1]  # anchor k
-        lower = entries[k]      # anchor k+1
-        b_lo = lower.b.coords
-        b_hi = upper.b.coords
-        # outgoing segment from the lower anchor
-        push(b_lo, lower.t0, lower.a, upper.t2)
-        # connecting segment: reaches the point where the incoming segment
-        # of the upper anchor must start
-        at_t2 = lower.a + (upper.t2 - lower.t0) * b_lo
-        target = upper.a + (upper.t1 - upper.t0) * b_hi
-        v = (target - at_t2) / (upper.t1 - upper.t2)
-        push(v, upper.t2, at_t2, upper.t1)
-        # incoming segment of the upper anchor
-        push(b_hi, upper.t0, upper.a, upper.t0)
     return PiecewiseAffinePath(
         dimension=n,
-        breakpoints=np.asarray(breakpoints, dtype=float),
-        slopes=np.stack(slopes, axis=0),
-        offsets=np.stack(offsets, axis=0),
+        breakpoints=np.concatenate([times[:1, 0], times[1:, ::-1].ravel()]),
+        slopes=np.stack([lower_b, v, upper_b], axis=1).reshape(-1, n),
+        offsets=np.stack(
+            [lower_a - lower_b * lower_t0, at_t2 - v * t2, upper_a - upper_b * t0], axis=1
+        ).reshape(-1, n),
     )
 
 

@@ -178,19 +178,16 @@ def interpolation_check(
     The last anchor sits on the open lower end of the domain and only
     shapes the final leg, so it is not evaluated.
     """
-    checked = anchors.entries[:-1]
-    ts = np.array([entry.t0 for entry in checked])
-    value_dev = row_norms(eval_smooth_many(path, ts) - np.array([e.a for e in checked]))
-    deriv_dev = row_norms(
-        eval_smooth_derivative_many(path, ts) - np.array([e.b.coords for e in checked])
-    )
-    given = sum(1 for e in checked if e.source == "given")
+    ts = anchors.times[:-1, 0]
+    value_dev = row_norms(eval_smooth_many(path, ts) - anchors.a[:-1])
+    deriv_dev = row_norms(eval_smooth_derivative_many(path, ts) - anchors.b[:-1])
+    given = int(np.count_nonzero(anchors.given[:-1]))
     return _worst(
         "interpolation",
         np.maximum(value_dev, deriv_dev),
         ts,
         tol,
-        f"max anchor deviation over {len(checked)} anchors ({given} given)",
+        f"max anchor deviation over {ts.size} anchors ({given} given)",
     )
 
 
@@ -253,7 +250,7 @@ def product_bound_scan(
     if restricted:
         # leg k is (t_{k+1,0}, t_{k,0}]: with the K anchor times ascending,
         # a t above j of them lies on leg K - j
-        times = np.array([entry.t0 for entry in reversed(anchors.entries)])
+        times = anchors.times[::-1, 0]
         legs = times.size - np.searchsorted(times, ts)
         on_leg = (legs >= 1) & (legs < times.size)
         top_speed = np.full(times.size, -math.inf)
@@ -318,13 +315,13 @@ def _fd_trial_points(path: SmoothPath, rng: np.random.Generator) -> tuple[float,
     """
     lo, hi = path.domain
     if rng.uniform() < 0.5:
-        if path.windows:
-            w = path.windows[int(rng.integers(0, len(path.windows)))]
-            t = float(rng.uniform(w.lo, w.hi))
+        if path.lo.size:
+            i = int(rng.integers(0, path.lo.size))
+            t = float(rng.uniform(path.lo[i], path.hi[i]))
             # h/16 starts the halving ladder inside the asymptotic regime;
             # at h/8 the leading error term has not taken over yet and the
             # observed order can sit a few percent under 2
-            return t, w.h / 16.0
+            return t, float(path.h[i]) / 16.0
         kinks = kink_times(path.skeleton)
         if kinks.size:
             gaps = np.diff(path.skeleton.breakpoints)
@@ -339,9 +336,9 @@ def _fd_trial_points(path: SmoothPath, rng: np.random.Generator) -> tuple[float,
     # when the stencil reaches into a blend window the ladder must start
     # well under that window's averaging radius, or the first steps sit
     # outside the asymptotic regime
-    for w in path.windows:
-        if t + delta0 > w.lo and t - delta0 < w.hi:
-            delta0 = min(delta0, w.h / 16.0)
+    reached = (t + delta0 > path.lo) & (t - delta0 < path.hi)
+    if np.any(reached):
+        delta0 = min(delta0, float(np.min(path.h[reached])) / 16.0)
     return t, delta0
 
 
@@ -405,32 +402,28 @@ def coincidence_check(
     match the skeleton there as well.
     """
     lo, hi = path.domain
-    regions: list[tuple[float, float]] = []
-    cursor = lo
-    for w in path.windows:
-        if w.lo > cursor:
-            regions.append((cursor, w.lo))
-        cursor = w.hi
-    if cursor < hi:
-        regions.append((cursor, hi))
+    # the gaps between the windows, and before the first and after the last
+    gap_lo = np.concatenate([[lo], path.hi])
+    gap_hi = np.concatenate([path.lo, [hi]])
+    gaps = gap_lo < gap_hi
     # in-window stretches whose averaging range sees no slope change:
     # the pair's kinks sit at hi - 6h and hi - 2h, so the bands below,
     # between, and above them (margin h) are still exactly affine
-    for w in path.windows:
-        kink_lo = w.hi - 6.0 * w.h
-        kink_hi = w.hi - 2.0 * w.h
-        regions.append((w.lo, kink_lo - w.h))
-        regions.append((kink_lo + w.h, kink_hi - w.h))
-        regions.append((kink_hi + w.h, w.hi))
-    eps = np.nextafter(lo, hi)
-    bounded = [(max(a, eps), min(b, hi)) for a, b in regions]
-    ts = np.concatenate([np.linspace(a, b, points_per_region) for a, b in bounded if a < b])
+    w_lo, w_hi, h = path.lo, path.hi, path.h
+    kink_lo = w_hi - 6.0 * h
+    kink_hi = w_hi - 2.0 * h
+    band_lo = np.stack([w_lo, kink_lo + h, kink_hi + h], axis=1).ravel()
+    band_hi = np.stack([kink_lo - h, kink_hi - h, w_hi], axis=1).ravel()
+    start = np.maximum(np.concatenate([gap_lo[gaps], band_lo]), np.nextafter(lo, hi))
+    stop = np.minimum(np.concatenate([gap_hi[gaps], band_hi]), hi)
+    keep = start < stop
+    ts = np.linspace(start[keep], stop[keep], points_per_region, axis=1).ravel()
     return _worst(
         "coincidence",
         row_norms(eval_smooth_many(path, ts) - eval_affine_many(path.skeleton, ts)),
         ts,
         tol,
-        f"max |s - skeleton| over {ts.size} points in {len(regions)} regions",
+        f"max |s - skeleton| over {ts.size} points in {start.size} regions",
     )
 
 
@@ -460,7 +453,7 @@ def run_checks(
         elif name == "interpolation":
             reports.append(interpolation_check(path, anchors))
         elif name == "envelope":
-            k_cap = min(20, len(anchors.entries) - 1)
+            k_cap = min(20, len(anchors.times) - 1)
             reports.append(envelope_check(path, k_max=k_cap))
         elif name == "product":
             grid = dense_grid(path, per_decade=per_decade, per_window=per_window)

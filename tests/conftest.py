@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from pathcert.generators import GeneratorSpec, cone_confined_points, generate_points
+from pathcert.errors import InputError
+from pathcert.generators import DEFAULT_START, DEFAULT_STOP, GeneratorSpec, generate_points
 from pathcert.pipeline import build_path
 from pathcert.skeleton import WitnessSequence
 
@@ -32,6 +33,46 @@ FIXTURE_CASES = tuple(
 # witness kinds whose points stay within pi/6 of a single axis; the
 # sharp product bound applies to these
 RESTRICTED_KINDS = ("diagonal", "cone", "tangent", "halfspace")
+
+
+def cone_confined_points(
+    rng: np.random.Generator,
+    dimension: int,
+    axis,
+    max_angle: float,
+    count: int,
+    start: float = DEFAULT_START,
+    stop: float = DEFAULT_STOP,
+) -> list[np.ndarray]:
+    """Random points within max_angle of an axis, geometric norms; the
+    stress fixtures' witness points, not a generator kind of its own."""
+    u = np.asarray(axis, dtype=float)
+    u = u / np.linalg.norm(u)
+    if not (0.0 < max_angle < math.pi / 2.0):
+        raise InputError("max_angle must lie in (0, pi/2)")
+    radii = np.geomspace(start, stop, count)
+    points = []
+    for r in radii:
+        phi = float(rng.uniform(0.0, max_angle))
+        if dimension == 1:
+            direction = u
+        elif dimension == 2:
+            sign = 1.0 if rng.uniform() < 0.5 else -1.0
+            c, s = math.cos(sign * phi), math.sin(sign * phi)
+            direction = np.array(
+                [c * u[0] - s * u[1], s * u[0] + c * u[1]]
+            )
+        else:
+            w = rng.standard_normal(dimension)
+            w -= (w @ u) * u
+            norm = float(np.linalg.norm(w))
+            if norm < 1e-12:
+                direction = u
+            else:
+                w /= norm
+                direction = math.cos(phi) * u + math.sin(phi) * w
+        points.append(r * direction)
+    return points
 
 
 def _cone_points(seed: int, dimension: int) -> list[np.ndarray]:
@@ -61,6 +102,29 @@ def _halfspace_directions(rng: np.random.Generator, points) -> list[np.ndarray]:
         w /= np.linalg.norm(w)
         directions.append(w if x @ w >= 0.0 else -w)
     return directions
+
+
+def random_witness_data(seed, dimension, count, spread, y_kind, size):
+    """Points within ``spread`` radians of a random axis, norms geometric from
+    ``size`` down by a random factor, and radial, tangent or half-space y."""
+    rng = np.random.default_rng(seed)
+    axis = rng.standard_normal(dimension)
+    axis /= np.linalg.norm(axis)
+    other = rng.standard_normal((count, dimension))
+    other -= np.outer(other @ axis, axis)
+    lengths = np.linalg.norm(other, axis=1, keepdims=True)
+    other = np.divide(other, lengths, out=np.zeros_like(other), where=lengths > 1e-9)
+    angles = rng.uniform(0.0, spread, size=(count, 1))
+    directions = np.cos(angles) * axis + np.sin(angles) * other
+    points = np.geomspace(size, size * rng.uniform(1e-3, 0.3), count)[:, None] * directions
+    if y_kind == "radial":
+        return points, None
+    w = rng.standard_normal((count, dimension))
+    if y_kind == "tangent":
+        unit = points / np.linalg.norm(points, axis=1, keepdims=True)
+        w -= np.sum(w * unit, axis=1, keepdims=True) * unit
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    return points, np.where(np.sum(points * w, axis=1, keepdims=True) >= 0.0, w, -w)
 
 
 def witness_fixture(kind: str, dimension: int) -> WitnessSequence:

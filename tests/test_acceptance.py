@@ -146,7 +146,7 @@ def test_smoothness_order(capsys, builds):
     # the spiral skeleton carries order-one slope jumps at its kinks;
     # the diagonal one is collinear and its kinks vanish to rounding
     control_build = builds[("spiral", 2, 20)]
-    control = SmoothPath(skeleton=control_build.path.skeleton, windows=())
+    control = SmoothPath(skeleton=control_build.path.skeleton, lo=(), hi=(), h=())
     control_report = smoothness_check(control, trials=40, seed=0, min_order=1.9)
     elapsed = time.perf_counter() - started
     ok = not failures and not control_report.passed and elapsed < 10.0
@@ -176,10 +176,10 @@ def test_skeleton_coincidence(capsys, builds):
             failures.append(case)
         path = build.path
         lo, hi = path.domain
-        for entry in build.anchors.entries:
-            h = entry.spacing / 4.0
-            band_lo = max(entry.t0 - h, np.nextafter(lo, hi))
-            band_hi = min(entry.t0 + h, hi)
+        for k, (t0, t1, _) in enumerate(build.anchors.times.tolist(), start=1):
+            h = (t0 - t1) / 4.0
+            band_lo = max(t0 - h, np.nextafter(lo, hi))
+            band_hi = min(t0 + h, hi)
             ts = np.linspace(band_lo, band_hi, 64)
             dev = float(
                 np.max(
@@ -188,7 +188,7 @@ def test_skeleton_coincidence(capsys, builds):
             )
             worst = max(worst, dev)
             if dev > 1e-10:
-                failures.append((case, entry.k))
+                failures.append((case, k))
     elapsed = time.perf_counter() - started
     ok = not failures and worst <= 1e-10
     _announce(

@@ -316,6 +316,29 @@ MALFORMED_INPUTS = {
     ],
 }
 
+# path-file metadata that contradicts the anchors or leaves its range
+METADATA_EDITS = {
+    "dimension-not-the-anchors": ("dimension", 7),
+    "dimension-a-string": ("dimension", "x"),
+    "k-max-below-the-anchors": ("k_max", 3),
+    "k-max-above-the-anchors": ("k_max", 500),
+    "half-angle-above-right-angle": ("half_angle", 3.0),
+    "half-angle-negative": ("half_angle", -1.0),
+    "cover-size-negative": ("cover_size", -5),
+    "witness-scale-negative": ("witness_scale", -2.0),
+    "witness-scale-a-string": ("witness_scale", "x"),
+}
+MALFORMED_INPUTS.update(
+    (case, _edit_path_file(lambda doc, key=key, value=value: doc.update({key: value})))
+    for case, (key, value) in METADATA_EDITS.items()
+)
+# what the error message must name, for the cases that check more than "error:"
+NAMED_IN_ERROR = {case: f"error: {key} must" for case, (key, _) in METADATA_EDITS.items()}
+NAMED_IN_ERROR.update(
+    (case, "error: anchor 1 ")
+    for case in ("anchor-without-t1", "anchor-k-not-an-integer", "anchor-a-norm-overflows")
+)
+
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_exits_2(tmp_path, capsys, case):
@@ -324,6 +347,7 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     rc, _, err = _run(argv, capsys)
     assert rc == 2
     assert "error:" in err
+    assert NAMED_IN_ERROR.get(case, "error:") in err
     assert "Traceback" not in err
     assert "Warning" not in err
 

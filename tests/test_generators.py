@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import cone_confined_points
 
 from pathcert.errors import InputError
 from pathcert.generators import (
     GENERATOR_KINDS,
     MAX_COUNT,
     GeneratorSpec,
-    cone_confined_points,
     generate_points,
 )
 

@@ -598,10 +598,11 @@ def test_vector_norm_keeps_bits_and_survives_extremes():
 
 def _norm_of_one_row(row: np.ndarray) -> float:
     """The per-row formula: np.linalg.norm, recomputed on row / max|row|
-    where the squares underflow to 0."""
+    where the sum of squares is subnormal or 0 (the norm lies below
+    sqrt(tiny))."""
     with np.errstate(over="ignore", under="ignore"):
         norm = float(np.linalg.norm(row))
-        if norm == 0.0 and np.any(row):
+        if norm < math.sqrt(np.finfo(float).tiny) and np.any(row):
             top = float(np.max(np.abs(row)))
             norm = top * float(np.linalg.norm(row / top))
     return norm

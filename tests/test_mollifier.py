@@ -12,7 +12,6 @@ from pathcert.errors import InputError
 from pathcert.mollifier import (
     E1_AT_ONE,
     KERNEL_C,
-    MollificationWindow,
     SmoothPath,
     _mollified_rows,
     build_smooth_path,
@@ -27,7 +26,6 @@ from pathcert.mollifier import (
     row_norms,
     sample_path,
     sorted_unique,
-    windows_for_anchors,
 )
 from quadrature import integrate_panels
 from pathcert.skeleton import (
@@ -150,32 +148,31 @@ def test_mass_moment_match_quadrature():
 
 
 def test_windows_follow_anchor_times(diagonal_build):
-    """Window edges and half-widths come straight from the anchor times."""
-    anchors = diagonal_build.anchors
-    windows = windows_for_anchors(anchors)
-    assert len(windows) == len(anchors.entries) - 1
-    for w in windows:
-        upper = anchors.entry(w.k)
-        lower = anchors.entry(w.k + 1)
-        assert w.lo == 0.5 * (lower.t0 + upper.t2)
-        assert w.hi == 0.5 * (upper.t1 + upper.t0)
-        assert w.h == 0.25 * (upper.t0 - upper.t1)
+    """Window edges and half-widths come straight from the anchor times:
+    window i, counted up in t, belongs to the pair of anchors K - i - 1 and
+    K - i.  The read-only arrays are the one store of the windows."""
+    times = diagonal_build.anchors.times.tolist()
+    path = diagonal_build.path
+    assert path.lo.size == path.hi.size == path.h.size == len(times) - 1
+    for i, (lo, hi, h) in enumerate(zip(path.lo.tolist(), path.hi.tolist(), path.h.tolist())):
+        upper, lower = times[len(times) - i - 2], times[len(times) - i - 1]
+        assert lo == 0.5 * (lower[0] + upper[2])
+        assert hi == 0.5 * (upper[1] + upper[0])
+        assert h == 0.25 * (upper[0] - upper[1])
+    assert not (path.lo.flags.writeable or path.hi.flags.writeable or path.h.flags.writeable)
 
 
 def test_windows_ascending_disjoint_with_interior_kinks(diagonal_build):
     path = diagonal_build.path
     kinks = kink_times(path.skeleton)
-    prev_hi = None
-    for w in sorted(path.windows, key=lambda w: w.lo):
-        if prev_hi is not None:
-            assert w.lo > prev_hi
-        prev_hi = w.hi
-        inside = kinks[(kinks > w.lo) & (kinks < w.hi)]
+    assert np.all(path.lo[1:] > path.hi[:-1])
+    for lo, hi, h in zip(path.lo, path.hi, path.h):
+        inside = kinks[(kinks > lo) & (kinks < hi)]
         # both slope changes of the pair sit in the window, clear of the
         # edges by at least the averaging half-width
         assert inside.size == 2
-        assert float(inside.min()) >= w.lo + w.h - 1e-15
-        assert float(inside.max()) <= w.hi - w.h + 1e-15
+        assert float(inside.min()) >= lo + h - 1e-15
+        assert float(inside.max()) <= hi - h + 1e-15
 
 
 def test_every_kink_is_windowed(diagonal_build):
@@ -188,21 +185,20 @@ def test_every_kink_is_windowed(diagonal_build):
 
 def test_window_index_boundaries(diagonal_build):
     path = diagonal_build.path
-    w = path.windows[0]
-    assert path.window_index(w.lo) == 0
-    assert path.window_index(w.hi) == 0
-    gap = 0.5 * (w.hi + path.windows[1].lo)
+    assert path.window_index(path.lo[0]) == 0
+    assert path.window_index(path.hi[0]) == 0
+    gap = 0.5 * (path.hi[0] + path.lo[1])
     assert path.window_index(gap) == -1
     # the batched lookup agrees with the scalar one at every edge, one ulp
     # to either side of it, and in the gaps between windows
-    edges = np.array([[v.lo, v.hi] for v in path.windows]).ravel()
+    edges = np.stack([path.lo, path.hi], axis=1).ravel()
     gaps = 0.5 * (edges[1:-1:2] + edges[2::2])
     ts = np.concatenate(
         [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), gaps]
     )
     batched = path.window_indices(ts)
     assert np.array_equal(batched, [path.window_index(float(t)) for t in ts])
-    k = np.arange(len(path.windows))
+    k = np.arange(path.lo.size)
     none = np.full(k.size, -1)
     expected = np.concatenate(
         [
@@ -215,18 +211,41 @@ def test_window_index_boundaries(diagonal_build):
     assert np.array_equal(batched, expected)
 
 
-def test_window_validation():
-    with pytest.raises(InputError):
-        MollificationWindow(k=1, lo=0.5, hi=0.4, h=0.01)
-    with pytest.raises(InputError):
-        MollificationWindow(k=1, lo=0.4, hi=0.5, h=0.0)
+def _with_window(path, i, lo=None, hi=None, h=None):
+    """The path's window arrays with window i's entries replaced."""
+    arrays = [path.lo.copy(), path.hi.copy(), path.h.copy()]
+    for arr, value in zip(arrays, (lo, hi, h)):
+        if value is not None:
+            arr[i] = value
+    return arrays
+
+
+def test_window_validation(diagonal_build):
+    """A window with lo above hi, a zero half-width, a slope change within h
+    of an edge, or a widened range past the skeleton's is named by its index."""
+    path = diagonal_build.path
+    skeleton = path.skeleton
+    lo, hi, h = path.lo[3], path.hi[3], path.h[3]
+    with pytest.raises(InputError, match="window 3: lo must stay below hi"):
+        SmoothPath(skeleton, *_with_window(path, 3, lo=hi, hi=lo))
+    with pytest.raises(InputError, match="window 3: half-width must be positive"):
+        SmoothPath(skeleton, *_with_window(path, 3, h=0.0))
+    with pytest.raises(InputError, match="window 3 has a slope change too close to its edge"):
+        SmoothPath(skeleton, *_with_window(path, 3, h=3.0 * h))
+    with pytest.raises(InputError, match="window 0 widened by h leaves the skeleton range"):
+        SmoothPath(skeleton, *_with_window(path, 0, lo=skeleton.domain[0] + 0.5 * path.h[0]))
 
 
 def test_smooth_path_rejects_disordered_windows(diagonal_build):
     path = diagonal_build.path
-    reversed_windows = tuple(sorted(path.windows, key=lambda w: -w.lo))
-    with pytest.raises(InputError):
-        SmoothPath(skeleton=path.skeleton, windows=reversed_windows)
+    with pytest.raises(InputError, match="ascending and disjoint"):
+        SmoothPath(path.skeleton, path.lo[::-1], path.hi[::-1], path.h[::-1])
+
+
+def test_windows_view_lists_the_window_edges(diagonal_build):
+    """``windows`` is a view of (lo, hi) records built on access."""
+    path = diagonal_build.path
+    assert [(w.lo, w.hi) for w in path.windows] == list(zip(path.lo.tolist(), path.hi.tolist()))
 
 
 # ---- evaluation ---------------------------------------------------------
@@ -237,7 +256,7 @@ def _mixed_parameters(path, count=160, seed=0):
     rng = np.random.default_rng(seed)
     lo, hi = path.domain
     ts = np.exp(rng.uniform(math.log(lo * 1.01), math.log(hi), size=count))
-    extra = [rng.uniform(w.lo, w.hi) for w in path.windows[:20]]
+    extra = [rng.uniform(lo, hi) for lo, hi in zip(path.lo[:20], path.hi[:20])]
     return np.clip(np.concatenate([ts, extra]), np.nextafter(lo, hi), hi)
 
 
@@ -274,9 +293,9 @@ def test_eval_in_window_matches_direct_convolution(diagonal_build):
     kernel = make_kernel()
     kinks = kink_times(path.skeleton)
     rng = np.random.default_rng(42)
-    for w in (path.windows[0], path.windows[7], path.windows[-1]):
-        for t in rng.uniform(w.lo, w.hi, size=3):
-            h = w.h
+    for i in (0, 7, -1):
+        for t in rng.uniform(path.lo[i], path.hi[i], size=3):
+            h = float(path.h[i])
             edges = {-1.0, -0.5, 0.0, 0.5, 1.0}
             for kink in kinks:
                 u = (t - float(kink)) / h
@@ -354,9 +373,9 @@ def test_kernel_average_matches_direct_convolution_with_many_kinks(case):
 
 def test_derivative_consistent_with_finite_differences(diagonal_build):
     path = diagonal_build.path
-    w = path.windows[3]
-    for t in (0.5 * (w.lo + w.hi), w.lo + 0.1 * (w.hi - w.lo)):
-        delta = w.h * 1e-4
+    lo, hi, h = path.lo[3], path.hi[3], path.h[3]
+    for t in (0.5 * (lo + hi), lo + 0.1 * (hi - lo)):
+        delta = h * 1e-4
         fd = (eval_smooth(path, t + delta) - eval_smooth(path, t - delta)) / (2 * delta)
         deriv = eval_smooth_derivative(path, t)
         assert np.allclose(fd, deriv, atol=1e-6)
@@ -406,8 +425,8 @@ def test_dense_grid_covers_windows(diagonal_build):
     assert float(grid[0]) > lo
     assert float(grid[-1]) <= hi
     assert np.all(np.diff(grid) > 0)
-    for w in path.windows:
-        assert int(np.count_nonzero((grid >= w.lo) & (grid <= w.hi))) >= 8
+    for lo, hi in zip(path.lo, path.hi):
+        assert int(np.count_nonzero((grid >= lo) & (grid <= hi))) >= 8
 
 
 @settings(max_examples=40)
@@ -437,7 +456,7 @@ def test_sorted_unique_on_dense_grid_parts(builds):
         path = build.path
         lo, hi = path.domain
         parts = [np.geomspace(np.nextafter(lo, hi), hi, 4096)]
-        parts += [np.linspace(w.lo, w.hi, 32) for w in path.windows]
+        parts += [np.linspace(a, b, 32) for a, b in zip(path.lo, path.hi)]
         parts.append(parts[0][::7].copy())
         joined = np.concatenate(parts)
         assert np.array_equal(

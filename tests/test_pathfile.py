@@ -5,8 +5,11 @@ import os
 
 import numpy as np
 import pytest
+from conftest import random_witness_data
+from hypothesis import event, given, reject, settings
+from hypothesis import strategies as st
 
-from pathcert.errors import InputError
+from pathcert.errors import InputError, PipelineError
 from pathcert.generators import GeneratorSpec, generate_points
 from pathcert.harness import ProbeReport
 from pathcert.mollifier import dense_grid, eval_smooth_many, sample_path
@@ -23,6 +26,7 @@ from pathcert.pathfile import (
     tail_to_csv,
     witness_from_dict,
 )
+from pathcert.pipeline import build_path
 from pathcert.skeleton import WitnessSequence
 from pathcert.verifier import CheckReport
 
@@ -117,19 +121,88 @@ def test_build_round_trip_is_bitwise(tmp_path, diagonal_build):
     assert loaded.cover_size == diagonal_build.cover_size
     assert loaded.parity == diagonal_build.parity
     assert loaded.anchors.matched == diagonal_build.anchors.matched
-    assert len(loaded.anchors.entries) == len(diagonal_build.anchors.entries)
-    for got, want in zip(loaded.anchors.entries, diagonal_build.anchors.entries):
-        assert got.k == want.k
-        assert got.source == want.source
-        assert np.array_equal(got.a, want.a)
-        assert np.array_equal(got.b.coords, want.b.coords)
-        assert (got.t0, got.t1, got.t2) == (want.t0, want.t1, want.t2)
+    for name in ("a", "b", "times", "given"):
+        got, want = getattr(loaded.anchors, name), getattr(diagonal_build.anchors, name)
+        assert got.shape == want.shape and np.array_equal(got, want)
 
     ts = dense_grid(diagonal_build.path, per_decade=128, per_window=8)
     assert np.array_equal(
         eval_smooth_many(loaded.path, ts),
         eval_smooth_many(diagonal_build.path, ts),
     )
+
+
+_random_cases = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**32 - 1),
+        "dimension": st.integers(1, 5),
+        "spread": st.floats(0.0, 0.3),
+        "y_kind": st.sampled_from(["radial", "tangent", "halfspace"]),
+        "size": st.sampled_from([0.5, 1.0]),
+        "k_max": st.integers(2, 10),
+    }
+)
+
+
+def _random_build(case):
+    """The build of 60 random witness points near an axis; data too sparse
+    to match two anchors is rejected as an example."""
+    y_kind = case["y_kind"]
+    if case["dimension"] == 1 and y_kind == "tangent":
+        y_kind = "halfspace"  # no unit y is orthogonal to x on a line
+    points, directions = random_witness_data(
+        case["seed"], case["dimension"], 60, case["spread"], y_kind, case["size"]
+    )
+    try:
+        return build_path(WitnessSequence.ingest(points, directions), k_max=case["k_max"])
+    except PipelineError:
+        reject()
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).view(np.int64)
+
+
+@settings(max_examples=25)
+@given(case=_random_cases)
+def test_path_json_round_trip_keeps_every_array(case):
+    """A build reloaded from its JSON has the anchor, skeleton and window
+    arrays of the original, bit for bit, in dimensions 1-5."""
+    build = _random_build(case)
+    event(f"dimension {build.anchors.dimension}")
+    loaded = build_from_dict(json.loads(json.dumps(build_to_dict(build))))
+    assert loaded.anchors.matched == build.anchors.matched
+    for got, want in (
+        (loaded.anchors, build.anchors),
+        (loaded.path.skeleton, build.path.skeleton),
+        (loaded.path, build.path),
+    ):
+        for name in ("a", "b", "times", "breakpoints", "slopes", "offsets", "lo", "hi", "h"):
+            if hasattr(want, name):
+                assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name)))
+
+
+@settings(max_examples=40)
+@given(
+    case=_random_cases,
+    place=st.integers(0, 10),
+    field=st.sampled_from(["a", "b", "t0", "t1", "t2", "source"]),
+    factor=st.sampled_from([-0.5, -1e-6, 1e-6, 0.25]),
+)
+def test_a_perturbed_anchor_is_named(case, place, field, factor):
+    """Scaling one anchor's a or b, moving one of its times by a fraction of
+    its spacing, or flipping its source makes the load fail naming it."""
+    data = build_to_dict(_random_build(case))
+    j = place % len(data["anchors"])
+    item = data["anchors"][j]
+    if field in ("a", "b"):
+        item[field] = [v * (1.0 + factor) for v in item[field]]
+    elif field == "source":
+        item["source"] = "filler" if item["source"] == "given" else "given"
+    else:
+        item[field] += factor * (item["t0"] - item["t1"])
+    with pytest.raises(InputError, match=rf"\banchor {j + 1}\b"):
+        build_from_dict(data)
 
 
 def test_second_save_is_byte_identical(tmp_path, diagonal_build):
@@ -215,7 +288,7 @@ def test_vector_fields_reject_non_numbers(diagonal_build, field, bad):
     data = build_to_dict(diagonal_build)
     vector = data["cone_axis"] if field == "cone_axis" else data["anchors"][0][field]
     vector[0] = bad
-    name = "cone_axis" if field == "cone_axis" else f"anchor {field}"
+    name = "cone_axis" if field == "cone_axis" else f"anchor 1 {field}"
     with pytest.raises(InputError, match=f"{name} coordinate must be a number"):
         build_from_dict(data)
 

@@ -2,7 +2,7 @@
 
 import sys
 
-import numpy as np
+from conftest import random_witness_data
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -14,29 +14,6 @@ from pathcert.skeleton import WitnessSequence
 from pathcert.verifier import run_checks
 
 STAGES = ("cover", "cone", "parity", "anchors", "skeleton", "mollify")
-
-
-def _witness_data(seed, dimension, count, spread, y_kind, size):
-    """Points within ``spread`` radians of a random axis, norms geometric from
-    ``size`` down by a random factor, and radial, tangent or half-space y."""
-    rng = np.random.default_rng(seed)
-    axis = rng.standard_normal(dimension)
-    axis /= np.linalg.norm(axis)
-    other = rng.standard_normal((count, dimension))
-    other -= np.outer(other @ axis, axis)
-    lengths = np.linalg.norm(other, axis=1, keepdims=True)
-    other = np.divide(other, lengths, out=np.zeros_like(other), where=lengths > 1e-9)
-    angles = rng.uniform(0.0, spread, size=(count, 1))
-    directions = np.cos(angles) * axis + np.sin(angles) * other
-    points = np.geomspace(size, size * rng.uniform(1e-3, 0.3), count)[:, None] * directions
-    if y_kind == "radial":
-        return points, None
-    w = rng.standard_normal((count, dimension))
-    if y_kind == "tangent":
-        unit = points / np.linalg.norm(points, axis=1, keepdims=True)
-        w -= np.sum(w * unit, axis=1, keepdims=True) * unit
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    return points, np.where(np.sum(points * w, axis=1, keepdims=True) >= 0.0, w, -w)
 
 
 @settings(max_examples=30)
@@ -57,7 +34,7 @@ def test_random_witness_data_builds_a_checked_path_or_names_the_stage(
     InputError or a PipelineError that names its stage."""
     if dimension == 1 and y_kind == "tangent":
         y_kind = "halfspace"  # no unit y is orthogonal to x on a line
-    points, directions = _witness_data(seed, dimension, count, spread, y_kind, size)
+    points, directions = random_witness_data(seed, dimension, count, spread, y_kind, size)
     try:
         build = build_path(WitnessSequence.ingest(points, directions), k_max=k_max)
     except PipelineError as exc:

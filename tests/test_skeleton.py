@@ -1,15 +1,20 @@
 """Witness data, anchors, shell timing, and piecewise-affine paths."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import FIXTURE_DIMENSIONS, FIXTURE_KINDS, witness_fixture
+from conftest import FIXTURE_CASES, FIXTURE_DIMENSIONS, FIXTURE_KINDS, witness_fixture
 
+import pathcert
 from pathcert.errors import DomainError, InputError
-from pathcert.geometry import ConeSpec, UnitDirection
+from pathcert.geometry import ConeSpec, UnitDirection, cone_contains
+from pathcert.mollifier import build_smooth_path
+from pathcert.pathfile import build_from_dict, build_to_dict
+from pathcert.pipeline import PathBuild
 from pathcert.skeleton import (
-    AnchorEntry,
     AnchorSequence,
     PiecewiseAffinePath,
     WitnessSequence,
@@ -111,14 +116,15 @@ def test_witness_explicit_directions_checked():
 
 def _ingest_one_row_at_a_time(points, directions):
     """The per-point arithmetic ``ingest`` batches: each norm by np.linalg.norm
-    (over max|x| where the squares underflow to 0), one scale for all, taken
+    (over max|x| where the norm lies below sqrt(tiny)), one scale for all, taken
     an ulp lower while a scaled norm exceeds 1, and each radial y as the
     scaled point over its own norm."""
 
     def norm(x):
         top = float(np.max(np.abs(x)))
         n = float(np.linalg.norm(x))
-        return top * float(np.linalg.norm(x / top)) if n == 0.0 and top > 0.0 else n
+        tiny = n < math.sqrt(np.finfo(float).tiny) and top > 0.0
+        return top * float(np.linalg.norm(x / top)) if tiny else n
 
     xs = [np.asarray(p, dtype=float) for p in points]
     top = max(norm(x) for x in xs)
@@ -174,86 +180,175 @@ def test_ingest_keeps_a_rescaled_point_inside_the_unit_ball():
     assert float(np.linalg.norm(w.x[0])) == 1.0
 
 
+def test_ingest_keeps_the_norm_of_a_point_with_subnormal_squares():
+    """The squares of [3e-160, 4e-160] sum to a subnormal number, so the
+    plain norm loses bits; the rescued one keeps the radial y unit."""
+    w = WitnessSequence.ingest([[3e-160, 4e-160]])
+    assert np.allclose(w.y, [[0.6, 0.8]], rtol=0.0, atol=1e-15)
+    assert float(np.linalg.norm(w.y[0])) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_ingest_names_a_point_the_rescale_sends_to_zero():
+    """Scaled by 1 / ||(1e150, 2e150)||, the point (3e-300, 4e-300) becomes 0;
+    it is named as too small to rescale, with no divide warning."""
+    with pytest.raises(InputError, match="point 1 is too small to rescale"):
+        WitnessSequence.ingest([[1e150, 2e150], [3e-300, 4e-300]])
+
+
 # ---- anchor sequences ---------------------------------------------------
 
 
-def _tiny_entries():
-    """Two filler anchors on the first axis, even parity."""
-    entries = []
-    for k, radius in ((1, 0.42), (2, 0.22)):
-        t0, t1, t2 = breakpoints_for(k, "even", radius)
-        entries.append(
-            AnchorEntry(
-                k=k,
-                a=radius * E1,
-                b=UnitDirection(E1),
-                source="filler",
-                t0=t0,
-                t1=t1,
-                t2=t2,
-            )
-        )
-    return tuple(entries)
+def _tiny_arrays():
+    """Two filler anchors on the first axis, even parity: a, b and times."""
+    radii = np.array([0.42, 0.22])
+    times = np.array([breakpoints_for(k, "even", r) for k, r in ((1, 0.42), (2, 0.22))])
+    return radii[:, None] * E1, np.tile(E1, (2, 1)), times
 
 
 def _axis_cone():
     return ConeSpec(UnitDirection(E1))
 
 
+def _tiny_sequence(parity="even", cone=None, matched=(), **changes):
+    """The two tiny anchors, with any of a, b and times replaced."""
+    arrays = dict(zip(("a", "b", "times"), _tiny_arrays()))
+    arrays.update(changes)
+    return AnchorSequence(parity=parity, cone=cone or _axis_cone(), matched=matched, **arrays)
+
+
 def test_anchor_sequence_accepts_valid_fillers():
-    seq = AnchorSequence(parity="even", cone=_axis_cone(), entries=_tiny_entries(), matched=())
+    seq = _tiny_sequence()
     assert seq.dimension == 2
-    assert seq.entry(2).k == 2
+    assert seq.times[1].tolist() == list(breakpoints_for(2, "even", 0.22))
+    assert seq.given.tolist() == [False, False]
+    assert not (seq.a.flags.writeable or seq.b.flags.writeable or seq.times.flags.writeable)
+    # the per-anchor records are a view of the arrays, built on access
+    assert [(e.a.tolist(), e.t0, e.t1, e.t2) for e in seq.entries] == [
+        (a, *t) for a, t in zip(seq.a.tolist(), seq.times.tolist())
+    ]
+
+
+def test_no_module_reads_the_perfbench_views():
+    """``AnchorSequence.entries`` and ``SmoothPath.windows`` exist for the
+    benchmark's replay alone: no pathcert module reads either attribute."""
+    readers = []
+    for path in Path(pathcert.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("entries", "windows"):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
 
 
 def test_anchor_sequence_rejects_bad_parity():
     with pytest.raises(InputError):
-        AnchorSequence(parity="both", cone=_axis_cone(), entries=_tiny_entries(), matched=())
+        _tiny_sequence(parity="both")
 
 
 def test_anchor_sequence_rejects_matched_filler():
-    with pytest.raises(InputError):
-        AnchorSequence(
-            parity="even", cone=_axis_cone(), entries=_tiny_entries(), matched=((1, 0),)
-        )
+    """A path file may not call an anchor a filler while ``matched`` lists
+    it, nor list an anchor twice or one outside 1..K."""
+    seq = _tiny_sequence()
+    build = PathBuild(
+        witness=None, k_max=1, half_angle=0.3, seed=0, cover_size=0,
+        anchors=seq, path=build_smooth_path(seq),
+    )
+    data = build_to_dict(build)
+    assert build_from_dict(data).anchors.given.tolist() == [False, False]
+    data["matched"] = [[1, 0]]
+    with pytest.raises(InputError, match="anchor 1: source must be 'given'"):
+        build_from_dict(data)
+    with pytest.raises(InputError, match="unique"):
+        _tiny_sequence(matched=((1, 0), (1, 3)))
+    with pytest.raises(InputError, match="outside 1..K"):
+        _tiny_sequence(matched=((3, 0),))
 
 
 def test_anchor_sequence_rejects_radius_outside_shell():
-    entries = list(_tiny_entries())
-    # a self-consistent entry whose radius overshoots shell 2's ceiling of 1/2;
-    # only the sequence knows the parity, so the shell check lives there
+    # a self-consistent anchor whose radius overshoots shell 2's ceiling of
+    # 1/2; only the sequence knows the parity, so the shell check lives there
+    a, _, times = _tiny_arrays()
     d = anchor_spacing(1, "even")
-    entries[0] = AnchorEntry(
-        k=1,
-        a=0.6 * E1,
-        b=UnitDirection(E1),
-        source="filler",
-        t0=0.6,
-        t1=0.6 - d,
-        t2=0.6 - 2.0 * d,
-    )
-    with pytest.raises(InputError):
-        AnchorSequence(parity="even", cone=_axis_cone(), entries=tuple(entries), matched=())
+    a[0] = 0.6 * E1
+    times[0] = (0.6, 0.6 - d, 0.6 - 2.0 * d)
+    with pytest.raises(InputError, match="anchor 1 radius lies outside its shell"):
+        _tiny_sequence(a=a, times=times)
 
 
 def test_anchor_sequence_rejects_off_cone_anchor():
     cone = ConeSpec(UnitDirection(np.array([0.0, 1.0])))
-    with pytest.raises(InputError):
-        AnchorSequence(parity="even", cone=cone, entries=_tiny_entries(), matched=())
+    with pytest.raises(InputError, match="anchor 1 lies outside the selected cone"):
+        _tiny_sequence(cone=cone)
 
 
 def test_anchor_sequence_rejects_cone_of_other_dimension():
     cone = ConeSpec(UnitDirection(np.array([1.0, 0.0, 0.0])))
     with pytest.raises(InputError):
-        AnchorSequence(parity="even", cone=cone, entries=_tiny_entries(), matched=())
+        _tiny_sequence(cone=cone)
 
 
 def test_anchor_entry_validates_times():
-    with pytest.raises(InputError):
-        AnchorEntry(
-            k=1, a=0.42 * E1, b=UnitDirection(E1), source="filler",
-            t0=0.40, t1=0.40 - 1.0 / 36.0, t2=0.40 - 2.0 / 36.0,
-        )
+    """Anchor 1's times start at 0.40, but its position has norm 0.42."""
+    _, _, times = _tiny_arrays()
+    times[0] = (0.40, 0.40 - 1.0 / 36.0, 0.40 - 2.0 / 36.0)
+    with pytest.raises(InputError, match="anchor 1: t0 must equal"):
+        _tiny_sequence(times=times)
+
+
+def _second_anchor_changed(name, row):
+    arrays = dict(zip(("a", "b", "times"), _tiny_arrays()))
+    arrays[name][1] = row
+    return arrays
+
+
+@pytest.mark.parametrize(
+    "name, row, message",
+    [
+        ("a", [math.nan, 0.0], "anchor 2 has non-finite entries"),
+        ("b", [1e308, 1e308], "anchor 2 direction is too large"),
+        ("b", [1.0, 1e-5], "anchor 2: direction is not unit"),
+        ("times", [0.22, 0.22 - 1.0 / 60.0, 0.22 - 1.0 / 30.0], "anchor 2 spacing deviates"),
+        ("times", [0.22, 0.23, 0.21], "anchor 2: times must decrease"),
+        ("times", [0.22, 0.21, 0.19], "anchor 2: times must be equally spaced"),
+        ("b", [0.6, 0.8], "filler anchor 2 must point radially"),
+    ],
+)
+def test_anchor_sequence_names_the_first_bad_anchor(name, row, message):
+    """Every row is checked at once, and the error names the anchor, counted from 1."""
+    with pytest.raises(InputError, match=message):
+        _tiny_sequence(**_second_anchor_changed(name, row))
+
+
+def _anchors_one_shell_at_a_time(witness, cone, parity, count):
+    """The per-anchor selection ``build_anchor_sequence`` batches: per k,
+    the first captured witness point in shell(k), else a mid-shell filler."""
+    captured = [
+        i for i, x in enumerate(witness.x) if cone_contains(cone, x)
+    ]
+    rows, matched = [], []
+    for k in range(1, count + 1):
+        lo, hi = shell_bounds(anchor_shell(k, parity))
+        pick = next((i for i in captured if lo < np.linalg.norm(witness.x[i]) <= hi), None)
+        if pick is None:
+            a, b = (0.5 * (lo + hi)) * cone.axis.coords, cone.axis.coords
+        else:
+            a, b = witness.x[pick], witness.y[pick]
+            matched.append((k, pick))
+        rows.append((a, b, breakpoints_for(k, parity, float(np.linalg.norm(a)))))
+    a, b, times = (np.array(column) for column in zip(*rows))
+    return a, b, times, tuple(matched)
+
+
+@pytest.mark.parametrize("case", FIXTURE_CASES, ids=lambda c: f"{c[0]}-d{c[1]}-k{c[2]}")
+def test_anchor_arrays_keep_the_bits_of_the_per_anchor_reference(builds, case):
+    """Batched anchor selection equals the per-anchor loop bit for bit."""
+    anchors = builds[case].anchors
+    witness = builds[case].witness
+    a, b, times, matched = _anchors_one_shell_at_a_time(
+        witness, anchors.cone, anchors.parity, len(anchors.a)
+    )
+    assert anchors.matched == matched
+    for got, want in ((anchors.a, a), (anchors.b, b), (anchors.times, times)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_build_anchor_sequence_prefers_lowest_witness_index(diagonal_build):
@@ -262,9 +357,9 @@ def test_build_anchor_sequence_prefers_lowest_witness_index(diagonal_build):
     witness = diagonal_build.witness
     assert len(anchors.matched) >= 2
     for k, i in anchors.matched:
-        entry = anchors.entry(k)
-        assert entry.source == "given"
-        assert np.array_equal(entry.a, witness.pairs[i][0])
+        assert anchors.given[k - 1]
+        assert np.array_equal(anchors.a[k - 1], witness.x[i])
+        assert np.array_equal(anchors.b[k - 1], witness.y[i])
         shell = anchor_shell(k, anchors.parity)
         lo, hi = shell_bounds(shell)
         same_shell = [
@@ -278,14 +373,14 @@ def test_build_anchor_sequence_prefers_lowest_witness_index(diagonal_build):
 def test_build_anchor_sequence_fillers_sit_mid_shell(diagonal_build):
     anchors = diagonal_build.anchors
     axis = anchors.cone.axis.coords
-    matched_ks = {k for k, _ in anchors.matched}
-    fillers = [e for e in anchors.entries if e.k not in matched_ks]
-    for entry in fillers:
-        assert entry.source == "filler"
-        lo, hi = shell_bounds(anchor_shell(entry.k, anchors.parity))
-        radius = float(np.linalg.norm(entry.a))
+    fillers = np.flatnonzero(~anchors.given) + 1
+    assert fillers.size
+    for k in fillers.tolist():
+        lo, hi = shell_bounds(anchor_shell(k, anchors.parity))
+        radius = float(np.linalg.norm(anchors.a[k - 1]))
         assert math.isclose(radius, 0.5 * (lo + hi), rel_tol=1e-12)
-        assert np.allclose(entry.a, radius * axis, atol=1e-15)
+        assert np.allclose(anchors.a[k - 1], radius * axis, atol=1e-15)
+        assert np.array_equal(anchors.b[k - 1], axis)
 
 
 # ---- piecewise-affine paths ---------------------------------------------
@@ -359,25 +454,56 @@ def test_kink_times_skips_straight_joins():
 def test_build_skeleton_two_anchor_geometry():
     """Hand-checkable two-anchor skeleton: values, slopes, and the
     connecting slope all follow from the anchor data."""
-    entries = _tiny_entries()
-    seq = AnchorSequence(parity="even", cone=_axis_cone(), entries=entries, matched=())
+    seq = _tiny_sequence()
     skel = build_skeleton(seq)
-    upper, lower = entries[0], entries[1]
+    (upper_a, lower_a), (upper_b, lower_b) = seq.a, seq.b
+    (t0, t1, t2), lower_t0 = seq.times[0], seq.times[1, 0]
     assert skel.segment_count() == 3
-    assert np.allclose(eval_affine(skel, upper.t0), upper.a, atol=1e-14)
-    assert np.allclose(eval_affine(skel, lower.t0 + 1e-13), lower.a, atol=1e-12)
-    assert np.allclose(eval_affine_derivative(skel, upper.t0), upper.b.coords)
-    at_t2 = lower.a + (upper.t2 - lower.t0) * lower.b.coords
-    target = upper.a + (upper.t1 - upper.t0) * upper.b.coords
-    v = (target - at_t2) / (upper.t1 - upper.t2)
-    assert np.allclose(eval_affine_derivative(skel, 0.5 * (upper.t1 + upper.t2)), v, atol=1e-14)
+    assert np.allclose(eval_affine(skel, t0), upper_a, atol=1e-14)
+    assert np.allclose(eval_affine(skel, lower_t0 + 1e-13), lower_a, atol=1e-12)
+    assert np.allclose(eval_affine_derivative(skel, t0), upper_b)
+    at_t2 = lower_a + (t2 - lower_t0) * lower_b
+    target = upper_a + (t1 - t0) * upper_b
+    v = (target - at_t2) / (t1 - t2)
+    assert np.allclose(eval_affine_derivative(skel, 0.5 * (t1 + t2)), v, atol=1e-14)
+
+
+def _skeleton_one_pair_at_a_time(anchors):
+    """The per-pair construction ``build_skeleton`` batches: for k = K-1..1,
+    the outgoing, connecting and incoming segments of anchors k+1 and k."""
+    a, b, times = anchors.a, anchors.b, anchors.times.tolist()
+    breakpoints, slopes, offsets = [times[-1][0]], [], []
+    for k in range(len(times) - 1, 0, -1):
+        (u0, u1, u2), lower_t0 = times[k - 1], times[k][0]
+        at_t2 = a[k] + (u2 - lower_t0) * b[k]
+        target = a[k - 1] + (u1 - u0) * b[k - 1]
+        v = (target - at_t2) / (u1 - u2)
+        for slope, value_at, value, upper in (
+            (b[k], lower_t0, a[k], u2), (v, u2, at_t2, u1), (b[k - 1], u0, a[k - 1], u0)
+        ):
+            slopes.append(slope)
+            offsets.append(value - slope * value_at)
+            breakpoints.append(upper)
+    return np.array(breakpoints), np.array(slopes), np.array(offsets)
+
+
+@pytest.mark.parametrize("case", FIXTURE_CASES, ids=lambda c: f"{c[0]}-d{c[1]}-k{c[2]}")
+def test_skeleton_keeps_the_bits_of_the_per_pair_reference(builds, case):
+    """The batched skeleton equals the per-pair construction bit for bit."""
+    build = builds[case]
+    skel = build_skeleton(build.anchors)
+    for got, want in zip(
+        (skel.breakpoints, skel.slopes, skel.offsets), _skeleton_one_pair_at_a_time(build.anchors)
+    ):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_skeleton_hits_every_anchor(diagonal_build):
     anchors = diagonal_build.anchors
     skel = diagonal_build.path.skeleton
-    for entry in anchors.entries[:-1]:
-        dev = float(np.linalg.norm(eval_affine(skel, entry.t0) - entry.a))
+    for a, t0 in zip(anchors.a[:-1], anchors.times[:-1, 0]):
+        dev = float(np.linalg.norm(eval_affine(skel, t0) - a))
         assert dev <= 1e-12
 
 
@@ -386,20 +512,19 @@ def test_skeleton_slope_near_anchors(diagonal_build):
     anchor's prescribed direction."""
     anchors = diagonal_build.anchors
     skel = diagonal_build.path.skeleton
-    for entry in anchors.entries[1:-1]:
-        eps = 0.05 * anchor_spacing(entry.k, anchors.parity)
-        below = eval_affine_derivative(skel, entry.t0 - eps)
-        above = eval_affine_derivative(skel, entry.t0 + eps)
-        assert np.allclose(below, entry.b.coords, atol=1e-13)
-        assert np.allclose(above, entry.b.coords, atol=1e-13)
+    for k in range(2, len(anchors.a)):
+        t0, b = anchors.times[k - 1, 0], anchors.b[k - 1]
+        eps = 0.05 * anchor_spacing(k, anchors.parity)
+        below = eval_affine_derivative(skel, t0 - eps)
+        above = eval_affine_derivative(skel, t0 + eps)
+        assert np.allclose(below, b, atol=1e-13)
+        assert np.allclose(above, b, atol=1e-13)
 
 
 def test_skeleton_breakpoints_are_anchor_times(diagonal_build):
-    anchors = diagonal_build.anchors
+    times = diagonal_build.anchors.times
     skel = diagonal_build.path.skeleton
-    expected = {anchors.entries[-1].t0}
-    for entry in anchors.entries[:-1]:
-        expected.update((entry.t0, entry.t1, entry.t2))
+    expected = {float(times[-1, 0]), *times[:-1].ravel().tolist()}
     assert set(skel.breakpoints.tolist()) == expected
 
 

@@ -54,7 +54,7 @@ def _with_skeleton(build, skeleton):
 
 
 def _windowless(build):
-    return SmoothPath(skeleton=build.path.skeleton, windows=())
+    return SmoothPath(skeleton=build.path.skeleton, lo=(), hi=(), h=())
 
 
 # ---- averaged-derivative bound ------------------------------------------
@@ -142,18 +142,19 @@ def test_interpolation_matches_per_anchor_reference(diagonal_build, distortion):
     else:
         moved = _rescaled_skeleton(diagonal_build, 1.001)
     path = _with_skeleton(diagonal_build, moved)
-    entries = diagonal_build.anchors.entries[:-1]
+    anchors = diagonal_build.anchors
+    times = anchors.times[:-1, 0].tolist()
     devs = [
         max(
-            float(np.linalg.norm(eval_smooth(path, e.t0) - e.a)),
-            float(np.linalg.norm(eval_smooth_derivative(path, e.t0) - e.b.coords)),
+            float(np.linalg.norm(eval_smooth(path, t0) - a)),
+            float(np.linalg.norm(eval_smooth_derivative(path, t0) - b)),
         )
-        for e in entries
+        for t0, a, b in zip(times, anchors.a, anchors.b)
     ]
     i = int(np.argmax(devs))
-    report = interpolation_check(path, diagonal_build.anchors)
+    report = interpolation_check(path, anchors)
     assert report.measured == devs[i] > 1e-5
-    assert report.witness_t == entries[i].t0
+    assert report.witness_t == times[i]
 
 
 # ---- envelope -----------------------------------------------------------
@@ -332,19 +333,20 @@ def _reference_coincidence(path, points_per_region=64):
     lo, hi = path.domain
     regions = []
     cursor = lo
-    for w in path.windows:
-        if w.lo > cursor:
-            regions.append((cursor, w.lo))
-        cursor = w.hi
+    windows = list(zip(path.lo.tolist(), path.hi.tolist(), path.h.tolist()))
+    for w_lo, w_hi, _ in windows:
+        if w_lo > cursor:
+            regions.append((cursor, w_lo))
+        cursor = w_hi
     if cursor < hi:
         regions.append((cursor, hi))
-    for w in path.windows:
-        kink_lo = w.hi - 6.0 * w.h
-        kink_hi = w.hi - 2.0 * w.h
+    for w_lo, w_hi, h in windows:
+        kink_lo = w_hi - 6.0 * h
+        kink_hi = w_hi - 2.0 * h
         regions += [
-            (w.lo, kink_lo - w.h),
-            (kink_lo + w.h, kink_hi - w.h),
-            (kink_hi + w.h, w.hi),
+            (w_lo, kink_lo - h),
+            (kink_lo + h, kink_hi - h),
+            (kink_hi + h, w_hi),
         ]
     worst, worst_t, total = -math.inf, None, 0
     eps = np.nextafter(lo, hi)
@@ -391,9 +393,9 @@ def _reference_product(path, anchors, grid, restricted):
     worst_t = float(grid[int(np.argmax(product))])
     details = f"max product over {grid.size} grid points"
     if restricted:
-        entries = anchors.entries
-        for k in range(1, len(entries)):
-            mask = (grid > entries[k].t0) & (grid <= entries[k - 1].t0)
+        times = anchors.times[:, 0].tolist()
+        for k in range(1, len(times)):
+            mask = (grid > times[k]) & (grid <= times[k - 1])
             if not np.any(mask):
                 continue
             top_speed = float(np.max(norm_ds[mask]))
@@ -431,11 +433,11 @@ def test_product_reports_first_failing_leg_past_the_grid_start(
     name the first failing leg it does reach, with that leg's top speed."""
     build = builds[("cone", 2, 20)]
     inflated = _with_skeleton(build, _rescaled_skeleton(build, 40.0))
-    entries = build.anchors.entries
+    times = build.anchors.times[:, 0]
     grid = dense_grid(inflated)
-    grid = grid[grid <= entries[skipped_legs].t0]
+    grid = grid[grid <= times[skipped_legs]]
     report = product_bound_scan(inflated, build.anchors, grid, restricted=True)
-    on_leg = (grid > entries[failing_leg].t0) & (grid <= entries[failing_leg - 1].t0)
+    on_leg = (grid > times[failing_leg]) & (grid <= times[failing_leg - 1])
     top_speed = float(np.max(row_norms(eval_smooth_derivative_many(inflated, grid[on_leg]))))
     assert not report.passed
     assert report.details.endswith(f"on leg {failing_leg}")
@@ -446,7 +448,7 @@ def test_anchor_time_is_the_top_of_its_leg(diagonal_build):
     """Leg k is (t_{k+1,0}, t_{k,0}].  Inflated by 40 the path moves at
     speed 40 at every anchor time, which breaks 28 k on leg 1 only."""
     inflated = _with_skeleton(diagonal_build, _rescaled_skeleton(diagonal_build, 40.0))
-    times = np.array([entry.t0 for entry in diagonal_build.anchors.entries[:-1]])
+    times = diagonal_build.anchors.times[:-1, 0].copy()
     below_top = product_bound_scan(inflated, diagonal_build.anchors, times[1:], restricted=True)
     assert below_top.details.endswith("per-leg speed within 28 k")
     report = product_bound_scan(inflated, diagonal_build.anchors, times, restricted=True)
@@ -461,7 +463,7 @@ def test_product_ignores_grid_points_off_the_legs(builds):
     path = builds[("diagonal", 2, 40)].path
     anchors = builds[("diagonal", 2, 20)].anchors
     grid = dense_grid(path, per_decade=256, per_window=16)
-    assert grid.min() < anchors.entries[-1].t0
+    assert grid.min() < anchors.times[-1, 0]
     report = product_bound_scan(path, anchors, grid, restricted=True)
     assert _triple(report) == _reference_product(path, anchors, grid, True)
 
