@@ -473,7 +473,10 @@ def _cached_cover(dimension: int, half_angle: float, seed: int) -> SphereCover:
     elif dimension == 2:
         # every unit vector lies within half the spacing 2 pi / count of
         # a circle direction, so this bound proves the cover
-        count = max(int(math.ceil(2.0 * math.pi / half_angle)), 4)
+        spacings = 2.0 * math.pi / half_angle
+        if spacings > _MAX_COVER_SIZE:
+            raise _cover_too_large(dimension, half_angle)
+        count = max(int(math.ceil(spacings)), 4)
         if math.pi / count > half_angle:
             raise InputError(f"cover construction failed in dimension {dimension}")
         directions = _circle_directions(count)
@@ -499,10 +502,13 @@ def _sampled_cover(dimension: int, half_angle: float, seed: int) -> np.ndarray:
             return directions
         start, count = count, 2 * count
         if count > _MAX_COVER_SIZE:
-            raise InputError(
-                f"could not cover the sphere in dimension {dimension} "
-                f"at half angle {half_angle}"
-            )
+            raise _cover_too_large(dimension, half_angle)
+
+
+def _cover_too_large(dimension: int, half_angle: float) -> InputError:
+    return InputError(
+        f"could not cover the sphere in dimension {dimension} at half angle {half_angle}"
+    )
 
 
 def build_sphere_cover(

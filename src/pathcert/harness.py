@@ -175,6 +175,11 @@ class ProbeReport:
         return self.verdict == "discontinuous-certified"
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not (epsilon > 0.0 and math.isfinite(epsilon)):
+        raise InputError(f"epsilon must be positive and finite, got {epsilon!r}")
+
+
 def derive_witness(
     field: ScalarField,
     generator: GeneratorSpec | Iterable,
@@ -185,6 +190,7 @@ def derive_witness(
 
     Raises WitnessNotFoundError when fewer than min_count points qualify.
     """
+    _check_epsilon(epsilon)
     if isinstance(generator, GeneratorSpec):
         if generator.dimension != field.dimension:
             raise InputError("generator and field dimensions differ")
@@ -215,6 +221,8 @@ def _delta_ladder(
         deltas.append(max(floor, domain_inf) * 2.0)
     for value in extra:
         v = float(value)
+        if not math.isfinite(v):
+            raise InputError(f"tail delta {v!r} must be finite")
         if v <= domain_inf:
             raise InputError(
                 f"tail delta {v!r} does not exceed the domain floor {domain_inf!r}"
@@ -241,16 +249,15 @@ def certify_discontinuity(
     """
     if field.dimension != witness.dimension:
         raise InputError("field and witness dimensions differ")
-    build = build_path(witness, k_max=k_max, seed=seed)
-    path = build.path
     if epsilon is None:
         magnitudes = np.abs(field.values(witness.x))
         finite = magnitudes[np.isfinite(magnitudes)]
         if not finite.size:
             raise InputError("field is non-finite on every witness point")
         epsilon = float(np.min(finite))
-    if epsilon <= 0.0:
-        raise InputError("epsilon must be positive")
+    _check_epsilon(epsilon)
+    build = build_path(witness, k_max=k_max, seed=seed)
+    path = build.path
 
     domain_inf = path.domain[0]
     grid = dense_grid(path, per_decade=1024, per_window=32)
@@ -261,6 +268,8 @@ def certify_discontinuity(
     finite_mask = np.isfinite(field_values)
     magnitudes = np.abs(field_values[finite_mask])
     finite_ts = ts[finite_mask]
+    if not finite_ts.size:
+        raise InputError("field is non-finite on every grid point of the path")
 
     # the smallest rung must keep a matched anchor (or at least one
     # sample) below it, so the deepest sup still sees witness data

@@ -33,9 +33,12 @@ breakpoint kappa in (t - h, t + h) with slope jump delta then adds
 
     delta * h * (x K(x) - M(x))  to s(t),    delta * K(x)  to s'(t),
 
-with x = (t - kappa) / h.  K and M come from piecewise Chebyshev
-series, built on first use from the kernel and checked against their
-closed forms at x = 0, so nothing here computes a quadrature.
+with x = (t - kappa) / h.  The same rule evaluates every row: off the
+windows it runs with h = 0, meets no breakpoint and gives the skeleton's
+affine piece, and one pass gives both the value and the slope.  K and M
+come from piecewise Chebyshev series, built on first use from the kernel
+and checked against their closed forms at x = 0, so nothing here computes
+a quadrature.
 """
 
 from __future__ import annotations
@@ -49,13 +52,7 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .geometry import require_rows, row_norms
-from .skeleton import (
-    AnchorSequence,
-    PiecewiseAffinePath,
-    build_skeleton,
-    eval_affine_derivative_many,
-    eval_affine_many,
-)
+from .skeleton import AnchorSequence, PiecewiseAffinePath, build_skeleton
 
 # 1 / integral of exp(-1 / (1 - u^2)) over (-1, 1); path files carry it as kernel_c
 KERNEL_C = 2.2522836210435817  # 0x1.204ad466d96d1p+1
@@ -249,18 +246,17 @@ def kernel_mass_moment(x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mollified_rows(
-    skeleton: PiecewiseAffinePath,
-    ts: np.ndarray,
-    hs: np.ndarray,
-    derivative: bool,
-) -> np.ndarray:
-    """Kernel averages of the skeleton (or its slopes), one row per t.
+    skeleton: PiecewiseAffinePath, ts: np.ndarray, hs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel averages of the skeleton and of its slopes, one row per t.
 
     Starts from the affine piece holding t - h, continued to t.  Every
     breakpoint kappa inside (t - h, t + h) with slope jump delta then
     adds delta h (x K(x) - M(x)) to the value and delta K(x) to the
-    slope, where x = (t - kappa) / h.  All arithmetic is elementwise,
-    so a row never depends on the batch around it.
+    slope, where x = (t - kappa) / h; K and M serve both.  At h = 0 no
+    breakpoint is met and the row is an affine piece holding t.  All
+    arithmetic is elementwise, so a row never depends on the batch
+    around it.
     """
     lo, hi = skeleton.domain
     if float((ts - hs).min()) < lo - 1e-12 or float((ts + hs).max()) > hi + 1e-12:
@@ -271,27 +267,30 @@ def _mollified_rows(
     first = np.clip(np.searchsorted(bp, ts - hs, side="right") - 1, 0, last)
     stop = np.minimum(np.searchsorted(bp, ts + hs, side="left"), last + 1)
     count = np.maximum(stop - first - 1, 0)
-    if derivative:
-        out = slopes[first]
-    else:
-        out = slopes[first] * ts[:, None] + skeleton.offsets[first]
+    slope = slopes[first]
+    value = slope * ts[:, None] + skeleton.offsets[first]
     if not np.any(count):
-        return out
+        return value, slope
     row = np.repeat(np.arange(ts.size), count)
     offset = np.cumsum(count) - count
     kink = first[row] + 1 + (np.arange(row.size) - offset[row])
     x = (ts[row] - bp[kink]) / hs[row]
     mass, moment = kernel_mass_moment(x)
-    weight = mass if derivative else hs[row] * (x * mass - moment)
-    terms = (slopes[kink] - slopes[kink - 1]) * weight[:, None]
-    # each row adds its own terms in breakpoint order
-    for j in range(int(count.max())):
-        has = count > j
-        out[has] += terms[offset[has] + j]
-    return out
+    jump = slopes[kink] - slopes[kink - 1]
+    # add.at adds term by term in index order: each row in breakpoint order
+    np.add.at(value, row, jump * (hs[row] * (x * mass - moment))[:, None])
+    np.add.at(slope, row, jump * mass[:, None])
+    return value, slope
 
 
-def _eval_batch(path: SmoothPath, ts, derivative: bool) -> np.ndarray:
+def _eval_batch(path: SmoothPath, ts) -> tuple[np.ndarray, np.ndarray]:
+    """Values and slopes at an array of parameters, from one kink sum.
+
+    Rows off the windows take h = 0.  The only breakpoints there are the
+    anchor times t_{k,0}, where the 'right' search picks the piece above
+    and the skeleton the one below; both carry slope b_k and offset
+    a_k - b_k t_{k,0}, bit for bit, so every such row is the skeleton's.
+    """
     arr = np.atleast_1d(np.asarray(ts, dtype=float))
     if arr.size == 0:
         raise InputError("at least one parameter value is required")
@@ -299,28 +298,19 @@ def _eval_batch(path: SmoothPath, ts, derivative: bool) -> np.ndarray:
     if float(arr.min()) <= lo or float(arr.max()) > hi:
         bad = float(arr.min()) if float(arr.min()) <= lo else float(arr.max())
         raise DomainError(f"t = {bad!r} outside the path domain ({lo!r}, {hi!r}]")
-    idx = path.window_indices(arr)
-    out = np.empty((arr.size, path.dimension))
-    plain = idx < 0
-    if np.any(plain):
-        evaluate = eval_affine_derivative_many if derivative else eval_affine_many
-        out[plain] = evaluate(path.skeleton, arr[plain])
-    windowed = np.nonzero(idx >= 0)[0]
-    if windowed.size:
-        out[windowed] = _mollified_rows(
-            path.skeleton, arr[windowed], path.h[idx[windowed]], derivative
-        )
-    return out
+    # window index -1 (no window) reads the appended 0
+    hs = np.append(path.h, 0.0)[path.window_indices(arr)]
+    return _mollified_rows(path.skeleton, arr, hs)
 
 
 def eval_smooth_many(path: SmoothPath, ts) -> np.ndarray:
     """Path values at an array of parameters, shape (m, dimension)."""
-    return _eval_batch(path, ts, derivative=False)
+    return _eval_batch(path, ts)[0]
 
 
 def eval_smooth_derivative_many(path: SmoothPath, ts) -> np.ndarray:
     """Path derivatives at an array of parameters, shape (m, dimension)."""
-    return _eval_batch(path, ts, derivative=True)
+    return _eval_batch(path, ts)[1]
 
 
 def eval_smooth(path: SmoothPath, t: float) -> np.ndarray:
@@ -343,8 +333,7 @@ def sample_path(path: SmoothPath, ts) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(ts, dtype=float))
     if arr.size == 0:
         raise InputError("sampling grid is empty")
-    values = eval_smooth_many(path, arr)
-    derivs = eval_smooth_derivative_many(path, arr)
+    values, derivs = _eval_batch(path, arr)
     norm_s = row_norms(values)
     norm_ds = row_norms(derivs)
     return np.column_stack([arr, values, derivs, norm_s, norm_ds, norm_s * norm_ds])

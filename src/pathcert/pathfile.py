@@ -27,15 +27,21 @@ from .skeleton import AnchorSequence, WitnessSequence
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Write through a temporary file beside ``path`` and a rename; a file
+    that cannot be written (say, in a missing directory) is an InputError
+    naming it."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pathcert-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pathcert-")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise InputError(f"cannot write output file {path}: {exc.strerror or exc}") from exc
         raise
 
 
@@ -163,7 +169,7 @@ def build_to_dict(build: PathBuild) -> dict:
         "cone_axis": anchors.cone.axis.coords.tolist(),
         "kernel_c": KERNEL_C,
         "domain": list(build.path.domain),
-        "witness_scale": build.witness.scale if build.witness is not None else 1.0,
+        "witness_scale": build.witness_scale,
         "matched": [[int(k), int(i)] for k, i in anchors.matched],
         "anchors": [
             {"k": k, "source": source, "a": a, "b": b, "t0": t[0], "t1": t[1], "t2": t[2]}
@@ -261,6 +267,7 @@ def build_from_dict(data: dict) -> PathBuild:
             cover_size=cover_size,
             anchors=anchors,
             path=build_smooth_path(anchors),
+            witness_scale=scale,
         )
         if "kernel_c" in data:
             stored_kernel = _number(data["kernel_c"], "kernel_c")

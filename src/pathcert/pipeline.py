@@ -34,7 +34,11 @@ MIN_MATCHED = 2
 
 @dataclass(frozen=True, eq=False)
 class PathBuild:
-    """A built path with everything that produced it."""
+    """A built path with everything that produced it.
+
+    ``witness_scale`` is the factor the raw witness points were multiplied
+    by; a build loaded from a path file has no witness but keeps its scale.
+    """
 
     witness: WitnessSequence | None
     k_max: int
@@ -43,6 +47,7 @@ class PathBuild:
     cover_size: int
     anchors: AnchorSequence
     path: SmoothPath
+    witness_scale: float = 1.0
 
     @property
     def cone(self) -> ConeSpec:
@@ -100,4 +105,5 @@ def build_path(
         cover_size=cover.size,
         anchors=anchors,
         path=path,
+        witness_scale=witness.scale,
     )

@@ -17,7 +17,8 @@ The checks:
   the affine stretches around the anchor times inside them.
 
 Each sampled check builds its whole parameter grid first, evaluates it
-in one batch, and reports the first t that attains the worst value.
+once, taking the values and slopes it needs from the same pass, and
+reports the first t that attains the worst value.
 A row evaluates to the same bits alone or in any batch, so the report
 does not depend on how the grid is split.
 """
@@ -30,14 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .mollifier import (
-    SmoothPath,
-    _mollified_rows,
-    dense_grid,
-    eval_smooth_derivative_many,
-    eval_smooth_many,
-    row_norms,
-)
+from .geometry import row_norms
+from .mollifier import SmoothPath, _eval_batch, _mollified_rows, dense_grid, eval_smooth_many
 from .skeleton import (
     AnchorSequence,
     PiecewiseAffinePath,
@@ -124,7 +119,7 @@ def lemma1_bound_check(path: PiecewiseAffinePath, scale: float, t_values) -> Che
     if ts.size == 0:
         raise InputError("at least one t value is required")
     budget = slope_norm_budget(path)
-    avg = _mollified_rows(path, ts, np.full(ts.size, float(scale)), derivative=True)
+    avg = _mollified_rows(path, ts, np.full(ts.size, float(scale)))[1]
     return _worst(
         "lemma1",
         row_norms(avg) / budget,
@@ -179,8 +174,9 @@ def interpolation_check(
     shapes the final leg, so it is not evaluated.
     """
     ts = anchors.times[:-1, 0]
-    value_dev = row_norms(eval_smooth_many(path, ts) - anchors.a[:-1])
-    deriv_dev = row_norms(eval_smooth_derivative_many(path, ts) - anchors.b[:-1])
+    values, slopes = _eval_batch(path, ts)
+    value_dev = row_norms(values - anchors.a[:-1])
+    deriv_dev = row_norms(slopes - anchors.b[:-1])
     given = int(np.count_nonzero(anchors.given[:-1]))
     return _worst(
         "interpolation",
@@ -242,8 +238,7 @@ def product_bound_scan(
     28 k between consecutive anchor times.
     """
     ts = dense_grid(path) if grid is None else np.asarray(grid, dtype=float)
-    norm_s = row_norms(eval_smooth_many(path, ts))
-    norm_ds = row_norms(eval_smooth_derivative_many(path, ts))
+    norm_s, norm_ds = map(row_norms, _eval_batch(path, ts))
     product = norm_s * norm_ds
     details = f"max product over {ts.size} grid points"
     threshold = FINITE_THRESHOLD
@@ -365,8 +360,7 @@ def smoothness_check(
     t, delta0 = np.array([_fd_trial_points(path, rng) for _ in range(trials)]).T
     deltas = delta0[:, None] / np.power(2.0, np.arange(5))
     points = np.concatenate([t[:, None], t[:, None] + deltas, t[:, None] - deltas], axis=1)
-    values = eval_smooth_many(path, points.ravel()).reshape(trials, 11, -1)
-    derivs = eval_smooth_derivative_many(path, points.ravel()).reshape(trials, 11, -1)
+    values, derivs = (a.reshape(trials, 11, -1) for a in _eval_batch(path, points.ravel()))
     ref = derivs[:, 0]
     fd1 = (values[:, 1:6] - values[:, 6:11]) / (2.0 * deltas[:, :, None])
     err1 = row_norms(fd1 - ref[:, None, :])

@@ -9,9 +9,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import reject, settings
+from hypothesis import strategies as st
 
-from pathcert.errors import InputError
+from pathcert.errors import InputError, PipelineError
 from pathcert.generators import DEFAULT_START, DEFAULT_STOP, GeneratorSpec, generate_points
 from pathcert.pipeline import build_path
 from pathcert.skeleton import WitnessSequence
@@ -125,6 +126,34 @@ def random_witness_data(seed, dimension, count, spread, y_kind, size):
         w -= np.sum(w * unit, axis=1, keepdims=True) * unit
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     return points, np.where(np.sum(points * w, axis=1, keepdims=True) >= 0.0, w, -w)
+
+
+RANDOM_BUILD_CASES = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**32 - 1),
+        "dimension": st.integers(1, 5),
+        "spread": st.floats(0.0, 0.3),
+        "y_kind": st.sampled_from(["radial", "tangent", "halfspace"]),
+        "size": st.sampled_from([0.5, 1.0]),
+        "k_max": st.integers(2, 10),
+    }
+)
+
+
+def random_build(case):
+    """The build of 60 random witness points near an axis (a draw of
+    RANDOM_BUILD_CASES); data too sparse to match two anchors is rejected
+    as an example."""
+    y_kind = case["y_kind"]
+    if case["dimension"] == 1 and y_kind == "tangent":
+        y_kind = "halfspace"  # no unit y is orthogonal to x on a line
+    points, directions = random_witness_data(
+        case["seed"], case["dimension"], 60, case["spread"], y_kind, case["size"]
+    )
+    try:
+        return build_path(WitnessSequence.ingest(points, directions), k_max=case["k_max"])
+    except PipelineError:
+        reject()
 
 
 def witness_fixture(kind: str, dimension: int) -> WitnessSequence:

@@ -340,6 +340,83 @@ NAMED_IN_ERROR.update(
 )
 
 
+def _into_missing_directory(*argv):
+    """argv with {out} a file in a directory that does not exist, {witness} a
+    witness file and {path} a built path file."""
+
+    def write(tmp_path, capsys):
+        names = {
+            "out": str(tmp_path / "no-such-dir" / "out.txt"),
+            "witness": _write_witness(tmp_path),
+        }
+        if "{path}" in argv:
+            names["path"] = _build_path_file(tmp_path, capsys)
+        return [arg.format(**names) for arg in argv]
+
+    return write
+
+
+_SMALL_PROBE = (
+    "--generator", "diagonal", "--count", "120", "--stop", "0.02", "--k-max", "12"
+)
+# an output file that cannot be created is named, whichever option gave it
+OUTPUT_CASES = {
+    "cover-out-in-missing-directory": ("cover", "--dimension", "2", "--out", "{out}"),
+    "build-out-in-missing-directory": ("build", "--witness", "{witness}", "--out", "{out}"),
+    "sample-out-in-missing-directory": ("sample", "--path", "{path}", "--out", "{out}"),
+    "check-out-in-missing-directory": (
+        "check", "--path", "{path}", "--suite", "interpolation", "--out", "{out}"
+    ),
+    "probe-out-in-missing-directory": ("probe", "--field", "rational2d", *_SMALL_PROBE,
+                                       "--out", "{out}"),
+    "probe-tail-csv-in-missing-directory": ("probe", "--field", "rational2d", *_SMALL_PROBE,
+                                            "--tail-csv", "{out}"),
+    "probe-path-out-in-missing-directory": ("probe", "--field", "rational2d", *_SMALL_PROBE,
+                                            "--path-out", "{out}"),
+}
+MALFORMED_INPUTS.update(
+    (case, _into_missing_directory(*argv)) for case, argv in OUTPUT_CASES.items()
+)
+NAMED_IN_ERROR.update(
+    (case, f"{os.sep}{os.path.join('no-such-dir', 'out.txt')}: ")
+    for case in OUTPUT_CASES
+)
+# fields non-finite all along the path, non-finite probe numbers, and
+# 2-D covers finer than the cover size cap
+_NON_FINITE_FIELD = "error: field is non-finite on every grid point"
+_BAD_EPSILON = "error: epsilon must be positive and finite"
+_COVER_TOO_LARGE = "error: could not cover the sphere in dimension 2"
+NUMBER_CASES = {
+    "probe-field-nan-on-the-whole-path": (
+        ("probe", "--field", "expr:x1/0", *_SMALL_PROBE), _NON_FINITE_FIELD
+    ),
+    "probe-field-overflows-on-the-whole-path": (
+        ("probe", "--field", "expr:abs(x1)*1e308*1e308", *_SMALL_PROBE), _NON_FINITE_FIELD
+    ),
+    "probe-epsilon-nan": (("probe", "--field", "rational2d", "--epsilon", "nan"), _BAD_EPSILON),
+    "probe-epsilon-inf": (("probe", "--field", "rational2d", "--epsilon", "inf"), _BAD_EPSILON),
+    "probe-tail-delta-inf": (
+        ("probe", "--field", "rational2d", *_SMALL_PROBE, "--tail-delta", "inf"),
+        "error: tail delta inf must be finite",
+    ),
+    "probe-tail-delta-nan": (
+        ("probe", "--field", "rational2d", *_SMALL_PROBE, "--tail-delta", "nan"),
+        "error: tail delta nan must be finite",
+    ),
+    "cover-2d-half-angle-1e-300-deg": (
+        ("cover", "--dimension", "2", "--half-angle-deg", "1e-300"), _COVER_TOO_LARGE
+    ),
+    "cover-2d-half-angle-1e-320-deg": (
+        ("cover", "--dimension", "2", "--half-angle-deg", "1e-320"), _COVER_TOO_LARGE
+    ),
+}
+MALFORMED_INPUTS.update(
+    (case, lambda tmp_path, capsys, argv=argv: list(argv))
+    for case, (argv, _) in NUMBER_CASES.items()
+)
+NAMED_IN_ERROR.update((case, named) for case, (_, named) in NUMBER_CASES.items())
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_exits_2(tmp_path, capsys, case):
     """Malformed witness or path data is an input error, never a traceback."""

@@ -474,6 +474,30 @@ def test_cover_memory_is_bounded():
     assert peak < 64 * 2**20
 
 
+@pytest.mark.parametrize(
+    "half_angle",
+    [2.0 * math.pi / geometry._MAX_COVER_SIZE * (1.0 - 1e-9), 1e-300, 5e-324],
+    ids=["just-below-the-cap", "1e-300", "smallest-subnormal"],
+)
+def test_2d_cover_above_the_size_cap_allocates_nothing(monkeypatch, half_angle):
+    """A circle cover that would need more than _MAX_COVER_SIZE directions is
+    the InputError of dimensions >= 3, raised before any direction exists,
+    also when 2 pi / half_angle overflows to inf."""
+
+    def no_directions(count):
+        raise AssertionError(f"built {count} circle directions")
+
+    monkeypatch.setattr(geometry, "_circle_directions", no_directions)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="could not cover the sphere in dimension 2"):
+            geometry._cached_cover.__wrapped__(2, half_angle, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
 def test_cover_validation():
     with pytest.raises(InputError):
         build_sphere_cover(0)

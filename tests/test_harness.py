@@ -10,6 +10,7 @@ from pathcert.generators import GeneratorSpec, generate_points
 from pathcert.harness import (
     BUILTIN_FIELDS,
     ScalarField,
+    _delta_ladder,
     certify_discontinuity,
     derive_witness,
     field_from_expression,
@@ -251,6 +252,34 @@ def test_certify_rejects_nonpositive_epsilon():
     witness = derive_witness(field, _diagonal_spec(count=40, stop=0.05))
     with pytest.raises(InputError, match="epsilon"):
         certify_discontinuity(field, witness, k_max=8, epsilon=0.0)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+def test_epsilon_must_be_positive_and_finite(epsilon):
+    """derive_witness checks epsilon before it evaluates a point, and
+    certify_discontinuity before it builds a path."""
+    field = get_builtin_field("rational2d")
+    witness = derive_witness(field, _diagonal_spec(count=40, stop=0.05))
+    with pytest.raises(InputError, match="epsilon must be positive and finite"):
+        derive_witness(field, _diagonal_spec(count=40, stop=0.05), epsilon=epsilon)
+    with pytest.raises(InputError, match="epsilon must be positive and finite"):
+        certify_discontinuity(field, witness, k_max=8, epsilon=epsilon)
+
+
+@pytest.mark.parametrize("delta", [math.inf, math.nan, -math.inf])
+def test_tail_delta_must_be_finite(delta):
+    with pytest.raises(InputError, match=f"tail delta {delta!r} must be finite"):
+        _delta_ladder(1e-6, 1e-3, [0.25, delta])
+
+
+def test_certify_names_a_field_non_finite_on_the_whole_path():
+    """Finite nowhere along the grid is bad input, not an empty reduction."""
+    spec = GeneratorSpec(kind="diagonal", dimension=1, count=40, stop=0.05)
+    witness = WitnessSequence.ingest(generate_points(spec))
+    for text in ("x1/0", "abs(x1)*1e308*1e308"):
+        field = field_from_expression(text)
+        with pytest.raises(InputError, match="non-finite on every grid point of the path"):
+            certify_discontinuity(field, witness, k_max=8, epsilon=0.5)
 
 
 def test_certify_requires_finite_witness_values():

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import FIXTURE_CASES, RANDOM_BUILD_CASES, random_build
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from pathcert import mollifier
@@ -13,6 +14,7 @@ from pathcert.mollifier import (
     E1_AT_ONE,
     KERNEL_C,
     SmoothPath,
+    _eval_batch,
     _mollified_rows,
     build_smooth_path,
     dense_grid,
@@ -27,6 +29,7 @@ from pathcert.mollifier import (
     sample_path,
     sorted_unique,
 )
+import two_path_eval
 from quadrature import integrate_panels
 from pathcert.skeleton import (
     affine_path_from_slopes,
@@ -344,8 +347,7 @@ def test_kernel_average_matches_direct_convolution_with_many_kinks(case):
     path, ts, h = case
     kernel = make_kernel()
     hs = np.full(ts.size, h)
-    values = _mollified_rows(path, ts, hs, derivative=False)
-    derivs = _mollified_rows(path, ts, hs, derivative=True)
+    values, derivs = _mollified_rows(path, ts, hs)
     lo, hi = path.domain
     for i, t in enumerate(ts):
         preimages = (t - path.breakpoints[1:-1]) / h
@@ -367,8 +369,48 @@ def test_kernel_average_matches_direct_convolution_with_many_kinks(case):
             assert float(np.max(np.abs(got - ref))) <= tol
         # a row is the same alone as in its batch
         one = ts[i : i + 1]
-        assert np.array_equal(_mollified_rows(path, one, hs[:1], False)[0], values[i])
-        assert np.array_equal(_mollified_rows(path, one, hs[:1], True)[0], derivs[i])
+        value, deriv = _mollified_rows(path, one, hs[:1])
+        assert np.array_equal(value[0], values[i])
+        assert np.array_equal(deriv[0], derivs[i])
+
+
+def _anchor_time_rows(path):
+    """Indices of the interior breakpoints that lie off every window."""
+    bp = path.skeleton.breakpoints
+    return 1 + np.flatnonzero(path.window_indices(bp[1:-1]) < 0)
+
+
+@pytest.mark.parametrize("case", FIXTURE_CASES, ids=lambda c: f"{c[0]}-d{c[1]}-k{c[2]}")
+def test_anchor_times_join_two_equal_skeleton_rows(builds, case):
+    """Off the windows the only breakpoints are the anchor times t_{k,0},
+    and the skeleton rows on either side of each carry the same slope and
+    offset bits, so the h = 0 rows may take either piece."""
+    build = builds[case]
+    path = build.path
+    at = _anchor_time_rows(path)
+    assert np.array_equal(path.skeleton.breakpoints[at], build.anchors.times[-2:0:-1, 0])
+    for name in ("slopes", "offsets"):
+        rows = getattr(path.skeleton, name)
+        assert np.array_equal(rows[at - 1].view(np.int64), rows[at].view(np.int64))
+
+
+@settings(max_examples=30)
+@given(case=RANDOM_BUILD_CASES)
+def test_one_kink_sum_keeps_the_bits_of_the_two_path_evaluator(case):
+    """Values and slopes from the one kink sum equal the two-path
+    evaluator's (skeleton off the windows, kink sum inside, one pass
+    each) bit for bit, in dimensions 1-5, on the dense grid, every
+    breakpoint, every window edge and the domain's upper end."""
+    build = random_build(case)
+    event(f"dimension {build.anchors.dimension}")
+    path = build.path
+    ts = np.concatenate(
+        [dense_grid(path), path.skeleton.breakpoints[1:], path.lo, path.hi, [path.domain[1]]]
+    )
+    assert _anchor_time_rows(path).size == build.anchors.times.shape[0] - 2
+    for got, derivative in zip(_eval_batch(path, ts), (False, True)):
+        want = two_path_eval.eval_batch(path, ts, derivative)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_derivative_consistent_with_finite_differences(diagonal_build):

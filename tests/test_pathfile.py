@@ -5,11 +5,11 @@ import os
 
 import numpy as np
 import pytest
-from conftest import random_witness_data
-from hypothesis import event, given, reject, settings
+from conftest import RANDOM_BUILD_CASES, random_build
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from pathcert.errors import InputError, PipelineError
+from pathcert.errors import InputError
 from pathcert.generators import GeneratorSpec, generate_points
 from pathcert.harness import ProbeReport
 from pathcert.mollifier import dense_grid, eval_smooth_many, sample_path
@@ -132,43 +132,16 @@ def test_build_round_trip_is_bitwise(tmp_path, diagonal_build):
     )
 
 
-_random_cases = st.fixed_dictionaries(
-    {
-        "seed": st.integers(0, 2**32 - 1),
-        "dimension": st.integers(1, 5),
-        "spread": st.floats(0.0, 0.3),
-        "y_kind": st.sampled_from(["radial", "tangent", "halfspace"]),
-        "size": st.sampled_from([0.5, 1.0]),
-        "k_max": st.integers(2, 10),
-    }
-)
-
-
-def _random_build(case):
-    """The build of 60 random witness points near an axis; data too sparse
-    to match two anchors is rejected as an example."""
-    y_kind = case["y_kind"]
-    if case["dimension"] == 1 and y_kind == "tangent":
-        y_kind = "halfspace"  # no unit y is orthogonal to x on a line
-    points, directions = random_witness_data(
-        case["seed"], case["dimension"], 60, case["spread"], y_kind, case["size"]
-    )
-    try:
-        return build_path(WitnessSequence.ingest(points, directions), k_max=case["k_max"])
-    except PipelineError:
-        reject()
-
-
 def _bits(arr):
     return np.ascontiguousarray(arr).view(np.int64)
 
 
 @settings(max_examples=25)
-@given(case=_random_cases)
+@given(case=RANDOM_BUILD_CASES)
 def test_path_json_round_trip_keeps_every_array(case):
     """A build reloaded from its JSON has the anchor, skeleton and window
     arrays of the original, bit for bit, in dimensions 1-5."""
-    build = _random_build(case)
+    build = random_build(case)
     event(f"dimension {build.anchors.dimension}")
     loaded = build_from_dict(json.loads(json.dumps(build_to_dict(build))))
     assert loaded.anchors.matched == build.anchors.matched
@@ -184,7 +157,7 @@ def test_path_json_round_trip_keeps_every_array(case):
 
 @settings(max_examples=40)
 @given(
-    case=_random_cases,
+    case=RANDOM_BUILD_CASES,
     place=st.integers(0, 10),
     field=st.sampled_from(["a", "b", "t0", "t1", "t2", "source"]),
     factor=st.sampled_from([-0.5, -1e-6, 1e-6, 0.25]),
@@ -192,7 +165,7 @@ def test_path_json_round_trip_keeps_every_array(case):
 def test_a_perturbed_anchor_is_named(case, place, field, factor):
     """Scaling one anchor's a or b, moving one of its times by a fraction of
     its spacing, or flipping its source makes the load fail naming it."""
-    data = build_to_dict(_random_build(case))
+    data = build_to_dict(random_build(case))
     j = place % len(data["anchors"])
     item = data["anchors"][j]
     if field in ("a", "b"):
@@ -362,6 +335,27 @@ def test_tail_csv_lines():
     assert len(lines) == 3
     delta, sup = (float(p) for p in lines[1].split(","))
     assert (delta, sup) == (0.25, 1.0)
+
+
+def test_atomic_write_names_a_file_it_cannot_create(tmp_path):
+    target = tmp_path / "no-such-dir" / "out.txt"
+    with pytest.raises(InputError, match=f"cannot write output file {target}: "):
+        atomic_write_text(str(target), "text\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_resaving_a_loaded_path_keeps_its_witness_scale():
+    """A build loaded from a path file has no witness, but carries the
+    scale, so saving it again gives back the document it came from."""
+    spec = GeneratorSpec(kind="diagonal", dimension=2, count=160, stop=0.012)
+    build = build_path(WitnessSequence.ingest(4.0 * generate_points(spec)), k_max=20)
+    data = json.loads(json.dumps(build_to_dict(build)))
+    assert build.witness_scale == build.witness.scale < 1.0
+    assert data["witness_scale"] == build.witness.scale
+    loaded = build_from_dict(data)
+    assert loaded.witness is None
+    assert loaded.witness_scale == build.witness.scale
+    assert build_to_dict(loaded) == data
 
 
 def test_atomic_write_overwrites_and_leaves_no_droppings(tmp_path):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from conftest import FIXTURE_CASES
 
-from pathcert import verifier
+from pathcert import mollifier, verifier
 from pathcert.errors import InputError
 from pathcert.mollifier import (
     SmoothPath,
@@ -469,8 +469,9 @@ def test_product_ignores_grid_points_off_the_legs(builds):
 
 
 def test_each_check_evaluates_its_grid_in_one_batch(diagonal_build, monkeypatch):
-    """envelope and coincidence make one smooth-path evaluation call,
-    smoothness and product one for values and one for derivatives."""
+    """envelope, coincidence, interpolation, smoothness and product each make
+    one path evaluation, one kink sum giving values and slopes together;
+    coincidence adds its skeleton reference."""
     calls = []
 
     def counted(name, evaluate):
@@ -480,14 +481,23 @@ def test_each_check_evaluates_its_grid_in_one_batch(diagonal_build, monkeypatch)
 
         return wrapper
 
-    for name in ("eval_smooth_many", "eval_smooth_derivative_many", "eval_affine_many"):
-        monkeypatch.setattr(verifier, name, counted(name, getattr(verifier, name)))
+    evaluate = counted("_eval_batch", mollifier._eval_batch)
+    monkeypatch.setattr(mollifier, "_eval_batch", evaluate)
+    monkeypatch.setattr(verifier, "_eval_batch", evaluate)
+    monkeypatch.setattr(
+        mollifier, "_mollified_rows", counted("_mollified_rows", mollifier._mollified_rows)
+    )
+    monkeypatch.setattr(
+        verifier, "eval_affine_many", counted("eval_affine_many", verifier.eval_affine_many)
+    )
     path, anchors = diagonal_build.path, diagonal_build.anchors
+    one = ["_eval_batch", "_mollified_rows"]
     expected = {
-        "envelope": ["eval_smooth_many"],
-        "coincidence": ["eval_smooth_many", "eval_affine_many"],
-        "smoothness": ["eval_smooth_many", "eval_smooth_derivative_many"],
-        "product": ["eval_smooth_many", "eval_smooth_derivative_many"],
+        "envelope": one,
+        "coincidence": [*one, "eval_affine_many"],
+        "interpolation": one,
+        "smoothness": one,
+        "product": one,
     }
     for name, names in expected.items():
         calls.clear()
