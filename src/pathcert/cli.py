@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import InputError, PipelineError, WitnessNotFoundError
-from .generators import GENERATOR_KINDS, GeneratorSpec, generate_points
+from .generators import GENERATOR_KINDS, MAX_SIZES, GeneratorSpec, generate_points
 from .geometry import DEFAULT_COVER_HALF_ANGLE, build_sphere_cover
 from .harness import (
     BUILTIN_FIELDS,
@@ -31,6 +31,7 @@ from .harness import (
 from .mollifier import log_grid, sample_path
 from .pathfile import (
     atomic_write_text,
+    check_writable,
     load_build,
     load_witness,
     probe_to_json,
@@ -54,6 +55,18 @@ def _parse_field(spec: str) -> ScalarField:
     if spec in BUILTIN_FIELDS:
         return get_builtin_field(spec)
     return field_from_expression(spec)
+
+
+def _check_arguments(args: argparse.Namespace) -> None:
+    """Reject, before any work, an output file that cannot be written and a
+    size argument above its cap."""
+    for name in ("out", "tail_csv", "path_out"):
+        if getattr(args, name, None):
+            check_writable(getattr(args, name))
+    for name, cap in MAX_SIZES.items():
+        if getattr(args, name, 0) > cap:
+            option = "--" + name.replace("_", "-")
+            raise InputError(f"{option} must be at most {cap}, got {getattr(args, name)}")
 
 
 # ---- subcommands --------------------------------------------------------
@@ -278,6 +291,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
+        _check_arguments(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,6 +23,9 @@ DEFAULT_START = 0.45
 DEFAULT_STOP = 0.015
 # a 2-D spiral build took ~1.3 s at this count and ~78 s at 100,000 (2-vCPU VM)
 MAX_COUNT = 10_000
+# caps on the command line's other size arguments, each far above its
+# default; a 5-D k_max 40 run at one cap peaked at 0.2-0.6 GB (2-vCPU VM)
+MAX_SIZES = {"points": 500_000, "trials": 100_000, "per_decade": 1_000_000, "per_window": 50_000}
 
 
 @dataclass(frozen=True, eq=False)

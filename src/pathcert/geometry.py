@@ -30,17 +30,14 @@ through the inverse normal CDF and normalized.  That map is an in-module
 port of Cephes ``ndtri`` (Moshier, 1989) with libm ``log``, so it returns
 scipy.special.ndtri's bits and the module imports nothing from scipy.
 In dimension 1, {+1, -1} is the whole sphere, and in dimension 2 the
-spacing of the circle points proves the cover: every unit vector lies
-within pi / count of one of ``count`` equally spaced directions.  From
-dimension 3 on, ``build_sphere_cover(dimension, half_angle, *, seed)``
-doubles the candidate set until a randomized check passes.  The check
-draws its COVER_SAMPLE_COUNT unit samples from ``seed`` once per cover
-and tests them against blocks of directions, dropping the samples a
-block already covers.  Halton candidates nest, each the first half of
-the next, so a doubling computes only the new points and the check
-resumes where the failed candidate stopped: chunks it covered are
-skipped, and the samples it left uncovered meet only the added
-directions.
+spacing proves the cover: count >= 2 pi / half_angle equally spaced
+directions put every unit vector within pi / count <= half_angle / 2 of
+one.  From dimension 3 on, ``build_sphere_cover(dimension, half_angle, *,
+seed)`` doubles the candidate set until ``_uncovered`` leaves none of
+COVER_SAMPLE_COUNT unit samples drawn from ``seed``.  Halton candidates
+nest, so a doubling computes only the new points, and only the samples
+still uncovered meet them; Fibonacci lattices do not, so each size tests
+the samples again, up to the first chunk it leaves uncovered.
 Dyadic shells partition the punctured unit ball by 1/(k+1) < ||x|| <= 1/k.
 """
 
@@ -49,7 +46,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -405,64 +401,20 @@ def _halton_sphere(count: int, dimension: int, start: int = 0) -> np.ndarray:
     return _unit_rows(_ndtri(u))
 
 
-def _cover_samples(dimension: int, seed: int, samples: int) -> list[np.ndarray]:
-    """Unit samples for the covering check, in chunks of _COVER_CHUNK draws.
-
-    Deterministic for a fixed seed; rows whose Gaussian draw is too short
-    to normalize are dropped.
-    """
-    rng = np.random.default_rng(seed)
-    chunks = []
-    remaining = samples
-    while remaining > 0:
-        chunk = min(_COVER_CHUNK, remaining)
-        remaining -= chunk
-        chunks.append(_unit_rows(rng.standard_normal((chunk, dimension))))
-    return chunks
-
-
-class _CoverProgress(NamedTuple):
-    """Where a failed covering check stopped: chunks before ``chunk`` are
-    covered by the first ``tested`` directions, and ``uncovered`` holds the
-    samples of ``chunk`` that none of them covers."""
-
-    chunk: int
-    uncovered: np.ndarray
-    tested: int
-
-
-def _verify_cover(
-    directions: np.ndarray,
-    half_angle: float,
-    chunks: list[np.ndarray],
-    resume: _CoverProgress | None = None,
-) -> tuple[bool, _CoverProgress | None]:
-    """Randomized covering check: every sample must lie within half_angle
-    of some direction.
-
-    Directions are tested a block at a time, and samples a block covers are
-    not tested again; a sample is covered exactly when its best cosine over
-    all directions reaches cos(half_angle).  The check stops at the first
-    chunk left with an uncovered sample and returns where it stopped.
-    Passing that back as ``resume`` with directions that begin with the
-    ones tested continues from there: covered chunks are skipped and the
-    uncovered samples meet only the added directions.
-    """
+def _uncovered(chunks: list[np.ndarray], directions: np.ndarray, half_angle: float):
+    """Yield, for each chunk of unit samples in turn, the samples farther
+    than half_angle from every direction: those whose best cosine stays
+    below cos(half_angle).  Directions are tested a block at a time, and a
+    sample one block covers meets no later block."""
     cos_threshold = math.cos(half_angle)
     block = max(1, _BLOCK_ENTRIES // _COVER_CHUNK)
-    first = 0 if resume is None else resume.chunk
-    for index in range(first, len(chunks)):
-        g, start = chunks[index], 0
-        if resume is not None and index == resume.chunk:
-            g, start = resume.uncovered, resume.tested
-        for lo in range(start, directions.shape[0], block):
+    for g in chunks:
+        for lo in range(0, directions.shape[0], block):
             if g.shape[0] == 0:
                 break
             best = (g @ directions[lo : lo + block].T).max(axis=1)
             g = g[best < cos_threshold]
-        if g.shape[0]:
-            return False, _CoverProgress(index, g, directions.shape[0])
-    return True, None
+        yield g
 
 
 @lru_cache(maxsize=32)
@@ -471,38 +423,40 @@ def _cached_cover(dimension: int, half_angle: float, seed: int) -> SphereCover:
         # {+1, -1} is the whole 0-sphere
         directions = np.array([[1.0], [-1.0]])
     elif dimension == 2:
-        # every unit vector lies within half the spacing 2 pi / count of
-        # a circle direction, so this bound proves the cover
+        # count >= 2 pi / half_angle directions, 2 pi / count apart, put every
+        # unit vector within pi / count <= half_angle / 2 of one: a proof
         spacings = 2.0 * math.pi / half_angle
         if spacings > _MAX_COVER_SIZE:
             raise _cover_too_large(dimension, half_angle)
-        count = max(int(math.ceil(spacings)), 4)
-        if math.pi / count > half_angle:
-            raise InputError(f"cover construction failed in dimension {dimension}")
-        directions = _circle_directions(count)
+        directions = _circle_directions(max(int(math.ceil(spacings)), 4))
     else:
         directions = _sampled_cover(dimension, half_angle, seed)
     return SphereCover(dimension=dimension, half_angle=half_angle, directions=directions)
 
 
 def _sampled_cover(dimension: int, half_angle: float, seed: int) -> np.ndarray:
-    """Directions in dimension >= 3, doubled until the sampled check passes."""
-    chunks = _cover_samples(dimension, seed, COVER_SAMPLE_COUNT)
-    count, start, progress = (32 if dimension == 3 else 256), 0, None
+    """Directions in dimension >= 3, doubled until each of
+    COVER_SAMPLE_COUNT unit samples drawn from ``seed`` is covered."""
+    rng = np.random.default_rng(seed)
+    chunks = [
+        _unit_rows(rng.standard_normal((min(_COVER_CHUNK, COVER_SAMPLE_COUNT - lo), dimension)))
+        for lo in range(0, COVER_SAMPLE_COUNT, _COVER_CHUNK)
+    ]
+    count, start = (32 if dimension == 3 else 256), 0
     directions = np.empty((0, dimension))
-    while True:
-        if dimension == 3:
-            # Fibonacci lattices of different sizes do not nest
-            directions, progress = _fibonacci_sphere(count), None
-        else:
-            # the Halton candidates nest: add the new points, resume the check
-            directions = np.concatenate([directions, _halton_sphere(count, dimension, start)])
-        covered, progress = _verify_cover(directions, half_angle, chunks, progress)
-        if covered:
-            return directions
+    while count <= _MAX_COVER_SIZE:
+        if dimension == 3:  # Fibonacci lattices do not nest: test every sample again
+            directions = _fibonacci_sphere(count)
+            if not any(g.shape[0] for g in _uncovered(chunks, directions, half_angle)):
+                return directions
+        else:  # Halton candidates nest: the samples left meet only the new points
+            added = _halton_sphere(count, dimension, start)
+            directions = np.concatenate([directions, added])
+            chunks = [g for g in _uncovered(chunks, added, half_angle) if g.shape[0]]
+            if not chunks:
+                return directions
         start, count = count, 2 * count
-        if count > _MAX_COVER_SIZE:
-            raise _cover_too_large(dimension, half_angle)
+    raise _cover_too_large(dimension, half_angle)
 
 
 def _cover_too_large(dimension: int, half_angle: float) -> InputError:
@@ -516,12 +470,13 @@ def build_sphere_cover(
 ) -> SphereCover:
     """Deterministic sphere cover at the requested angular resolution.
 
-    Dimension 1 uses {+1, -1}; dimension 2 the fewest equally spaced
-    circle points whose spacing proves the cover (``seed`` is unused in
-    both); dimension 3 a Fibonacci lattice; higher dimensions a
-    low-discrepancy Gaussian construction.  From dimension 3 on, the
-    candidate set is doubled until the randomized covering check on
-    COVER_SAMPLE_COUNT samples drawn from ``seed`` passes.
+    Dimension 1 uses {+1, -1}; dimension 2 ``ceil(2 pi / half_angle)``
+    (at least 4) equally spaced circle points, about twice the count the
+    spacing bound needs (``seed`` is unused in both); dimension 3 a Fibonacci
+    lattice; higher dimensions a low-discrepancy Gaussian construction.
+    From dimension 3 on, the candidate set is doubled until every one of
+    COVER_SAMPLE_COUNT unit samples drawn from ``seed`` lies within
+    half_angle of a direction.
     """
     if not isinstance(dimension, int) or dimension < 1:
         raise InputError(f"dimension must be a positive integer, got {dimension!r}")

@@ -9,6 +9,7 @@ and an atomic rename.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -36,6 +37,8 @@ def atomic_write_text(path: str, text: str) -> None:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pathcert-")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        os.umask(umask := os.umask(0))  # read the umask: mkstemp made the file 0600
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -43,6 +46,15 @@ def atomic_write_text(path: str, text: str) -> None:
         if isinstance(exc, OSError):
             raise InputError(f"cannot write output file {path}: {exc.strerror or exc}") from exc
         raise
+
+
+def check_writable(path: str) -> None:
+    """Raise, before any work, the InputError ``atomic_write_text`` would
+    raise at the end for ``path`` in a missing or read-only directory."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.access(directory, os.W_OK | os.X_OK):
+        reason = errno.EACCES if os.path.isdir(directory) else errno.ENOENT
+        raise InputError(f"cannot write output file {path}: {os.strerror(reason)}")
 
 
 @contextmanager

@@ -1,10 +1,11 @@
 """End-to-end path construction from witness data.
 
 Stages: sphere cover, dominant cone selection, shell parity vote,
-anchor selection, skeleton, mollification.  Any stage failure raises
-PipelineError naming the stage.  One extra anchor is built below the
-requested K_max so every requested anchor time lies strictly inside
-the evaluation domain.
+anchor selection, skeleton, mollification.  A stage that rejects its
+input raises InputError and any other stage failure PipelineError, both
+naming the stage.  One extra anchor is built below the requested K_max
+so every requested anchor time lies strictly inside the evaluation
+domain.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ def _stage(name: str):
         yield
     except PipelineError:
         raise
+    except InputError as exc:
+        raise InputError(f"stage '{name}': {exc}") from exc
     except Exception as exc:
         raise PipelineError(name, str(exc)) from exc
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pathcert
-from pathcert import cli
+from pathcert import cli, generators, harness
 
 
 def _run(argv, capsys):
@@ -534,6 +534,81 @@ def test_build_pipeline_failure_exits_3(tmp_path, capsys):
     )
     assert rc == 3
     assert "pipeline error" in err
+
+
+@pytest.mark.parametrize(
+    "half_angle_deg,named",
+    [
+        ("200", "error: stage 'cover': half_angle must lie in (0, pi/2)"),
+        ("1e-300", "error: stage 'cover': could not cover the sphere in dimension 2"),
+    ],
+    ids=["half-angle-200-deg", "2d-half-angle-1e-300-deg"],
+)
+def test_bad_input_inside_a_build_stage_exits_2(tmp_path, capsys, half_angle_deg, named):
+    """An input the cover stage rejects is bad input, as from ``cover``,
+    and the error names the stage."""
+    out = tmp_path / "p.json"
+    argv = ["build", "--witness", _write_witness(tmp_path), "--out", str(out)]
+    rc, _, err = _run([*argv, "--half-angle-deg", half_angle_deg], capsys)
+    assert rc == 2
+    assert named in err
+    assert "pipeline error" not in err and not out.exists()
+
+
+def _no_build(*args, **kwargs):
+    raise AssertionError("built a path")
+
+
+@pytest.mark.parametrize("command", ["probe", "build"])
+def test_an_output_that_cannot_be_written_stops_the_command_first(
+    tmp_path, capsys, monkeypatch, command
+):
+    """Every output target is checked before any work: nothing is built and
+    no earlier output is left behind."""
+    monkeypatch.setattr(cli, "build_path", _no_build)
+    monkeypatch.setattr(harness, "build_path", _no_build)
+    witness = _write_witness(tmp_path)
+    missing = str(tmp_path / "missing" / "t.csv")
+    if command == "probe":
+        argv = ["probe", "--field", "rational2d", *_SMALL_PROBE, "--out",
+                str(tmp_path / "ok.json"), "--tail-csv", missing,
+                "--path-out", str(tmp_path / "p.json")]
+    else:
+        argv = ["build", "--witness", witness, "--out", missing]
+    rc, out, err = _run(argv, capsys)
+    assert rc == 2 and out == ""
+    assert f"error: cannot write output file {missing}: No such file or directory" in err
+    assert os.listdir(tmp_path) == ["witness.json"]
+
+
+# size option: the command that takes it
+SIZE_OPTIONS = {
+    "--points": "sample", "--trials": "check", "--per-decade": "check", "--per-window": "check"
+}
+
+
+@pytest.mark.parametrize("option", sorted(SIZE_OPTIONS))
+def test_size_arguments_above_their_cap_exit_2_before_any_work(
+    tmp_path, capsys, monkeypatch, option
+):
+    command = SIZE_OPTIONS[option]
+    cap = generators.MAX_SIZES[option[2:].replace("-", "_")]
+    assert cap < 10**12
+    path_file = _build_path_file(tmp_path, capsys)
+
+    def no_load(path):
+        raise AssertionError("loaded the path")
+
+    monkeypatch.setattr(cli, "load_build", no_load)
+    out = tmp_path / "out.txt"
+    argv = [command, "--path", path_file, "--out", str(out)]
+    rc, text, err = _run([*argv, option, str(10**12)], capsys)
+    assert rc == 2
+    assert f"error: {option} must be at most {cap}, got {10**12}" in err
+    assert text == "" and not out.exists()
+    # the cap itself is allowed
+    args = cli.build_parser().parse_args([*argv, option, str(cap)])
+    assert cli._check_arguments(args) is None
 
 
 def test_usage_errors_exit_2(capsys):

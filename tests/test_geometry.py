@@ -266,24 +266,60 @@ def test_cover_dimension_two_count():
     assert float(np.max(np.abs(norms - 1.0))) <= 1e-12
 
 
+def _samples(dimension, seed, count):
+    """Unit samples as the cover build draws them: chunks of up to 4096
+    standard normal rows from ``seed``, each kept row divided by its norm,
+    computed in two passes (short rows dropped, norms taken again)."""
+    rng = np.random.default_rng(seed)
+    chunks = []
+    for lo in range(0, count, 4096):
+        g = rng.standard_normal((min(4096, count - lo), dimension))
+        g = g[np.linalg.norm(g, axis=1) > 1e-12]
+        chunks.append(g / np.linalg.norm(g, axis=1)[:, None])
+    return chunks
+
+
+def _brute_force_uncovered(directions, half_angle, chunks):
+    """Per chunk, the samples whose best cosine over all directions, taken
+    1024 directions at a time so that the products stay small, falls below
+    cos(half_angle)."""
+    uncovered = []
+    for g in chunks:
+        slices = range(0, len(directions), 1024)
+        best = np.max([(g @ directions[lo : lo + 1024].T).max(axis=1) for lo in slices], axis=0)
+        uncovered.append(g[best < math.cos(half_angle)])
+    return uncovered
+
+
+def _brute_force_covered(directions, half_angle, chunks) -> bool:
+    return not any(len(g) for g in _brute_force_uncovered(directions, half_angle, chunks))
+
+
+def _same_chunks(a, b) -> bool:
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("half_angle", [DEFAULT_COVER_HALF_ANGLE, 0.05, 0.3, 1.5])
 def test_circle_cover_passes_the_sampled_check(half_angle, seed):
-    """The 2-D cover, proved by its spacing, also passes the randomized
-    check that higher dimensions rely on."""
+    """The 2-D cover, proved by its spacing, also leaves none of the
+    samples that higher dimensions rely on uncovered."""
     cover = build_sphere_cover(2, half_angle, seed=seed)
-    assert math.pi / cover.size <= half_angle
-    chunks = geometry._cover_samples(2, seed, geometry.COVER_SAMPLE_COUNT)
-    assert geometry._verify_cover(cover.directions, half_angle, chunks) == (True, None)
+    assert math.pi / cover.size <= half_angle / 2.0
+    chunks = _samples(2, seed, geometry.COVER_SAMPLE_COUNT)
+    uncovered = list(geometry._uncovered(chunks, cover.directions, half_angle))
+    assert _same_chunks(uncovered, [g[:0] for g in chunks])
+    assert _brute_force_covered(cover.directions, half_angle, chunks)
 
 
 def test_low_dimensional_covers_draw_no_samples(monkeypatch):
-    """Covers in dimensions 1 and 2 need no random samples."""
+    """Covers in dimensions 1 and 2 draw no random samples and test none."""
 
     def no_samples(*args):
         raise AssertionError("sampled a cover that its spacing proves")
 
-    monkeypatch.setattr(geometry, "_cover_samples", no_samples)
+    monkeypatch.setattr(np.random, "default_rng", no_samples)
+    monkeypatch.setattr(geometry, "_uncovered", no_samples)
     build = geometry._cached_cover.__wrapped__  # past the cache
     assert build(1, 0.7, 91).size == 2
     assert build(2, 0.7, 91).size == math.ceil(2.0 * math.pi / 0.7)
@@ -333,17 +369,6 @@ def test_cover_sizes_at_seed_zero(dimension, size):
     assert build_sphere_cover(dimension).size == size
 
 
-def _brute_force_covered(directions, half_angle, chunks) -> bool:
-    """Every sample's best cosine over all directions, taken 1024 directions
-    at a time so that the products stay small."""
-    for g in chunks:
-        slices = range(0, len(directions), 1024)
-        best = np.max([(g @ directions[lo : lo + 1024].T).max(axis=1) for lo in slices], axis=0)
-        if np.any(best < math.cos(half_angle)):
-            return False
-    return True
-
-
 @pytest.mark.parametrize("block_entries", [geometry._COVER_CHUNK * 8, geometry._BLOCK_ENTRIES])
 @pytest.mark.parametrize(
     "dimension,counts",
@@ -355,38 +380,36 @@ def _brute_force_covered(directions, half_angle, chunks) -> bool:
     ],
 )
 def test_pruned_cover_check_matches_brute_force(monkeypatch, block_entries, dimension, counts):
-    """Dropping covered samples block by block gives the verdict of the full
-    max over all directions, on covers that pass and covers that fail.  In
-    dimension >= 4 the candidates nest as in the cover build, and each check
-    resumes where the failed one before it stopped."""
+    """Dropping covered samples block by block leaves, per chunk, exactly
+    the samples the full max over all directions leaves, on covers that
+    pass and covers that fail.  Circle and Fibonacci candidates do not nest
+    and meet all samples; Halton candidates nest as in the cover build, and
+    only the samples the smaller set left uncovered meet the added points."""
     monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", block_entries)
-    chunks = geometry._cover_samples(dimension, 3, 20_000)
+    chunks = _samples(dimension, 3, 20_000)
     half_angle = DEFAULT_COVER_HALF_ANGLE
-    verdicts, progress, start = [], None, 0
+    verdicts, carried, start = [], chunks, 0
     directions = np.empty((0, dimension))
     for count in counts:
-        if dimension == 2:
-            directions = geometry._circle_directions(count)
-        elif dimension == 3:
-            directions = geometry._fibonacci_sphere(count)
+        if dimension <= 3:
+            family = geometry._circle_directions if dimension == 2 else geometry._fibonacci_sphere
+            directions = family(count)
+            uncovered = list(geometry._uncovered(chunks, directions, half_angle))
         else:
-            halton = geometry._halton_sphere(count, dimension, start)
-            directions, start = np.concatenate([directions, halton]), count
-        verdict, resumed = geometry._verify_cover(
-            directions, half_angle, chunks, progress if dimension >= 4 else None
-        )
-        assert verdict == _brute_force_covered(directions, half_angle, chunks)
-        assert (resumed is None) == verdict
-        verdicts.append(verdict)
-        progress = resumed
+            added = geometry._halton_sphere(count, dimension, start)
+            directions, start = np.concatenate([directions, added]), count
+            uncovered = carried = list(geometry._uncovered(carried, added, half_angle))
+        assert _same_chunks(uncovered, _brute_force_uncovered(directions, half_angle, chunks))
+        verdicts.append(not any(len(g) for g in uncovered))
     if dimension >= 4:
         assert verdicts == [False] * (len(counts) - 1) + [True]
     assert verdicts[0] is False and verdicts[-1] is True
 
 
 def test_resumed_cover_check_retests_the_failed_chunk():
-    """On resume, the samples the failed candidate left uncovered must meet
-    an added direction; the chunks after them meet all directions."""
+    """The samples a candidate left uncovered meet each added direction,
+    also after an addition that covers none of them, and the chunks are
+    tested only as far as the caller reads."""
     half_angle = DEFAULT_COVER_HALF_ANGLE
     circle = geometry._circle_directions(24)
 
@@ -397,17 +420,56 @@ def test_resumed_cover_check_retests_the_failed_chunk():
     # the first 12 directions span 0..165 degrees: they cover ``upper`` only
     upper, lower = on_circle(0.1, 3.0), on_circle(3.4, 5.9)
     chunks = [np.concatenate([upper, lower]), upper, upper]
-    candidates = [
-        circle[:12],
-        np.concatenate([circle[:12], circle[5:6]]),  # adds a direction inside the span
-        np.concatenate([circle[:12], circle[5:6], circle[12:]]),
-    ]
-    verdicts, progress = [], None
-    for directions in candidates:
-        verdict, progress = geometry._verify_cover(directions, half_angle, chunks, progress)
-        assert verdict == _brute_force_covered(directions, half_angle, chunks)
-        verdicts.append(verdict)
+    additions = [circle[:12], circle[5:6], circle[12:]]  # the second covers nothing new
+    directions, carried, verdicts = np.empty((0, 2)), chunks, []
+    for added in additions:
+        directions = np.concatenate([directions, added])
+        carried = list(geometry._uncovered(carried, added, half_angle))
+        assert _same_chunks(carried, _brute_force_uncovered(directions, half_angle, chunks))
+        verdicts.append(not any(len(g) for g in carried))
+        if not verdicts[-1]:
+            assert _same_chunks(carried, [lower, upper[:0], upper[:0]])
     assert verdicts == [False, False, True]
+    # a caller that stops at the first uncovered chunk never reaches the next
+    first = next(geometry._uncovered([lower, None], circle[:12], half_angle))
+    assert np.array_equal(first, lower)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("dimension", [3, 4, 5])
+def test_sampled_cover_is_the_smallest_candidate_that_covers_every_sample(
+    monkeypatch, dimension, seed
+):
+    """Against a brute-force oracle on 20,000 samples: the cover is the first
+    doubling candidate, built whole, under which every sample reaches
+    cos(half_angle).  Fibonacci sizes each test their whole lattice; Halton
+    doublings test each direction once."""
+    monkeypatch.setattr(geometry, "COVER_SAMPLE_COUNT", 20_000)
+    tested = []
+    uncovered = geometry._uncovered
+
+    def counted(chunks, directions, half_angle):
+        tested.append(len(directions))
+        return uncovered(chunks, directions, half_angle)
+
+    monkeypatch.setattr(geometry, "_uncovered", counted)
+    half_angle = DEFAULT_COVER_HALF_ANGLE
+    cover = geometry._sampled_cover(dimension, half_angle, seed)
+    chunks = _samples(dimension, seed, 20_000)
+    count = 32 if dimension == 3 else 256
+    while True:
+        if dimension == 3:
+            candidate = geometry._fibonacci_sphere(count)
+        else:
+            candidate = geometry._halton_sphere(count, dimension)
+        if _brute_force_covered(candidate, half_angle, chunks):
+            break
+        count *= 2
+    assert np.array_equal(cover, candidate)
+    if dimension == 3:
+        assert tested == [32 * 2**i for i in range(len(tested))] and tested[-1] == count
+    else:
+        assert sum(tested) == count and tested[0] == 256
 
 
 @pytest.mark.parametrize("dimension", [4, 5, 8])
@@ -425,20 +487,25 @@ def test_halton_sphere_nests(dimension, count):
 
 
 @pytest.mark.parametrize("seed", [0, 3])
-@pytest.mark.parametrize("dimension", [2, 3, 4, 5])
-def test_cover_samples_normalize_with_one_norm_pass(dimension, seed):
-    """Samples equal the two-pass form that normalized the kept rows by
-    recomputed norms."""
-    rng = np.random.default_rng(seed)
-    expected = []
-    for size in (4096,) * 24 + (1696,):
-        g = rng.standard_normal((size, dimension))
-        g = g[np.linalg.norm(g, axis=1) > 1e-12]
-        g /= np.linalg.norm(g, axis=1)[:, None]
-        expected.append(g)
-    chunks = geometry._cover_samples(dimension, seed, geometry.COVER_SAMPLE_COUNT)
-    assert len(chunks) == len(expected)
-    assert all(np.array_equal(a, b) for a, b in zip(chunks, expected))
+@pytest.mark.parametrize("dimension", [3, 4, 5])
+def test_cover_samples_normalize_with_one_norm_pass(monkeypatch, dimension, seed):
+    """The samples a cover build tests equal the two-pass form that
+    normalized the kept rows by recomputed norms."""
+    drawn = []
+
+    class Drawn(Exception):
+        pass
+
+    def first_call(chunks, directions, half_angle):
+        drawn.extend(chunks)
+        raise Drawn  # the samples are all this test needs
+
+    monkeypatch.setattr(geometry, "_uncovered", first_call)
+    with pytest.raises(Drawn):
+        geometry._sampled_cover(dimension, DEFAULT_COVER_HALF_ANGLE, seed)
+    expected = _samples(dimension, seed, geometry.COVER_SAMPLE_COUNT)
+    assert [len(g) for g in expected] == [4096] * 24 + [1696]
+    assert _same_chunks(drawn, expected)
 
 
 def test_ndtri_matches_scipy_bit_for_bit():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -342,6 +343,20 @@ def test_atomic_write_names_a_file_it_cannot_create(tmp_path):
     with pytest.raises(InputError, match=f"cannot write output file {target}: "):
         atomic_write_text(str(target), "text\n")
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]
+)
+def test_atomic_write_gives_the_mode_the_umask_allows(tmp_path, umask, mode):
+    """An output file gets the mode open() would give it, not mkstemp's 0600."""
+    target = tmp_path / "out.txt"
+    old = os.umask(umask)
+    try:
+        atomic_write_text(str(target), "text\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(target.stat().st_mode) == mode
 
 
 def test_resaving_a_loaded_path_keeps_its_witness_scale():
