@@ -47,15 +47,14 @@ from .harness import (
     get_builtin_field,
 )
 from .mollifier import (
-    BumpKernel,
     SmoothPath,
+    bump_kernel,
     build_smooth_path,
     dense_grid,
     eval_smooth,
     eval_smooth_derivative,
     eval_smooth_derivative_many,
     eval_smooth_many,
-    make_kernel,
     sample_path,
 )
 from .pipeline import PathBuild, build_path

@@ -28,7 +28,7 @@ from .harness import (
     field_from_expression,
     get_builtin_field,
 )
-from .mollifier import log_grid, sample_path
+from .mollifier import DEFAULT_PER_DECADE, DEFAULT_PER_WINDOW, log_grid, sample_path
 from .pathfile import (
     atomic_write_text,
     check_writable,
@@ -40,9 +40,9 @@ from .pathfile import (
     save_build,
     tail_to_csv,
 )
-from .pipeline import build_path
+from .pipeline import DEFAULT_K_MAX, build_path, check_k_max
 from .skeleton import WitnessSequence
-from .verifier import SUITE_NAMES, run_checks
+from .verifier import DEFAULT_TRIALS, SUITE_NAMES, run_checks
 
 _DEFAULT_HALF_ANGLE_DEG = math.degrees(DEFAULT_COVER_HALF_ANGLE)
 
@@ -59,14 +59,19 @@ def _parse_field(spec: str) -> ScalarField:
 
 def _check_arguments(args: argparse.Namespace) -> None:
     """Reject, before any work, an output file that cannot be written and a
-    size argument above its cap."""
+    size argument below 1 or above its cap."""
     for name in ("out", "tail_csv", "path_out"):
         if getattr(args, name, None):
             check_writable(getattr(args, name))
+    if hasattr(args, "k_max"):
+        check_k_max(args.k_max)
     for name, cap in MAX_SIZES.items():
-        if getattr(args, name, 0) > cap:
-            option = "--" + name.replace("_", "-")
-            raise InputError(f"{option} must be at most {cap}, got {getattr(args, name)}")
+        value = getattr(args, name, 1)
+        option = "--" + name.replace("_", "-")
+        if value > cap:
+            raise InputError(f"{option} must be at most {cap}, got {value}")
+        if value < 1:
+            raise InputError(f"{option} must be at least 1, got {value}")
 
 
 # ---- subcommands --------------------------------------------------------
@@ -115,8 +120,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise InputError(
             f"sampling range [{t_min!r}, {t_max!r}] must lie inside ({lo!r}, {hi!r}]"
         )
-    if args.points < 1:
-        raise InputError("sampling grid is empty")
     if args.points == 1:
         grid = np.array([t_max])
     elif args.grid == "log":
@@ -227,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build a smooth path from witness data")
     p.add_argument("--witness", required=True, help="witness JSON file")
-    p.add_argument("--k-max", type=int, default=40)
+    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
     p.add_argument("--half-angle-deg", type=float, default=_DEFAULT_HALF_ANGLE_DEG)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="path JSON output")
@@ -252,9 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restricted", action="store_true",
                    help="witness data stays near the cone axis: enforce the 28 bounds")
-    p.add_argument("--per-decade", type=int, default=2048)
-    p.add_argument("--per-window", type=int, default=64)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--per-decade", type=int, default=DEFAULT_PER_DECADE)
+    p.add_argument("--per-window", type=int, default=DEFAULT_PER_WINDOW)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--out", default=None, help="report JSON output")
     p.set_defaults(func=cmd_check)
 
@@ -272,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", default=None, help="comma separated ray axis")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--min-witnesses", type=int, default=DEFAULT_MIN_WITNESSES)
-    p.add_argument("--k-max", type=int, default=40)
+    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tail-delta", type=float, action="append",
                    help="extra tail radius for the profile (repeatable)")

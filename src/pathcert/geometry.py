@@ -60,6 +60,9 @@ DEFAULT_COVER_HALF_ANGLE = 0.5 * CONE_HALF_ANGLE
 COVER_SAMPLE_COUNT = 100_000
 _COVER_CHUNK = 4096
 _MAX_COVER_SIZE = 1 << 21
+# how far from 1 the norm of a unit vector (a direction, a cover direction, a
+# witness or anchor derivative direction) may lie
+UNIT_TOL = 1e-12
 # entries of one (directions x points) block; bounds the temporaries of
 # cone selection and cover verification independently of the cover size
 _BLOCK_ENTRIES = 1 << 20
@@ -129,22 +132,22 @@ def vector_norm(v, what: str) -> float:
     return float(vector_norms(np.reshape(v, (1, -1)), what)[0])
 
 
-def _as_unit_vector(coords, tol: float = 1e-12) -> np.ndarray:
+def _as_unit_vector(coords) -> np.ndarray:
     arr = np.array(coords, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise InputError("a direction must be a 1-d vector")
     if not np.all(np.isfinite(arr)):
         raise InputError("direction has non-finite entries")
     norm = vector_norm(arr, "direction")
-    if abs(norm - 1.0) > tol:
-        raise InputError(f"direction norm {norm!r} deviates from 1 by more than {tol}")
+    if abs(norm - 1.0) > UNIT_TOL:
+        raise InputError(f"direction norm {norm!r} deviates from 1 by more than {UNIT_TOL}")
     arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True, eq=False)
 class UnitDirection:
-    """A unit vector; norm is validated to within 1e-12 on construction."""
+    """A unit vector; norm is validated to within UNIT_TOL on construction."""
 
     coords: np.ndarray
 
@@ -182,7 +185,7 @@ class SphereCover:
         dirs = np.array(self.directions, dtype=float)
         if dirs.ndim != 2 or dirs.shape[1] != self.dimension:
             raise InputError("directions must have shape (m, dimension)")
-        if np.max(np.abs(row_norms(dirs) - 1.0)) > 1e-12:
+        if np.max(np.abs(row_norms(dirs) - 1.0)) > UNIT_TOL:
             raise InputError("cover directions must be unit vectors")
         dirs.setflags(write=False)
         object.__setattr__(self, "directions", dirs)
@@ -430,8 +433,25 @@ def _cached_cover(dimension: int, half_angle: float, seed: int) -> SphereCover:
             raise _cover_too_large(dimension, half_angle)
         directions = _circle_directions(max(int(math.ceil(spacings)), 4))
     else:
+        if _log_fewest_caps(dimension, half_angle) > math.log(_MAX_COVER_SIZE):
+            raise _cover_too_large(dimension, half_angle)
         directions = _sampled_cover(dimension, half_angle, seed)
     return SphereCover(dimension=dimension, half_angle=half_angle, directions=directions)
+
+
+def _log_fewest_caps(dimension: int, half_angle: float) -> float:
+    """The log of a lower bound on how many caps of angular radius half_angle
+    it takes to cover the unit sphere in R^dimension, dimension >= 3.
+
+    No fewer than the sphere's area over a cap's.  With n = dimension - 2,
+    that ratio is the integral of sin^n over (0, pi) over its integral over
+    (0, half_angle); sin rises on (0, pi/2), so the second is at most
+    half_angle sin^n(half_angle), and the first is twice the Wallis integral,
+    sqrt(pi) Gamma((n + 1)/2) / Gamma(n/2 + 1).
+    """
+    n = dimension - 2
+    log_sphere = 0.5 * math.log(math.pi) + math.lgamma((n + 1) / 2) - math.lgamma(n / 2 + 1)
+    return log_sphere - math.log(half_angle) - n * math.log(math.sin(half_angle))
 
 
 def _sampled_cover(dimension: int, half_angle: float, seed: int) -> np.ndarray:
@@ -461,7 +481,8 @@ def _sampled_cover(dimension: int, half_angle: float, seed: int) -> np.ndarray:
 
 def _cover_too_large(dimension: int, half_angle: float) -> InputError:
     return InputError(
-        f"could not cover the sphere in dimension {dimension} at half angle {half_angle}"
+        f"could not cover the sphere in dimension {dimension} at half angle {half_angle} "
+        f"with at most {_MAX_COVER_SIZE} directions"
     )
 
 

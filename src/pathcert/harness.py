@@ -25,7 +25,7 @@ from .expressions import parse_expression
 from .generators import GeneratorSpec, generate_points
 from .geometry import stack_rows
 from .mollifier import dense_grid, eval_smooth_many, sorted_unique
-from .pipeline import PathBuild, build_path
+from .pipeline import DEFAULT_K_MAX, PathBuild, build_path
 from .skeleton import WitnessSequence
 
 DEFAULT_EPSILON = 0.5
@@ -149,10 +149,10 @@ def get_builtin_field(name: str) -> ScalarField:
         ) from None
 
 
-def field_from_expression(text: str, name: str | None = None) -> ScalarField:
-    """Compile an expression into a normalized scalar field."""
+def field_from_expression(text: str) -> ScalarField:
+    """Compile an expression into a normalized scalar field named by its text."""
     evaluator, dimension = parse_expression(text)
-    return ScalarField.normalized(name or text, dimension, evaluator)
+    return ScalarField.normalized(text, dimension, evaluator)
 
 
 # ---- probing ------------------------------------------------------------
@@ -234,7 +234,7 @@ def _delta_ladder(
 def certify_discontinuity(
     field: ScalarField,
     witness: WitnessSequence,
-    k_max: int = 40,
+    k_max: int = DEFAULT_K_MAX,
     epsilon: float | None = None,
     *,
     seed: int = 0,

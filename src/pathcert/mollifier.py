@@ -4,8 +4,8 @@ The kernel is the classical bump (Friedrichs, Trans. AMS 55, 1944)
 
     rho(u) = c * exp(-1 / (1 - u^2))   for |u| < 1,   0 otherwise,
 
-with the stored constant c = KERNEL_C giving unit mass over (-1, 1);
-every average below uses the one ``make_kernel()``.  The smooth path
+with the stored constant c = KERNEL_C giving unit mass over (-1, 1),
+evaluated by ``bump_kernel``.  The smooth path
 ``SmoothPath(skeleton, lo, hi, h)`` is defined on the skeleton's domain and
 agrees with the skeleton outside a family of disjoint windows, one per
 pair of consecutive anchors, held once as the three arrays of their edges
@@ -58,29 +58,25 @@ from .skeleton import AnchorSequence, PiecewiseAffinePath, build_skeleton
 KERNEL_C = 2.2522836210435817  # 0x1.204ad466d96d1p+1
 # the exponential integral E1(1) = 0.2193839343955202736..., rounded to nearest
 E1_AT_ONE = 0.21938393439552029
+# the dense grid's default density: points per decade of t and per window
+DEFAULT_PER_DECADE = 2048
+DEFAULT_PER_WINDOW = 64
+# the most rows a dense grid may hold: a 5-D product check on a grid this
+# size (K = 10,001, 399 points per window) peaked at 0.69 GB (2-vCPU VM)
+MAX_GRID_ROWS = 4_000_000
 
 
-@dataclass(frozen=True, eq=False)
-class BumpKernel:
-    """Normalized bump kernel with compact support (-1, 1)."""
-
-    c: float
-
-    def __call__(self, u):
-        arr = np.asarray(u, dtype=float)
-        flat = np.atleast_1d(arr)
-        bare = np.zeros_like(flat)
-        inside = np.abs(flat) < 1.0
-        ui = flat[inside]
-        bare[inside] = np.exp(-1.0 / (1.0 - ui * ui))
-        values = self.c * bare
-        return float(values[0]) if arr.ndim == 0 else values
-
-
-@lru_cache(maxsize=1)
-def make_kernel() -> BumpKernel:
-    """The normalized kernel; ``_kernel_table`` checks its unit mass."""
-    return BumpKernel(KERNEL_C)
+def bump_kernel(u):
+    """The normalized bump kernel rho(u), supported on (-1, 1), elementwise;
+    ``_kernel_table`` checks its unit mass."""
+    arr = np.asarray(u, dtype=float)
+    flat = np.atleast_1d(arr)
+    bare = np.zeros_like(flat)
+    inside = np.abs(flat) < 1.0
+    ui = flat[inside]
+    bare[inside] = np.exp(-1.0 / (1.0 - ui * ui))
+    values = KERNEL_C * bare
+    return float(values[0]) if arr.ndim == 0 else values
 
 
 # ---- smooth path --------------------------------------------------------
@@ -208,16 +204,15 @@ def _table_eval(coefs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
 @lru_cache(maxsize=1)
 def _kernel_table() -> np.ndarray:
     """Chebyshev coefficients of K and M on each panel, checked to 1e-14."""
-    kernel = make_kernel()
     cheb = np.polynomial.chebyshev
     panels = []
     start = (0.0, 0.0)
     for a, b in zip(_TABLE_EDGES[:-1], _TABLE_EDGES[1:]):
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        density = cheb.chebinterpolate(lambda y: kernel(mid + half * y), _TABLE_DEGREE)
+        density = cheb.chebinterpolate(lambda y: bump_kernel(mid + half * y), _TABLE_DEGREE)
         moment = cheb.chebinterpolate(
-            lambda y: (mid + half * y) * kernel(mid + half * y), _TABLE_DEGREE
+            lambda y: (mid + half * y) * bump_kernel(mid + half * y), _TABLE_DEGREE
         )
         pair = [
             cheb.chebint(series, lbnd=-1.0, k=k, scl=half)
@@ -230,7 +225,7 @@ def _kernel_table() -> np.ndarray:
     # K(0) = 1/2 because rho is even with unit mass, and v = u^2 turns M(0)
     # into -(c/2) * integral of exp(-1/w) over (0, 1) = -(c/2) (1/e - E1(1))
     mass, moment = _table_eval(coefs, np.zeros(1))
-    exact = (0.5, -0.5 * kernel.c * (math.exp(-1.0) - E1_AT_ONE))
+    exact = (0.5, -0.5 * KERNEL_C * (math.exp(-1.0) - E1_AT_ONE))
     if max(abs(mass[0] - exact[0]), abs(moment[0] - exact[1])) > KERNEL_TABLE_TOL:
         raise RuntimeError("kernel tables drifted from their closed forms at x = 0")
     return coefs
@@ -359,15 +354,22 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
 
 
 def dense_grid(
-    path: SmoothPath, per_decade: int = 2048, per_window: int = 64
+    path: SmoothPath, per_decade: int = DEFAULT_PER_DECADE, per_window: int = DEFAULT_PER_WINDOW
 ) -> np.ndarray:
-    """Logarithmic grid over the domain, refined inside every window."""
+    """Logarithmic grid over the domain, refined inside every window; its
+    row count is checked against MAX_GRID_ROWS before anything is allocated."""
     if per_decade < 1 or per_window < 1:
         raise InputError("grid densities must be at least 1")
     lo, hi = path.domain
     start = np.nextafter(lo, hi)
     decades = math.log10(hi / start)
     count = max(int(math.ceil(per_decade * decades)), 2)
+    rows = count + per_window * path.lo.size
+    if rows > MAX_GRID_ROWS:
+        raise InputError(
+            f"a dense grid of {per_decade} points per decade and {per_window} per window "
+            f"holds {rows} rows, above the cap of {MAX_GRID_ROWS}"
+        )
     windows = np.linspace(path.lo, path.hi, per_window, axis=1).ravel()
     grid = sorted_unique(np.concatenate([np.geomspace(start, hi, count), windows]))
     return grid[(grid > lo) & (grid <= hi)]

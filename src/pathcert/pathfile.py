@@ -23,7 +23,7 @@ from .errors import InputError
 from .generators import GeneratorSpec, generate_points
 from .geometry import ConeSpec, UnitDirection, require_rows
 from .mollifier import KERNEL_C, build_smooth_path
-from .pipeline import PathBuild
+from .pipeline import MAX_K_MAX, PathBuild
 from .skeleton import AnchorSequence, WitnessSequence
 
 
@@ -50,7 +50,10 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def check_writable(path: str) -> None:
     """Raise, before any work, the InputError ``atomic_write_text`` would
-    raise at the end for ``path`` in a missing or read-only directory."""
+    raise at the end for ``path`` in a missing or read-only directory, or
+    for a ``path`` that is a directory."""
+    if os.path.isdir(path):
+        raise InputError(f"cannot write output file {path}: {os.strerror(errno.EISDIR)}")
     directory = os.path.dirname(os.path.abspath(path))
     if not os.access(directory, os.W_OK | os.X_OK):
         reason = errno.EACCES if os.path.isdir(directory) else errno.ENOENT
@@ -200,6 +203,8 @@ def _anchor_columns(items, n: int) -> tuple:
     type-checking pass over the items; an anchor is named by its place."""
     if not isinstance(items, list) or len(items) < 2:
         raise InputError("anchors must be a list of at least two objects")
+    if len(items) > MAX_K_MAX + 1:
+        raise InputError(f"a path holds at most {MAX_K_MAX + 1} anchors, got {len(items)}")
     get = itemgetter(*_ANCHOR_KEYS)
     rows = []
     for j, item in enumerate(items, start=1):
@@ -272,8 +277,6 @@ def build_from_dict(data: dict) -> PathBuild:
         scale = _number(data.get("witness_scale", 1.0), "witness_scale")
         _require(0.0 < scale <= 1.0, "witness_scale", "lie in (0, 1]", scale)
         build = PathBuild(
-            witness=None,
-            k_max=k_max,
             half_angle=half_angle,
             seed=_integer(data["seed"], "seed"),
             cover_size=cover_size,

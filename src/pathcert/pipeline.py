@@ -31,18 +31,20 @@ from .skeleton import (
 )
 
 MIN_MATCHED = 2
+DEFAULT_K_MAX = 40
+# a check of a 5-D path at this K peaked at 0.46 GB, of a 2-D one at 0.28 GB
+# (2-vCPU VM); the coincidence check's grid grows with K and holds 2.6 M rows
+MAX_K_MAX = 10_000
 
 
 @dataclass(frozen=True, eq=False)
 class PathBuild:
-    """A built path with everything that produced it.
+    """A built path with the settings that produced it.
 
     ``witness_scale`` is the factor the raw witness points were multiplied
-    by; a build loaded from a path file has no witness but keeps its scale.
+    by, kept so that a loaded path saved again keeps it.
     """
 
-    witness: WitnessSequence | None
-    k_max: int
     half_angle: float
     seed: int
     cover_size: int
@@ -51,12 +53,23 @@ class PathBuild:
     witness_scale: float = 1.0
 
     @property
+    def k_max(self) -> int:
+        """The requested K; one more anchor is built below it."""
+        return len(self.anchors.a) - 1
+
+    @property
     def cone(self) -> ConeSpec:
         return self.anchors.cone
 
     @property
     def parity(self) -> str:
         return self.anchors.parity
+
+
+def check_k_max(k_max: int) -> None:
+    """Reject a K outside 2..MAX_K_MAX, before any work sized by it."""
+    if not 2 <= k_max <= MAX_K_MAX:
+        raise InputError(f"k_max must lie in 2..{MAX_K_MAX}, got {k_max!r}")
 
 
 @contextmanager
@@ -73,13 +86,12 @@ def _stage(name: str):
 
 def build_path(
     witness: WitnessSequence,
-    k_max: int = 40,
+    k_max: int = DEFAULT_K_MAX,
     half_angle: float = DEFAULT_COVER_HALF_ANGLE,
     seed: int = 0,
 ) -> PathBuild:
     """Construct the smooth path for a witness sequence."""
-    if k_max < 2:
-        raise InputError("k_max must be >= 2")
+    check_k_max(k_max)
     with _stage("cover"):
         cover: SphereCover = build_sphere_cover(
             witness.dimension, half_angle, seed=seed
@@ -101,8 +113,6 @@ def build_path(
     with _stage("mollify"):
         path = build_smooth_path(anchors, skeleton=skeleton)
     return PathBuild(
-        witness=witness,
-        k_max=k_max,
         half_angle=float(half_angle),
         seed=int(seed),
         cover_size=cover.size,

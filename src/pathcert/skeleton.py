@@ -38,8 +38,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DomainError, InputError
-from .geometry import ConeSpec, cone_contains_many, require_rows, shell_indices, stack_rows
-from .geometry import vector_norms
+from .geometry import UNIT_TOL, ConeSpec, cone_contains_many, require_rows, shell_indices
+from .geometry import stack_rows, vector_norms
 
 _TIME_TOL = 1e-12
 _CONTINUITY_TOL = 1e-12
@@ -108,7 +108,7 @@ class WitnessSequence:
         require_rows(finite, "pair {} has non-finite entries")
         norms = vector_norms(x, "pair {}: point")
         require_rows((0.0 < norms) & (norms <= 1.0), "pair {}: point norm must lie in (0, 1]")
-        unit = np.abs(vector_norms(y, "pair {}: derivative direction") - 1.0) <= 1e-12
+        unit = np.abs(vector_norms(y, "pair {}: derivative direction") - 1.0) <= UNIT_TOL
         require_rows(unit, "pair {}: derivative direction is not unit")
         dot_ok = np.vecdot(x, y) >= -1e-12
         require_rows(dot_ok, "pair {}: point and direction must satisfy x . y >= 0")
@@ -199,7 +199,7 @@ class AnchorSequence:
         finite = np.all(np.isfinite(np.hstack([a, b, times])), axis=1)
         require_rows(finite, "anchor {} has non-finite entries", 1)
         radius = vector_norms(a, "anchor {} position", 1)
-        unit = np.abs(vector_norms(b, "anchor {} direction", 1) - 1.0) <= 1e-12
+        unit = np.abs(vector_norms(b, "anchor {} direction", 1) - 1.0) <= UNIT_TOL
         require_rows(unit, "anchor {}: direction is not unit", 1)
         t0, t1, t2 = times.T
         require_rows(np.abs(t0 - radius) <= _TIME_TOL, "anchor {}: t0 must equal ||a||", 1)

@@ -12,7 +12,8 @@ The checks:
 * product: ||s(t)|| ||s'(t)|| stays bounded (below 28 for witness data
   confined near the cone axis, with ||s'|| <= 28 k on the k-th leg),
 * smoothness: finite differences of s converge to s' at second order,
-  and differences of s' are Cauchy at second order,
+  and differences of s' are Cauchy, above a noise floor that includes
+  the rounding of a central difference at the trial's smallest step,
 * coincidence: the path equals its skeleton outside the windows and on
   the affine stretches around the anchor times inside them.
 
@@ -20,7 +21,11 @@ Each sampled check builds its whole parameter grid first, evaluates it
 once, taking the values and slopes it needs from the same pass, and
 reports the first t that attains the worst value.
 A row evaluates to the same bits alone or in any batch, so the report
-does not depend on how the grid is split.
+does not depend on how the grid is split.  Each check's tolerance and
+sample count are module constants (INTERPOLATION_TOL, ENVELOPE_TOL,
+COINCIDENCE_TOL, MIN_FD_ORDER, LEMMA1_PATHS, ...), not arguments; what a
+caller varies is the product grid, the envelope's k_max, and the
+smoothness trials and seed.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import row_norms
-from .mollifier import SmoothPath, _eval_batch, _mollified_rows, dense_grid, eval_smooth_many
+from .mollifier import DEFAULT_PER_DECADE, DEFAULT_PER_WINDOW, SmoothPath, _eval_batch
+from .mollifier import _mollified_rows, dense_grid, eval_smooth_many
 from .skeleton import (
     AnchorSequence,
     PiecewiseAffinePath,
@@ -47,6 +53,23 @@ ENVELOPE_TOL = 1e-10
 COINCIDENCE_TOL = 1e-10
 PRODUCT_BOUND = 28.0
 MIN_FD_ORDER = 1.9
+LEMMA1_PATHS = 100
+LEMMA1_POINTS_PER_PATH = 50
+ENVELOPE_SAMPLES_PER_LEVEL = 256
+COINCIDENCE_POINTS_PER_REGION = 64
+DEFAULT_TRIALS = 100
+EPS = float(np.finfo(float).eps)
+# Rounding term of the smoothness floors, in units of eps max||row|| / delta_min,
+# where a row is a computed s (stage one) or s' (stage two) on a trial's stencil.
+# A row meets at most one slope change (a window's kinks sit 4h apart and a row
+# averages over 2h), so it carries the rounding of an affine piece, of one kink
+# term and of t +- delta: about 2 eps max||row|| while no term outgrows the rows.
+# A central difference divides two rows' difference by 2 delta, and stage two
+# subtracts the differences at 2 delta_min and delta_min, so rounding reaches
+# (1 + 1/2) 2 eps max||row|| / delta_min, under 4 eps max||row|| / delta_min.
+# The floor is 16 times that: rounding is then at most 1/16 of any error an
+# order is taken from, and moves a pair's order by at most log2(17/15) = 0.18.
+FD_ROUNDING = 64.0
 # JSON-safe stand-in for "any finite value passes"
 FINITE_THRESHOLD = np.finfo(float).max
 
@@ -141,33 +164,30 @@ def random_affine_path(rng: np.random.Generator) -> PiecewiseAffinePath:
     return affine_path_from_slopes(breakpoints, value, slopes)
 
 
-def lemma1_random_suite(
-    paths: int = 100, t_per_path: int = 50, seed: int = 0
-) -> CheckReport:
-    """Run the derivative-average bound on a family of random paths."""
+def lemma1_random_suite(seed: int = 0) -> CheckReport:
+    """Run the derivative-average bound on LEMMA1_PATHS random paths."""
     reports = []
-    for child in np.random.SeedSequence(seed).spawn(paths):
+    for child in np.random.SeedSequence(seed).spawn(LEMMA1_PATHS):
         rng = np.random.default_rng(child)
         path = random_affine_path(rng)
         lo, hi = path.domain
         scale = float(rng.uniform(0.2, 0.8)) * 0.5 * (hi - lo)
-        ts = rng.uniform(lo + scale, hi - scale, size=t_per_path)
+        ts = rng.uniform(lo + scale, hi - scale, size=LEMMA1_POINTS_PER_PATH)
         reports.append(lemma1_bound_check(path, scale, ts))
     return _worst(
         "lemma1",
         [r.measured for r in reports],
         [r.witness_t for r in reports],
         1.0 + LEMMA1_TOL,
-        f"max ratio over {paths} random paths, {t_per_path} points each, seed {seed}",
+        f"max ratio over {LEMMA1_PATHS} random paths, {LEMMA1_POINTS_PER_PATH} points each, "
+        f"seed {seed}",
     )
 
 
 # ---- interpolation ------------------------------------------------------
 
 
-def interpolation_check(
-    path: SmoothPath, anchors: AnchorSequence, tol: float = INTERPOLATION_TOL
-) -> CheckReport:
+def interpolation_check(path: SmoothPath, anchors: AnchorSequence) -> CheckReport:
     """Anchor positions and derivative directions are hit at the t_{k,0}.
 
     The last anchor sits on the open lower end of the domain and only
@@ -182,7 +202,7 @@ def interpolation_check(
         "interpolation",
         np.maximum(value_dev, deriv_dev),
         ts,
-        tol,
+        INTERPOLATION_TOL,
         f"max anchor deviation over {ts.size} anchors ({given} given)",
     )
 
@@ -190,13 +210,8 @@ def interpolation_check(
 # ---- envelope -----------------------------------------------------------
 
 
-def envelope_check(
-    path: SmoothPath,
-    k_max: int = 20,
-    samples_per_level: int = 256,
-    tol: float = ENVELOPE_TOL,
-) -> CheckReport:
-    """||s(t)|| <= 1/k + tol whenever t < 1/(2k), for k = 1..k_max."""
+def envelope_check(path: SmoothPath, k_max: int = 20) -> CheckReport:
+    """||s(t)|| <= 1/k + ENVELOPE_TOL whenever t < 1/(2k), for k = 1..k_max."""
     lo, hi = path.domain
     start = np.nextafter(lo, hi)
     grids = []
@@ -205,7 +220,7 @@ def envelope_check(
         top = min(1.0 / (2.0 * k), hi)
         if top <= start:
             continue
-        ts = np.geomspace(start, top, samples_per_level)
+        ts = np.geomspace(start, top, ENVELOPE_SAMPLES_PER_LEVEL)
         ts = ts[ts < 1.0 / (2.0 * k)]
         grids.append(ts)
         ceilings.append(np.full(ts.size, 1.0 / k))
@@ -217,8 +232,8 @@ def envelope_check(
         "envelope",
         row_norms(eval_smooth_many(path, ts)) - np.concatenate(ceilings),
         ts,
-        tol,
-        f"max ||s(t)|| - 1/k over {levels} levels, {samples_per_level} samples each",
+        ENVELOPE_TOL,
+        f"max ||s(t)|| - 1/k over {levels} levels, {ENVELOPE_SAMPLES_PER_LEVEL} samples each",
     )
 
 
@@ -226,18 +241,15 @@ def envelope_check(
 
 
 def product_bound_scan(
-    path: SmoothPath,
-    anchors: AnchorSequence,
-    grid=None,
-    restricted: bool = False,
+    path: SmoothPath, anchors: AnchorSequence, grid, restricted: bool = False
 ) -> CheckReport:
-    """Scan ||s|| ||s'|| on a grid (dense default).
+    """Scan ||s|| ||s'|| on a grid.
 
     Unrestricted data only asserts finiteness.  For witness data close
     to the cone axis the product must stay below 28 and the speed below
     28 k between consecutive anchor times.
     """
-    ts = dense_grid(path) if grid is None else np.asarray(grid, dtype=float)
+    ts = np.asarray(grid, dtype=float)
     norm_s, norm_ds = map(row_norms, _eval_batch(path, ts))
     product = norm_s * norm_ds
     details = f"max product over {ts.size} grid points"
@@ -338,21 +350,21 @@ def _fd_trial_points(path: SmoothPath, rng: np.random.Generator) -> tuple[float,
 
 
 def smoothness_check(
-    path: SmoothPath,
-    trials: int = 100,
-    seed: int = 0,
-    min_order: float = MIN_FD_ORDER,
+    path: SmoothPath, trials: int = DEFAULT_TRIALS, seed: int = 0
 ) -> CheckReport:
     """Finite-difference convergence proxy for C^2 regularity.
 
     Stage one: central differences of s converge to the evaluated s' at
-    order >= min_order (or sit at rounding level).  Stage two guards
+    order >= MIN_FD_ORDER (or sit at rounding level).  Stage two guards
     against kink-level breakdown: central differences of s' must be
     Cauchy at order >= 1.  The second stage gets the lower bar because
     its leading Taylor coefficient crosses zero inside blend windows,
     where the halving sequence legitimately dips below second order,
-    while a genuine kink drives it to order -1.  measured is the worst
-    shortfall across both stages; the check passes at measured <= 0.
+    while a genuine kink drives it to order -1.  Errors under a stage's
+    floor count as converged; each floor adds to a relative part the most
+    rounding can give, FD_ROUNDING eps max||row|| / delta_min, which the
+    tiny steps of deep windows would otherwise read as a kink.  measured is
+    the worst shortfall across both stages; the check passes at measured <= 0.
     """
     if trials < 1:
         raise InputError("smoothness needs at least one trial")
@@ -362,14 +374,18 @@ def smoothness_check(
     points = np.concatenate([t[:, None], t[:, None] + deltas, t[:, None] - deltas], axis=1)
     values, derivs = (a.reshape(trials, 11, -1) for a in _eval_batch(path, points.ravel()))
     ref = derivs[:, 0]
+    # per unit of max||row||, what rounding can put into a stage's errors
+    rounding = FD_ROUNDING * EPS / deltas[:, -1]
     fd1 = (values[:, 1:6] - values[:, 6:11]) / (2.0 * deltas[:, :, None])
     err1 = row_norms(fd1 - ref[:, None, :])
     floor1 = 1e-8 * np.maximum(1.0, row_norms(ref))
+    floor1 += rounding * np.max(row_norms(values), axis=1)
     fd2 = (derivs[:, 1:6] - derivs[:, 6:11]) / (2.0 * deltas[:, :, None])
     diff2 = row_norms(np.diff(fd2, axis=1))
     floor2 = 1e-7 * np.maximum(1.0, np.max(row_norms(fd2), axis=1))
+    floor2 += rounding * np.max(row_norms(derivs), axis=1)
     shortfall = [
-        max(min_order - _order_estimate(e1, f1), 1.0 - _order_estimate(e2, f2))
+        max(MIN_FD_ORDER - _order_estimate(e1, f1), 1.0 - _order_estimate(e2, f2))
         for e1, f1, e2, f2 in zip(err1, floor1, diff2, floor2)
     ]
     return _worst(
@@ -384,11 +400,7 @@ def smoothness_check(
 # ---- coincidence with the skeleton -------------------------------------
 
 
-def coincidence_check(
-    path: SmoothPath,
-    points_per_region: int = 64,
-    tol: float = COINCIDENCE_TOL,
-) -> CheckReport:
+def coincidence_check(path: SmoothPath) -> CheckReport:
     """s equals the skeleton off the windows and near the anchor times.
 
     Inside each window the kernel average still sees a purely affine
@@ -411,12 +423,12 @@ def coincidence_check(
     start = np.maximum(np.concatenate([gap_lo[gaps], band_lo]), np.nextafter(lo, hi))
     stop = np.minimum(np.concatenate([gap_hi[gaps], band_hi]), hi)
     keep = start < stop
-    ts = np.linspace(start[keep], stop[keep], points_per_region, axis=1).ravel()
+    ts = np.linspace(start[keep], stop[keep], COINCIDENCE_POINTS_PER_REGION, axis=1).ravel()
     return _worst(
         "coincidence",
         row_norms(eval_smooth_many(path, ts) - eval_affine_many(path.skeleton, ts)),
         ts,
-        tol,
+        COINCIDENCE_TOL,
         f"max |s - skeleton| over {ts.size} points in {start.size} regions",
     )
 
@@ -431,15 +443,19 @@ def run_checks(
     *,
     seed: int = 0,
     restricted: bool = False,
-    per_decade: int = 2048,
-    per_window: int = 64,
-    trials: int = 100,
+    per_decade: int = DEFAULT_PER_DECADE,
+    per_window: int = DEFAULT_PER_WINDOW,
+    trials: int = DEFAULT_TRIALS,
 ) -> list[CheckReport]:
     """Run the named checks (all by default) against a built path."""
     chosen = tuple(names) if names else SUITE_NAMES
     unknown = [n for n in chosen if n not in SUITE_NAMES]
     if unknown:
         raise InputError(f"unknown checks: {', '.join(unknown)}")
+    # the product grid is sized first, so that a grid above its cap stops the run
+    # before any check
+    if "product" in chosen:
+        grid = dense_grid(path, per_decade=per_decade, per_window=per_window)
     reports = []
     for name in chosen:
         if name == "lemma1":
@@ -450,7 +466,6 @@ def run_checks(
             k_cap = min(20, len(anchors.times) - 1)
             reports.append(envelope_check(path, k_max=k_cap))
         elif name == "product":
-            grid = dense_grid(path, per_decade=per_decade, per_window=per_window)
             reports.append(product_bound_scan(path, anchors, grid, restricted))
         elif name == "smoothness":
             reports.append(smoothness_check(path, trials=trials, seed=seed))

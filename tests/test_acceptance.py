@@ -14,7 +14,8 @@ from scipy.integrate import quad
 from conftest import FIXTURE_CASES, RESTRICTED_KINDS
 
 from pathcert import cli
-from pathcert.mollifier import SmoothPath, eval_smooth_many, make_kernel
+from pathcert import verifier
+from pathcert.mollifier import KERNEL_C, SmoothPath, bump_kernel, dense_grid, eval_smooth_many
 from quadrature import integrate_panels
 from pathcert.skeleton import eval_affine_many
 from pathcert.verifier import (
@@ -36,8 +37,10 @@ def test_averaged_derivative_bound(capsys):
     """Kernel-averaged slope of random segmented paths stays under the
     slope-norm budget."""
     started = time.perf_counter()
-    report = lemma1_random_suite(paths=100, t_per_path=50, seed=0)
+    report = lemma1_random_suite(seed=0)
     elapsed = time.perf_counter() - started
+    assert report.threshold == 1.0 + 1e-7
+    assert "over 100 random paths, 50 points each" in report.details
     ok = report.passed and report.measured <= 1.0 + 1e-7 and elapsed < 10.0
     _announce(
         capsys,
@@ -57,7 +60,8 @@ def test_anchor_interpolation(capsys, builds):
     failures = []
     for case in FIXTURE_CASES:
         build = builds[case]
-        report = interpolation_check(build.path, build.anchors, tol=1e-9)
+        report = interpolation_check(build.path, build.anchors)
+        assert report.threshold == 1e-9
         worst = max(worst, report.measured)
         if not report.passed:
             failures.append(case)
@@ -81,7 +85,9 @@ def test_norm_envelope(capsys, builds):
     failures = []
     for case in FIXTURE_CASES:
         build = builds[case]
-        report = envelope_check(build.path, k_max=20, samples_per_level=256, tol=1e-10)
+        report = envelope_check(build.path, k_max=20)
+        assert report.threshold == 1e-10
+        assert report.details.endswith("256 samples each")
         worst = max(worst, report.measured)
         if not report.passed:
             failures.append(case)
@@ -108,7 +114,9 @@ def test_speed_product_bound(capsys, builds):
     for case in FIXTURE_CASES:
         build = builds[case]
         restricted = case[0] in RESTRICTED_KINDS
-        report = product_bound_scan(build.path, build.anchors, restricted=restricted)
+        report = product_bound_scan(
+            build.path, build.anchors, dense_grid(build.path), restricted=restricted
+        )
         if restricted:
             restricted_sup = max(restricted_sup, report.measured)
             if not (report.passed and report.measured <= 28.0):
@@ -137,9 +145,10 @@ def test_smoothness_order(capsys, builds):
     started = time.perf_counter()
     failures = []
     worst = -math.inf
+    assert verifier.MIN_FD_ORDER == 1.9
     for case in FIXTURE_CASES:
         build = builds[case]
-        report = smoothness_check(build.path, trials=100, seed=0, min_order=1.9)
+        report = smoothness_check(build.path, trials=100, seed=0)
         worst = max(worst, report.measured)
         if not report.passed:
             failures.append(case)
@@ -147,7 +156,7 @@ def test_smoothness_order(capsys, builds):
     # the diagonal one is collinear and its kinks vanish to rounding
     control_build = builds[("spiral", 2, 20)]
     control = SmoothPath(skeleton=control_build.path.skeleton, lo=(), hi=(), h=())
-    control_report = smoothness_check(control, trials=40, seed=0, min_order=1.9)
+    control_report = smoothness_check(control, trials=40, seed=0)
     elapsed = time.perf_counter() - started
     ok = not failures and not control_report.passed and elapsed < 10.0
     _announce(
@@ -168,9 +177,11 @@ def test_skeleton_coincidence(capsys, builds):
     started = time.perf_counter()
     failures = []
     worst = -math.inf
+    assert verifier.COINCIDENCE_POINTS_PER_REGION == 64
     for case in FIXTURE_CASES:
         build = builds[case]
-        report = coincidence_check(build.path, points_per_region=64, tol=1e-10)
+        report = coincidence_check(build.path)
+        assert report.threshold == 1e-10
         worst = max(worst, report.measured)
         if not report.passed:
             failures.append(case)
@@ -257,9 +268,8 @@ def test_field_probe_end_to_end(capsys, tmp_path):
 def test_kernel_normalization(capsys):
     """The bump kernel has unit mass and its constant matches an
     independent adaptive quadrature to 6 significant digits."""
-    kernel = make_kernel()
     edges = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    mass = float(integrate_panels(kernel, edges, order=32, tol=1e-15))
+    mass = float(integrate_panels(bump_kernel, edges, order=32, tol=1e-15))
     mass_error = abs(mass - 1.0)
 
     def bare(u):
@@ -269,18 +279,18 @@ def test_kernel_normalization(capsys):
 
     integral, quad_error = quad(bare, -1.0, 1.0, epsabs=1e-14, epsrel=1e-14)
     oracle = 1.0 / integral
-    rel = abs(kernel.c - oracle) / oracle
-    ok = mass_error <= 1e-12 and rel <= 1e-6 and abs(kernel.c - 2.252284) <= 5e-7
+    rel = abs(KERNEL_C - oracle) / oracle
+    ok = mass_error <= 1e-12 and rel <= 1e-6 and abs(KERNEL_C - 2.252284) <= 5e-7
     _announce(
         capsys,
         "kernel-normalization",
         ok,
-        f"|mass-1| {mass_error:.2e}, c {kernel.c:.10f} vs oracle {oracle:.10f} "
+        f"|mass-1| {mass_error:.2e}, c {KERNEL_C:.10f} vs oracle {oracle:.10f} "
         f"(quad err {quad_error:.1e})",
     )
     assert mass_error <= 1e-12
     assert rel <= 1e-6
-    assert abs(kernel.c - 2.252284) <= 5e-7
+    assert abs(KERNEL_C - 2.252284) <= 5e-7
 
 
 def test_deterministic_outputs(capsys, tmp_path):

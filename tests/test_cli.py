@@ -1,5 +1,6 @@
 """End-to-end command line runs with real files."""
 
+import inspect
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import pathcert
-from pathcert import cli, generators, harness
+from pathcert import cli, generators, geometry, harness, mollifier, pathfile, pipeline, verifier
 
 
 def _run(argv, capsys):
@@ -559,6 +560,10 @@ def _no_build(*args, **kwargs):
     raise AssertionError("built a path")
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("started work")
+
+
 @pytest.mark.parametrize("command", ["probe", "build"])
 def test_an_output_that_cannot_be_written_stops_the_command_first(
     tmp_path, capsys, monkeypatch, command
@@ -611,6 +616,122 @@ def test_size_arguments_above_their_cap_exit_2_before_any_work(
     assert cli._check_arguments(args) is None
 
 
+@pytest.mark.parametrize("value", [0, -5])
+@pytest.mark.parametrize("option", sorted(SIZE_OPTIONS))
+def test_size_arguments_below_1_exit_2_for_every_suite(
+    tmp_path, capsys, monkeypatch, option, value
+):
+    """A size no command can use is rejected before any work, also where the
+    chosen suite would never read it."""
+    monkeypatch.setattr(cli, "load_build", _no_work)
+    command = SIZE_OPTIONS[option]
+    argv = [command, "--path", "p.json", "--out", str(tmp_path / "out.txt")]
+    if command == "check":
+        argv += ["--suite", "interpolation"]
+    rc, text, err = _run([*argv, option, str(value)], capsys)
+    assert rc == 2 and text == ""
+    assert f"error: {option} must be at least 1, got {value}" in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["build", "probe"])
+def test_k_max_above_its_cap_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    """--k-max is capped for build and probe alike, before the witness is read
+    or derived; the cap itself is allowed."""
+    monkeypatch.setattr(cli, "load_witness", _no_work)
+    monkeypatch.setattr(cli, "_parse_field", _no_work)
+    out = str(tmp_path / "out.json")
+    if command == "build":
+        argv = ["build", "--witness", "w.json", "--out", out]
+    else:
+        argv = ["probe", "--field", "rational2d", "--out", out]
+    rc, text, err = _run([*argv, "--k-max", str(10**12)], capsys)
+    assert rc == 2 and text == ""
+    assert f"error: k_max must lie in 2..{pipeline.MAX_K_MAX}, got {10**12}" in err
+    assert os.listdir(tmp_path) == []
+    args = cli.build_parser().parse_args([*argv, "--k-max", str(pipeline.MAX_K_MAX)])
+    assert cli._check_arguments(args) is None
+
+
+def test_a_path_file_with_more_anchors_than_the_cap_exits_2(tmp_path, capsys, monkeypatch):
+    """A path file holds at most MAX_K_MAX + 1 anchors; more are rejected
+    before any anchor is read."""
+    path_file = tmp_path / "path.json"
+    document = json.loads(Path(_build_path_file(tmp_path, capsys)).read_text())
+    document["anchors"] = document["anchors"][:1] * (pipeline.MAX_K_MAX + 2)
+    path_file.write_text(json.dumps(document))
+    monkeypatch.setattr(pathfile, "itemgetter", _no_work)
+    rc, _, err = _run(["check", "--path", str(path_file), "--suite", "lemma1"], capsys)
+    assert rc == 2
+    limit = pipeline.MAX_K_MAX + 1
+    assert f"error: a path holds at most {limit} anchors, got {limit + 1}" in err
+
+
+@pytest.mark.parametrize("command", ["build", "probe", "check", "cover"])
+def test_an_output_naming_a_directory_stops_the_command_first(
+    tmp_path, capsys, monkeypatch, command
+):
+    """--out naming an existing directory is rejected before any work."""
+    for module in (cli, harness):
+        monkeypatch.setattr(module, "build_path", _no_build)
+    monkeypatch.setattr(cli, "load_build", _no_work)
+    monkeypatch.setattr(cli, "build_sphere_cover", _no_work)
+    target = tmp_path / "outdir"
+    target.mkdir()
+    argv = {
+        "build": ["build", "--witness", _write_witness(tmp_path)],
+        "probe": ["probe", "--field", "rational2d", *_SMALL_PROBE],
+        "check": ["check", "--path", "p.json"],
+        "cover": ["cover", "--dimension", "3"],
+    }[command]
+    rc, text, err = _run([*argv, "--out", str(target)], capsys)
+    assert rc == 2 and text == ""
+    assert f"error: cannot write output file {target}: Is a directory" in err
+    assert os.listdir(target) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cover", "--dimension", "40"],
+        ["cover", "--dimension", "100000"],
+        ["probe", "--field", "expr:x40"],
+    ],
+    ids=["cover-d40", "cover-d100000", "probe-expr-x40"],
+)
+def test_a_cover_that_cannot_fit_exits_2_before_any_work(capsys, monkeypatch, argv):
+    """A sphere cover whose area bound exceeds the size cap is rejected
+    before a candidate or a sample is drawn."""
+    monkeypatch.setattr(geometry, "_sampled_cover", _no_work)
+    rc, _, err = _run(argv, capsys)
+    assert rc == 2
+    dimension = argv[-1] if argv[0] == "cover" else "40"
+    assert f"could not cover the sphere in dimension {dimension} " in err
+    assert "Traceback" not in err
+
+
+def test_build_parser_defaults_are_the_library_constants():
+    """Each default the command line shares with the library is stated once."""
+    parser = cli.build_parser()
+    build = parser.parse_args(["build", "--witness", "w.json", "--out", "p.json"])
+    probe = parser.parse_args(["probe", "--field", "rational2d"])
+    check = parser.parse_args(["check", "--path", "p.json"])
+    assert build.k_max == probe.k_max == pipeline.DEFAULT_K_MAX == 40
+    assert check.per_decade == mollifier.DEFAULT_PER_DECADE == 2048
+    assert check.per_window == mollifier.DEFAULT_PER_WINDOW == 64
+    assert check.trials == verifier.DEFAULT_TRIALS == 100
+    defaults = {
+        (name, fn.__name__): param.default
+        for fn in (pipeline.build_path, harness.certify_discontinuity, verifier.run_checks,
+                   verifier.smoothness_check, mollifier.dense_grid)
+        for name, param in inspect.signature(fn).parameters.items()
+    }
+    assert defaults[("k_max", "build_path")] == defaults[("k_max", "certify_discontinuity")] == 40
+    assert defaults[("per_decade", "run_checks")] == defaults[("per_decade", "dense_grid")] == 2048
+    assert defaults[("per_window", "run_checks")] == defaults[("per_window", "dense_grid")] == 64
+    assert defaults[("trials", "run_checks")] == defaults[("trials", "smoothness_check")] == 100
+
+
 def test_usage_errors_exit_2(capsys):
     assert _run([], capsys)[0] == 2
     assert _run(["cover"], capsys)[0] == 2
@@ -660,7 +781,7 @@ def test_two_dimensional_commands_skip_numpy_random_and_ma(tmp_path):
     """A 2-D build and a 2-D probe load neither numpy.random (their covers
     are proved by spacing, not sampled) nor numpy.ma; check and sample,
     run after them, never load numpy.ma.  The build, which evaluates no
-    path, never constructs the kernel."""
+    path, never builds the kernel table."""
     witness = tmp_path / "witness2.json"
     witness.write_text(
         json.dumps(
@@ -680,11 +801,11 @@ def test_two_dimensional_commands_skip_numpy_random_and_ma(tmp_path):
     code = (
         "import sys\n"
         "from pathcert import cli\n"
-        "from pathcert.mollifier import make_kernel\n"
+        "from pathcert.mollifier import _kernel_table\n"
         "def loaded(*names):\n"
         "    return [name for name in names if name in sys.modules]\n"
         f"print('exit codes:', cli.main({build!r}))\n"
-        "print('kernels built:', make_kernel.cache_info().currsize)\n"
+        "print('kernel tables built:', _kernel_table.cache_info().currsize)\n"
         f"print('exit codes:', *(cli.main(argv) for argv in {first!r}))\n"
         "print('loaded:', *loaded('numpy.random', 'numpy.ma'))\n"
         f"print('exit codes:', *(cli.main(argv) for argv in {then!r}))\n"
@@ -694,8 +815,9 @@ def test_two_dimensional_commands_skip_numpy_random_and_ma(tmp_path):
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    keep = ("exit", "loaded", "kernels")
+    keep = ("exit", "loaded", "kernel")
     lines = [line for line in done.stdout.splitlines() if line.startswith(keep)]
     assert lines == [
-        "exit codes: 0", "kernels built: 0", "exit codes: 0 0", "loaded:", "exit codes: 0 0", "loaded:"
+        "exit codes: 0", "kernel tables built: 0",
+        "exit codes: 0 0", "loaded:", "exit codes: 0 0", "loaded:",
     ]

@@ -775,3 +775,45 @@ def test_select_parity_duplicates_do_not_count():
 def test_select_parity_tie_is_even():
     parity, _ = select_parity([_point_in_shell(2), _point_in_shell(3)])
     assert parity == "even"
+
+
+@pytest.mark.parametrize("dimension", [3, 5, 12])
+@pytest.mark.parametrize("half_angle", [0.05, DEFAULT_COVER_HALF_ANGLE, 1.0, 1.5])
+def test_fewest_caps_bound_lies_below_the_area_ratio(dimension, half_angle):
+    """No cover has fewer caps than the sphere's area over a cap's; the bound
+    used to reject covers stays below that ratio, computed by quadrature."""
+    from scipy.integrate import quad
+
+    n = dimension - 2
+    sphere = quad(lambda phi: math.sin(phi) ** n, 0.0, math.pi, epsabs=0.0, epsrel=1e-13)[0]
+    cap = quad(lambda phi: math.sin(phi) ** n, 0.0, half_angle, epsabs=0.0, epsrel=1e-13)[0]
+    bound = math.exp(geometry._log_fewest_caps(dimension, half_angle))
+    assert 0.0 < bound <= sphere / cap * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("dimension,size", [(3, 128), (4, 2048), (5, 8192)])
+def test_default_covers_are_not_smaller_than_the_area_bound(dimension, size):
+    assert math.exp(geometry._log_fewest_caps(dimension, DEFAULT_COVER_HALF_ANGLE)) < size
+
+
+@pytest.mark.parametrize("dimension", [14, 40, 100_000])
+def test_a_cover_that_cannot_fit_is_rejected_before_any_work(monkeypatch, dimension):
+    """At the default angle the area bound exceeds _MAX_COVER_SIZE from
+    dimension 14 on: the cover is refused before a sample or a candidate is
+    drawn, and dimension 13 still goes on to the sampled search."""
+
+    def no_search(dimension, half_angle, seed):
+        raise LookupError(f"searched dimension {dimension}")
+
+    monkeypatch.setattr(geometry, "_sampled_cover", no_search)
+    tracemalloc.start()
+    try:
+        refused = f"could not cover the sphere in dimension {dimension} "
+        with pytest.raises(InputError, match=refused):
+            geometry._cached_cover.__wrapped__(dimension, DEFAULT_COVER_HALF_ANGLE, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    with pytest.raises(LookupError, match="searched dimension 13"):
+        geometry._cached_cover.__wrapped__(13, DEFAULT_COVER_HALF_ANGLE, 0)

@@ -283,7 +283,7 @@ def test_certify_names_a_field_non_finite_on_the_whole_path():
 
 
 def test_certify_requires_finite_witness_values():
-    field = field_from_expression("1/(x1 - x2)", name="undefined")
+    field = field_from_expression("1/(x1 - x2)")
     witness = WitnessSequence.ingest(generate_points(_diagonal_spec(count=40, stop=0.05)))
     with pytest.raises(InputError, match="non-finite"):
         certify_discontinuity(field, witness, k_max=8)

@@ -17,6 +17,7 @@ from pathcert.mollifier import (
     _eval_batch,
     _mollified_rows,
     build_smooth_path,
+    bump_kernel,
     dense_grid,
     eval_smooth,
     eval_smooth_derivative,
@@ -24,7 +25,6 @@ from pathcert.mollifier import (
     eval_smooth_many,
     kernel_mass_moment,
     log_grid,
-    make_kernel,
     row_norms,
     sample_path,
     sorted_unique,
@@ -47,46 +47,36 @@ INDEPENDENT_C = 2.2522836210435813
 
 
 def test_kernel_constant_matches_independent_value():
-    kernel = make_kernel()
-    assert abs(kernel.c / INDEPENDENT_C - 1.0) <= 1e-12
+    assert abs(KERNEL_C / INDEPENDENT_C - 1.0) <= 1e-12
 
 
 def test_kernel_unit_mass():
-    kernel = make_kernel()
-    mass = integrate_panels(kernel, [-1.0, -0.5, 0.0, 0.5, 1.0], order=32, tol=1e-15)
+    mass = integrate_panels(bump_kernel, [-1.0, -0.5, 0.0, 0.5, 1.0], order=32, tol=1e-15)
     assert abs(float(mass) - 1.0) <= 1e-12
 
 
 def test_kernel_peak_value():
-    kernel = make_kernel()
-    assert float(kernel(0.0)) == kernel.c * math.exp(-1.0)
+    assert float(bump_kernel(0.0)) == KERNEL_C * math.exp(-1.0)
 
 
 def test_kernel_support():
-    kernel = make_kernel()
-    assert float(kernel(1.0)) == 0.0
-    assert float(kernel(-1.0)) == 0.0
-    assert float(kernel(1.7)) == 0.0
-    assert float(kernel(0.999)) > 0.0
+    assert float(bump_kernel(1.0)) == 0.0
+    assert float(bump_kernel(-1.0)) == 0.0
+    assert float(bump_kernel(1.7)) == 0.0
+    assert float(bump_kernel(0.999)) > 0.0
 
 
 def test_kernel_symmetric():
     # IEEE negation is exact, so evenness holds bit for bit
-    kernel = make_kernel()
     u = np.linspace(-0.999, 0.999, 401)
-    assert np.array_equal(kernel(u), kernel(-u))
+    assert np.array_equal(bump_kernel(u), bump_kernel(-u))
 
 
 def test_kernel_scalar_matches_array():
-    kernel = make_kernel()
     u = np.array([-0.7, -0.2, 0.0, 0.4, 0.97])
-    arr = kernel(u)
+    arr = bump_kernel(u)
     for i, v in enumerate(u):
-        assert float(kernel(float(v))) == float(arr[i])
-
-
-def test_kernel_cached():
-    assert make_kernel() is make_kernel()
+        assert float(bump_kernel(float(v))) == float(arr[i])
 
 
 def test_stored_constants_match_closed_forms():
@@ -97,7 +87,6 @@ def test_stored_constants_match_closed_forms():
 
     closed = 1.0 / (math.exp(-0.5) * (k1(0.5) - k0(0.5)))
     assert abs(KERNEL_C - closed) <= np.spacing(closed)
-    assert make_kernel().c == KERNEL_C
     assert abs(E1_AT_ONE - exp1(1.0)) <= 1e-15
 
 
@@ -109,13 +98,11 @@ def test_stored_constants_match_closed_forms():
 def test_kernel_table_check_catches_a_drift(monkeypatch, name, value):
     """A constant off by 1e-13 fails the closed-form check of the table."""
     monkeypatch.setattr(mollifier, name, value)
-    make_kernel.cache_clear()
     mollifier._kernel_table.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="closed forms"):
             mollifier._kernel_table()
     finally:
-        make_kernel.cache_clear()
         mollifier._kernel_table.cache_clear()
 
 
@@ -137,12 +124,11 @@ def test_mass_monotone():
 
 
 def test_mass_moment_match_quadrature():
-    kernel = make_kernel()
     xs = np.linspace(-0.995, 0.995, 41)
     mass, moment = kernel_mass_moment(xs)
     for x, k, m in zip(xs, mass, moment):
-        ref_k = integrate_panels(kernel, [-1.0, x], order=32, tol=1e-16)
-        ref_m = integrate_panels(lambda u: u * kernel(u), [-1.0, x], order=32, tol=1e-16)
+        ref_k = integrate_panels(bump_kernel, [-1.0, x], order=32, tol=1e-16)
+        ref_m = integrate_panels(lambda u: u * bump_kernel(u), [-1.0, x], order=32, tol=1e-16)
         assert abs(k - float(ref_k)) <= 1e-15
         assert abs(m - float(ref_m)) <= 1e-15
 
@@ -293,7 +279,6 @@ def test_eval_in_window_matches_direct_convolution(diagonal_build):
     quadrature with explicit splits at the kink preimages.
     """
     path = diagonal_build.path
-    kernel = make_kernel()
     kinks = kink_times(path.skeleton)
     rng = np.random.default_rng(42)
     for i in (0, 7, -1):
@@ -307,10 +292,10 @@ def test_eval_in_window_matches_direct_convolution(diagonal_build):
             edges = sorted(edges)
 
             def value_integrand(u):
-                return kernel(u)[:, None] * eval_affine_many(path.skeleton, t - h * u)
+                return bump_kernel(u)[:, None] * eval_affine_many(path.skeleton, t - h * u)
 
             def deriv_integrand(u):
-                return kernel(u)[:, None] * eval_affine_derivative_many(
+                return bump_kernel(u)[:, None] * eval_affine_derivative_many(
                     path.skeleton, t - h * u
                 )
 
@@ -345,7 +330,6 @@ def _crowded_averages(draw):
 def test_kernel_average_matches_direct_convolution_with_many_kinks(case):
     """Kink sums agree with a direct kernel average of the path to 1e-12."""
     path, ts, h = case
-    kernel = make_kernel()
     hs = np.full(ts.size, h)
     values, derivs = _mollified_rows(path, ts, hs)
     lo, hi = path.domain
@@ -357,11 +341,11 @@ def test_kernel_average_matches_direct_convolution_with_many_kinks(case):
             return np.clip(t - h * u, np.nextafter(lo, hi), hi)
 
         direct_v = integrate_panels(
-            lambda u: kernel(u)[:, None] * eval_affine_many(path, points(u)),
+            lambda u: bump_kernel(u)[:, None] * eval_affine_many(path, points(u)),
             edges, order=32, tol=1e-15,
         )
         direct_d = integrate_panels(
-            lambda u: kernel(u)[:, None] * eval_affine_derivative_many(path, points(u)),
+            lambda u: bump_kernel(u)[:, None] * eval_affine_derivative_many(path, points(u)),
             edges, order=32, tol=1e-15,
         )
         for got, ref in ((values[i], direct_v), (derivs[i], direct_d)):
@@ -469,6 +453,37 @@ def test_dense_grid_covers_windows(diagonal_build):
     assert np.all(np.diff(grid) > 0)
     for lo, hi in zip(path.lo, path.hi):
         assert int(np.count_nonzero((grid >= lo) & (grid <= hi))) >= 8
+
+
+@pytest.mark.parametrize(
+    "densities", [(10**12, 1), (1, 10**12), (2048, None)], ids=["per-decade", "per-window", "cap"]
+)
+def test_dense_grid_checks_its_row_count_before_allocating(
+    diagonal_build, monkeypatch, densities
+):
+    """A grid above MAX_GRID_ROWS is an InputError raised before any array is
+    built; a grid of exactly MAX_GRID_ROWS rows is allowed."""
+    path = diagonal_build.path
+    per_decade, per_window = densities
+    lo, hi = path.domain
+    count = max(math.ceil(per_decade * math.log10(hi / np.nextafter(lo, hi))), 2)
+    if per_window is None:  # fill the cap with window points
+        per_window = (mollifier.MAX_GRID_ROWS - count) // path.lo.size
+        assert count + per_window * path.lo.size <= mollifier.MAX_GRID_ROWS
+        assert count + (per_window + 1) * path.lo.size > mollifier.MAX_GRID_ROWS
+        assert dense_grid(path, per_decade, per_window).size <= mollifier.MAX_GRID_ROWS
+        with pytest.raises(InputError, match="above the cap"):
+            dense_grid(path, per_decade, per_window + 1)
+        return
+
+    def no_array(*args, **kwargs):
+        raise AssertionError("allocated a grid")
+
+    for name in ("geomspace", "linspace"):
+        monkeypatch.setattr(mollifier.np, name, no_array)
+    rows = count + per_window * path.lo.size
+    with pytest.raises(InputError, match=f"holds {rows} rows, above the cap"):
+        dense_grid(path, per_decade, per_window)
 
 
 @settings(max_examples=40)

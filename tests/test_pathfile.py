@@ -115,7 +115,6 @@ def test_build_round_trip_is_bitwise(tmp_path, diagonal_build):
     save_build(str(target), diagonal_build)
     loaded = load_build(str(target))
 
-    assert loaded.witness is None
     assert loaded.k_max == diagonal_build.k_max
     assert loaded.seed == diagonal_build.seed
     assert loaded.half_angle == diagonal_build.half_angle
@@ -360,16 +359,16 @@ def test_atomic_write_gives_the_mode_the_umask_allows(tmp_path, umask, mode):
 
 
 def test_resaving_a_loaded_path_keeps_its_witness_scale():
-    """A build loaded from a path file has no witness, but carries the
-    scale, so saving it again gives back the document it came from."""
+    """A build carries the witness scale, so a path loaded from a file and
+    saved again gives back the document it came from."""
     spec = GeneratorSpec(kind="diagonal", dimension=2, count=160, stop=0.012)
-    build = build_path(WitnessSequence.ingest(4.0 * generate_points(spec)), k_max=20)
+    witness = WitnessSequence.ingest(4.0 * generate_points(spec))
+    build = build_path(witness, k_max=20)
     data = json.loads(json.dumps(build_to_dict(build)))
-    assert build.witness_scale == build.witness.scale < 1.0
-    assert data["witness_scale"] == build.witness.scale
+    assert build.witness_scale == witness.scale < 1.0
+    assert data["witness_scale"] == witness.scale
     loaded = build_from_dict(data)
-    assert loaded.witness is None
-    assert loaded.witness_scale == build.witness.scale
+    assert loaded.witness_scale == witness.scale
     assert build_to_dict(loaded) == data
 
 

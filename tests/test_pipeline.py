@@ -2,11 +2,12 @@
 
 import sys
 
+import pytest
 from conftest import random_witness_data
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from pathcert import geometry
+from pathcert import geometry, pipeline
 from pathcert.errors import InputError, PipelineError
 from pathcert.generators import GeneratorSpec, generate_points
 from pathcert.pipeline import build_path
@@ -82,3 +83,21 @@ def test_scalar_norm_and_shell_calls_do_not_grow_with_the_points(monkeypatch):
     assert used[0] == used[1]
     assert used[0]["shell_index"] == 0
     assert used[0]["vector_norm"] < 40
+
+
+def test_k_max_outside_its_range_is_rejected_before_the_cover(monkeypatch):
+    """build_path, and so the probe, refuse a K above MAX_K_MAX (or below 2)
+    before any stage runs; the cap itself builds, and k_max is read back
+    from the anchors."""
+    witness = WitnessSequence.ingest(generate_points(GeneratorSpec(kind="diagonal", dimension=2)))
+
+    def no_cover(*args, **kwargs):
+        raise AssertionError("built a cover")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "build_sphere_cover", no_cover)
+        for k_max in (10**12, pipeline.MAX_K_MAX + 1, 1):
+            with pytest.raises(InputError, match=f"k_max must lie in 2..{pipeline.MAX_K_MAX}"):
+                build_path(witness, k_max=k_max)
+    build = build_path(witness, k_max=pipeline.MAX_K_MAX)
+    assert build.k_max == len(build.anchors.a) - 1 == pipeline.MAX_K_MAX

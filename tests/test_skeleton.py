@@ -249,8 +249,7 @@ def test_anchor_sequence_rejects_matched_filler():
     it, nor list an anchor twice or one outside 1..K."""
     seq = _tiny_sequence()
     build = PathBuild(
-        witness=None, k_max=1, half_angle=0.3, seed=0, cover_size=0,
-        anchors=seq, path=build_smooth_path(seq),
+        half_angle=0.3, seed=0, cover_size=0, anchors=seq, path=build_smooth_path(seq)
     )
     data = build_to_dict(build)
     assert build_from_dict(data).anchors.given.tolist() == [False, False]
@@ -342,7 +341,7 @@ def _anchors_one_shell_at_a_time(witness, cone, parity, count):
 def test_anchor_arrays_keep_the_bits_of_the_per_anchor_reference(builds, case):
     """Batched anchor selection equals the per-anchor loop bit for bit."""
     anchors = builds[case].anchors
-    witness = builds[case].witness
+    witness = witness_fixture(case[0], case[1])
     a, b, times, matched = _anchors_one_shell_at_a_time(
         witness, anchors.cone, anchors.parity, len(anchors.a)
     )
@@ -354,7 +353,7 @@ def test_anchor_arrays_keep_the_bits_of_the_per_anchor_reference(builds, case):
 def test_build_anchor_sequence_prefers_lowest_witness_index(diagonal_build):
     """Each matched shell holds the first captured witness point in it."""
     anchors = diagonal_build.anchors
-    witness = diagonal_build.witness
+    witness = witness_fixture("diagonal", 2)
     assert len(anchors.matched) >= 2
     for k, i in anchors.matched:
         assert anchors.given[k - 1]

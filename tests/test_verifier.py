@@ -9,10 +9,11 @@ import math
 
 import numpy as np
 import pytest
-from conftest import FIXTURE_CASES
+from conftest import FIXTURE_CASES, FIXTURE_DIMENSIONS, FIXTURE_KINDS, witness_fixture
 
 from pathcert import mollifier, verifier
 from pathcert.errors import InputError
+from pathcert.pipeline import build_path
 from pathcert.mollifier import (
     SmoothPath,
     build_smooth_path,
@@ -91,8 +92,9 @@ def test_average_support_must_fit():
 
 
 def test_random_suite_small_run():
-    report = lemma1_random_suite(paths=15, t_per_path=20, seed=3)
+    report = lemma1_random_suite(seed=3)
     assert report.passed
+    assert "over 100 random paths, 50 points each, seed 3" in report.details
     assert 0.2 < report.measured <= 1.0 + 1e-7
 
 
@@ -178,9 +180,8 @@ def test_envelope_fails_on_inflated_skeleton(diagonal_build):
 
 
 def test_product_restricted_passes(diagonal_build):
-    report = product_bound_scan(
-        diagonal_build.path, diagonal_build.anchors, restricted=True
-    )
+    path = diagonal_build.path
+    report = product_bound_scan(path, diagonal_build.anchors, dense_grid(path), restricted=True)
     assert report.passed
     assert report.threshold == 28.0
     assert report.measured < 28.0
@@ -188,9 +189,8 @@ def test_product_restricted_passes(diagonal_build):
 
 
 def test_product_unrestricted_only_needs_finiteness(diagonal_build):
-    report = product_bound_scan(
-        diagonal_build.path, diagonal_build.anchors, restricted=False
-    )
+    path = diagonal_build.path
+    report = product_bound_scan(path, diagonal_build.anchors, dense_grid(path), restricted=False)
     assert report.passed
     assert report.threshold == FINITE_THRESHOLD
     assert math.isfinite(report.measured)
@@ -201,7 +201,9 @@ def test_product_restricted_catches_inflated_speed(diagonal_build):
     """Scaling values by 40 lifts both the product and the per-leg speed
     beyond the constants."""
     inflated = _with_skeleton(diagonal_build, _rescaled_skeleton(diagonal_build, 40.0))
-    report = product_bound_scan(inflated, diagonal_build.anchors, restricted=True)
+    report = product_bound_scan(
+        inflated, diagonal_build.anchors, dense_grid(inflated), restricted=True
+    )
     assert not report.passed
 
 
@@ -364,7 +366,7 @@ def _reference_coincidence(path, points_per_region=64):
     return worst, worst_t, details
 
 
-def _reference_smoothness(path, trials=100, seed=0, min_order=verifier.MIN_FD_ORDER):
+def _reference_smoothness(path, trials=100, seed=0):
     rng = np.random.default_rng(seed)
     worst, worst_t = -math.inf, None
     for _ in range(trials):
@@ -374,13 +376,16 @@ def _reference_smoothness(path, trials=100, seed=0, min_order=verifier.MIN_FD_OR
         values = eval_smooth_many(path, points)
         derivs = eval_smooth_derivative_many(path, points)
         ref = derivs[0]
+        rounding = verifier.FD_ROUNDING * verifier.EPS / deltas[-1]
         fd1 = (values[1:6] - values[6:11]) / (2.0 * deltas[:, None])
         floor1 = 1e-8 * max(1.0, float(np.linalg.norm(ref)))
+        floor1 += rounding * float(np.max(row_norms(values)))
         order1 = verifier._order_estimate(row_norms(fd1 - ref[None, :]), floor1)
         fd2 = (derivs[1:6] - derivs[6:11]) / (2.0 * deltas[:, None])
         floor2 = 1e-7 * max(1.0, float(np.max(row_norms(fd2))))
+        floor2 += rounding * float(np.max(row_norms(derivs)))
         order2 = verifier._order_estimate(row_norms(np.diff(fd2, axis=0)), floor2)
-        shortfall = max(min_order - order1, 1.0 - order2)
+        shortfall = max(verifier.MIN_FD_ORDER - order1, 1.0 - order2)
         if shortfall > worst:
             worst, worst_t = shortfall, t
     return worst, worst_t, f"worst order shortfall over {trials} trials, seed {seed}"
@@ -514,3 +519,31 @@ def test_suite_names_frozen():
         "smoothness",
         "coincidence",
     )
+
+
+def test_run_checks_sizes_the_product_grid_before_any_check(diagonal_build, monkeypatch):
+    """A product grid above its cap stops the run before the first check."""
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("ran a check")
+
+    monkeypatch.setattr(verifier, "lemma1_random_suite", no_check)
+    with pytest.raises(InputError, match="above the cap"):
+        run_checks(
+            diagonal_build.path, diagonal_build.anchors, ("lemma1", "product"), per_window=10**12
+        )
+
+
+@pytest.mark.parametrize("kind", FIXTURE_KINDS)
+@pytest.mark.parametrize("dimension", FIXTURE_DIMENSIONS)
+def test_smoothness_passes_deep_windows_and_still_finds_kinks(kind, dimension):
+    """At K = 1,001 the deepest windows are ~1e-8 wide and the smallest steps
+    ~1e-10, where rounding of a central difference is ~eps ||s'|| / delta and
+    outgrows the relative floors: it must not read as a kink.  The windowless
+    control keeps its kinks and fails as at K = 41."""
+    build = build_path(witness_fixture(kind, dimension), k_max=1000)
+    report = smoothness_check(build.path)
+    assert report.passed, report.measured
+    control = smoothness_check(_windowless(build), trials=40)
+    assert not control.passed
+    assert control.measured >= 1.0
