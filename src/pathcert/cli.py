@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError, PipelineError, WitnessNotFoundError
 from .generators import GENERATOR_KINDS, MAX_SIZES, GeneratorSpec, generate_points
-from .geometry import DEFAULT_COVER_HALF_ANGLE, build_sphere_cover
+from .geometry import DEFAULT_COVER_HALF_ANGLE, build_sphere_cover, require_seed
 from .harness import (
     BUILTIN_FIELDS,
     DEFAULT_EPSILON,
@@ -58,11 +58,13 @@ def _parse_field(spec: str) -> ScalarField:
 
 
 def _check_arguments(args: argparse.Namespace) -> None:
-    """Reject, before any work, an output file that cannot be written and a
-    size argument below 1 or above its cap."""
+    """Reject, before any work, an output file that cannot be written, a
+    negative seed and a size argument below 1 or above its cap."""
     for name in ("out", "tail_csv", "path_out"):
         if getattr(args, name, None):
             check_writable(getattr(args, name))
+    if hasattr(args, "seed"):
+        require_seed(args.seed, "--seed")
     if hasattr(args, "k_max"):
         check_k_max(args.k_max)
     for name, cap in MAX_SIZES.items():

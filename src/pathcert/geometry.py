@@ -78,6 +78,13 @@ def require_rows(ok: np.ndarray, message: str, first: int = 0) -> None:
         raise InputError(message.format(int(bad[0]) + first))
 
 
+def require_seed(seed, what: str = "seed") -> int:
+    """A seed is a non-negative integer; anything else is an InputError naming ``what``."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputError(f"{what} must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def stack_rows(values, what: str) -> np.ndarray:
     """``values`` as one (m, n) float array, n the size of the first row; a
     row of another shape is an InputError naming it (``what`` names a row)."""
@@ -177,18 +184,21 @@ class SphereCover:
     ``directions`` has shape (m, n); rows are unit vectors.
     """
 
-    dimension: int
     half_angle: float
     directions: np.ndarray
 
     def __post_init__(self) -> None:
         dirs = np.array(self.directions, dtype=float)
-        if dirs.ndim != 2 or dirs.shape[1] != self.dimension:
+        if dirs.ndim != 2:
             raise InputError("directions must have shape (m, dimension)")
         if np.max(np.abs(row_norms(dirs) - 1.0)) > UNIT_TOL:
             raise InputError("cover directions must be unit vectors")
         dirs.setflags(write=False)
         object.__setattr__(self, "directions", dirs)
+
+    @property
+    def dimension(self) -> int:
+        return int(self.directions.shape[1])
 
     @property
     def size(self) -> int:
@@ -436,7 +446,7 @@ def _cached_cover(dimension: int, half_angle: float, seed: int) -> SphereCover:
         if _log_fewest_caps(dimension, half_angle) > math.log(_MAX_COVER_SIZE):
             raise _cover_too_large(dimension, half_angle)
         directions = _sampled_cover(dimension, half_angle, seed)
-    return SphereCover(dimension=dimension, half_angle=half_angle, directions=directions)
+    return SphereCover(half_angle=half_angle, directions=directions)
 
 
 def _log_fewest_caps(dimension: int, half_angle: float) -> float:
@@ -503,7 +513,7 @@ def build_sphere_cover(
         raise InputError(f"dimension must be a positive integer, got {dimension!r}")
     if not (0.0 < half_angle < math.pi / 2.0):
         raise InputError(f"half_angle must lie in (0, pi/2), got {half_angle!r}")
-    return _cached_cover(dimension, float(half_angle), int(seed))
+    return _cached_cover(dimension, float(half_angle), require_seed(seed))
 
 
 # ---- dominant cone selection -------------------------------------------

@@ -44,21 +44,12 @@ class ScalarField:
     evaluator: Callable[[np.ndarray], float]
 
     def __call__(self, x) -> float:
-        vec = np.asarray(x, dtype=float)
-        if vec.shape != (self.dimension,):
-            raise InputError(
-                f"field {self.name} expects dimension {self.dimension}, got shape {vec.shape}"
-            )
-        if not np.any(vec):
-            return 0.0
-        return float(self.evaluator(vec))
+        """The field at one point: a one-row call of ``values``."""
+        return float(self.values(np.asarray(x, dtype=float)[None])[0])
 
     def values(self, rows) -> np.ndarray:
-        """The field at each row of an (m, dimension) array, as float64[m].
-
-        Equal bit for bit to ``[self(row) for row in rows]``, with one
-        shape check and one origin test for the whole batch.
-        """
+        """The field at each row of an (m, dimension) array, as float64[m],
+        with one shape check and one origin test for the whole batch."""
         arr = np.asarray(rows, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != self.dimension:
             raise InputError(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InputError
 from .generators import GeneratorSpec, generate_points
-from .geometry import ConeSpec, UnitDirection, require_rows
+from .geometry import ConeSpec, UnitDirection, require_seed
 from .mollifier import KERNEL_C, build_smooth_path
 from .pipeline import MAX_K_MAX, PathBuild
 from .skeleton import AnchorSequence, WitnessSequence
@@ -195,11 +195,14 @@ def build_to_dict(build: PathBuild) -> dict:
     }
 
 
-_ANCHOR_KEYS = ("k", "source", "a", "b", "t0", "t1", "t2")
+_ANCHOR_KEYS = ("a", "b", "t0", "t1", "t2")
+# what build_to_dict derives from the free data, for the path and per anchor
+_DERIVED_KEYS = ("dimension", "k_max", "kernel_c", "domain")
+_DERIVED_ANCHOR_KEYS = ("k", "source")
 
 
 def _anchor_columns(items, n: int) -> tuple:
-    """The JSON anchors as the columns k, source, a, b, t0, t1, t2, after one
+    """The JSON anchors as the columns a, b, t0, t1, t2, after one
     type-checking pass over the items; an anchor is named by its place."""
     if not isinstance(items, list) or len(items) < 2:
         raise InputError("anchors must be a list of at least two objects")
@@ -213,13 +216,10 @@ def _anchor_columns(items, n: int) -> tuple:
         except (KeyError, TypeError) as exc:
             keys = ", ".join(_ANCHOR_KEYS)
             raise InputError(f"anchor {j} must be an object with keys {keys}") from exc
-        k, source, a, b, *times = row
-        _integer(k, f"anchor {j} k")
-        if source not in ("given", "filler"):
-            raise InputError(f"anchor {j} source must be 'given' or 'filler', got {source!r}")
+        a, b, *times = row
         _numbers(a, f"anchor {j} a", n)
         _numbers(b, f"anchor {j} b", n)
-        for key, t in zip(_ANCHOR_KEYS[4:], times):
+        for key, t in zip(_ANCHOR_KEYS[2:], times):
             _number(t, f"anchor {j} {key}")
         rows.append(row)
     return tuple(zip(*rows))
@@ -230,25 +230,30 @@ def _require(ok: bool, key: str, rule: str, value) -> None:
         raise InputError(f"{key} must {rule}, got {value!r}")
 
 
+def _typed(value):
+    """A JSON value with each entry's type attached, so that 3, 3.0 and true differ."""
+    return [_typed(v) for v in value] if type(value) is list else (type(value), value)
+
+
 def build_from_dict(data: dict) -> PathBuild:
     """Rebuild a path from its JSON form.
 
-    The skeleton and windows are reconstructed from the stored anchors,
-    so a reloaded path evaluates bit for bit like the original.  The
-    metadata must agree with the anchors: ``dimension`` is theirs, ``k_max``
-    is their count minus one, and ``source`` is 'given' exactly for the
-    anchors in ``matched``.
+    Only the free data are read: ``cone_axis``, ``parity``, ``matched``,
+    ``half_angle``, ``seed``, ``cover_size``, ``witness_scale`` and each
+    anchor's a, b, t0, t1 and t2.  The skeleton and windows are rebuilt from
+    the anchors, so a reloaded path evaluates bit for bit like the original.
+    The derived keys must then equal what ``build_to_dict`` writes for the
+    rebuilt path, and the first that differs is named.
     """
     if not isinstance(data, dict):
         raise InputError("path document must be a JSON object")
-    required = ("dimension", "k_max", "seed", "half_angle", "parity", "cone_axis", "domain")
-    missing = {*required, "matched", "anchors"} - set(data)
+    required = ("seed", "half_angle", "parity", "cone_axis", "matched", "anchors", *_DERIVED_KEYS)
+    missing = set(required) - set(data)
     if missing:
         raise InputError(f"path document misses keys: {', '.join(sorted(missing))}")
     with _malformed("path document"):
         cone = ConeSpec(UnitDirection(_vector(data["cone_axis"], "cone_axis")))
-        ks, sources, a, b, t0, t1, t2 = _anchor_columns(data["anchors"], cone.dimension)
-        require_rows(np.array(ks) == np.arange(1, len(ks) + 1), "anchor {0} must have k = {0}", 1)
+        a, b, t0, t1, t2 = _anchor_columns(data["anchors"], cone.dimension)
         anchors = AnchorSequence(
             parity=str(data["parity"]),
             cone=cone,
@@ -260,16 +265,6 @@ def build_from_dict(data: dict) -> PathBuild:
                 for k, i in data["matched"]
             ),
         )
-        require_rows(
-            (np.array(sources) == "given") == anchors.given,
-            "anchor {}: source must be 'given' exactly when matched names it",
-            1,
-        )
-        dimension, k_max = data["dimension"], data["k_max"]
-        _require(type(dimension) is int and dimension == anchors.dimension, "dimension",
-                 f"equal the anchors' dimension {anchors.dimension}", dimension)
-        _require(_integer(k_max, "k_max") == len(ks) - 1, "k_max",
-                 f"equal the anchor count minus one, {len(ks) - 1}", k_max)
         half_angle = _number(data["half_angle"], "half_angle")
         _require(0.0 < half_angle < math.pi / 2.0, "half_angle", "lie in (0, pi/2)", half_angle)
         cover_size = _integer(data.get("cover_size", 0), "cover_size")
@@ -278,21 +273,20 @@ def build_from_dict(data: dict) -> PathBuild:
         _require(0.0 < scale <= 1.0, "witness_scale", "lie in (0, 1]", scale)
         build = PathBuild(
             half_angle=half_angle,
-            seed=_integer(data["seed"], "seed"),
+            seed=require_seed(data["seed"]),
             cover_size=cover_size,
             anchors=anchors,
             path=build_smooth_path(anchors),
             witness_scale=scale,
         )
-        if "kernel_c" in data:
-            stored_kernel = _number(data["kernel_c"], "kernel_c")
-            if abs(stored_kernel - KERNEL_C) > 1e-12:
-                raise InputError("stored kernel constant deviates from KERNEL_C")
-        domain = data["domain"]
-        if not isinstance(domain, list) or len(domain) != 2:
-            raise InputError(f"domain must be a list [lo, hi], got {domain!r}")
-        if tuple(_number(v, "domain bound") for v in domain) != build.path.domain:
-            raise InputError("stored domain deviates from the rebuilt one")
+    written = build_to_dict(build)
+    for key in _DERIVED_KEYS:
+        if _typed(data[key]) != _typed(written[key]):
+            raise InputError(f"{key} must be {written[key]!r}, got {data[key]!r}")
+    for j, (item, want) in enumerate(zip(data["anchors"], written["anchors"]), start=1):
+        for key in _DERIVED_ANCHOR_KEYS:
+            if _typed(item.get(key)) != _typed(want[key]):
+                raise InputError(f"anchor {j} {key} must be {want[key]!r}, got {item.get(key)!r}")
     return build
 
 

@@ -74,9 +74,6 @@ def anchor_spacing(k, parity: str):
 def breakpoints_for(k, parity: str, radius):
     """The three anchor times (t_{k,0}, t_{k,1}, t_{k,2}) for ||a_k|| = radius;
     elementwise when k and radius are arrays."""
-    lo, hi = shell_bounds(anchor_shell(k, parity))
-    if not np.all((lo < radius) & (radius <= hi)):
-        raise InputError(f"anchor {k} ({parity}) needs radius in ({lo}, {hi}], got {radius!r}")
     d = anchor_spacing(k, parity)
     return radius, radius - d, radius - 2.0 * d
 
@@ -171,6 +168,14 @@ class AnchorSequence:
     ``matched`` lists (k, witness_index) pairs for anchors taken from the
     witness sequence; all other anchors are fillers on the cone axis.  All
     rows are checked at once, and an error names the first bad anchor.
+
+    The times obey one rule: every row of ``times`` lies within
+    ``_TIME_TOL / 8`` of ``breakpoints_for(k, parity, ||a||)``, and stays
+    stored, so a reloaded path evaluates the file's own bits.  The margin
+    makes the rule imply t0 = ||a||, equal spacing and spacing d_k (each to
+    _TIME_TOL = 1e-12; a sum of at most four times moves by 5e-13), and
+    decreasing positive times that interleave, t_{k+1,0} < t_{k,2} (these
+    hold for exact times with slack d_k >= 8.3e-10 for K <= MAX_K_MAX + 1).
     """
 
     parity: str
@@ -201,22 +206,19 @@ class AnchorSequence:
         radius = vector_norms(a, "anchor {} position", 1)
         unit = np.abs(vector_norms(b, "anchor {} direction", 1) - 1.0) <= UNIT_TOL
         require_rows(unit, "anchor {}: direction is not unit", 1)
-        t0, t1, t2 = times.T
-        require_rows(np.abs(t0 - radius) <= _TIME_TOL, "anchor {}: t0 must equal ||a||", 1)
-        decreasing = (t2 > 0.0) & (t2 < t1) & (t1 < t0)
-        require_rows(decreasing, "anchor {}: times must decrease and stay positive", 1)
-        even = np.abs((t0 - t1) - (t1 - t2)) <= _TIME_TOL
-        require_rows(even, "anchor {}: times must be equally spaced", 1)
         k = np.arange(1, len(a) + 1)
         lo, hi = shell_bounds(anchor_shell(k, self.parity))
         require_rows((lo < radius) & (radius <= hi), "anchor {} radius lies outside its shell", 1)
-        spacing = np.abs((t0 - t1) - anchor_spacing(k, self.parity)) <= _TIME_TOL
-        require_rows(spacing, "anchor {} spacing deviates from d_k", 1)
+        rule = np.stack(breakpoints_for(k, self.parity, radius), axis=1)
+        off = np.argwhere(np.abs(times - rule) > _TIME_TOL / 8.0)
+        if off.size:
+            j, i = off[0].tolist()
+            raise InputError(f"anchor {j + 1} t{i} must lie within {_TIME_TOL / 8.0!r} of "
+                             f"||a|| - {i} d_k = {rule[j, i].item()!r}, got {times[j, i].item()!r}")
         in_cone = cone_contains_many(self.cone.axis.coords[None, :], a)[0]
         require_rows(in_cone, "anchor {} lies outside the selected cone", 1)
         radial = np.max(np.abs(b - a / radius[:, None]), axis=1) <= 1e-12
         require_rows(radial | self.given, "filler anchor {} must point radially", 1)
-        require_rows(t0[1:] < t2[:-1], "anchor {} does not interleave with the next", 1)
 
     @property
     def dimension(self) -> int:
@@ -283,7 +285,6 @@ class PiecewiseAffinePath:
     breakpoint to within 1e-12.
     """
 
-    dimension: int
     breakpoints: np.ndarray
     slopes: np.ndarray
     offsets: np.ndarray
@@ -297,7 +298,7 @@ class PiecewiseAffinePath:
         if np.any(np.diff(bp) <= 0.0):
             raise InputError("breakpoints must be strictly increasing")
         m = bp.size
-        if sl.shape != (m - 1, self.dimension) or of.shape != (m - 1, self.dimension):
+        if sl.ndim != 2 or len(sl) != m - 1 or of.shape != sl.shape:
             raise InputError("slopes and offsets must have shape (segments, dimension)")
         if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(sl)) and np.all(np.isfinite(of))):
             raise InputError("path data has non-finite entries")
@@ -311,6 +312,10 @@ class PiecewiseAffinePath:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "slopes", sl)
         object.__setattr__(self, "offsets", of)
+
+    @property
+    def dimension(self) -> int:
+        return int(self.slopes.shape[1])
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -362,16 +367,13 @@ def affine_path_from_slopes(breakpoints, start_value, slopes) -> PiecewiseAffine
     value = np.asarray(start_value, dtype=float)
     if sl.ndim != 2 or sl.shape[0] != bp.size - 1:
         raise InputError("need one slope row per segment")
-    dimension = sl.shape[1]
-    if value.shape != (dimension,):
+    if value.shape != (sl.shape[1],):
         raise InputError("start value dimension does not match slopes")
     offsets = np.empty_like(sl)
     for i in range(sl.shape[0]):
         offsets[i] = value - sl[i] * bp[i]
         value = value + sl[i] * (bp[i + 1] - bp[i])
-    return PiecewiseAffinePath(
-        dimension=dimension, breakpoints=bp, slopes=sl, offsets=offsets
-    )
+    return PiecewiseAffinePath(breakpoints=bp, slopes=sl, offsets=offsets)
 
 
 def build_skeleton(anchors: AnchorSequence) -> PiecewiseAffinePath:
@@ -394,7 +396,6 @@ def build_skeleton(anchors: AnchorSequence) -> PiecewiseAffinePath:
     v = (target - at_t2) / (t1 - t2)
     n = anchors.dimension
     return PiecewiseAffinePath(
-        dimension=n,
         breakpoints=np.concatenate([times[:1, 0], times[1:, ::-1].ravel()]),
         slopes=np.stack([lower_b, v, upper_b], axis=1).reshape(-1, n),
         offsets=np.stack(

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .geometry import row_norms
+from .geometry import require_seed, row_norms
 from .mollifier import DEFAULT_PER_DECADE, DEFAULT_PER_WINDOW, SmoothPath, _eval_batch
 from .mollifier import _mollified_rows, dense_grid, eval_smooth_many
 from .skeleton import (
@@ -167,7 +167,7 @@ def random_affine_path(rng: np.random.Generator) -> PiecewiseAffinePath:
 def lemma1_random_suite(seed: int = 0) -> CheckReport:
     """Run the derivative-average bound on LEMMA1_PATHS random paths."""
     reports = []
-    for child in np.random.SeedSequence(seed).spawn(LEMMA1_PATHS):
+    for child in np.random.SeedSequence(require_seed(seed)).spawn(LEMMA1_PATHS):
         rng = np.random.default_rng(child)
         path = random_affine_path(rng)
         lo, hi = path.domain
@@ -368,7 +368,7 @@ def smoothness_check(
     """
     if trials < 1:
         raise InputError("smoothness needs at least one trial")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_seed(seed))
     t, delta0 = np.array([_fd_trial_points(path, rng) for _ in range(trials)]).T
     deltas = delta0[:, None] / np.power(2.0, np.arange(5))
     points = np.concatenate([t[:, None], t[:, None] + deltas, t[:, None] - deltas], axis=1)
@@ -452,6 +452,7 @@ def run_checks(
     unknown = [n for n in chosen if n not in SUITE_NAMES]
     if unknown:
         raise InputError(f"unknown checks: {', '.join(unknown)}")
+    require_seed(seed)
     # the product grid is sized first, so that a grid above its cap stops the run
     # before any check
     if "product" in chosen:

@@ -11,7 +11,17 @@ from pathlib import Path
 import pytest
 
 import pathcert
-from pathcert import cli, generators, geometry, harness, mollifier, pathfile, pipeline, verifier
+from pathcert import (
+    cli,
+    generators,
+    geometry,
+    harness,
+    mollifier,
+    pathfile,
+    pipeline,
+    skeleton,
+    verifier,
+)
 
 
 def _run(argv, capsys):
@@ -688,6 +698,65 @@ def test_an_output_naming_a_directory_stops_the_command_first(
     assert rc == 2 and text == ""
     assert f"error: cannot write output file {target}: Is a directory" in err
     assert os.listdir(target) == []
+
+
+@pytest.mark.parametrize("command", ["build", "probe", "check", "cover"])
+def test_a_negative_seed_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    """A seed is a non-negative integer: every command that takes --seed
+    refuses -1 before it reads, derives or builds anything."""
+    for module in (cli, harness):
+        monkeypatch.setattr(module, "build_path", _no_build)
+    for name in ("load_witness", "load_build", "build_sphere_cover", "_parse_field"):
+        monkeypatch.setattr(cli, name, _no_work)
+    argv = {
+        "build": ["build", "--witness", "w.json", "--out", str(tmp_path / "p.json")],
+        "probe": ["probe", "--field", "rational2d", "--out", str(tmp_path / "probe.json")],
+        "check": ["check", "--path", "p.json", "--suite", "lemma1"],
+        "cover": ["cover", "--dimension", "3"],
+    }[command]
+    rc, text, err = _run([*argv, "--seed", "-1"], capsys)
+    assert rc == 2 and text == ""
+    assert "error: --seed must be a non-negative integer, got -1" in err
+    assert os.listdir(tmp_path) == []
+
+
+def _changed(value):
+    """A JSON value of the same type that differs from ``value`` by the least step."""
+    if isinstance(value, list):
+        return [*value[:-1], _changed(value[-1])]
+    if isinstance(value, str):
+        return {"given": "filler", "filler": "given"}[value]
+    if isinstance(value, int):
+        return value + 1
+    return math.nextafter(value, math.inf)
+
+
+# every derived key, and every field of anchor 2 that is checked against a rule
+_RULED_KEYS = [
+    *pathfile._DERIVED_KEYS,
+    *(f"anchor 2 {key}" for key in (*pathfile._DERIVED_ANCHOR_KEYS, "t0", "t1", "t2")),
+]
+
+
+def _change_key(named):
+    def edit(document):
+        *anchor, key = named.split()
+        target = document["anchors"][1] if anchor else document
+        if key in ("t0", "t1", "t2"):  # past the time rule's margin, _TIME_TOL / 8
+            target[key] += skeleton._TIME_TOL / 4.0
+        else:
+            target[key] = _changed(target[key])
+
+    return edit
+
+
+@pytest.mark.parametrize("named", _RULED_KEYS)
+def test_a_changed_derived_key_or_anchor_time_exits_2_and_is_named(tmp_path, capsys, named):
+    """A path file loads only with the derived keys its free data give and
+    anchor times on their rule; anything else exits 2 and names the key."""
+    rc, _, err = _run(_edit_path_file(_change_key(named))(tmp_path, capsys), capsys)
+    assert rc == 2
+    assert f"error: {named} must " in err
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from pathcert.geometry import (
     DEFAULT_COVER_HALF_ANGLE,
     TWO_THIRDS,
     ConeSpec,
+    SphereCover,
     UnitDirection,
     build_sphere_cover,
     cone_contains,
@@ -572,6 +573,24 @@ def test_cover_validation():
         build_sphere_cover(2, half_angle=0.0)
     with pytest.raises(InputError):
         build_sphere_cover(2, half_angle=math.pi)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+def test_cover_rejects_a_seed_that_is_not_a_non_negative_integer(monkeypatch, seed):
+    """A seed is a non-negative integer, checked before the cache is looked up."""
+
+    def no_cover(*args):
+        raise AssertionError("looked up a cover")
+
+    monkeypatch.setattr(geometry, "_cached_cover", no_cover)
+    with pytest.raises(InputError, match="seed must be a non-negative integer"):
+        build_sphere_cover(3, seed=seed)
+
+
+def test_cover_dimension_is_read_from_its_directions():
+    cover = build_sphere_cover(3)
+    assert cover.dimension == cover.directions.shape[1] == 3
+    assert SphereCover(0.5, np.array([[1.0, 0.0], [-1.0, 0.0]])).dimension == 2
 
 
 # ---- dominant cone ------------------------------------------------------

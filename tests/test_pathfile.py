@@ -28,7 +28,7 @@ from pathcert.pathfile import (
     witness_from_dict,
 )
 from pathcert.pipeline import build_path
-from pathcert.skeleton import WitnessSequence
+from pathcert.skeleton import _TIME_TOL, WitnessSequence
 from pathcert.verifier import CheckReport
 
 
@@ -140,10 +140,13 @@ def _bits(arr):
 @given(case=RANDOM_BUILD_CASES)
 def test_path_json_round_trip_keeps_every_array(case):
     """A build reloaded from its JSON has the anchor, skeleton and window
-    arrays of the original, bit for bit, in dimensions 1-5."""
+    arrays of the original, bit for bit, in dimensions 1-5, and saves to the
+    same bytes."""
     build = random_build(case)
     event(f"dimension {build.anchors.dimension}")
-    loaded = build_from_dict(json.loads(json.dumps(build_to_dict(build))))
+    text = json.dumps(build_to_dict(build), indent=2)
+    loaded = build_from_dict(json.loads(text))
+    assert json.dumps(build_to_dict(loaded), indent=2) == text
     assert loaded.anchors.matched == build.anchors.matched
     for got, want in (
         (loaded.anchors, build.anchors),
@@ -191,7 +194,7 @@ def test_load_build_rejects_tampered_kernel(tmp_path, diagonal_build):
     data["kernel_c"] += 1e-6
     target = tmp_path / "path.json"
     target.write_text(json.dumps(data))
-    with pytest.raises(InputError, match="kernel constant"):
+    with pytest.raises(InputError, match="kernel_c must be 2.2522836210435817, got 2.25228"):
         load_build(str(target))
 
 
@@ -200,8 +203,31 @@ def test_load_build_rejects_tampered_domain(tmp_path, diagonal_build):
     data["domain"] = [data["domain"][0], data["domain"][1] * 1.0000001]
     target = tmp_path / "path.json"
     target.write_text(json.dumps(data))
-    with pytest.raises(InputError, match="domain deviates"):
+    with pytest.raises(InputError, match=r"domain must be \[.*\], got \["):
         load_build(str(target))
+
+
+@pytest.mark.parametrize("key", ["t0", "t1", "t2"])
+def test_an_anchor_time_loads_only_within_the_rule_margin(diagonal_build, key):
+    """The time rule's margin is _TIME_TOL / 8: a time _TIME_TOL / 16 off the
+    rule loads and is kept, so the build saves it again, and one _TIME_TOL / 4
+    off is named."""
+    data = json.loads(json.dumps(build_to_dict(diagonal_build)))
+    on_rule = data["anchors"][1][key]
+    data["anchors"][1][key] = on_rule + _TIME_TOL / 16.0
+    loaded = build_from_dict(data)
+    assert loaded.anchors.times[1].tolist() == [data["anchors"][1][t] for t in ("t0", "t1", "t2")]
+    assert build_to_dict(loaded) == data
+    data["anchors"][1][key] = on_rule + _TIME_TOL / 4.0
+    with pytest.raises(InputError, match=rf"^anchor 2 {key} must lie within 1.25e-13 of"):
+        build_from_dict(data)
+
+
+def test_a_path_file_seed_must_be_non_negative(diagonal_build):
+    data = build_to_dict(diagonal_build)
+    data["seed"] = -1
+    with pytest.raises(InputError, match="^seed must be a non-negative integer, got -1$"):
+        build_from_dict(data)
 
 
 def test_load_build_reports_missing_keys(tmp_path, diagonal_build):

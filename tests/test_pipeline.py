@@ -101,3 +101,14 @@ def test_k_max_outside_its_range_is_rejected_before_the_cover(monkeypatch):
                 build_path(witness, k_max=k_max)
     build = build_path(witness, k_max=pipeline.MAX_K_MAX)
     assert build.k_max == len(build.anchors.a) - 1 == pipeline.MAX_K_MAX
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_a_negative_seed_is_bad_input_of_the_cover_stage(dimension):
+    """A 2-D build ignores its seed but still refuses a negative one, and a 3-D
+    build refuses it as bad input, not a pipeline failure."""
+    witness = WitnessSequence.ingest(
+        generate_points(GeneratorSpec(kind="diagonal", dimension=dimension))
+    )
+    with pytest.raises(InputError, match="stage 'cover': seed must be a non-negative integer"):
+        build_path(witness, k_max=12, seed=-1)

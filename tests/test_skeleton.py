@@ -254,7 +254,7 @@ def test_anchor_sequence_rejects_matched_filler():
     data = build_to_dict(build)
     assert build_from_dict(data).anchors.given.tolist() == [False, False]
     data["matched"] = [[1, 0]]
-    with pytest.raises(InputError, match="anchor 1: source must be 'given'"):
+    with pytest.raises(InputError, match="anchor 1 source must be 'given', got 'filler'"):
         build_from_dict(data)
     with pytest.raises(InputError, match="unique"):
         _tiny_sequence(matched=((1, 0), (1, 3)))
@@ -289,7 +289,7 @@ def test_anchor_entry_validates_times():
     """Anchor 1's times start at 0.40, but its position has norm 0.42."""
     _, _, times = _tiny_arrays()
     times[0] = (0.40, 0.40 - 1.0 / 36.0, 0.40 - 2.0 / 36.0)
-    with pytest.raises(InputError, match="anchor 1: t0 must equal"):
+    with pytest.raises(InputError, match=r"anchor 1 t0 must lie within 1.25e-13 of \|\|a\|\|"):
         _tiny_sequence(times=times)
 
 
@@ -299,15 +299,22 @@ def _second_anchor_changed(name, row):
     return arrays
 
 
+# the times cases keep ids that name the fault; the one time rule names the time
+_T1_OFF = "anchor 2 t1 must lie within 1.25e-13 of"
+
+
 @pytest.mark.parametrize(
     "name, row, message",
     [
         ("a", [math.nan, 0.0], "anchor 2 has non-finite entries"),
         ("b", [1e308, 1e308], "anchor 2 direction is too large"),
         ("b", [1.0, 1e-5], "anchor 2: direction is not unit"),
-        ("times", [0.22, 0.22 - 1.0 / 60.0, 0.22 - 1.0 / 30.0], "anchor 2 spacing deviates"),
-        ("times", [0.22, 0.23, 0.21], "anchor 2: times must decrease"),
-        ("times", [0.22, 0.21, 0.19], "anchor 2: times must be equally spaced"),
+        pytest.param("times", [0.22, 0.22 - 1.0 / 60.0, 0.22 - 1.0 / 30.0], _T1_OFF,
+                     id="times-row3-anchor 2 spacing deviates"),
+        pytest.param("times", [0.22, 0.23, 0.21], _T1_OFF,
+                     id="times-row4-anchor 2: times must decrease"),
+        pytest.param("times", [0.22, 0.21, 0.19], _T1_OFF,
+                     id="times-row5-anchor 2: times must be equally spaced"),
         ("b", [0.6, 0.8], "filler anchor 2 must point radially"),
     ],
 )
@@ -418,11 +425,17 @@ def test_affine_eval_outside_domain_raises():
 def test_affine_path_requires_continuity():
     with pytest.raises(InputError):
         PiecewiseAffinePath(
-            dimension=1,
             breakpoints=np.array([0.0, 1.0, 2.0]),
             slopes=np.array([[1.0], [1.0]]),
             offsets=np.array([[0.0], [0.5]]),
         )
+
+
+def test_affine_path_dimension_is_read_from_its_slopes():
+    path = affine_path_from_slopes([0.0, 1.0, 2.0], np.zeros(3), np.ones((2, 3)))
+    assert path.dimension == path.slopes.shape[1] == 3
+    with pytest.raises(InputError, match="shape"):
+        PiecewiseAffinePath(np.array([0.0, 1.0]), np.ones((1, 2)), np.ones((1, 3)))
 
 
 def test_affine_many_matches_scalar():

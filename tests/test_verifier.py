@@ -534,6 +534,25 @@ def test_run_checks_sizes_the_product_grid_before_any_check(diagonal_build, monk
         )
 
 
+def test_a_negative_seed_is_rejected_before_any_check(diagonal_build, monkeypatch):
+    """lemma1 and smoothness refuse a negative seed, and run_checks does so
+    before its first check."""
+    path, anchors = diagonal_build.path, diagonal_build.anchors
+    message = "seed must be a non-negative integer, got -1"
+    with pytest.raises(InputError, match=message):
+        lemma1_random_suite(seed=-1)
+    with pytest.raises(InputError, match=message):
+        smoothness_check(path, seed=-1)
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("ran a check")
+
+    for name in ("interpolation_check", "lemma1_random_suite", "smoothness_check"):
+        monkeypatch.setattr(verifier, name, no_check)
+    with pytest.raises(InputError, match=message):
+        run_checks(path, anchors, ("interpolation", "lemma1", "smoothness"), seed=-1)
+
+
 @pytest.mark.parametrize("kind", FIXTURE_KINDS)
 @pytest.mark.parametrize("dimension", FIXTURE_DIMENSIONS)
 def test_smoothness_passes_deep_windows_and_still_finds_kinks(kind, dimension):
