@@ -107,7 +107,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     save_build(args.out, build)
     lo, hi = build.path.domain
     print(
-        f"build: {len(build.anchors.matched)} matched anchors of {args.k_max}, "
+        f"build: {len(build.anchors.matched)} matched anchors of {len(build.anchors.a)}, "
         f"parity {build.parity}, domain ({lo:.6g}, {hi:.6g}] -> {args.out}"
     )
     return 0

@@ -3,8 +3,9 @@
 All floats serialize through repr (JSON) or %.17g (CSV), which round
 trips float64 exactly, so a written path reloads bit for bit.  A CSV
 body is one float table formatted by a single %-operation with a
-"%.17g,...,%.17g\n" row template.  Writes go through a temporary file
-and an atomic rename.
+"%.17g,...,%.17g\n" row template.  Witness and path files are read as
+UTF-8 JSON and checked against one type rule; writes go through a
+temporary file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import os
 import tempfile
 from contextlib import contextmanager
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -73,35 +75,70 @@ def _malformed(what: str):
         raise InputError(f"{what} is malformed: {exc}") from exc
 
 
-def _integer(value, what: str) -> int:
-    """A JSON integer; a float or a boolean is rejected, not truncated."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(f"{what} must be an integer, got {value!r}")
-    return value
+def _read_json(path: str, what: str):
+    """The file at ``path`` decoded as UTF-8 and parsed as JSON; a file that
+    cannot be read, is not UTF-8 JSON, nests too deep for the parser or holds
+    an over-long integer is an InputError naming the file."""
+    try:
+        with open(path, "rb") as handle:
+            return json.loads(handle.read().decode("utf-8"))
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
-def _number(value, what: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise InputError(f"{what} must be a number, got {value!r}")
-    return float(value)
+_TYPES = {"number": ({int, float}, "a number"), "integer": ({int}, "an integer")}
 
 
-def _numbers(value, what: str, n: int | None = None) -> list:
-    """A JSON list of numbers (of length n if given); a string, boolean or
-    list entry is rejected."""
-    if not isinstance(value, list) or n not in (None, len(value)):
-        size = "" if n is None else f"{n} "
-        raise InputError(f"{what} must be a list of {size}numbers, got {value!r}")
-    for v in value:
-        _number(v, f"{what} coordinate")
-    return value
+def _follows(values, rule: str, n: int | None = None) -> bool:
+    """Whether each of ``values`` follows the type rule of every value a
+    document supplies: a "number" is an int or a float, an "integer" is an
+    int, and a "vector" is a list of n numbers (of any length if n is None).
+    Types are matched exactly, so a bool is neither a number nor an integer."""
+    if rule == "vector":
+        if not {list}.issuperset(map(type, values)):
+            return False
+        if n is not None and not {n}.issuperset(map(len, values)):
+            return False
+        values, rule = chain.from_iterable(values), "number"
+    return _TYPES[rule][0].issuperset(map(type, values))
 
 
-def _vector(value, what: str) -> np.ndarray:
-    return np.array(_numbers(value, what), dtype=float)
+def _check(value, rule: str, what: str, n: int | None = None):
+    """``value`` if it follows ``rule``, else an InputError naming ``what`` or,
+    in a list of the right length, its first coordinate that is not a number."""
+    if _follows((value,), rule, n):
+        return value
+    if rule != "vector":
+        raise InputError(f"{what} must be {_TYPES[rule][1]}, got {value!r}")
+    if type(value) is list and n in (None, len(value)):
+        bad = next(v for v in value if not _follows((v,), "number"))
+        raise InputError(f"{what} coordinate must be a number, got {bad!r}")
+    size = "" if n is None else f"{n} "
+    raise InputError(f"{what} must be a list of {size}numbers, got {value!r}")
+
+
+def _require(ok: bool, key: str, rule: str, value) -> None:
+    if not ok:
+        raise InputError(f"{key} must {rule}, got {value!r}")
+
+
+def _check_columns(columns, rules: dict, n: int | None, name: str, first: int) -> None:
+    """Check each column against the rule of its key in ``rules`` in one
+    pass; only if that fails is the first breach found, row by row, and
+    named "<name> <j> <key>" with rows j counted from ``first``."""
+    if all(_follows(column, rule, n) for column, rule in zip(columns, rules.values())):
+        return
+    for j, row in enumerate(zip(*columns), first):
+        for (key, rule), value in zip(rules.items(), row):
+            _check(value, rule, f"{name} {j} {key}", n)
 
 
 # ---- witness files ------------------------------------------------------
+
+_GENERATOR_RULES = {"count": "integer", "start": "number", "stop": "number", "axis": "vector"}
+_PAIR_RULES = {"x": "vector", "y": "vector"}
 
 
 def witness_from_dict(data: dict) -> WitnessSequence:
@@ -111,60 +148,38 @@ def witness_from_dict(data: dict) -> WitnessSequence:
     if "dimension" not in data:
         raise InputError("witness document needs a 'dimension' key")
     dimension = data["dimension"]
-    if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
-        raise InputError(f"dimension must be a positive integer, got {dimension!r}")
+    _require(_follows((dimension,), "integer") and dimension >= 1, "dimension",
+             "be a positive integer", dimension)
     if ("pairs" in data) == ("generator" in data):
         raise InputError("witness document needs exactly one of 'pairs' or 'generator'")
     if "generator" in data:
         g = data["generator"]
         if not isinstance(g, dict) or "kind" not in g:
             raise InputError("generator must be an object with a 'kind' key")
-        known = {"kind", "count", "start", "stop", "axis"}
-        unknown = set(g) - known
+        unknown = set(g) - {"kind", *_GENERATOR_RULES}
         if unknown:
             raise InputError(f"unknown generator keys: {', '.join(sorted(unknown))}")
+        given = {key: _check(g[key], rule, f"generator {key}", dimension)
+                 for key, rule in _GENERATOR_RULES.items() if key in g}
         with _malformed("generator"):
-            spec = GeneratorSpec(
-                kind=g["kind"],
-                dimension=dimension,
-                count=_integer(g.get("count", GeneratorSpec.count), "generator count"),
-                start=float(g.get("start", GeneratorSpec.start)),
-                stop=float(g.get("stop", GeneratorSpec.stop)),
-                axis=tuple(g["axis"]) if "axis" in g else None,
-            )
+            spec = GeneratorSpec(kind=g["kind"], dimension=dimension, **given)
         return WitnessSequence.ingest(generate_points(spec))
     pairs = data["pairs"]
     if not isinstance(pairs, list) or not pairs:
         raise InputError("'pairs' must be a non-empty list")
-    points = []
-    directions = []
     for i, pair in enumerate(pairs):
         if not isinstance(pair, dict) or "x" not in pair:
             raise InputError(f"pair {i} must be an object with an 'x' key")
-        with _malformed(f"pair {i}"):
-            points.append(_vector(pair["x"], f"pair {i} x"))
-            if "y" in pair:
-                directions.append(_vector(pair["y"], f"pair {i} y"))
-    if directions and len(directions) != len(points):
+    if len({"y" in pair for pair in pairs}) > 1:
         raise InputError("either every pair carries 'y' or none does")
-    witness = WitnessSequence.ingest(points, directions or None)
-    if witness.dimension != dimension:
-        raise InputError(
-            f"witness points have dimension {witness.dimension}, "
-            f"but the document declares {dimension}"
-        )
-    return witness
+    columns = [[pair[key] for pair in pairs] for key in _PAIR_RULES if key in pairs[0]]
+    _check_columns(columns, _PAIR_RULES, dimension, "pair", 0)
+    with _malformed("pairs"):
+        return WitnessSequence.ingest(*columns)
 
 
 def load_witness(path: str) -> WitnessSequence:
-    try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise InputError(f"cannot read witness file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"witness file is not valid JSON: {exc}") from exc
-    return witness_from_dict(data)
+    return witness_from_dict(_read_json(path, "witness"))
 
 
 # ---- path files ---------------------------------------------------------
@@ -195,44 +210,36 @@ def build_to_dict(build: PathBuild) -> dict:
     }
 
 
-_ANCHOR_KEYS = ("a", "b", "t0", "t1", "t2")
+_ANCHOR_RULES = {"a": "vector", "b": "vector", "t0": "number", "t1": "number", "t2": "number"}
+_MATCHED_RULES = {"anchor": "integer", "witness index": "integer"}
 # what build_to_dict derives from the free data, for the path and per anchor
 _DERIVED_KEYS = ("dimension", "k_max", "kernel_c", "domain")
 _DERIVED_ANCHOR_KEYS = ("k", "source")
 
 
 def _anchor_columns(items, n: int) -> tuple:
-    """The JSON anchors as the columns a, b, t0, t1, t2, after one
-    type-checking pass over the items; an anchor is named by its place."""
+    """The anchors' columns a, b, t0, t1, t2 after one type pass; an anchor is named by place."""
     if not isinstance(items, list) or len(items) < 2:
         raise InputError("anchors must be a list of at least two objects")
     if len(items) > MAX_K_MAX + 1:
         raise InputError(f"a path holds at most {MAX_K_MAX + 1} anchors, got {len(items)}")
-    get = itemgetter(*_ANCHOR_KEYS)
-    rows = []
-    for j, item in enumerate(items, start=1):
-        try:
-            row = get(item)
-        except (KeyError, TypeError) as exc:
-            keys = ", ".join(_ANCHOR_KEYS)
-            raise InputError(f"anchor {j} must be an object with keys {keys}") from exc
-        a, b, *times = row
-        _numbers(a, f"anchor {j} a", n)
-        _numbers(b, f"anchor {j} b", n)
-        for key, t in zip(_ANCHOR_KEYS[2:], times):
-            _number(t, f"anchor {j} {key}")
-        rows.append(row)
-    return tuple(zip(*rows))
+    get = itemgetter(*_ANCHOR_RULES)
+    try:
+        columns = tuple(zip(*map(get, items)))
+    except (KeyError, TypeError):  # name the first anchor that is not an object with the keys
+        for j, item in enumerate(items, start=1):
+            with _malformed(f"anchor {j}"):
+                get(item)
+    _check_columns(columns, _ANCHOR_RULES, n, "anchor", 1)
+    return columns
 
 
-def _require(ok: bool, key: str, rule: str, value) -> None:
-    if not ok:
-        raise InputError(f"{key} must {rule}, got {value!r}")
-
-
-def _typed(value):
-    """A JSON value with each entry's type attached, so that 3, 3.0 and true differ."""
-    return [_typed(v) for v in value] if type(value) is list else (type(value), value)
+def _same(got, want) -> bool:
+    """Whether ``got`` equals ``want`` in value and JSON type (3, 3.0 and true differ),
+    read only as deep as ``want``: a scalar or a list of scalars, as build_to_dict writes."""
+    if type(want) is list:
+        return type(got) is list and len(got) == len(want) and all(map(_same, got, want))
+    return type(got) is type(want) and got == want
 
 
 def build_from_dict(data: dict) -> PathBuild:
@@ -252,24 +259,23 @@ def build_from_dict(data: dict) -> PathBuild:
     if missing:
         raise InputError(f"path document misses keys: {', '.join(sorted(missing))}")
     with _malformed("path document"):
-        cone = ConeSpec(UnitDirection(_vector(data["cone_axis"], "cone_axis")))
+        cone = ConeSpec(UnitDirection(_check(data["cone_axis"], "vector", "cone_axis")))
         a, b, t0, t1, t2 = _anchor_columns(data["anchors"], cone.dimension)
+        matched = tuple((k, i) for k, i in data["matched"])
+        _check_columns(tuple(zip(*matched)), _MATCHED_RULES, None, "matched entry", 1)
         anchors = AnchorSequence(
-            parity=str(data["parity"]),
+            parity=data["parity"],
             cone=cone,
-            a=np.array(a, dtype=float),
-            b=np.array(b, dtype=float),
-            times=np.column_stack([t0, t1, t2]).astype(float),
-            matched=tuple(
-                (_integer(k, "matched anchor"), _integer(i, "matched witness index"))
-                for k, i in data["matched"]
-            ),
+            a=a,
+            b=b,
+            times=np.column_stack([t0, t1, t2]),
+            matched=matched,
         )
-        half_angle = _number(data["half_angle"], "half_angle")
+        half_angle = float(_check(data["half_angle"], "number", "half_angle"))
         _require(0.0 < half_angle < math.pi / 2.0, "half_angle", "lie in (0, pi/2)", half_angle)
-        cover_size = _integer(data.get("cover_size", 0), "cover_size")
+        cover_size = _check(data.get("cover_size", 0), "integer", "cover_size")
         _require(cover_size >= 0, "cover_size", "be a non-negative integer", cover_size)
-        scale = _number(data.get("witness_scale", 1.0), "witness_scale")
+        scale = float(_check(data.get("witness_scale", 1.0), "number", "witness_scale"))
         _require(0.0 < scale <= 1.0, "witness_scale", "lie in (0, 1]", scale)
         build = PathBuild(
             half_angle=half_angle,
@@ -281,11 +287,11 @@ def build_from_dict(data: dict) -> PathBuild:
         )
     written = build_to_dict(build)
     for key in _DERIVED_KEYS:
-        if _typed(data[key]) != _typed(written[key]):
+        if not _same(data[key], written[key]):
             raise InputError(f"{key} must be {written[key]!r}, got {data[key]!r}")
     for j, (item, want) in enumerate(zip(data["anchors"], written["anchors"]), start=1):
         for key in _DERIVED_ANCHOR_KEYS:
-            if _typed(item.get(key)) != _typed(want[key]):
+            if not _same(item.get(key), want[key]):
                 raise InputError(f"anchor {j} {key} must be {want[key]!r}, got {item.get(key)!r}")
     return build
 
@@ -295,14 +301,7 @@ def save_build(path: str, build: PathBuild) -> None:
 
 
 def load_build(path: str) -> PathBuild:
-    try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise InputError(f"cannot read path file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"path file is not valid JSON: {exc}") from exc
-    return build_from_dict(data)
+    return build_from_dict(_read_json(path, "path"))
 
 
 # ---- samples and reports ------------------------------------------------

@@ -1,6 +1,8 @@
 """End-to-end command line runs with real files."""
 
+import contextlib
 import inspect
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pathcert
 from pathcert import (
@@ -77,8 +81,8 @@ def test_build_writes_path_file(tmp_path, capsys):
         ["build", "--witness", witness, "--k-max", "12", "--out", str(out)], capsys
     )
     assert rc == 0
-    assert text.startswith("build:")
-    assert "parity" in text
+    assert text.startswith("build: ")
+    assert " matched anchors of 13, parity " in text
     document = json.loads(out.read_text())
     assert document["k_max"] == 12
     assert len(document["matched"]) >= 2
@@ -231,6 +235,63 @@ def _witness_file(document):
     return write
 
 
+# the command line of each command that reads an input file, {file}
+_READERS = {
+    "build": ("build", "--witness", "{file}", "--out", "{out}"),
+    "check": ("check", "--path", "{file}", "--suite", "interpolation"),
+    "probe": ("probe", "--field", "rational2d", "--witness", "{file}"),
+}
+
+
+def _input_file(command, content):
+    """argv of ``command`` reading a file that holds ``content``: bytes, or a
+    function of the tmp_path and capsys that returns them."""
+
+    def write(tmp_path, capsys):
+        data = content if isinstance(content, bytes) else content(tmp_path, capsys)
+        target = tmp_path / "input.json"
+        target.write_bytes(data)
+        return [arg.format(file=target, out=tmp_path / "out.json") for arg in _READERS[command]]
+
+    return write
+
+
+def _path_bytes(edit):
+    """The bytes of a built path file, edited."""
+    return lambda tmp_path, capsys: edit(Path(_build_path_file(tmp_path, capsys)).read_bytes())
+
+
+def _nested(depth):
+    value = [0.1, 0.9]
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+_GENERATOR = '"generator": {"kind": "diagonal", "count": 120, "stop": 0.02}'
+# files the JSON reader rejects, by class: text that is not UTF-8, nesting
+# deeper than the parser allows, and integers of more than 4,300 digits
+READER_CASES = {
+    "witness-file-not-utf8": _input_file(
+        "build", ('{"dimension": 2, "note": "\u00e9", ' + _GENERATOR + "}").encode("latin-1")
+    ),
+    "path-file-not-utf8": _input_file("check", _path_bytes(lambda data: b"\xff\xfe" + data)),
+    "probe-witness-not-utf8": _input_file(
+        "probe", b"\xff\xfe" + ('{"dimension": 2, ' + _GENERATOR + "}").encode()
+    ),
+    "path-file-100000-open-brackets": _input_file("check", b"[" * 100_000),
+    "witness-pairs-nested-50000-deep": _input_file(
+        "build", b'{"dimension": 2, "pairs": ' + b"[" * 50_000 + b"]" * 50_000 + b"}"
+    ),
+    "witness-seed-5000-digits": _input_file(
+        "build", ('{"dimension": 2, ' + _GENERATOR + ', "seed": ' + "9" * 5000 + "}").encode()
+    ),
+    "path-seed-5000-digits": _input_file(
+        "check",
+        _path_bytes(lambda data: data.replace(b'"seed": 0,', b'"seed": ' + b"9" * 5000 + b",")),
+    ),
+}
+
 MALFORMED_INPUTS = {
     "probe-axis-not-a-number": lambda tmp_path, capsys: [
         "probe", "--field", "builtin:ray_bump2d", "--generator", "ray", "--axis", "1,x"
@@ -325,6 +386,17 @@ MALFORMED_INPUTS = {
     "expression-variable-index-5000-digits": lambda tmp_path, capsys: [
         "probe", "--field", "expr:x" + "1" * 5000
     ],
+    **READER_CASES,
+    "domain-nested-500-deep": _edit_path_file(lambda doc: doc.update(domain=_nested(500))),
+    "generator-start-a-string": _witness_file(
+        {"dimension": 2, "generator": {"kind": "diagonal", "start": "0.4"}}
+    ),
+    "generator-axis-a-string": _witness_file(
+        {"dimension": 2, "generator": {"kind": "ray", "axis": "11"}}
+    ),
+    "generator-axis-coordinate-boolean": _witness_file(
+        {"dimension": 2, "generator": {"kind": "ray", "axis": [1, True]}}
+    ),
 }
 
 # path-file metadata that contradicts the anchors or leaves its range
@@ -349,6 +421,13 @@ NAMED_IN_ERROR.update(
     (case, "error: anchor 1 ")
     for case in ("anchor-without-t1", "anchor-k-not-an-integer", "anchor-a-norm-overflows")
 )
+NAMED_IN_ERROR.update((case, f"{os.sep}input.json is not valid JSON: ") for case in READER_CASES)
+NAMED_IN_ERROR.update({
+    "domain-nested-500-deep": "error: domain must be [",
+    "generator-start-a-string": "error: generator start must be a number, got '0.4'",
+    "generator-axis-a-string": "error: generator axis must be a list of 2 numbers, got '11'",
+    "generator-axis-coordinate-boolean": "error: generator axis coordinate must be a number",
+})
 
 
 def _into_missing_directory(*argv):
@@ -438,6 +517,40 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert NAMED_IN_ERROR.get(case, "error:") in err
     assert "Traceback" not in err
     assert "Warning" not in err
+
+
+_PAIRS_WITNESS = json.dumps({"dimension": 2, "pairs": [
+    {"x": [0.4 / 2**i, 0.3 / 2**i], "y": [0.8, 0.6]} for i in range(40)
+]})
+
+
+@settings(max_examples=120)
+@given(
+    option=st.sampled_from(["--path", "--witness"]),
+    raw=st.none() | st.binary(max_size=200),
+    cut=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_random_bytes_or_a_cut_document_exit_2(
+    tmp_path_factory, diagonal_build, option, raw, cut
+):
+    """Random bytes, or a valid witness or path document cut short before its
+    closing brace, read as --witness or --path exit 2 with no traceback."""
+    if raw is None:
+        document = _PAIRS_WITNESS if option == "--witness" else json.dumps(
+            pathfile.build_to_dict(diagonal_build), indent=2
+        )
+        raw = document[: int(cut * len(document))].encode()
+    target = tmp_path_factory.getbasetemp() / "fuzzed-input.json"
+    target.write_bytes(raw)
+    if option == "--witness":
+        command = ["build", "--out", str(target.with_suffix(".out"))]
+    else:
+        command = ["check", "--suite", "interpolation"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main([*command, option, str(target)])
+    assert rc == 2
+    assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
 
 
 def test_build_does_not_call_a_tiny_point_the_origin(tmp_path, capsys):
