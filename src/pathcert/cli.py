@@ -97,13 +97,9 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    witness = load_witness(args.witness)
-    build = build_path(
-        witness,
-        k_max=args.k_max,
-        half_angle=math.radians(args.half_angle_deg),
-        seed=args.seed,
-    )
+    half_angle = math.radians(args.half_angle_deg)
+    witness = load_witness(args.witness, half_angle)
+    build = build_path(witness, k_max=args.k_max, half_angle=half_angle, seed=args.seed)
     save_build(args.out, build)
     lo, hi = build.path.domain
     print(

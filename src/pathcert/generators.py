@@ -80,8 +80,11 @@ def generate_points(spec: GeneratorSpec) -> np.ndarray:
     radii = np.geomspace(spec.start, spec.stop, spec.count)
     if spec.kind == "diagonal":
         directions = np.ones(spec.dimension) / math.sqrt(spec.dimension)
+    elif spec.kind == "ray" and spec.axis is None:
+        directions = np.zeros(spec.dimension)
+        directions[0] = 1.0
     elif spec.kind == "ray":
-        axis = np.eye(spec.dimension)[0] if spec.axis is None else np.asarray(spec.axis, float)
+        axis = np.asarray(spec.axis, float)
         directions = axis / vector_norm(axis, "generator axis")
     else:
         directions = _spiral_directions(spec.count, spec.dimension)

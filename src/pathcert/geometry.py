@@ -38,6 +38,13 @@ COVER_SAMPLE_COUNT unit samples drawn from ``seed``.  Halton candidates
 nest, so a doubling computes only the new points, and only the samples
 still uncovered meet them; Fibonacci lattices do not, so each size tests
 the samples again, up to the first chunk it leaves uncovered.
+``_uncovered`` is a fast filter with an exact fallback (Shewchuk, Discrete
+Comput. Geom. 18, 1997): it takes each sample's best cosine in float32,
+whose error for unit vectors in R^n is at most (n + 2) 2^-24, and
+recomputes in float64 only the samples whose float32 value lies within a
+band of _FILTER_MARGIN times that bound about cos(half_angle).  Outside
+the band the two signs agree, so every verdict, and so every cover, is
+the float64 test's.
 Dyadic shells partition the punctured unit ball by 1/(k+1) < ||x|| <= 1/k.
 """
 
@@ -63,9 +70,17 @@ _MAX_COVER_SIZE = 1 << 21
 # how far from 1 the norm of a unit vector (a direction, a cover direction, a
 # witness or anchor derivative direction) may lie
 UNIT_TOL = 1e-12
-# entries of one (directions x points) block; bounds the temporaries of
-# cone selection and cover verification independently of the cover size
-_BLOCK_ENTRIES = 1 << 20
+# entries of one (directions x samples) block of float32 cosines in the
+# cover check: 256 directions per full chunk, a 4 MB product
+_COVER_BLOCK_ENTRIES = 1 << 20
+# entries of one (directions x points) block of cone selection, whose
+# elementwise test makes several float64 temporaries of this size: small
+# enough to stay in cache (2^20 took 2.2 times as long on 8192 x 200)
+_CONE_BLOCK_ENTRIES = 1 << 16
+# the float32 cover filter decides a sample only when its best float32
+# cosine lies farther than this many times the float32 error bound from
+# cos(half_angle); see _uncovered
+_FILTER_MARGIN = 24
 # below this norm a row's sum of squares is subnormal or 0
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
@@ -298,10 +313,9 @@ def _radical_inverse(index: np.ndarray, base: int) -> np.ndarray:
     """
     result = np.zeros(index.shape)
     scale = 1.0 / base
-    index = index.copy()
-    while np.any(index > 0):
-        result += (index % base) * scale
-        index //= base
+    while index.any():
+        index, digit = np.divmod(index, base)
+        result += digit * scale
         scale /= base
     return result
 
@@ -402,7 +416,9 @@ def _unit_rows(g: np.ndarray) -> np.ndarray:
     """The rows of ``g`` long enough to normalize, each divided by its norm."""
     norms = np.linalg.norm(g, axis=1)
     keep = norms > 1e-12
-    return g[keep] / norms[keep, None]
+    if not keep.all():  # nearly always every row is kept: skip the copies
+        g, norms = g[keep], norms[keep]
+    return g / norms[:, None]
 
 
 def _halton_sphere(count: int, dimension: int, start: int = 0) -> np.ndarray:
@@ -416,17 +432,40 @@ def _halton_sphere(count: int, dimension: int, start: int = 0) -> np.ndarray:
 
 def _uncovered(chunks: list[np.ndarray], directions: np.ndarray, half_angle: float):
     """Yield, for each chunk of unit samples in turn, the samples farther
-    than half_angle from every direction: those whose best cosine stays
-    below cos(half_angle).  Directions are tested a block at a time, and a
-    sample one block covers meets no later block."""
+    than half_angle from every direction: those whose best cosine,
+    ``(g @ directions[block].T).max(axis=1)`` in float64 over each block of
+    directions, stays below cos(half_angle).  A sample one block covers
+    meets no later block.
+
+    Each block is first tested in float32, as a (directions x samples)
+    product against the chunk converted once.  For unit vectors in R^n the
+    float32 cosine differs from the exact one by at most about
+    (n + 2) 2^-24 (each factor rounded once, n products summed in any
+    order), the float64 one by about n 2^-53, and a block's best cosine
+    by no more than its worst entry.  So a sample whose float32 best
+    cosine lies more than _FILTER_MARGIN (n + 2) 2^-24 (1.0e-5 in 5-D)
+    from cos(half_angle) lies on the same side of it in float64, even with
+    the band's ends rounded to float32; only the samples inside the band
+    are tested again in float64.  Every verdict is the float64 test's, at
+    about half its cost.
+    """
     cos_threshold = math.cos(half_angle)
-    block = max(1, _BLOCK_ENTRIES // _COVER_CHUNK)
+    band = _FILTER_MARGIN * (directions.shape[1] + 2) * 2.0**-24
+    low, high = np.float32(cos_threshold - band), np.float32(cos_threshold + band)
+    directions32 = directions.astype(np.float32)
+    block = max(1, _COVER_BLOCK_ENTRIES // _COVER_CHUNK)
     for g in chunks:
+        g32 = g.astype(np.float32)
         for lo in range(0, directions.shape[0], block):
             if g.shape[0] == 0:
                 break
-            best = (g @ directions[lo : lo + block].T).max(axis=1)
-            g = g[best < cos_threshold]
+            best32 = (directions32[lo : lo + block] @ g32.T).max(axis=0)
+            keep = best32 < low
+            near = np.flatnonzero(~keep & (best32 < high))
+            if near.size:
+                best = (g[near] @ directions[lo : lo + block].T).max(axis=1)
+                keep[near] = best < cos_threshold
+            g, g32 = g[keep], g32[keep]
         yield g
 
 
@@ -438,15 +477,30 @@ def _cached_cover(dimension: int, half_angle: float, seed: int) -> SphereCover:
     elif dimension == 2:
         # count >= 2 pi / half_angle directions, 2 pi / count apart, put every
         # unit vector within pi / count <= half_angle / 2 of one: a proof
-        spacings = 2.0 * math.pi / half_angle
-        if spacings > _MAX_COVER_SIZE:
-            raise _cover_too_large(dimension, half_angle)
-        directions = _circle_directions(max(int(math.ceil(spacings)), 4))
+        directions = _circle_directions(max(int(math.ceil(2.0 * math.pi / half_angle)), 4))
     else:
-        if _log_fewest_caps(dimension, half_angle) > math.log(_MAX_COVER_SIZE):
-            raise _cover_too_large(dimension, half_angle)
         directions = _sampled_cover(dimension, half_angle, seed)
     return SphereCover(half_angle=half_angle, directions=directions)
+
+
+def require_cover_fits(dimension: int, half_angle: float) -> None:
+    """Raise the InputError ``build_sphere_cover`` raises for these
+    arguments before it draws a sample or makes a direction: a dimension or
+    half angle out of range, or a cover that would need more than
+    _MAX_COVER_SIZE directions (in 2-D by its spacing, from 3-D on by the
+    area bound ``_log_fewest_caps``)."""
+    if not isinstance(dimension, int) or dimension < 1:
+        raise InputError(f"dimension must be a positive integer, got {dimension!r}")
+    if not (0.0 < half_angle < math.pi / 2.0):
+        raise InputError(f"half_angle must lie in (0, pi/2), got {half_angle!r}")
+    if dimension == 2:
+        too_large = 2.0 * math.pi / half_angle > _MAX_COVER_SIZE
+    else:
+        too_large = dimension >= 3 and (
+            _log_fewest_caps(dimension, half_angle) > math.log(_MAX_COVER_SIZE)
+        )
+    if too_large:
+        raise _cover_too_large(dimension, half_angle)
 
 
 def _log_fewest_caps(dimension: int, half_angle: float) -> float:
@@ -509,10 +563,7 @@ def build_sphere_cover(
     COVER_SAMPLE_COUNT unit samples drawn from ``seed`` lies within
     half_angle of a direction.
     """
-    if not isinstance(dimension, int) or dimension < 1:
-        raise InputError(f"dimension must be a positive integer, got {dimension!r}")
-    if not (0.0 < half_angle < math.pi / 2.0):
-        raise InputError(f"half_angle must lie in (0, pi/2), got {half_angle!r}")
+    require_cover_fits(dimension, half_angle)
     return _cached_cover(dimension, float(half_angle), require_seed(seed))
 
 
@@ -530,7 +581,7 @@ def select_dominant_cone(points, cover: SphereCover) -> tuple[ConeSpec, list[int
     require_rows(np.any(points_arr, axis=1), "point {} is the origin")
     # one block of directions at a time, so memory does not grow with the
     # cover; the strict > keeps the lowest index among tied counts
-    block = max(1, _BLOCK_ENTRIES // len(points_arr))
+    block = max(1, _CONE_BLOCK_ENTRIES // len(points_arr))
     best_count, winner, captured = -1, 0, None
     for start in range(0, cover.size, block):
         inside = cone_contains_many(cover.directions[start : start + block], points_arr)

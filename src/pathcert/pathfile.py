@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import InputError
 from .generators import GeneratorSpec, generate_points
-from .geometry import ConeSpec, UnitDirection, require_seed
+from .geometry import DEFAULT_COVER_HALF_ANGLE, ConeSpec, UnitDirection, require_seed
 from .mollifier import KERNEL_C, build_smooth_path
-from .pipeline import MAX_K_MAX, PathBuild
+from .pipeline import MAX_K_MAX, PathBuild, check_cover
 from .skeleton import AnchorSequence, WitnessSequence
 
 
@@ -141,8 +141,14 @@ _GENERATOR_RULES = {"count": "integer", "start": "number", "stop": "number", "ax
 _PAIR_RULES = {"x": "vector", "y": "vector"}
 
 
-def witness_from_dict(data: dict) -> WitnessSequence:
-    """Parse {"dimension": n, "pairs": [...]} or {"dimension", "generator"}."""
+def witness_from_dict(
+    data: dict, half_angle: float = DEFAULT_COVER_HALF_ANGLE
+) -> WitnessSequence:
+    """Parse {"dimension": n, "pairs": [...]} or {"dimension", "generator"}.
+
+    A dimension whose cover at ``half_angle`` the build would refuse is
+    refused first, before any point of that width is made.
+    """
     if not isinstance(data, dict):
         raise InputError("witness document must be a JSON object")
     if "dimension" not in data:
@@ -150,6 +156,7 @@ def witness_from_dict(data: dict) -> WitnessSequence:
     dimension = data["dimension"]
     _require(_follows((dimension,), "integer") and dimension >= 1, "dimension",
              "be a positive integer", dimension)
+    check_cover(dimension, half_angle)
     if ("pairs" in data) == ("generator" in data):
         raise InputError("witness document needs exactly one of 'pairs' or 'generator'")
     if "generator" in data:
@@ -178,8 +185,8 @@ def witness_from_dict(data: dict) -> WitnessSequence:
         return WitnessSequence.ingest(*columns)
 
 
-def load_witness(path: str) -> WitnessSequence:
-    return witness_from_dict(_read_json(path, "witness"))
+def load_witness(path: str, half_angle: float = DEFAULT_COVER_HALF_ANGLE) -> WitnessSequence:
+    return witness_from_dict(_read_json(path, "witness"), half_angle)
 
 
 # ---- path files ---------------------------------------------------------

@@ -19,6 +19,7 @@ from .geometry import (
     ConeSpec,
     SphereCover,
     build_sphere_cover,
+    require_cover_fits,
     select_dominant_cone,
     select_parity,
 )
@@ -70,6 +71,13 @@ def check_k_max(k_max: int) -> None:
     """Reject a K outside 2..MAX_K_MAX, before any work sized by it."""
     if not 2 <= k_max <= MAX_K_MAX:
         raise InputError(f"k_max must lie in 2..{MAX_K_MAX}, got {k_max!r}")
+
+
+def check_cover(dimension: int, half_angle: float) -> None:
+    """Raise, before any work sized by ``dimension``, the InputError the
+    cover stage would raise for a witness of that dimension."""
+    with _stage("cover"):
+        require_cover_fits(dimension, half_angle)
 
 
 @contextmanager

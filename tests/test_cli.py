@@ -397,6 +397,9 @@ MALFORMED_INPUTS = {
     "generator-axis-coordinate-boolean": _witness_file(
         {"dimension": 2, "generator": {"kind": "ray", "axis": [1, True]}}
     ),
+    "witness-dimension-100000": _witness_file(
+        {"dimension": 100_000, "generator": {"kind": "ray", "count": 2}}
+    ),
 }
 
 # path-file metadata that contradicts the anchors or leaves its range
@@ -427,6 +430,9 @@ NAMED_IN_ERROR.update({
     "generator-start-a-string": "error: generator start must be a number, got '0.4'",
     "generator-axis-a-string": "error: generator axis must be a list of 2 numbers, got '11'",
     "generator-axis-coordinate-boolean": "error: generator axis coordinate must be a number",
+    "witness-dimension-100000": (
+        "error: stage 'cover': could not cover the sphere in dimension 100000 "
+    ),
 })
 
 

@@ -365,12 +365,19 @@ def test_halton_points_match_scipy(dimension):
         assert np.array_equal(geometry._halton_points(count, dimension), expected)
 
 
-@pytest.mark.parametrize("dimension,size", [(3, 128), (4, 2048), (5, 8192)])
-def test_cover_sizes_at_seed_zero(dimension, size):
-    assert build_sphere_cover(dimension).size == size
+@pytest.mark.parametrize(
+    "dimension,size,seed",
+    [(3, 128, 0), (4, 2048, 0), (5, 8192, 0), (3, 128, 7), (4, 2048, 7), (5, 8192, 7)],
+    ids=["3-128", "4-2048", "5-8192", "3-128-seed7", "4-2048-seed7", "5-8192-seed7"],
+)
+def test_cover_sizes_at_seed_zero(dimension, size, seed):
+    """The default cover sizes, at seed 0 and at a second seed."""
+    assert build_sphere_cover(dimension, seed=seed).size == size
 
 
-@pytest.mark.parametrize("block_entries", [geometry._COVER_CHUNK * 8, geometry._BLOCK_ENTRIES])
+@pytest.mark.parametrize(
+    "block_entries", [geometry._COVER_CHUNK * 8, geometry._COVER_BLOCK_ENTRIES]
+)
 @pytest.mark.parametrize(
     "dimension,counts",
     [
@@ -386,7 +393,7 @@ def test_pruned_cover_check_matches_brute_force(monkeypatch, block_entries, dime
     pass and covers that fail.  Circle and Fibonacci candidates do not nest
     and meet all samples; Halton candidates nest as in the cover build, and
     only the samples the smaller set left uncovered meet the added points."""
-    monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(geometry, "_COVER_BLOCK_ENTRIES", block_entries)
     chunks = _samples(dimension, 3, 20_000)
     half_angle = DEFAULT_COVER_HALF_ANGLE
     verdicts, carried, start = [], chunks, 0
@@ -405,6 +412,48 @@ def test_pruned_cover_check_matches_brute_force(monkeypatch, block_entries, dime
     if dimension >= 4:
         assert verdicts == [False] * (len(counts) - 1) + [True]
     assert verdicts[0] is False and verdicts[-1] is True
+
+
+def _floats_around(x, steps):
+    """x and the ``steps`` floats on either side of it."""
+    values, below, above = [x], x, x
+    for _ in range(steps):
+        below, above = np.nextafter(below, -2.0), np.nextafter(above, 2.0)
+        values += [float(below), float(above)]
+    return values
+
+
+@pytest.mark.parametrize("block_entries", [geometry._COVER_CHUNK, geometry._COVER_BLOCK_ENTRIES])
+@pytest.mark.parametrize("dimension", [3, 5])
+def test_float32_filter_decides_threshold_samples_as_float64(
+    monkeypatch, block_entries, dimension
+):
+    """Samples planted at cos(half_angle), at its float32 rounding, and a few
+    ulps either side of each, off the first axis, leave exactly the samples
+    the float64 oracle leaves, in full chunks and among carried survivors.
+    The directions are the axes, so every cosine is a coordinate and exact
+    in any summation order."""
+    monkeypatch.setattr(geometry, "_COVER_BLOCK_ENTRIES", block_entries)
+    half_angle = DEFAULT_COVER_HALF_ANGLE
+    threshold = math.cos(half_angle)
+    cosines = sorted(
+        set(_floats_around(threshold, 3) + _floats_around(float(np.float32(threshold)), 3))
+    )
+    # float32 alone would call some of these covered, and only float64 tells
+    assert any(c < threshold and np.float32(c) >= np.float32(threshold) for c in cosines)
+    planted = np.zeros((len(cosines), dimension))
+    planted[:, 0] = cosines
+    planted[:, 1] = np.sqrt(1.0 - planted[:, 0] ** 2)
+    chunks = _samples(dimension, 5, 3 * 4096)
+    chunks[1] = np.concatenate([chunks[1][:1000], planted, chunks[1][1000:]])
+    axes = np.concatenate([np.eye(dimension), -np.eye(dimension)])
+    whole = list(geometry._uncovered(chunks, axes, half_angle))
+    assert _same_chunks(whole, _brute_force_uncovered(axes, half_angle, chunks))
+    carried = list(geometry._uncovered(chunks, axes[1:], half_angle))
+    carried = list(geometry._uncovered(carried, axes[:1], half_angle))
+    assert _same_chunks(carried, whole)
+    left = {tuple(row) for row in whole[1]}
+    assert [tuple(row) in left for row in planted] == [c < threshold for c in cosines]
 
 
 def test_resumed_cover_check_retests_the_failed_chunk():
@@ -559,7 +608,7 @@ def test_2d_cover_above_the_size_cap_allocates_nothing(monkeypatch, half_angle):
     tracemalloc.start()
     try:
         with pytest.raises(InputError, match="could not cover the sphere in dimension 2"):
-            geometry._cached_cover.__wrapped__(2, half_angle, 0)
+            build_sphere_cover(2, half_angle)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -638,7 +687,7 @@ def test_select_dominant_cone_tie_breaks_low():
 def test_select_dominant_cone_blocks_keep_the_winner(monkeypatch, block_entries):
     """Splitting the cover into blocks of directions changes neither the
     winner (lowest index among the top counts) nor the captured indices."""
-    monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(geometry, "_CONE_BLOCK_ENTRIES", block_entries)
     rng = np.random.default_rng(5)
     cover = build_sphere_cover(3)
     # two equally heavy tight clusters, so the top count is tied across
@@ -829,7 +878,7 @@ def test_a_cover_that_cannot_fit_is_rejected_before_any_work(monkeypatch, dimens
     try:
         refused = f"could not cover the sphere in dimension {dimension} "
         with pytest.raises(InputError, match=refused):
-            geometry._cached_cover.__wrapped__(dimension, DEFAULT_COVER_HALF_ANGLE, 0)
+            build_sphere_cover(dimension)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -10,6 +10,7 @@ from conftest import RANDOM_BUILD_CASES, random_build
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from pathcert import pathfile
 from pathcert.errors import InputError
 from pathcert.generators import GeneratorSpec, generate_points
 from pathcert.harness import ProbeReport
@@ -99,6 +100,22 @@ def test_witness_document_validation():
                 "pairs": [{"x": [0.4, 0.0], "y": [1.0, 0.0]}, {"x": [0.2, 0.0]}],
             }
         )
+
+
+def test_witness_whose_cover_cannot_fit_is_refused_before_any_point(monkeypatch):
+    """A dimension the cover stage would refuse at the build's half angle is
+    refused, naming the stage, before a point of that width is made."""
+
+    def no_points(spec):
+        raise LookupError(f"made points of dimension {spec.dimension}")
+
+    monkeypatch.setattr(pathfile, "generate_points", no_points)
+    document = {"dimension": 14, "generator": {"kind": "diagonal"}}
+    refused = "stage 'cover': could not cover the sphere in dimension 14 "
+    with pytest.raises(InputError, match=refused):
+        witness_from_dict(document)
+    with pytest.raises(LookupError, match="dimension 14"):  # a wider cover fits
+        witness_from_dict(document, half_angle=1.0)
 
 
 def test_load_witness_rejects_bad_file(tmp_path):
