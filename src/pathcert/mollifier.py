@@ -56,6 +56,10 @@ from .skeleton import AnchorSequence, PiecewiseAffinePath, build_skeleton
 
 # 1 / integral of exp(-1 / (1 - u^2)) over (-1, 1); path files carry it as kernel_c
 KERNEL_C = 2.2522836210435817  # 0x1.204ad466d96d1p+1
+# max |rho'| and max |rho''| over (-1, 1), rounded up from their maxima on a
+# grid of 2e6 points, 1.79829025 at u = -0.7598 and 17.4545335 at u = 0.8951
+KERNEL_D1_MAX = 1.7982903
+KERNEL_D2_MAX = 17.454534
 # the exponential integral E1(1) = 0.2193839343955202736..., rounded to nearest
 E1_AT_ONE = 0.21938393439552029
 # the dense grid's default density: points per decade of t and per window
@@ -240,6 +244,31 @@ def kernel_mass_moment(x) -> tuple[np.ndarray, np.ndarray]:
 # ---- evaluation ---------------------------------------------------------
 
 
+def _kinks(
+    skeleton: PiecewiseAffinePath, ts: np.ndarray, hs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The slope changes each averaging range (t - h, t + h) meets.
+
+    Returns the piece holding t - h for every t, and per breakpoint kappa
+    met, in breakpoint order within each t: its row, its slope jump delta
+    and x = (t - kappa) / h.  At h = 0 no breakpoint is met.
+    """
+    lo, hi = skeleton.domain
+    if float((ts - hs).min()) < lo - 1e-12 or float((ts + hs).max()) > hi + 1e-12:
+        raise DomainError("an averaging range leaves the skeleton domain")
+    bp = skeleton.breakpoints
+    slopes = skeleton.slopes
+    last = bp.size - 2
+    first = np.clip(np.searchsorted(bp, ts - hs, side="right") - 1, 0, last)
+    stop = np.minimum(np.searchsorted(bp, ts + hs, side="left"), last + 1)
+    count = np.maximum(stop - first - 1, 0)
+    row = np.repeat(np.arange(ts.size), count)
+    offset = np.cumsum(count) - count
+    kink = first[row] + 1 + (np.arange(row.size) - offset[row])
+    x = (ts[row] - bp[kink]) / hs[row]
+    return first, row, slopes[kink] - slopes[kink - 1], x
+
+
 def _mollified_rows(
     skeleton: PiecewiseAffinePath, ts: np.ndarray, hs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -253,29 +282,28 @@ def _mollified_rows(
     arithmetic is elementwise, so a row never depends on the batch
     around it.
     """
-    lo, hi = skeleton.domain
-    if float((ts - hs).min()) < lo - 1e-12 or float((ts + hs).max()) > hi + 1e-12:
-        raise DomainError("an averaging range leaves the skeleton domain")
-    bp = skeleton.breakpoints
-    slopes = skeleton.slopes
-    last = bp.size - 2
-    first = np.clip(np.searchsorted(bp, ts - hs, side="right") - 1, 0, last)
-    stop = np.minimum(np.searchsorted(bp, ts + hs, side="left"), last + 1)
-    count = np.maximum(stop - first - 1, 0)
-    slope = slopes[first]
+    first, row, jump, x = _kinks(skeleton, ts, hs)
+    slope = skeleton.slopes[first]
     value = slope * ts[:, None] + skeleton.offsets[first]
-    if not np.any(count):
+    if not row.size:
         return value, slope
-    row = np.repeat(np.arange(ts.size), count)
-    offset = np.cumsum(count) - count
-    kink = first[row] + 1 + (np.arange(row.size) - offset[row])
-    x = (ts[row] - bp[kink]) / hs[row]
     mass, moment = kernel_mass_moment(x)
-    jump = slopes[kink] - slopes[kink - 1]
     # add.at adds term by term in index order: each row in breakpoint order
     np.add.at(value, row, jump * (hs[row] * (x * mass - moment))[:, None])
     np.add.at(slope, row, jump * mass[:, None])
     return value, slope
+
+
+def _second_derivative_rows(
+    skeleton: PiecewiseAffinePath, ts: np.ndarray, hs: np.ndarray
+) -> np.ndarray:
+    """The second derivative of the kernel average, one row per t: the
+    sum of delta rho(x) / h over the breakpoints that ``_mollified_rows``
+    meets, and 0 where it meets none."""
+    _, row, jump, x = _kinks(skeleton, ts, hs)
+    second = np.zeros((ts.size, skeleton.dimension))
+    np.add.at(second, row, jump * (bump_kernel(x) / hs[row])[:, None])
+    return second
 
 
 def _eval_batch(path: SmoothPath, ts) -> tuple[np.ndarray, np.ndarray]:

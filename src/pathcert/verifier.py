@@ -11,9 +11,9 @@ The checks:
 * envelope: ||s(t)|| <= 1/k for t below 1/(2k),
 * product: ||s(t)|| ||s'(t)|| stays bounded (below 28 for witness data
   confined near the cone axis, with ||s'|| <= 28 k on the k-th leg),
-* smoothness: finite differences of s converge to s' at second order,
-  and differences of s' are Cauchy, above a noise floor that includes
-  the rounding of a central difference at the trial's smallest step,
+* smoothness: a central difference of s and one of s' at each trial
+  point stay within Taylor's bound of the exact s' and s'', plus a floor
+  that includes the rounding of a central difference,
 * coincidence: the path equals its skeleton outside the windows and on
   the affine stretches around the anchor times inside them.
 
@@ -23,7 +23,7 @@ reports the first t that attains the worst value.
 A row evaluates to the same bits alone or in any batch, so the report
 does not depend on how the grid is split.  Each check's tolerance and
 sample count are module constants (INTERPOLATION_TOL, ENVELOPE_TOL,
-COINCIDENCE_TOL, MIN_FD_ORDER, LEMMA1_PATHS, ...), not arguments; what a
+COINCIDENCE_TOL, FD_FLOOR1, LEMMA1_PATHS, ...), not arguments; what a
 caller varies is the product grid, the envelope's k_max, and the
 smoothness trials and seed.
 """
@@ -37,8 +37,9 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import require_seed, row_norms
-from .mollifier import DEFAULT_PER_DECADE, DEFAULT_PER_WINDOW, SmoothPath, _eval_batch
-from .mollifier import _mollified_rows, dense_grid, eval_smooth_many
+from .mollifier import DEFAULT_PER_DECADE, DEFAULT_PER_WINDOW, KERNEL_D1_MAX, KERNEL_D2_MAX
+from .mollifier import SmoothPath, _eval_batch, _kinks, _mollified_rows, _second_derivative_rows
+from .mollifier import dense_grid, eval_smooth_many
 from .skeleton import (
     AnchorSequence,
     PiecewiseAffinePath,
@@ -52,23 +53,24 @@ INTERPOLATION_TOL = 1e-9
 ENVELOPE_TOL = 1e-10
 COINCIDENCE_TOL = 1e-10
 PRODUCT_BOUND = 28.0
-MIN_FD_ORDER = 1.9
+# the smoothness floors relative to max(1, ||s'||) (stage one) and
+# max(1, ||difference of s'||) (stage two)
+FD_FLOOR1 = 1e-8
+FD_FLOOR2 = 1e-7
 LEMMA1_PATHS = 100
 LEMMA1_POINTS_PER_PATH = 50
 ENVELOPE_SAMPLES_PER_LEVEL = 256
 COINCIDENCE_POINTS_PER_REGION = 64
 DEFAULT_TRIALS = 100
 EPS = float(np.finfo(float).eps)
-# Rounding term of the smoothness floors, in units of eps max||row|| / delta_min,
+# Rounding term of the smoothness floors, in units of eps max||row|| / delta,
 # where a row is a computed s (stage one) or s' (stage two) on a trial's stencil.
 # A row meets at most one slope change (a window's kinks sit 4h apart and a row
 # averages over 2h), so it carries the rounding of an affine piece, of one kink
 # term and of t +- delta: about 2 eps max||row|| while no term outgrows the rows.
-# A central difference divides two rows' difference by 2 delta, and stage two
-# subtracts the differences at 2 delta_min and delta_min, so rounding reaches
-# (1 + 1/2) 2 eps max||row|| / delta_min, under 4 eps max||row|| / delta_min.
-# The floor is 16 times that: rounding is then at most 1/16 of any error an
-# order is taken from, and moves a pair's order by at most log2(17/15) = 0.18.
+# A central difference divides two rows' difference by 2 delta, so rounding
+# reaches 2 eps max||row|| / delta.  The floor is 32 times that, so rounding
+# never reads as a breach of the Taylor bound.
 FD_ROUNDING = 64.0
 # JSON-safe stand-in for "any finite value passes"
 FINITE_THRESHOLD = np.finfo(float).max
@@ -283,37 +285,6 @@ def product_bound_scan(
 # ---- smoothness ---------------------------------------------------------
 
 
-def _order_estimate(errors: np.ndarray, floor: float) -> float:
-    """Convergence order of a halving error sequence.
-
-    Uses the better of the median pair order and the last pair order;
-    the last pair is the most asymptotic and the median guards it.
-    Errors at the noise floor count as converged; with no usable pair
-    the sequence is treated as already exact.
-    """
-    orders = []
-    for a, b in zip(errors[:-1], errors[1:]):
-        if a > floor and b > floor:
-            orders.append(math.log2(a / b))
-    if not orders:
-        return 10.0
-    return max(_median(orders), orders[-1])
-
-
-def _median(values: list[float]) -> float:
-    """np.median of a short list, bit for bit, without numpy: the middle
-    value, or (a + b) / 2 of the two middle values; nan if any is nan.
-    np.median takes a mean, whose sum starts from 0.0 and so turns -0.0
-    into 0.0; adding 0.0 does the same and changes no other value."""
-    if any(math.isnan(v) for v in values):
-        return math.nan
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid] + 0.0
-    return (ordered[mid - 1] + ordered[mid]) / 2.0 + 0.0
-
-
 def _fd_trial_points(path: SmoothPath, rng: np.random.Generator) -> tuple[float, float]:
     """Pick a trial parameter and base step.
 
@@ -325,9 +296,8 @@ def _fd_trial_points(path: SmoothPath, rng: np.random.Generator) -> tuple[float,
         if path.lo.size:
             i = int(rng.integers(0, path.lo.size))
             t = float(rng.uniform(path.lo[i], path.hi[i]))
-            # h/16 starts the halving ladder inside the asymptotic regime;
-            # at h/8 the leading error term has not taken over yet and the
-            # observed order can sit a few percent under 2
+            # a step of h/16 keeps the Taylor term, (delta / h)^2 / 6 times
+            # the next derivative's scale, small next to the derivatives
             return t, float(path.h[i]) / 16.0
         kinks = kink_times(path.skeleton)
         if kinks.size:
@@ -340,9 +310,8 @@ def _fd_trial_points(path: SmoothPath, rng: np.random.Generator) -> tuple[float,
     t = float(np.exp(rng.uniform(math.log(lo * 1.05), math.log(hi * 0.995))))
     delta0 = 1e-3 * t
     delta0 = min(delta0, (t - lo) / 4.0, (hi - t) / 4.0)
-    # when the stencil reaches into a blend window the ladder must start
-    # well under that window's averaging radius, or the first steps sit
-    # outside the asymptotic regime
+    # when the stencil reaches into a blend window the step must stay well
+    # under that window's averaging radius, and so the stencil inside one window
     reached = (t + delta0 > path.lo) & (t - delta0 < path.hi)
     if np.any(reached):
         delta0 = min(delta0, float(np.min(path.h[reached])) / 16.0)
@@ -352,48 +321,57 @@ def _fd_trial_points(path: SmoothPath, rng: np.random.Generator) -> tuple[float,
 def smoothness_check(
     path: SmoothPath, trials: int = DEFAULT_TRIALS, seed: int = 0
 ) -> CheckReport:
-    """Finite-difference convergence proxy for C^2 regularity.
+    """Central differences of s and s' against Taylor's bound.
 
-    Stage one: central differences of s converge to the evaluated s' at
-    order >= MIN_FD_ORDER (or sit at rounding level).  Stage two guards
-    against kink-level breakdown: central differences of s' must be
-    Cauchy at order >= 1.  The second stage gets the lower bar because
-    its leading Taylor coefficient crosses zero inside blend windows,
-    where the halving sequence legitimately dips below second order,
-    while a genuine kink drives it to order -1.  Errors under a stage's
-    floor count as converged; each floor adds to a relative part the most
-    rounding can give, FD_ROUNDING eps max||row|| / delta_min, which the
-    tiny steps of deep windows would otherwise read as a kink.  measured is
-    the worst shortfall across both stages; the check passes at measured <= 0.
+    Each trial takes one central difference of s and one of s' at the point
+    t and step d that ``_fd_trial_points`` picks.  On the stencil
+    [t - d, t + d] the path is the kernel average of the skeleton at the
+    half-width H of the window the stencil reaches, or the skeleton itself
+    (H = 0) if it reaches none, so Taylor's theorem bounds the errors by
+
+        ||(s(t + d) - s(t - d)) / 2d - s'(t)||   <=  d^2 / 6  S KERNEL_D1_MAX / H^2,
+        ||(s'(t + d) - s'(t - d)) / 2d - s''(t)||  <=  d^2 / 6  S KERNEL_D2_MAX / H^3,
+
+    with s' and s'' the exact kink sums and S the sum of the slope jumps'
+    norms within d + H of t, the only ones the stencil's rows meet.  With
+    H = 0 the bound is 0: a slope change there is a kink.  Each bound adds a
+    floor, FD_FLOOR1 or FD_FLOOR2 relative to a derivative plus the most
+    rounding can give, FD_ROUNDING eps max||row|| / d.  measured is the
+    worst error / bound over both stages and all trials; the check passes
+    at measured <= 1.
     """
     if trials < 1:
         raise InputError("smoothness needs at least one trial")
     rng = np.random.default_rng(require_seed(seed))
-    t, delta0 = np.array([_fd_trial_points(path, rng) for _ in range(trials)]).T
-    deltas = delta0[:, None] / np.power(2.0, np.arange(5))
-    points = np.concatenate([t[:, None], t[:, None] + deltas, t[:, None] - deltas], axis=1)
-    values, derivs = (a.reshape(trials, 11, -1) for a in _eval_batch(path, points.ravel()))
-    ref = derivs[:, 0]
-    # per unit of max||row||, what rounding can put into a stage's errors
-    rounding = FD_ROUNDING * EPS / deltas[:, -1]
-    fd1 = (values[:, 1:6] - values[:, 6:11]) / (2.0 * deltas[:, :, None])
-    err1 = row_norms(fd1 - ref[:, None, :])
-    floor1 = 1e-8 * np.maximum(1.0, row_norms(ref))
-    floor1 += rounding * np.max(row_norms(values), axis=1)
-    fd2 = (derivs[:, 1:6] - derivs[:, 6:11]) / (2.0 * deltas[:, :, None])
-    diff2 = row_norms(np.diff(fd2, axis=1))
-    floor2 = 1e-7 * np.maximum(1.0, np.max(row_norms(fd2), axis=1))
-    floor2 += rounding * np.max(row_norms(derivs), axis=1)
-    shortfall = [
-        max(MIN_FD_ORDER - _order_estimate(e1, f1), 1.0 - _order_estimate(e2, f2))
-        for e1, f1, e2, f2 in zip(err1, floor1, diff2, floor2)
-    ]
+    t, delta = np.array([_fd_trial_points(path, rng) for _ in range(trials)]).T
+    points = np.stack([t, t + delta, t - delta], axis=1)
+    values, derivs = (a.reshape(trials, 3, -1) for a in _eval_batch(path, points.ravel()))
+    # the stencil reaches at most one window: its step stays under h / 16 of any
+    # window it reaches, and windows sit more than their h apart
+    w = np.searchsorted(path.lo, t + delta, side="right") - 1
+    reached = t - delta <= np.append(path.hi, -math.inf)[w]
+    big_h = np.where(reached, np.append(path.h, 0.0)[w], 0.0)
+    inv_h = np.divide(1.0, big_h, out=np.zeros(trials), where=reached)
+    _, row, jump, _ = _kinks(path.skeleton, t, delta + big_h)
+    spread = np.zeros(trials)
+    np.add.at(spread, row, row_norms(jump))
+    taylor = delta * delta / 6.0 * spread * inv_h * inv_h
+    rounding = FD_ROUNDING * EPS / delta
+    slope = derivs[:, 0]
+    fd1 = (values[:, 1] - values[:, 2]) / (2.0 * delta[:, None])
+    bound1 = taylor * KERNEL_D1_MAX + FD_FLOOR1 * np.maximum(1.0, row_norms(slope))
+    bound1 += rounding * np.max(row_norms(values), axis=1)
+    fd2 = (derivs[:, 1] - derivs[:, 2]) / (2.0 * delta[:, None])
+    second = _second_derivative_rows(path.skeleton, t, big_h)
+    bound2 = taylor * KERNEL_D2_MAX * inv_h + FD_FLOOR2 * np.maximum(1.0, row_norms(fd2))
+    bound2 += rounding * np.max(row_norms(derivs), axis=1)
+    ratio = np.maximum(row_norms(fd1 - slope) / bound1, row_norms(fd2 - second) / bound2)
     return _worst(
         "smoothness",
-        shortfall,
+        ratio,
         t,
-        0.0,
-        f"worst order shortfall over {trials} trials, seed {seed}",
+        1.0,
+        f"worst error / Taylor bound over {trials} trials, seed {seed}",
     )
 
 

@@ -140,15 +140,17 @@ def test_speed_product_bound(capsys, builds):
 
 
 def test_smoothness_order(capsys, builds):
-    """Central differences of the derivative converge at order 2 on the
-    mollified path; the raw skeleton fails the same probe at its kinks."""
+    """Central differences of s and s' stay within Taylor's second-order
+    bound of the exact s' and s'' on the mollified path; the raw skeleton
+    fails the same probe at its kinks."""
     started = time.perf_counter()
     failures = []
     worst = -math.inf
-    assert verifier.MIN_FD_ORDER == 1.9
+    assert (verifier.FD_FLOOR1, verifier.FD_FLOOR2, verifier.FD_ROUNDING) == (1e-8, 1e-7, 64.0)
     for case in FIXTURE_CASES:
         build = builds[case]
         report = smoothness_check(build.path, trials=100, seed=0)
+        assert report.threshold == 1.0
         worst = max(worst, report.measured)
         if not report.passed:
             failures.append(case)
@@ -163,11 +165,12 @@ def test_smoothness_order(capsys, builds):
         capsys,
         "smoothness-order",
         ok,
-        f"worst shortfall {worst:.3g} over {len(FIXTURE_CASES)} fixtures, "
-        f"kinked control shortfall {control_report.measured:.3g}, {elapsed:.2f}s",
+        f"worst error / bound {worst:.3g} over {len(FIXTURE_CASES)} fixtures, "
+        f"kinked control {control_report.measured:.3g}, {elapsed:.2f}s",
     )
     assert not failures
     assert not control_report.passed
+    assert control_report.measured >= 10.0
     assert elapsed < 10.0
 
 

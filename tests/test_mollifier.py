@@ -13,6 +13,8 @@ from pathcert.errors import InputError
 from pathcert.mollifier import (
     E1_AT_ONE,
     KERNEL_C,
+    KERNEL_D1_MAX,
+    KERNEL_D2_MAX,
     SmoothPath,
     _eval_batch,
     _mollified_rows,
@@ -88,6 +90,26 @@ def test_stored_constants_match_closed_forms():
     closed = 1.0 / (math.exp(-0.5) * (k1(0.5) - k0(0.5)))
     assert abs(KERNEL_C - closed) <= np.spacing(closed)
     assert abs(E1_AT_ONE - exp1(1.0)) <= 1e-15
+
+
+def test_kernel_derivative_maxima_are_rounded_up():
+    """KERNEL_D1_MAX and KERNEL_D2_MAX lie above max |rho'| and max |rho''|
+    on a grid of 2e6 points, by under 1e-7 relative.  The closed forms taken
+    there agree with central differences of bump_kernel."""
+    u = np.linspace(-1.0, 1.0, 2_000_001)[1:-1]
+    q = 1.0 - u * u
+    rho = bump_kernel(u)
+    d1 = rho * (-2.0 * u / q**2)
+    d2 = rho * (4.0 * u * u / q**4 - 2.0 / q**2 - 8.0 * u * u / q**3)
+    for bound, top in ((KERNEL_D1_MAX, np.max(np.abs(d1))), (KERNEL_D2_MAX, np.max(np.abs(d2)))):
+        assert top < bound < top * (1.0 + 1e-7)
+    e = 1e-4
+    probe = slice(1000, None, 20_000)
+    v = u[probe]
+    fd1 = (bump_kernel(v + e) - bump_kernel(v - e)) / (2.0 * e)
+    fd2 = (bump_kernel(v + e) - 2.0 * rho[probe] + bump_kernel(v - e)) / (e * e)
+    assert np.max(np.abs(fd1 - d1[probe])) <= 1e-6 * KERNEL_D1_MAX
+    assert np.max(np.abs(fd2 - d2[probe])) <= 1e-5 * KERNEL_D2_MAX
 
 
 @pytest.mark.parametrize(
