@@ -67,6 +67,10 @@ DEFAULT_COVER_HALF_ANGLE = 0.5 * CONE_HALF_ANGLE
 COVER_SAMPLE_COUNT = 100_000
 _COVER_CHUNK = 4096
 _MAX_COVER_SIZE = 1 << 21
+# the most float64 entries the sample draw of a sampled cover, COVER_SAMPLE_COUNT
+# x dimension, may hold: dimension 167 at most, whose 89.9-degree cover drew
+# 134 MB and peaked at 173 MB in 0.7 s (2-vCPU VM); dimension 100,000 would draw 80 GB
+_MAX_SAMPLE_ENTRIES = 1 << 24
 # how far from 1 the norm of a unit vector (a direction, a cover direction, a
 # witness or anchor derivative direction) may lie
 UNIT_TOL = 1e-12
@@ -486,9 +490,10 @@ def _cached_cover(dimension: int, half_angle: float, seed: int) -> SphereCover:
 def require_cover_fits(dimension: int, half_angle: float) -> None:
     """Raise the InputError ``build_sphere_cover`` raises for these
     arguments before it draws a sample or makes a direction: a dimension or
-    half angle out of range, or a cover that would need more than
+    half angle out of range, a cover that would need more than
     _MAX_COVER_SIZE directions (in 2-D by its spacing, from 3-D on by the
-    area bound ``_log_fewest_caps``)."""
+    area bound ``_log_fewest_caps``), or a sampled cover whose sample draw
+    would hold more than _MAX_SAMPLE_ENTRIES floats."""
     if not isinstance(dimension, int) or dimension < 1:
         raise InputError(f"dimension must be a positive integer, got {dimension!r}")
     if not (0.0 < half_angle < math.pi / 2.0):
@@ -501,6 +506,11 @@ def require_cover_fits(dimension: int, half_angle: float) -> None:
         )
     if too_large:
         raise _cover_too_large(dimension, half_angle)
+    if dimension >= 3 and COVER_SAMPLE_COUNT * dimension > _MAX_SAMPLE_ENTRIES:
+        raise InputError(
+            f"a sampled cover in dimension {dimension} draws {COVER_SAMPLE_COUNT} x {dimension} "
+            f"samples, above the cap of {_MAX_SAMPLE_ENTRIES} entries"
+        )
 
 
 def _log_fewest_caps(dimension: int, half_angle: float) -> float:

@@ -685,6 +685,20 @@ def test_bad_input_inside_a_build_stage_exits_2(tmp_path, capsys, half_angle_deg
     assert "pipeline error" not in err and not out.exists()
 
 
+def test_a_sampled_cover_whose_draw_cannot_fit_exits_2(tmp_path, capsys, monkeypatch):
+    """A wide angle passes the area bound in dimension 100,000, but the sample
+    draw would hold 10^10 floats: the cover stage refuses it before any draw."""
+    monkeypatch.setattr(geometry, "_sampled_cover", _no_work)
+    witness = tmp_path / "wide.json"
+    witness.write_text(json.dumps({"dimension": 100000, "generator": {"kind": "ray", "count": 2}}))
+    out = tmp_path / "p.json"
+    argv = ["build", "--witness", str(witness), "--half-angle-deg", "89.9", "--out", str(out)]
+    rc, _, err = _run(argv, capsys)
+    assert rc == 2
+    assert "error: stage 'cover': a sampled cover in dimension 100000 draws " in err
+    assert not out.exists()
+
+
 def _no_build(*args, **kwargs):
     raise AssertionError("built a path")
 

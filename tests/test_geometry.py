@@ -885,3 +885,14 @@ def test_a_cover_that_cannot_fit_is_rejected_before_any_work(monkeypatch, dimens
     assert peak < 2**16
     with pytest.raises(LookupError, match="searched dimension 13"):
         geometry._cached_cover.__wrapped__(13, DEFAULT_COVER_HALF_ANGLE, 0)
+
+
+def test_a_sampled_cover_whose_draw_cannot_fit_is_refused():
+    """At 89.9 degrees the area bound lets any dimension through; the sample
+    draw, COVER_SAMPLE_COUNT x dimension floats, is capped instead."""
+    wide = math.radians(89.9)
+    top = geometry._MAX_SAMPLE_ENTRIES // geometry.COVER_SAMPLE_COUNT
+    geometry.require_cover_fits(top, wide)
+    for dimension in (top + 1, 100_000):
+        with pytest.raises(InputError, match=f"sampled cover in dimension {dimension} draws"):
+            geometry.require_cover_fits(dimension, wide)
