@@ -192,26 +192,42 @@ def load_witness(path: str, half_angle: float = DEFAULT_COVER_HALF_ANGLE) -> Wit
 # ---- path files ---------------------------------------------------------
 
 
+# what build_to_dict derives from the free data, for the path and per anchor
+_DERIVED_KEYS = ("dimension", "k_max", "kernel_c", "domain")
+_DERIVED_ANCHOR_KEYS = ("k", "source")
+
+
+def _derived(build: PathBuild) -> tuple[dict, dict]:
+    """The values build_to_dict writes under _DERIVED_KEYS, and under
+    _DERIVED_ANCHOR_KEYS as one list over the anchors."""
+    anchors = build.anchors
+    path = (anchors.dimension, build.k_max, KERNEL_C, list(build.path.domain))
+    per_anchor = (
+        list(range(1, len(anchors.a) + 1)),
+        np.where(anchors.given, "given", "filler").tolist(),
+    )
+    return dict(zip(_DERIVED_KEYS, path)), dict(zip(_DERIVED_ANCHOR_KEYS, per_anchor))
+
+
 def build_to_dict(build: PathBuild) -> dict:
     anchors = build.anchors
-    times = anchors.times.tolist()
-    sources = np.where(anchors.given, "given", "filler").tolist()
+    derived, per_anchor = _derived(build)
     return {
-        "dimension": anchors.dimension,
-        "k_max": build.k_max,
+        "dimension": derived["dimension"],
+        "k_max": derived["k_max"],
         "seed": build.seed,
         "half_angle": build.half_angle,
         "cover_size": build.cover_size,
         "parity": anchors.parity,
         "cone_axis": anchors.cone.axis.coords.tolist(),
-        "kernel_c": KERNEL_C,
-        "domain": list(build.path.domain),
+        "kernel_c": derived["kernel_c"],
+        "domain": derived["domain"],
         "witness_scale": build.witness_scale,
         "matched": [[int(k), int(i)] for k, i in anchors.matched],
         "anchors": [
             {"k": k, "source": source, "a": a, "b": b, "t0": t[0], "t1": t[1], "t2": t[2]}
             for k, source, a, b, t in zip(
-                range(1, len(times) + 1), sources, anchors.a.tolist(), anchors.b.tolist(), times
+                *per_anchor.values(), anchors.a.tolist(), anchors.b.tolist(), anchors.times.tolist()
             )
         ],
     }
@@ -219,9 +235,6 @@ def build_to_dict(build: PathBuild) -> dict:
 
 _ANCHOR_RULES = {"a": "vector", "b": "vector", "t0": "number", "t1": "number", "t2": "number"}
 _MATCHED_RULES = {"anchor": "integer", "witness index": "integer"}
-# what build_to_dict derives from the free data, for the path and per anchor
-_DERIVED_KEYS = ("dimension", "k_max", "kernel_c", "domain")
-_DERIVED_ANCHOR_KEYS = ("k", "source")
 
 
 def _anchor_columns(items, n: int) -> tuple:
@@ -245,7 +258,7 @@ def _same(got, want) -> bool:
     """Whether ``got`` equals ``want`` in value and JSON type (3, 3.0 and true differ),
     read only as deep as ``want``: a scalar or a list of scalars, as build_to_dict writes."""
     if type(want) is list:
-        return type(got) is list and len(got) == len(want) and all(map(_same, got, want))
+        return type(got) is list and got == want and list(map(type, got)) == list(map(type, want))
     return type(got) is type(want) and got == want
 
 
@@ -257,7 +270,7 @@ def build_from_dict(data: dict) -> PathBuild:
     anchor's a, b, t0, t1 and t2.  The skeleton and windows are rebuilt from
     the anchors, so a reloaded path evaluates bit for bit like the original.
     The derived keys must then equal what ``build_to_dict`` writes for the
-    rebuilt path, and the first that differs is named.
+    rebuilt path, and the first that differs is named, before any anchor's.
     """
     if not isinstance(data, dict):
         raise InputError("path document must be a JSON object")
@@ -292,14 +305,18 @@ def build_from_dict(data: dict) -> PathBuild:
             path=build_smooth_path(anchors),
             witness_scale=scale,
         )
-    written = build_to_dict(build)
-    for key in _DERIVED_KEYS:
-        if not _same(data[key], written[key]):
-            raise InputError(f"{key} must be {written[key]!r}, got {data[key]!r}")
-    for j, (item, want) in enumerate(zip(data["anchors"], written["anchors"]), start=1):
-        for key in _DERIVED_ANCHOR_KEYS:
-            if not _same(item.get(key), want[key]):
-                raise InputError(f"anchor {j} {key} must be {want[key]!r}, got {item.get(key)!r}")
+    derived, per_anchor = _derived(build)
+    for key, want in derived.items():
+        if not _same(data[key], want):
+            raise InputError(f"{key} must be {want!r}, got {data[key]!r}")
+    items = data["anchors"]
+    if not all(_same([item.get(key) for item in items], want) for key, want in per_anchor.items()):
+        for j, item in enumerate(items):
+            for key, want in per_anchor.items():
+                if not _same(item.get(key), want[j]):
+                    raise InputError(
+                        f"anchor {j + 1} {key} must be {want[j]!r}, got {item.get(key)!r}"
+                    )
     return build
 
 
