@@ -85,7 +85,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
     document = {
         "dimension": cover.dimension,
         "half_angle_deg": math.degrees(cover.half_angle),
-        "directions": [[float(v) for v in row] for row in cover.directions],
+        "directions": cover.directions.tolist(),
     }
     text = json.dumps(document, indent=2) + "\n"
     if args.out:
