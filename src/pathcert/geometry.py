@@ -67,9 +67,8 @@ DEFAULT_COVER_HALF_ANGLE = 0.5 * CONE_HALF_ANGLE
 COVER_SAMPLE_COUNT = 100_000
 _COVER_CHUNK = 4096
 _MAX_COVER_SIZE = 1 << 21
-# the most float64 entries the sample draw of a sampled cover, COVER_SAMPLE_COUNT
-# x dimension, may hold: dimension 167 at most, whose 89.9-degree cover drew
-# 134 MB and peaked at 173 MB in 0.7 s (2-vCPU VM); dimension 100,000 would draw 80 GB
+# the most float64 entries a sampled cover's draw of COVER_SAMPLE_COUNT x dimension may
+# hold: d <= 167, whose 89.9-degree cover peaked at 173 MB in 0.7 s (2-vCPU VM)
 _MAX_SAMPLE_ENTRIES = 1 << 24
 # how far from 1 the norm of a unit vector (a direction, a cover direction, a
 # witness or anchor derivative direction) may lie

@@ -33,7 +33,8 @@ breakpoint kappa in (t - h, t + h) with slope jump delta then adds
 
     delta * h * (x K(x) - M(x))  to s(t),    delta * K(x)  to s'(t),
 
-with x = (t - kappa) / h.  The same rule evaluates every row: off the
+with x = (t - kappa) / h, and delta rho(x) / h to s''(t), which only the
+smoothness check evaluates.  The same rule evaluates every row: off the
 windows it runs with h = 0, meets no breakpoint and gives the skeleton's
 affine piece, and one pass gives both the value and the slope.  K and M
 come from piecewise Chebyshev series, built on first use from the kernel
@@ -244,20 +245,14 @@ def kernel_mass_moment(x) -> tuple[np.ndarray, np.ndarray]:
 # ---- evaluation ---------------------------------------------------------
 
 
-def _kinks(
-    skeleton: PiecewiseAffinePath, ts: np.ndarray, hs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The slope changes each averaging range (t - h, t + h) meets.
-
-    Returns the piece holding t - h for every t, and per breakpoint kappa
-    met, in breakpoint order within each t: its row, its slope jump delta
-    and x = (t - kappa) / h.  At h = 0 no breakpoint is met.
-    """
+def _kinks(skeleton: PiecewiseAffinePath, ts: np.ndarray, hs: np.ndarray) -> tuple:
+    """The piece holding t - h for each t and, per breakpoint kappa in
+    (t - h, t + h), in breakpoint order: its row, its slope jump delta and
+    x = (t - kappa) / h.  At h = 0 no breakpoint is met."""
     lo, hi = skeleton.domain
     if float((ts - hs).min()) < lo - 1e-12 or float((ts + hs).max()) > hi + 1e-12:
         raise DomainError("an averaging range leaves the skeleton domain")
-    bp = skeleton.breakpoints
-    slopes = skeleton.slopes
+    bp, slopes = skeleton.breakpoints, skeleton.slopes
     last = bp.size - 2
     first = np.clip(np.searchsorted(bp, ts - hs, side="right") - 1, 0, last)
     stop = np.minimum(np.searchsorted(bp, ts + hs, side="left"), last + 1)
@@ -297,9 +292,8 @@ def _mollified_rows(
 def _second_derivative_rows(
     skeleton: PiecewiseAffinePath, ts: np.ndarray, hs: np.ndarray
 ) -> np.ndarray:
-    """The second derivative of the kernel average, one row per t: the
-    sum of delta rho(x) / h over the breakpoints that ``_mollified_rows``
-    meets, and 0 where it meets none."""
+    """The kernel average's second derivative, one row per t: the sum of
+    delta rho(x) / h over the breakpoints ``_mollified_rows`` meets."""
     _, row, jump, x = _kinks(skeleton, ts, hs)
     second = np.zeros((ts.size, skeleton.dimension))
     np.add.at(second, row, jump * (bump_kernel(x) / hs[row])[:, None])

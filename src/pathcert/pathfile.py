@@ -202,10 +202,8 @@ def _derived(build: PathBuild) -> tuple[dict, dict]:
     _DERIVED_ANCHOR_KEYS as one list over the anchors."""
     anchors = build.anchors
     path = (anchors.dimension, build.k_max, KERNEL_C, list(build.path.domain))
-    per_anchor = (
-        list(range(1, len(anchors.a) + 1)),
-        np.where(anchors.given, "given", "filler").tolist(),
-    )
+    sources = np.where(anchors.given, "given", "filler").tolist()
+    per_anchor = (list(range(1, len(sources) + 1)), sources)
     return dict(zip(_DERIVED_KEYS, path)), dict(zip(_DERIVED_ANCHOR_KEYS, per_anchor))
 
 

@@ -31,7 +31,7 @@ smoothness trials and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,8 +53,7 @@ INTERPOLATION_TOL = 1e-9
 ENVELOPE_TOL = 1e-10
 COINCIDENCE_TOL = 1e-10
 PRODUCT_BOUND = 28.0
-# the smoothness floors relative to max(1, ||s'||) (stage one) and
-# max(1, ||difference of s'||) (stage two)
+# smoothness floors, relative to max(1, ||s'||) and max(1, ||difference of s'||)
 FD_FLOOR1 = 1e-8
 FD_FLOOR2 = 1e-7
 LEMMA1_PATHS = 100
@@ -97,27 +96,14 @@ class CheckReport:
     details: str
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "measured": self.measured,
-            "threshold": self.threshold,
-            "witness_t": self.witness_t,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _report(
     name: str, measured: float, threshold: float, witness_t: float, details: str
 ) -> CheckReport:
-    return CheckReport(
-        name=name,
-        passed=bool(measured <= threshold),
-        measured=float(measured),
-        threshold=float(threshold),
-        witness_t=witness_t,
-        details=details,
-    )
+    measured, threshold = float(measured), float(threshold)
+    return CheckReport(name, measured <= threshold, measured, threshold, witness_t, details)
 
 
 def _worst(name: str, excess, ts, threshold: float, details: str) -> CheckReport:
@@ -323,22 +309,15 @@ def smoothness_check(
 ) -> CheckReport:
     """Central differences of s and s' against Taylor's bound.
 
-    Each trial takes one central difference of s and one of s' at the point
-    t and step d that ``_fd_trial_points`` picks.  On the stencil
-    [t - d, t + d] the path is the kernel average of the skeleton at the
-    half-width H of the window the stencil reaches, or the skeleton itself
-    (H = 0) if it reaches none, so Taylor's theorem bounds the errors by
-
-        ||(s(t + d) - s(t - d)) / 2d - s'(t)||   <=  d^2 / 6  S KERNEL_D1_MAX / H^2,
-        ||(s'(t + d) - s'(t - d)) / 2d - s''(t)||  <=  d^2 / 6  S KERNEL_D2_MAX / H^3,
-
-    with s' and s'' the exact kink sums and S the sum of the slope jumps'
-    norms within d + H of t, the only ones the stencil's rows meet.  With
-    H = 0 the bound is 0: a slope change there is a kink.  Each bound adds a
-    floor, FD_FLOOR1 or FD_FLOOR2 relative to a derivative plus the most
-    rounding can give, FD_ROUNDING eps max||row|| / d.  measured is the
-    worst error / bound over both stages and all trials; the check passes
-    at measured <= 1.
+    Per trial, at the t and step d of ``_fd_trial_points``, the central
+    differences of s and s' miss the exact kink sums s'(t) and s''(t) by at
+    most d^2/6 S KERNEL_D1_MAX / H^2 and d^2/6 S KERNEL_D2_MAX / H^3: on the
+    stencil the path is the kernel average at the half-width H of the window
+    the stencil reaches, and S sums the slope jumps' norms within d + H of t.
+    Off the windows H = 0 and the bound is 0, so a slope change there is a
+    kink.  Each bound adds its floor, FD_FLOOR1 or FD_FLOOR2 relative to a
+    derivative plus FD_ROUNDING eps max||row|| / d.  measured is the worst
+    error / bound; the check passes at measured <= 1.
     """
     if trials < 1:
         raise InputError("smoothness needs at least one trial")
@@ -346,15 +325,14 @@ def smoothness_check(
     t, delta = np.array([_fd_trial_points(path, rng) for _ in range(trials)]).T
     points = np.stack([t, t + delta, t - delta], axis=1)
     values, derivs = (a.reshape(trials, 3, -1) for a in _eval_batch(path, points.ravel()))
-    # the stencil reaches at most one window: its step stays under h / 16 of any
-    # window it reaches, and windows sit more than their h apart
+    # the half-width of the one window the stencil may reach: its step stays
+    # under h / 16 of a window it reaches, and windows lie more than h apart
     w = np.searchsorted(path.lo, t + delta, side="right") - 1
     reached = t - delta <= np.append(path.hi, -math.inf)[w]
     big_h = np.where(reached, np.append(path.h, 0.0)[w], 0.0)
     inv_h = np.divide(1.0, big_h, out=np.zeros(trials), where=reached)
     _, row, jump, _ = _kinks(path.skeleton, t, delta + big_h)
-    spread = np.zeros(trials)
-    np.add.at(spread, row, row_norms(jump))
+    spread = np.bincount(row, weights=row_norms(jump), minlength=trials)
     taylor = delta * delta / 6.0 * spread * inv_h * inv_h
     rounding = FD_ROUNDING * EPS / delta
     slope = derivs[:, 0]
@@ -366,13 +344,8 @@ def smoothness_check(
     bound2 = taylor * KERNEL_D2_MAX * inv_h + FD_FLOOR2 * np.maximum(1.0, row_norms(fd2))
     bound2 += rounding * np.max(row_norms(derivs), axis=1)
     ratio = np.maximum(row_norms(fd1 - slope) / bound1, row_norms(fd2 - second) / bound2)
-    return _worst(
-        "smoothness",
-        ratio,
-        t,
-        1.0,
-        f"worst error / Taylor bound over {trials} trials, seed {seed}",
-    )
+    details = f"worst error / Taylor bound over {trials} trials, seed {seed}"
+    return _worst("smoothness", ratio, t, 1.0, details)
 
 
 # ---- coincidence with the skeleton -------------------------------------

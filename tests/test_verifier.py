@@ -558,8 +558,8 @@ def test_a_negative_seed_is_rejected_before_any_check(diagonal_build, monkeypatc
 @pytest.mark.parametrize("kind", FIXTURE_KINDS)
 @pytest.mark.parametrize("dimension", FIXTURE_DIMENSIONS)
 def test_smoothness_passes_deep_windows_and_still_finds_kinks(kind, dimension):
-    """At K = 1,001 the deepest windows are ~1e-8 wide and the smallest steps
-    ~1e-10, where rounding of a central difference is ~eps ||s'|| / delta and
+    """At K = 1,001 the deepest windows are ~3e-7 wide and their steps ~1.3e-9,
+    where rounding of a central difference is ~eps ||s'|| / delta and
     outgrows the relative floors: it must not read as a kink.  The report is
     a ratio to the Taylor bound, not a sentinel.  The windowless control keeps
     its kinks and fails as at K = 41."""

@@ -23,6 +23,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+from conftest import FIXTURE_CASES, RESTRICTED_KINDS, witness_fixture
+
+from pathcert import cli
+from pathcert.harness import BUILTIN_FIELDS
+from pathcert.mollifier import log_grid, sample_path
+from pathcert.pathfile import build_to_dict, reports_to_json, samples_to_csv
+from pathcert.pipeline import build_path
+from pathcert.verifier import SUITE_NAMES, lemma1_random_suite, run_checks
 
 MANIFEST = Path(__file__).with_name("golden_sha256.json")
 SAMPLE_POINTS = 64
@@ -47,13 +55,6 @@ def golden_artifacts(builds, directory: str):
     lemma1 never reads the path, so it runs once.  Then the probe JSON of
     each built-in field, written by the command line in ``directory``.
     """
-    from conftest import RESTRICTED_KINDS
-
-    from pathcert import cli
-    from pathcert.harness import BUILTIN_FIELDS
-    from pathcert.mollifier import log_grid, sample_path
-    from pathcert.pathfile import build_to_dict, reports_to_json, samples_to_csv
-    from pathcert.verifier import SUITE_NAMES, lemma1_random_suite, run_checks
 
     def digest(text: str) -> str:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -80,10 +81,6 @@ def golden_artifacts(builds, directory: str):
 
 
 def main() -> int:
-    from conftest import FIXTURE_CASES, witness_fixture
-
-    from pathcert.pipeline import build_path
-
     builds = {
         case: build_path(witness_fixture(case[0], case[1]), k_max=case[2])
         for case in FIXTURE_CASES
@@ -97,5 +94,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).parent))
     sys.exit(main())
