@@ -18,6 +18,7 @@ from pathcert.mollifier import (
     SmoothPath,
     _eval_batch,
     _mollified_rows,
+    _second_derivative_rows,
     build_smooth_path,
     bump_kernel,
     dense_grid,
@@ -427,6 +428,51 @@ def test_derivative_consistent_with_finite_differences(diagonal_build):
         fd = (eval_smooth(path, t + delta) - eval_smooth(path, t - delta)) / (2 * delta)
         deriv = eval_smooth_derivative(path, t)
         assert np.allclose(fd, deriv, atol=1e-6)
+
+
+@pytest.mark.parametrize("case", FIXTURE_CASES)
+def test_second_derivative_rows_match_a_central_difference_of_the_slope(builds, case):
+    """The kink sum of delta rho(x) / h is the derivative of the slope rows.
+    At x = -0.95..0.95 around every breakpoint inside a window, and at seven
+    points across every window, it agrees with a central difference of
+    ``_mollified_rows`` at the same h, step 1e-3 h, to 1e-5 of
+    sum ||delta|| max|rho''| / h plus the rounding of the difference.  With
+    no breakpoint within h of t the row is exactly zero, and at h = 0 every
+    row is."""
+    path = builds[case].path
+    skeleton = path.skeleton
+    inner = skeleton.breakpoints[1:-1]
+    jumps = np.diff(skeleton.slopes, axis=0)
+    win = path.window_indices(inner)
+    offsets = np.linspace(-0.95, 0.95, 7)
+    fractions = np.linspace(0.05, 0.95, 7)
+    ts = np.concatenate([
+        (inner[win >= 0, None] + path.h[win[win >= 0], None] * offsets).ravel(),
+        (path.lo[:, None] + (path.hi - path.lo)[:, None] * fractions).ravel(),
+    ])
+    hs = np.concatenate([
+        np.repeat(path.h[win[win >= 0]], offsets.size),
+        np.repeat(path.h, fractions.size),
+    ])
+    second = _second_derivative_rows(skeleton, ts, hs)
+    step = 1e-3 * hs
+    up = _mollified_rows(skeleton, ts + step, hs)[1]
+    down = _mollified_rows(skeleton, ts - step, hs)[1]
+    fd = (up - down) / (2.0 * step[:, None])
+    rounding = 8.0 * np.finfo(float).eps * np.maximum(row_norms(up), row_norms(down)) / step
+    reached = 0
+    for i, (t, h) in enumerate(zip(ts, hs)):
+        near = (inner > t - h) & (inner < t + h)
+        if not near.any():
+            assert not np.any(second[i]), (i, t)
+            continue
+        reached += 1
+        scale = float(np.sum(row_norms(jumps[near]))) * KERNEL_D2_MAX / h
+        assert np.linalg.norm(fd[i] - second[i]) <= 1e-5 * scale + rounding[i], (i, t)
+    assert reached >= 7 * np.count_nonzero(win >= 0) > 0
+    flat = _second_derivative_rows(skeleton, ts, np.zeros_like(ts))
+    assert flat.shape == second.shape
+    assert not np.any(flat)
 
 
 def test_eval_outside_domain_raises(diagonal_build):
