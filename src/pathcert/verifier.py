@@ -152,8 +152,8 @@ def random_affine_path(rng: np.random.Generator) -> PiecewiseAffinePath:
     return affine_path_from_slopes(breakpoints, value, slopes)
 
 
-def lemma1_random_suite(seed: int = 0) -> CheckReport:
-    """Run the derivative-average bound on LEMMA1_PATHS random paths."""
+def _lemma1_path_reports(seed: int) -> list[CheckReport]:
+    """lemma1's report on each of its LEMMA1_PATHS random paths, in draw order."""
     reports = []
     for child in np.random.SeedSequence(require_seed(seed)).spawn(LEMMA1_PATHS):
         rng = np.random.default_rng(child)
@@ -162,6 +162,12 @@ def lemma1_random_suite(seed: int = 0) -> CheckReport:
         scale = float(rng.uniform(0.2, 0.8)) * 0.5 * (hi - lo)
         ts = rng.uniform(lo + scale, hi - scale, size=LEMMA1_POINTS_PER_PATH)
         reports.append(lemma1_bound_check(path, scale, ts))
+    return reports
+
+
+def lemma1_random_suite(seed: int = 0) -> CheckReport:
+    """Run the derivative-average bound on LEMMA1_PATHS random paths."""
+    reports = _lemma1_path_reports(seed)
     return _worst(
         "lemma1",
         [r.measured for r in reports],

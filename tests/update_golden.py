@@ -30,7 +30,7 @@ from pathcert.harness import BUILTIN_FIELDS
 from pathcert.mollifier import log_grid, sample_path
 from pathcert.pathfile import build_to_dict, reports_to_json, samples_to_csv
 from pathcert.pipeline import build_path
-from pathcert.verifier import SUITE_NAMES, lemma1_random_suite, run_checks
+from pathcert.verifier import SUITE_NAMES, _lemma1_path_reports, lemma1_random_suite, run_checks
 
 MANIFEST = Path(__file__).with_name("golden_sha256.json")
 SAMPLE_POINTS = 64
@@ -52,14 +52,17 @@ def golden_artifacts(builds, directory: str):
     ``builds`` maps each conftest fixture case to its build.  Per fixture:
     the path JSON, a log-grid sample CSV of SAMPLE_POINTS rows and each
     check's report entry at seed 0 (restricted for the kinds near one axis);
-    lemma1 never reads the path, so it runs once.  Then the probe JSON of
-    each built-in field, written by the command line in ``directory``.
+    lemma1 never reads the path, so it runs once, and its report on each of
+    its random paths is one more artifact: their rows meet several kinks, so
+    it sees the order of a kink sum's adds.  Then the probe JSON of each
+    built-in field, written by the command line in ``directory``.
     """
 
     def digest(text: str) -> str:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     yield "check lemma1", digest(reports_to_json([lemma1_random_suite(seed=0)]))
+    yield "check lemma1 per path", digest(reports_to_json(_lemma1_path_reports(0)))
     checks = [name for name in SUITE_NAMES if name != "lemma1"]
     for (kind, dimension, k_max), build in builds.items():
         case = f"{kind}-d{dimension}-k{k_max}"
