@@ -1,5 +1,6 @@
 """Bump kernel, windows, and the mollified path evaluator."""
 
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from pathcert import mollifier
 from pathcert.errors import InputError
 from pathcert.mollifier import (
+    _TABLE_EDGES,
     E1_AT_ONE,
     KERNEL_C,
     KERNEL_D1_MAX,
@@ -33,7 +35,9 @@ from pathcert.mollifier import (
     sorted_unique,
 )
 import two_path_eval
+from kernel_table_ref import pair_table_eval, rebuild_kernel_table
 from quadrature import integrate_panels
+from update_golden import MANIFEST, build_info
 from pathcert.skeleton import (
     affine_path_from_slopes,
     eval_affine_derivative_many,
@@ -127,6 +131,39 @@ def test_kernel_table_check_catches_a_drift(monkeypatch, name, value):
             mollifier._kernel_table()
     finally:
         mollifier._kernel_table.cache_clear()
+
+
+def test_stored_kernel_table_is_its_chebinterpolate_rebuild():
+    """The stored coefficients are, bit for bit, what chebinterpolate and
+    chebint make from the kernel on the build the golden hashes were made on."""
+    made_on = json.loads(MANIFEST.read_text(encoding="utf-8"))["build"]
+    if made_on != build_info():
+        pytest.skip(f"the kernel table was made on {made_on}, not on this build {build_info()}")
+    stored = mollifier._kernel_table()
+    rebuilt = rebuild_kernel_table()
+    assert stored.shape == rebuilt.shape == (20, 6, 2)
+    assert np.array_equal(stored.view(np.int64), rebuilt.view(np.int64))
+
+
+def _table_arguments() -> np.ndarray:
+    """x in every panel and on both sides, each panel edge and its mirror one
+    ulp either side, +-0.0, |x| >= 1 and 10^5 random x."""
+    rng = np.random.default_rng(20)
+    inner = np.linspace(_TABLE_EDGES[:-1], _TABLE_EDGES[1:], 9, axis=1).ravel()
+    edges = np.concatenate([
+        _TABLE_EDGES, np.nextafter(_TABLE_EDGES, -2.0), np.nextafter(_TABLE_EDGES, 2.0)
+    ])
+    outside = [-1.0, 1.0, np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0), -1.5, 2.0, 1e6]
+    x = np.concatenate([inner, edges, outside, rng.uniform(-1.1, 1.1, 100_000)])
+    return np.concatenate([x, -x, [0.0, -0.0]])
+
+
+def test_columnwise_table_eval_equals_the_paired_recurrence():
+    """K and M evaluated apart have the bits of the recurrence on (n, 2) arrays."""
+    coefs = mollifier._kernel_table()
+    x = _table_arguments()
+    for got, want in zip(mollifier._table_eval(coefs, x), pair_table_eval(coefs, x)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # ---- mass and moment tables ---------------------------------------------

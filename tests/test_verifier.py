@@ -101,6 +101,25 @@ def test_random_suite_small_run():
     assert 0.2 < report.measured <= 1.0 + 1e-7
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_random_suite_equals_one_bound_check_per_path(seed):
+    """lemma1's one kernel pass over all its paths gives each path the report
+    of its own lemma1_bound_check call, bit for bit, and the suite reports
+    the first worst of them."""
+    single = []
+    for child in np.random.SeedSequence(seed).spawn(verifier.LEMMA1_PATHS):
+        rng = np.random.default_rng(child)
+        path = random_affine_path(rng)
+        lo, hi = path.domain
+        scale = float(rng.uniform(0.2, 0.8)) * 0.5 * (hi - lo)
+        ts = rng.uniform(lo + scale, hi - scale, size=verifier.LEMMA1_POINTS_PER_PATH)
+        single.append(lemma1_bound_check(path, scale, ts).to_dict())
+    assert [r.to_dict() for r in verifier._lemma1_path_reports(seed)] == single
+    worst = max(single, key=lambda r: r["measured"])
+    report = lemma1_random_suite(seed=seed)
+    assert (report.measured, report.witness_t) == (worst["measured"], worst["witness_t"])
+
+
 def test_random_affine_path_shapes():
     rng = np.random.default_rng(11)
     for _ in range(20):
