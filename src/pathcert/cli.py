@@ -4,6 +4,10 @@ Subcommands: cover, build, sample, check, probe.  Exit codes: 0 for
 success (all checks passed, discontinuity certified), 1 for a completed
 run whose checks failed or found no violation, 2 for invalid input or
 usage, 3 for a failed construction stage.
+
+A subcommand's options are added when that subcommand is parsed, and the
+verifier and the probing harness are imported only by the commands that
+use them, so no command pays for another's modules.
 """
 
 from __future__ import annotations
@@ -12,22 +16,13 @@ import argparse
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InputError, PipelineError, WitnessNotFoundError
 from .generators import GENERATOR_KINDS, MAX_SIZES, GeneratorSpec, generate_points
 from .geometry import DEFAULT_COVER_HALF_ANGLE, build_sphere_cover, require_seed
-from .harness import (
-    BUILTIN_FIELDS,
-    DEFAULT_EPSILON,
-    DEFAULT_MIN_WITNESSES,
-    ScalarField,
-    certify_discontinuity,
-    derive_witness,
-    field_from_expression,
-    get_builtin_field,
-)
 from .mollifier import DEFAULT_PER_DECADE, DEFAULT_PER_WINDOW, log_grid, sample_path
 from .pathfile import (
     atomic_write_text,
@@ -42,12 +37,16 @@ from .pathfile import (
 )
 from .pipeline import DEFAULT_K_MAX, build_path, check_k_max
 from .skeleton import WitnessSequence
-from .verifier import DEFAULT_TRIALS, SUITE_NAMES, run_checks
+
+if TYPE_CHECKING:
+    from .harness import ScalarField
 
 _DEFAULT_HALF_ANGLE_DEG = math.degrees(DEFAULT_COVER_HALF_ANGLE)
 
 
 def _parse_field(spec: str) -> ScalarField:
+    from .harness import BUILTIN_FIELDS, field_from_expression, get_builtin_field
+
     if spec.startswith("builtin:"):
         return get_builtin_field(spec[len("builtin:"):])
     if spec.startswith("expr:"):
@@ -131,6 +130,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .verifier import SUITE_NAMES, run_checks
+
     build = load_build(args.path)
     if args.suite == "all":
         names = SUITE_NAMES
@@ -160,6 +161,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
+    from .harness import DEFAULT_EPSILON, certify_discontinuity, derive_witness
+
     field = _parse_field(args.field)
     epsilon = args.epsilon if args.epsilon is not None else DEFAULT_EPSILON
     if args.witness:
@@ -208,42 +211,47 @@ def cmd_probe(args: argparse.Namespace) -> int:
 # ---- parser -------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pathcert",
-        description=(
-            "Build smooth bounded-speed paths through prescribed point and "
-            "derivative data, verify their bounds, and probe scalar fields "
-            "for discontinuities at the origin."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its options when it is first used."""
 
-    p = sub.add_parser("cover", help="emit a sphere cover as JSON")
+    def __init__(self, *args, add_options=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_options = add_options
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_options is not None:
+            add_options, self._add_options = self._add_options, None
+            add_options(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _cover_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dimension", type=int, required=True)
     p.add_argument("--half-angle-deg", type=float, default=_DEFAULT_HALF_ANGLE_DEG)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_cover)
 
-    p = sub.add_parser("build", help="build a smooth path from witness data")
+
+def _build_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--witness", required=True, help="witness JSON file")
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
     p.add_argument("--half-angle-deg", type=float, default=_DEFAULT_HALF_ANGLE_DEG)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="path JSON output")
-    p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("sample", help="sample a built path to CSV")
+
+def _sample_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--path", required=True, help="path JSON file")
     p.add_argument("--out", required=True, help="CSV output")
     p.add_argument("--grid", choices=("log", "uniform"), default="log")
     p.add_argument("--points", type=int, default=512)
     p.add_argument("--t-min", type=float, default=None)
     p.add_argument("--t-max", type=float, default=None)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("check", help="run certification checks on a built path")
+
+def _check_options(p: argparse.ArgumentParser) -> None:
+    from .verifier import DEFAULT_TRIALS, SUITE_NAMES
+
     p.add_argument("--path", required=True, help="path JSON file")
     p.add_argument(
         "--suite",
@@ -257,9 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-window", type=int, default=DEFAULT_PER_WINDOW)
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--out", default=None, help="report JSON output")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("probe", help="probe a scalar field for a discontinuity")
+
+def _probe_options(p: argparse.ArgumentParser) -> None:
+    from .harness import DEFAULT_MIN_WITNESSES
+
     p.add_argument(
         "--field",
         required=True,
@@ -280,8 +290,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="probe report JSON output")
     p.add_argument("--tail-csv", default=None, help="tail profile CSV output")
     p.add_argument("--path-out", default=None, help="also save the built path JSON")
-    p.set_defaults(func=cmd_probe)
 
+
+# name, help, options, command function
+_COMMANDS = (
+    ("cover", "emit a sphere cover as JSON", _cover_options, cmd_cover),
+    ("build", "build a smooth path from witness data", _build_options, cmd_build),
+    ("sample", "sample a built path to CSV", _sample_options, cmd_sample),
+    ("check", "run certification checks on a built path", _check_options, cmd_check),
+    ("probe", "probe a scalar field for a discontinuity", _probe_options, cmd_probe),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="pathcert",
+        description=(
+            "Build smooth bounded-speed paths through prescribed point and "
+            "derivative data, verify their bounds, and probe scalar fields "
+            "for discontinuities at the origin."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for name, help_text, add_options, func in _COMMANDS:
+        sub.add_parser(name, help=help_text, add_options=add_options).set_defaults(func=func)
     return parser
 
 

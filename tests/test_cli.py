@@ -979,11 +979,30 @@ def test_high_dimensional_commands_import_no_scipy(tmp_path):
     assert done.stdout.splitlines()[-2:] == ["exit codes: 0 0 0", "scipy modules:"]
 
 
+# every name the package exported when it imported all its modules at once
+PACKAGE_NAMES = (
+    "DomainError ExpressionError InputError PipelineError WitnessNotFoundError "
+    "CONE_HALF_ANGLE DEFAULT_COVER_HALF_ANGLE ConeSpec SphereCover UnitDirection "
+    "build_sphere_cover cone_contains cone_contains_many select_dominant_cone select_parity "
+    "shell_index BUILTIN_FIELDS ProbeReport ScalarField certify_discontinuity derive_witness "
+    "field_from_expression get_builtin_field SmoothPath bump_kernel build_smooth_path "
+    "dense_grid eval_smooth eval_smooth_derivative eval_smooth_derivative_many "
+    "eval_smooth_many sample_path PathBuild build_path AnchorSequence PiecewiseAffinePath "
+    "WitnessSequence build_anchor_sequence build_skeleton eval_affine eval_affine_derivative "
+    "CheckReport coincidence_check envelope_check interpolation_check lemma1_bound_check "
+    "lemma1_random_suite product_bound_scan run_checks smoothness_check"
+).split()
+
+
 def test_two_dimensional_commands_skip_numpy_random_and_ma(tmp_path):
     """A 2-D build and a 2-D probe load neither numpy.random (their covers
-    are proved by spacing, not sampled) nor numpy.ma; check and sample,
-    run after them, never load numpy.ma.  The build, which evaluates no
-    path, never builds the kernel table."""
+    are proved by spacing, not sampled) nor numpy.ma; check and sample never
+    load numpy.ma.  The build, which evaluates no path, never builds the
+    kernel table.  Each command loads only its own modules: build and sample
+    none of the verifier, the harness, the expression parser and
+    numpy.polynomial, and check not the harness.  Importing the package
+    pins the BLAS threads and loads no numpy; every name it exported when
+    it imported all its modules still resolves from it."""
     witness = tmp_path / "witness2.json"
     witness.write_text(
         json.dumps(
@@ -992,34 +1011,47 @@ def test_two_dimensional_commands_skip_numpy_random_and_ma(tmp_path):
     )
     path = str(tmp_path / "path.json")
     build = ["build", "--witness", str(witness), "--out", path]
-    first = [
+    sample = ["sample", "--path", path, "--out", str(tmp_path / "samples.csv")]
+    check = ["check", "--path", path, "--out", str(tmp_path / "report.json")]
+    probes = [
         ["probe", "--field", "builtin:rational2d", "--generator", "diagonal"],
         ["probe", "--field", "expr:2*x1*x2/(x1^2+x2^2)", "--generator", "spiral"],
     ]
-    then = [
-        ["check", "--path", path, "--out", str(tmp_path / "report.json")],
-        ["sample", "--path", path, "--out", str(tmp_path / "samples.csv")],
-    ]
-    code = (
-        "import sys\n"
+    own = ("pathcert.verifier", "pathcert.harness", "pathcert.expressions", "numpy.polynomial")
+    head = (
+        "import os, sys\n"
+        "import pathcert\n"
+        "print('numpy loaded:', 'numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])\n"
         "from pathcert import cli\n"
-        "from pathcert.mollifier import _kernel_table\n"
         "def loaded(*names):\n"
         "    return [name for name in names if name in sys.modules]\n"
+    )
+    commands = head + (
+        "from pathcert.mollifier import _kernel_table\n"
         f"print('exit codes:', cli.main({build!r}))\n"
         "print('kernel tables built:', _kernel_table.cache_info().currsize)\n"
-        f"print('exit codes:', *(cli.main(argv) for argv in {first!r}))\n"
-        "print('loaded:', *loaded('numpy.random', 'numpy.ma'))\n"
-        f"print('exit codes:', *(cli.main(argv) for argv in {then!r}))\n"
-        "print('loaded:', *loaded('numpy.ma'))\n"
+        f"print('exit codes:', cli.main({sample!r}))\n"
+        f"print('loaded:', *loaded('numpy.random', 'numpy.ma', *{own!r}))\n"
+        f"print('exit codes:', cli.main({check!r}))\n"
+        f"print('loaded:', *loaded('numpy.ma', *{own[1:]!r}))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(pathcert.__file__).resolve().parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    probing = head + (
+        f"print('exit codes:', *(cli.main(argv) for argv in {probes!r}))\n"
+        "print('loaded:', *loaded('numpy.random', 'numpy.ma', 'numpy.polynomial'))\n"
+        f"print('unresolved:', *[n for n in {PACKAGE_NAMES!r} if not hasattr(pathcert, n)])\n"
     )
-    keep = ("exit", "loaded", "kernel")
-    lines = [line for line in done.stdout.splitlines() if line.startswith(keep)]
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(pathcert.__file__).resolve().parents[1])
+    keep = ("numpy", "exit", "loaded", "kernel", "unresolved")
+    lines = []
+    for code in (commands, probing):
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        lines += [line for line in done.stdout.splitlines() if line.startswith(keep)]
     assert lines == [
-        "exit codes: 0", "kernel tables built: 0",
-        "exit codes: 0 0", "loaded:", "exit codes: 0 0", "loaded:",
+        "numpy loaded: False 1", "exit codes: 0", "kernel tables built: 0",
+        "exit codes: 0", "loaded:", "exit codes: 0", "loaded:",
+        "numpy loaded: False 1", "exit codes: 0 0", "loaded:", "unresolved:",
     ]
+    assert sorted(pathcert.__all__) == sorted(PACKAGE_NAMES)
