@@ -13,7 +13,6 @@ use them, so no command pays for another's modules.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import TYPE_CHECKING
@@ -27,6 +26,7 @@ from .mollifier import DEFAULT_PER_DECADE, DEFAULT_PER_WINDOW, log_grid, sample_
 from .pathfile import (
     atomic_write_text,
     check_writable,
+    cover_to_json,
     load_build,
     load_witness,
     probe_to_json,
@@ -81,12 +81,7 @@ def _check_arguments(args: argparse.Namespace) -> None:
 def cmd_cover(args: argparse.Namespace) -> int:
     half_angle = math.radians(args.half_angle_deg)
     cover = build_sphere_cover(args.dimension, half_angle, seed=args.seed)
-    document = {
-        "dimension": cover.dimension,
-        "half_angle_deg": math.degrees(cover.half_angle),
-        "directions": cover.directions.tolist(),
-    }
-    text = json.dumps(document, indent=2) + "\n"
+    text = cover_to_json(cover)
     if args.out:
         atomic_write_text(args.out, text)
         print(f"cover: {cover.size} directions in dimension {cover.dimension} -> {args.out}")

@@ -1,4 +1,4 @@
-"""File formats: witness JSON, path JSON, sample CSV, report JSON.
+"""File formats: witness JSON, path JSON, sample CSV, report JSON, cover JSON.
 
 All floats serialize through repr (JSON) or %.17g (CSV), which round
 trips float64 exactly, so a written path reloads bit for bit.  A CSV
@@ -344,6 +344,22 @@ def samples_to_csv(table: np.ndarray, dimension: int) -> str:
         + ["norm_s", "norm_ds", "product"]
     )
     return ",".join(header) + "\n" + _csv_rows(table)
+
+
+def cover_to_json(cover) -> str:
+    """The cover document, byte for byte as ``json.dumps(document, indent=2)``
+    writes it, plus a newline.  json's indented output comes only from its
+    pure-Python encoder, most of a high-dimensional ``cover``; here the
+    directions go through one %-operation with a row template, and each
+    entry, a finite float, through repr as json writes it."""
+    rows, cols = cover.directions.shape
+    row = "    [\n" + ",\n".join(["      %r"] * cols) + "\n    ]"
+    directions = ",\n".join([row] * rows) % tuple(cover.directions.ravel().tolist())
+    return (
+        f'{{\n  "dimension": {cover.dimension},\n'
+        f'  "half_angle_deg": {math.degrees(cover.half_angle)!r},\n'
+        f'  "directions": [\n{directions}\n  ]\n}}\n'
+    )
 
 
 def reports_to_json(reports) -> str:

@@ -60,6 +60,18 @@ def test_cover_prints_json(capsys):
     assert document["directions"] == [[1.0], [-1.0]]
 
 
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4, 5])
+def test_cover_json_is_the_indented_json_encoding(dimension):
+    """The cover writer gives the bytes of json.dumps(indent=2)."""
+    cover = geometry.build_sphere_cover(dimension, geometry.DEFAULT_COVER_HALF_ANGLE)
+    document = {
+        "dimension": cover.dimension,
+        "half_angle_deg": math.degrees(cover.half_angle),
+        "directions": cover.directions.tolist(),
+    }
+    assert pathfile.cover_to_json(cover) == json.dumps(document, indent=2) + "\n"
+
+
 def test_cover_writes_file(tmp_path, capsys):
     target = tmp_path / "cover.json"
     rc, out, _ = _run(
