@@ -63,6 +63,3 @@ def __getattr__(name: str):
     globals()[name] = value
     return value
 
-
-def __dir__() -> list[str]:
-    return sorted([*globals(), *__all__])

@@ -346,8 +346,8 @@ def _mollified_batch(items) -> list[tuple[np.ndarray, np.ndarray]]:
     elementwise, so a row never depends on the batch or the items around it.
     """
     kinks = [_kinks(*item) for item in items]
-    x = np.concatenate([k[3] for k in kinks])
-    mass, moment = kernel_mass_moment(x) if x.size else (x, x)
+    xs = np.concatenate([k[3] for k in kinks])
+    mass, moment = kernel_mass_moment(xs) if xs.size else (xs, xs)
     results = []
     stop = 0
     for (skeleton, ts, hs), (first, row, jump, x) in zip(items, kinks):
