@@ -253,12 +253,13 @@ def _check_options(p: argparse.ArgumentParser) -> None:
         default="all",
         help=f"comma separated subset of: {', '.join(SUITE_NAMES)} (default all)",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seed of lemma1's random paths")
     p.add_argument("--restricted", action="store_true",
                    help="witness data stays near the cone axis: enforce the 28 bounds")
     p.add_argument("--per-decade", type=int, default=DEFAULT_PER_DECADE)
     p.add_argument("--per-window", type=int, default=DEFAULT_PER_WINDOW)
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+                   help="generic smoothness points, besides two at each kink (default %(default)s)")
     p.add_argument("--out", default=None, help="report JSON output")
 
 

@@ -275,15 +275,15 @@ def _table_eval(coefs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     kernel itself, because every |x| >= 1 falls below the first edge.
     """
     z = -np.abs(x)
-    idx = np.clip(
-        np.searchsorted(_TABLE_EDGES, z, side="right") - 1, 0, _TABLE_EDGES.size - 2
-    )
+    below = z < _TABLE_EDGES[0]
+    # below the first edge the recurrence runs at the edge, so no x overflows
+    z = np.maximum(z, _TABLE_EDGES[0])
+    idx = np.minimum(np.searchsorted(_TABLE_EDGES, z, side="right") - 1, _TABLE_EDGES.size - 2)
     a = _TABLE_EDGES.take(idx)
     b = _TABLE_EDGES.take(idx + 1)
     y = ((z - a) - (b - z)) / (b - a)
     mass = _clenshaw(coefs[:, :, 0], idx, y)
     moment = _clenshaw(coefs[:, :, 1], idx, y)
-    below = z < _TABLE_EDGES[0]
     mass[below] = 0.0
     moment[below] = 0.0
     # rho is even: K(x) = 1 - K(-x) and M(x) = M(-x)

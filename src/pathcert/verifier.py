@@ -13,7 +13,8 @@ The checks:
   confined near the cone axis, with ||s'|| <= 28 k on the k-th leg),
 * smoothness: a central difference of s and one of s' at each trial
   point stay within Taylor's bound of the exact s' and s'', plus a floor
-  that includes the rounding of a central difference,
+  that includes the rounding of a central difference; the trials sit at
+  every kink of the skeleton and at log-spaced generic points,
 * coincidence: the path equals its skeleton outside the windows and on
   the affine stretches around the anchor times inside them.
 
@@ -24,8 +25,8 @@ A row evaluates to the same bits alone or in any batch, so the report
 does not depend on how the grid is split.  Each check's tolerance and
 sample count are module constants (INTERPOLATION_TOL, ENVELOPE_TOL,
 COINCIDENCE_TOL, FD_FLOOR1, LEMMA1_PATHS, ...), not arguments; what a
-caller varies is the product grid, the envelope's k_max, and the
-smoothness trials and seed.
+caller varies is the product grid, the envelope's k_max, the number of
+generic smoothness points and the seed of lemma1, the only random check.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ LEMMA1_PATHS = 100
 LEMMA1_POINTS_PER_PATH = 50
 ENVELOPE_SAMPLES_PER_LEVEL = 256
 COINCIDENCE_POINTS_PER_REGION = 64
-DEFAULT_TRIALS = 100
+DEFAULT_TRIALS = 32
 EPS = float(np.finfo(float).eps)
 # Rounding term of the smoothness floors, in units of eps max||row|| / delta,
 # where a row is a computed s (stage one) or s' (stage two) on a trial's stencil.
@@ -290,68 +291,55 @@ def product_bound_scan(
 # ---- smoothness ---------------------------------------------------------
 
 
-def _fd_trial_points(path: SmoothPath, rng: np.random.Generator) -> tuple[float, float]:
-    """Pick a trial parameter and base step.
+def smoothness_check(path: SmoothPath, trials: int = DEFAULT_TRIALS) -> CheckReport:
+    """Central differences of s and s' against Taylor's bound, at fixed trials.
 
-    Alternates between feature regions (windows, or slope changes when
-    the path has no windows) and generic logarithmically placed points.
-    """
-    lo, hi = path.domain
-    if rng.uniform() < 0.5:
-        if path.lo.size:
-            i = int(rng.integers(0, path.lo.size))
-            t = float(rng.uniform(path.lo[i], path.hi[i]))
-            # a step of h/16 keeps the Taylor term, (delta / h)^2 / 6 times
-            # the next derivative's scale, small next to the derivatives
-            return t, float(path.h[i]) / 16.0
-        kinks = kink_times(path.skeleton)
-        if kinks.size:
-            gaps = np.diff(path.skeleton.breakpoints)
-            gap = float(gaps.min())
-            k = float(kinks[int(rng.integers(0, kinks.size))])
-            delta0 = gap / 8.0
-            t = k + float(rng.uniform(-0.25, 0.25)) * delta0
-            return t, delta0
-    t = float(np.exp(rng.uniform(math.log(lo * 1.05), math.log(hi * 0.995))))
-    delta0 = 1e-3 * t
-    delta0 = min(delta0, (t - lo) / 4.0, (hi - t) / 4.0)
-    # when the stencil reaches into a blend window the step must stay well
-    # under that window's averaging radius, and so the stencil inside one window
-    reached = (t + delta0 > path.lo) & (t - delta0 < path.hi)
-    if np.any(reached):
-        delta0 = min(delta0, float(np.min(path.h[reached])) / 16.0)
-    return t, delta0
+    Each kink of the skeleton gets two trials.  In a window of half-width h
+    they sit at +-0.3 h with step h/16, so the stencil stays in the window
+    and a window left unmollified fails there; off the windows the stencil
+    straddles the kink with step min gap / 8.  ``trials`` log-spaced generic
+    points follow, with step 1e-3 t, at most a quarter of the way to either
+    end and h/16 of any window the stencil reaches.
 
-
-def smoothness_check(
-    path: SmoothPath, trials: int = DEFAULT_TRIALS, seed: int = 0
-) -> CheckReport:
-    """Central differences of s and s' against Taylor's bound.
-
-    Per trial, at the t and step d of ``_fd_trial_points``, the central
-    differences of s and s' miss the exact kink sums s'(t) and s''(t) by at
-    most d^2/6 S KERNEL_D1_MAX / H^2 and d^2/6 S KERNEL_D2_MAX / H^3: on the
-    stencil the path is the kernel average at the half-width H of the window
-    the stencil reaches, and S sums the slope jumps' norms within d + H of t.
-    Off the windows H = 0 and the bound is 0, so a slope change there is a
-    kink.  Each bound adds its floor, FD_FLOOR1 or FD_FLOOR2 relative to a
-    derivative plus FD_ROUNDING eps max||row|| / d.  measured is the worst
-    error / bound; the check passes at measured <= 1.
+    Per trial, at t and step d, the central differences of s and s' miss the
+    exact kink sums s'(t) and s''(t) by at most d^2/6 S KERNEL_D1_MAX / H^2
+    and d^2/6 S KERNEL_D2_MAX / H^3: on the stencil the path is the kernel
+    average at the half-width H of the window the stencil reaches, and S
+    sums the slope jumps' norms within d + H of t.  Off the windows H = 0
+    and the bound is 0, so a slope change there is a kink.  Each bound adds
+    its floor, FD_FLOOR1 or FD_FLOOR2 relative to a derivative plus
+    FD_ROUNDING eps max||row|| / d.  measured is the worst error / bound,
+    and details name the kink or generic point that gives it; the check
+    passes at measured <= 1.
     """
     if trials < 1:
         raise InputError("smoothness needs at least one trial")
-    rng = np.random.default_rng(require_seed(seed))
-    t, delta = np.array([_fd_trial_points(path, rng) for _ in range(trials)]).T
+    lo, hi = path.domain
+    kinks = kink_times(path.skeleton)
+    holder = path.window_indices(kinks)
+    h = np.append(path.h, 0.0)[holder]
+    step = np.where(holder >= 0, h / 16.0, float(np.min(np.diff(path.skeleton.breakpoints))) / 8.0)
+    offset = 0.3 * np.where(holder >= 0, h, step)
+    generic = np.geomspace(lo * 1.05, hi * 0.995, trials)
+    d0 = np.minimum(1e-3 * generic, np.minimum((generic - lo) / 4.0, (hi - generic) / 4.0))
+    # the stencil reaches windows first .. stop - 1; reduceat takes each range's least h
+    first = np.searchsorted(path.hi, generic - d0, side="right")
+    stop = np.searchsorted(path.lo, generic + d0, side="left")
+    least = np.minimum.reduceat(np.append(path.h, np.inf), np.stack([first, stop], 1).ravel())
+    d0 = np.minimum(d0, np.where(stop > first, least[::2], np.inf) / 16.0)
+    t = np.concatenate([(kinks[:, None] + offset[:, None] * [-1.0, 1.0]).ravel(), generic])
+    delta = np.concatenate([np.repeat(step, 2), d0])
+    n = t.size
     points = np.stack([t, t + delta, t - delta], axis=1)
-    values, derivs = (a.reshape(trials, 3, -1) for a in _eval_batch(path, points.ravel()))
+    values, derivs = (a.reshape(n, 3, -1) for a in _eval_batch(path, points.ravel()))
     # the half-width of the one window the stencil may reach: its step stays
     # under h / 16 of a window it reaches, and windows lie more than h apart
     w = np.searchsorted(path.lo, t + delta, side="right") - 1
     reached = t - delta <= np.append(path.hi, -math.inf)[w]
     big_h = np.where(reached, np.append(path.h, 0.0)[w], 0.0)
-    inv_h = np.divide(1.0, big_h, out=np.zeros(trials), where=reached)
+    inv_h = np.divide(1.0, big_h, out=np.zeros(n), where=reached)
     _, row, jump, _ = _kinks(path.skeleton, t, delta + big_h)
-    spread = np.bincount(row, weights=row_norms(jump), minlength=trials)
+    spread = np.bincount(row, weights=row_norms(jump), minlength=n)
     taylor = delta * delta / 6.0 * spread * inv_h * inv_h
     rounding = FD_ROUNDING * EPS / delta
     slope = derivs[:, 0]
@@ -363,8 +351,16 @@ def smoothness_check(
     bound2 = taylor * KERNEL_D2_MAX * inv_h + FD_FLOOR2 * np.maximum(1.0, row_norms(fd2))
     bound2 += rounding * np.max(row_norms(derivs), axis=1)
     ratio = np.maximum(row_norms(fd1 - slope) / bound1, row_norms(fd2 - second) / bound2)
-    details = f"worst error / Taylor bound over {trials} trials, seed {seed}"
-    return _worst("smoothness", ratio, t, 1.0, details)
+    i = int(np.argmax(ratio))
+    if i >= 2 * kinks.size:
+        where = f"generic point {i - 2 * kinks.size}"
+    elif holder[i // 2] >= 0:
+        where = f"kink {i // 2} in window {holder[i // 2]}"
+    else:
+        where = f"kink {i // 2} off the windows"
+    details = f"worst error / Taylor bound over {n} trials, 2 at each of {kinks.size} kinks "
+    details += f"and {trials} generic: {where}"
+    return _report("smoothness", ratio[i], 1.0, float(t[i]), details)
 
 
 # ---- coincidence with the skeleton -------------------------------------
@@ -439,7 +435,7 @@ def run_checks(
         elif name == "product":
             reports.append(product_bound_scan(path, anchors, grid, restricted))
         elif name == "smoothness":
-            reports.append(smoothness_check(path, trials=trials, seed=seed))
+            reports.append(smoothness_check(path, trials=trials))
         elif name == "coincidence":
             reports.append(coincidence_check(path))
     return reports

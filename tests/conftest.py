@@ -33,7 +33,7 @@ FIXTURE_CASES = tuple(
 
 # witness kinds whose points stay within pi/6 of a single axis; the
 # sharp product bound applies to these
-RESTRICTED_KINDS = ("diagonal", "cone", "tangent", "halfspace")
+RESTRICTED_KINDS = ("diagonal", "ray", "cone", "tangent", "halfspace")
 
 
 def cone_confined_points(
@@ -158,8 +158,8 @@ def random_build(case):
 
 def witness_fixture(kind: str, dimension: int) -> WitnessSequence:
     """Deterministic witness sequence for one fixture kind."""
-    if kind == "diagonal":
-        spec = GeneratorSpec(kind="diagonal", dimension=dimension, count=160, stop=0.012)
+    if kind in ("diagonal", "ray"):
+        spec = GeneratorSpec(kind=kind, dimension=dimension, count=160, stop=0.012)
         return WitnessSequence.ingest(generate_points(spec))
     if kind == "spiral":
         spec = GeneratorSpec(kind="spiral", dimension=dimension, count=200, stop=0.012)

@@ -149,7 +149,7 @@ def test_smoothness_order(capsys, builds):
     assert (verifier.FD_FLOOR1, verifier.FD_FLOOR2, verifier.FD_ROUNDING) == (1e-8, 1e-7, 64.0)
     for case in FIXTURE_CASES:
         build = builds[case]
-        report = smoothness_check(build.path, trials=100, seed=0)
+        report = smoothness_check(build.path, trials=100)
         assert report.threshold == 1.0
         worst = max(worst, report.measured)
         if not report.passed:
@@ -158,7 +158,7 @@ def test_smoothness_order(capsys, builds):
     # the diagonal one is collinear and its kinks vanish to rounding
     control_build = builds[("spiral", 2, 20)]
     control = SmoothPath(skeleton=control_build.path.skeleton, lo=(), hi=(), h=())
-    control_report = smoothness_check(control, trials=40, seed=0)
+    control_report = smoothness_check(control, trials=40)
     elapsed = time.perf_counter() - started
     ok = not failures and not control_report.passed and elapsed < 10.0
     _announce(

@@ -933,7 +933,7 @@ def test_build_parser_defaults_are_the_library_constants():
     assert build.k_max == probe.k_max == pipeline.DEFAULT_K_MAX == 40
     assert check.per_decade == mollifier.DEFAULT_PER_DECADE == 2048
     assert check.per_window == mollifier.DEFAULT_PER_WINDOW == 64
-    assert check.trials == verifier.DEFAULT_TRIALS == 100
+    assert check.trials == verifier.DEFAULT_TRIALS == 32
     defaults = {
         (name, fn.__name__): param.default
         for fn in (pipeline.build_path, harness.certify_discontinuity, verifier.run_checks,
@@ -943,7 +943,7 @@ def test_build_parser_defaults_are_the_library_constants():
     assert defaults[("k_max", "build_path")] == defaults[("k_max", "certify_discontinuity")] == 40
     assert defaults[("per_decade", "run_checks")] == defaults[("per_decade", "dense_grid")] == 2048
     assert defaults[("per_window", "run_checks")] == defaults[("per_window", "dense_grid")] == 64
-    assert defaults[("trials", "run_checks")] == defaults[("trials", "smoothness_check")] == 100
+    assert defaults[("trials", "run_checks")] == defaults[("trials", "smoothness_check")] == 32
 
 
 def test_usage_errors_exit_2(capsys):

@@ -178,6 +178,15 @@ def test_mass_moment_endpoints():
     assert abs(float(moment[2])) <= 1e-16
 
 
+def test_mass_moment_far_outside_the_support():
+    """Huge and infinite x give K = 0 or 1 and M = 0 with no overflow, which
+    the tests' warning filter would raise."""
+    xs = np.array([2e15, -2e15, 3e15, 1e300, -1e300, np.inf, -np.inf])
+    mass, moment = kernel_mass_moment(xs)
+    assert np.array_equal(mass, (xs > 0.0).astype(float))
+    assert np.array_equal(moment, np.zeros(xs.size))
+
+
 def test_mass_monotone():
     mass, _ = kernel_mass_moment(np.linspace(-1.0, 1.0, 401))
     assert np.all(np.diff(mass) >= 0.0)

@@ -34,6 +34,12 @@ from pathcert.verifier import SUITE_NAMES, _lemma1_path_reports, lemma1_random_s
 
 MANIFEST = Path(__file__).with_name("golden_sha256.json")
 SAMPLE_POINTS = 64
+# builds in the dimensions the conftest fixtures leave out
+EXTRA_CASES = (
+    *((kind, dimension, 40) for kind in ("diagonal", "ray") for dimension in (1, 4, 5)),
+    ("spiral", 4, 40),
+    ("spiral", 5, 40),
+)
 
 
 def build_info() -> dict:
@@ -49,9 +55,10 @@ def build_info() -> dict:
 def golden_artifacts(builds, directory: str):
     """Yield (name, sha256) for each golden artifact, in manifest order.
 
-    ``builds`` maps each conftest fixture case to its build.  Per fixture:
-    the path JSON, a log-grid sample CSV of SAMPLE_POINTS rows and each
-    check's report entry at seed 0 (restricted for the kinds near one axis);
+    ``builds`` maps each conftest fixture case to its build; the builds of
+    EXTRA_CASES follow them.  Per build: the path JSON, a log-grid sample
+    CSV of SAMPLE_POINTS rows and each check's report entry at seed 0
+    (restricted for the kinds near one axis);
     lemma1 never reads the path, so it runs once, and its report on each of
     its random paths is one more artifact: their rows meet several kinks, so
     it sees the order of a kink sum's adds.  Then the probe JSON of each
@@ -64,7 +71,8 @@ def golden_artifacts(builds, directory: str):
     yield "check lemma1", digest(reports_to_json([lemma1_random_suite(seed=0)]))
     yield "check lemma1 per path", digest(reports_to_json(_lemma1_path_reports(0)))
     checks = [name for name in SUITE_NAMES if name != "lemma1"]
-    for (kind, dimension, k_max), build in builds.items():
+    extra = {case: build_path(witness_fixture(*case[:2]), k_max=case[2]) for case in EXTRA_CASES}
+    for (kind, dimension, k_max), build in {**builds, **extra}.items():
         case = f"{kind}-d{dimension}-k{k_max}"
         path = build.path
         yield f"path {case}", digest(json.dumps(build_to_dict(build), indent=2) + "\n")
