@@ -256,8 +256,10 @@ def _check_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="seed of lemma1's random paths")
     p.add_argument("--restricted", action="store_true",
                    help="witness data stays near the cone axis: enforce the 28 bounds")
-    p.add_argument("--per-decade", type=int, default=DEFAULT_PER_DECADE)
-    p.add_argument("--per-window", type=int, default=DEFAULT_PER_WINDOW)
+    p.add_argument("--per-decade", type=int, default=DEFAULT_PER_DECADE,
+                   help="envelope and product grid: points per decade of t (default %(default)s)")
+    p.add_argument("--per-window", type=int, default=DEFAULT_PER_WINDOW,
+                   help="envelope and product grid: points per window (default %(default)s)")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
                    help="generic smoothness points, besides two at each kink (default %(default)s)")
     p.add_argument("--out", default=None, help="report JSON output")

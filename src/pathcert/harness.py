@@ -269,11 +269,10 @@ def certify_discontinuity(
     ladder = [d for d in ladder if d > float(finite_ts.min())]
     if not ladder:
         ladder = [float(finite_ts.max())]
-    profile = []
-    for delta in ladder:
-        mask = finite_ts < delta
-        sup = float(np.max(magnitudes[mask])) if np.any(mask) else 0.0
-        profile.append((delta, sup))
+    # finite_ts ascend: the sup over t < delta is a running maximum
+    running = np.maximum.accumulate(magnitudes).tolist()
+    below = np.searchsorted(finite_ts, ladder).tolist()
+    profile = [(delta, running[n - 1] if n else 0.0) for delta, n in zip(ladder, below)]
     limsup_estimate = profile[-1][1]
     certified = limsup_estimate >= epsilon - CERTIFY_TOL
     report = ProbeReport(

@@ -39,10 +39,12 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .geometry import UNIT_TOL, ConeSpec, cone_contains_many, require_rows, shell_indices
-from .geometry import stack_rows, vector_norms
+from .geometry import row_norms, stack_rows, vector_norms
 
 _TIME_TOL = 1e-12
 _CONTINUITY_TOL = 1e-12
+# a slope jump above this times ||s|| / (shorter adjacent piece) is a kink
+_KINK_ROUNDING = 64.0 * float(np.finfo(float).eps)
 
 PARITIES = ("even", "odd")
 
@@ -405,7 +407,13 @@ def build_skeleton(anchors: AnchorSequence) -> PiecewiseAffinePath:
 
 
 def kink_times(path: PiecewiseAffinePath) -> np.ndarray:
-    """Interior breakpoints where the slope actually changes."""
+    """Interior breakpoints kappa whose slope jump exceeds 64 eps ||s(kappa)||
+    over the shorter piece next to kappa.  A slope is a difference of values
+    over a piece's length, so rounding moves it by a few such units: collinear
+    anchors (jumps of ~1e-14) give no kink."""
     interior = path.breakpoints[1:-1]
-    changes = np.max(np.abs(np.diff(path.slopes, axis=0)), axis=1) > 0.0
-    return interior[changes]
+    jump = row_norms(np.diff(path.slopes, axis=0))
+    value = row_norms(path.slopes[:-1] * interior[:, None] + path.offsets[:-1])
+    gaps = np.diff(path.breakpoints)
+    shorter = np.minimum(gaps[:-1], gaps[1:])
+    return interior[jump > _KINK_ROUNDING * value / shorter]

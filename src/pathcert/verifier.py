@@ -8,15 +8,16 @@ The checks:
   exceeds the sum of the segment slope norms,
 * interpolation: the smooth path reproduces anchor positions and
   derivative directions at the anchor times,
-* envelope: ||s(t)|| <= 1/k for t below 1/(2k),
+* envelope: ||s(t)|| <= 1/k for t below 1/(2k), at every level the grid reaches,
 * product: ||s(t)|| ||s'(t)|| stays bounded (below 28 for witness data
   confined near the cone axis, with ||s'|| <= 28 k on the k-th leg),
 * smoothness: a central difference of s and one of s' at each trial
   point stay within Taylor's bound of the exact s' and s'', plus a floor
   that includes the rounding of a central difference; the trials sit at
   every kink of the skeleton and at log-spaced generic points,
-* coincidence: the path equals its skeleton outside the windows and on
-  the affine stretches around the anchor times inside them.
+* coincidence: the path equals its skeleton wherever its averaging range
+  meets no kink; a kink is a slope jump above rounding (``kink_times``),
+  the one list smoothness and coincidence read.
 
 Each sampled check builds its whole parameter grid first, evaluates it
 once, taking the values and slopes it needs from the same pass, and
@@ -25,8 +26,8 @@ A row evaluates to the same bits alone or in any batch, so the report
 does not depend on how the grid is split.  Each check's tolerance and
 sample count are module constants (INTERPOLATION_TOL, ENVELOPE_TOL,
 COINCIDENCE_TOL, FD_FLOOR1, LEMMA1_PATHS, ...), not arguments; what a
-caller varies is the product grid, the envelope's k_max, the number of
-generic smoothness points and the seed of lemma1, the only random check.
+caller varies is the grid of the envelope and product checks, the number
+of generic smoothness points and the seed of lemma1, the only random check.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ FD_FLOOR1 = 1e-8
 FD_FLOOR2 = 1e-7
 LEMMA1_PATHS = 100
 LEMMA1_POINTS_PER_PATH = 50
-ENVELOPE_SAMPLES_PER_LEVEL = 256
 COINCIDENCE_POINTS_PER_REGION = 64
 DEFAULT_TRIALS = 32
 EPS = float(np.finfo(float).eps)
@@ -218,30 +218,28 @@ def interpolation_check(path: SmoothPath, anchors: AnchorSequence) -> CheckRepor
 # ---- envelope -----------------------------------------------------------
 
 
-def envelope_check(path: SmoothPath, k_max: int = 20) -> CheckReport:
-    """||s(t)|| <= 1/k + ENVELOPE_TOL whenever t < 1/(2k), for k = 1..k_max."""
-    lo, hi = path.domain
-    start = np.nextafter(lo, hi)
-    grids = []
-    ceilings = []
-    for k in range(1, k_max + 1):
-        top = min(1.0 / (2.0 * k), hi)
-        if top <= start:
-            continue
-        ts = np.geomspace(start, top, ENVELOPE_SAMPLES_PER_LEVEL)
-        ts = ts[ts < 1.0 / (2.0 * k)]
-        grids.append(ts)
-        ceilings.append(np.full(ts.size, 1.0 / k))
-    levels = sum(1 for ts in grids if ts.size)
-    if levels == 0:
-        raise InputError("no envelope level fits inside the path domain")
-    ts = np.concatenate(grids)
+def envelope_level(ts: np.ndarray) -> np.ndarray:
+    """k(t) for 0 < t <= 1/2: the largest k with t < 1/(2k) as computed in
+    floating point, as floats (0 at t = 1/2).  0.5 / t may round across a
+    level edge, so its floor moves one level where that comparison says so."""
+    k = np.floor(0.5 / ts)
+    k -= ts >= 1.0 / (2.0 * k)
+    return k + (ts < 1.0 / (2.0 * (k + 1.0)))
+
+
+def envelope_check(path: SmoothPath, grid) -> CheckReport:
+    """||s(t)|| <= 1/k + ENVELOPE_TOL at each grid t, for every k with
+    t < 1/(2k): the tightest is 1/k(t) (``envelope_level``).  Grid points
+    at t >= 1/2 belong to no level and are skipped."""
+    ts = np.asarray(grid, dtype=float)
+    ts = ts[ts < 0.5]
+    k = envelope_level(ts)
     return _worst(
         "envelope",
-        row_norms(eval_smooth_many(path, ts)) - np.concatenate(ceilings),
+        row_norms(eval_smooth_many(path, ts)) - 1.0 / k,
         ts,
         ENVELOPE_TOL,
-        f"max ||s(t)|| - 1/k over {levels} levels, {ENVELOPE_SAMPLES_PER_LEVEL} samples each",
+        f"max ||s(t)|| - 1/k(t) over {ts.size} grid points, levels {k.min():.0f} to {k.max():.0f}",
     )
 
 
@@ -367,27 +365,18 @@ def smoothness_check(path: SmoothPath, trials: int = DEFAULT_TRIALS) -> CheckRep
 
 
 def coincidence_check(path: SmoothPath) -> CheckReport:
-    """s equals the skeleton off the windows and near the anchor times.
+    """s equals the skeleton wherever its averaging range meets no kink.
 
-    Inside each window the kernel average still sees a purely affine
-    stretch around the bottom anchor time of the pair, so the path must
-    match the skeleton there as well.
+    A kink kappa (``kink_times``) moves s off the skeleton only on
+    (kappa - h, kappa + h), with h the half-width of the window holding
+    kappa (0 off the windows).  Each piece of (lo, hi] left after removing
+    these intervals gets COINCIDENCE_POINTS_PER_REGION evenly spaced points.
     """
     lo, hi = path.domain
-    # the gaps between the windows, and before the first and after the last
-    gap_lo = np.concatenate([[lo], path.hi])
-    gap_hi = np.concatenate([path.lo, [hi]])
-    gaps = gap_lo < gap_hi
-    # in-window stretches whose averaging range sees no slope change:
-    # the pair's kinks sit at hi - 6h and hi - 2h, so the bands below,
-    # between, and above them (margin h) are still exactly affine
-    w_lo, w_hi, h = path.lo, path.hi, path.h
-    kink_lo = w_hi - 6.0 * h
-    kink_hi = w_hi - 2.0 * h
-    band_lo = np.stack([w_lo, kink_lo + h, kink_hi + h], axis=1).ravel()
-    band_hi = np.stack([kink_lo - h, kink_hi - h, w_hi], axis=1).ravel()
-    start = np.maximum(np.concatenate([gap_lo[gaps], band_lo]), np.nextafter(lo, hi))
-    stop = np.minimum(np.concatenate([gap_hi[gaps], band_hi]), hi)
+    kinks = kink_times(path.skeleton)
+    h = np.append(path.h, 0.0)[path.window_indices(kinks)]
+    start = np.concatenate([[np.nextafter(lo, hi)], kinks + h])
+    stop = np.concatenate([kinks - h, [hi]])
     keep = start < stop
     ts = np.linspace(start[keep], stop[keep], COINCIDENCE_POINTS_PER_REGION, axis=1).ravel()
     return _worst(
@@ -395,7 +384,8 @@ def coincidence_check(path: SmoothPath) -> CheckReport:
         row_norms(eval_smooth_many(path, ts) - eval_affine_many(path.skeleton, ts)),
         ts,
         COINCIDENCE_TOL,
-        f"max |s - skeleton| over {ts.size} points in {start.size} regions",
+        f"max |s - skeleton| over {ts.size} points in {np.count_nonzero(keep)} regions "
+        f"clear of {kinks.size} kinks",
     )
 
 
@@ -419,9 +409,8 @@ def run_checks(
     if unknown:
         raise InputError(f"unknown checks: {', '.join(unknown)}")
     require_seed(seed)
-    # the product grid is sized first, so that a grid above its cap stops the run
-    # before any check
-    if "product" in chosen:
+    # the grid is sized first, so that a grid above its cap stops the run before any check
+    if "envelope" in chosen or "product" in chosen:
         grid = dense_grid(path, per_decade=per_decade, per_window=per_window)
     reports = []
     for name in chosen:
@@ -430,8 +419,7 @@ def run_checks(
         elif name == "interpolation":
             reports.append(interpolation_check(path, anchors))
         elif name == "envelope":
-            k_cap = min(20, len(anchors.times) - 1)
-            reports.append(envelope_check(path, k_max=k_cap))
+            reports.append(envelope_check(path, grid))
         elif name == "product":
             reports.append(product_bound_scan(path, anchors, grid, restricted))
         elif name == "smoothness":

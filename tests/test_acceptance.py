@@ -79,15 +79,17 @@ def test_anchor_interpolation(capsys, builds):
 
 
 def test_norm_envelope(capsys, builds):
-    """The path norm stays under 1/k on every sampled level."""
+    """The path norm stays under 1/k at every level k the product grid reaches,
+    down to the level of the path's last anchor."""
     started = time.perf_counter()
     worst = -math.inf
     failures = []
     for case in FIXTURE_CASES:
         build = builds[case]
-        report = envelope_check(build.path, k_max=20)
+        report = envelope_check(build.path, dense_grid(build.path))
         assert report.threshold == 1e-10
-        assert report.details.endswith("256 samples each")
+        deepest = int(report.details.rsplit(" to ", 1)[1])
+        assert deepest >= case[2]
         worst = max(worst, report.measured)
         if not report.passed:
             failures.append(case)

@@ -16,6 +16,7 @@ from pathcert.harness import (
     field_from_expression,
     get_builtin_field,
 )
+from pathcert.mollifier import dense_grid, eval_smooth_many, sorted_unique
 from pathcert.skeleton import WitnessSequence
 
 
@@ -219,6 +220,25 @@ def test_certify_rational2d_along_diagonal():
     sups = [sup for _, sup in report.tail_profile]
     assert deltas == sorted(deltas, reverse=True)
     assert all(a >= b for a, b in zip(sups, sups[1:]))
+
+
+@pytest.mark.parametrize("name", ["parabola", "rational2d"])
+def test_tail_profile_takes_each_rungs_sup_over_the_grid_below_it(name):
+    """Each rung's sup is the maximum of |f(s(t))| over the probe grid's
+    finite values at t < delta, one mask per rung, bit for bit."""
+    field = get_builtin_field(name)
+    witness = WitnessSequence.ingest(generate_points(_diagonal_spec()))
+    report, build = certify_discontinuity(field, witness, k_max=25, extra_deltas=(0.0301,))
+    path, anchors = build.path, build.anchors
+    times = anchors.times[anchors.given, 0]
+    grid = dense_grid(path, per_decade=1024, per_window=32)
+    ts = sorted_unique(np.concatenate([grid, times[times > path.domain[0]]]))
+    magnitudes = np.abs(field.values(eval_smooth_many(path, ts)))
+    finite = np.isfinite(magnitudes)
+    ts, magnitudes = ts[finite], magnitudes[finite]
+    for delta, sup in report.tail_profile:
+        below = magnitudes[ts < delta]
+        assert sup == (float(np.max(below)) if below.size else 0.0)
 
 
 def test_certify_parabola_finds_no_violation():

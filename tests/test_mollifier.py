@@ -42,7 +42,6 @@ from pathcert.skeleton import (
     affine_path_from_slopes,
     eval_affine_derivative_many,
     eval_affine_many,
-    kink_times,
 )
 
 # normalization constant computed once with an unrelated adaptive
@@ -220,25 +219,26 @@ def test_windows_follow_anchor_times(diagonal_build):
     assert not (path.lo.flags.writeable or path.hi.flags.writeable or path.h.flags.writeable)
 
 
-def test_windows_ascending_disjoint_with_interior_kinks(diagonal_build):
+def test_windows_ascending_disjoint_with_interior_breakpoints(diagonal_build):
     path = diagonal_build.path
-    kinks = kink_times(path.skeleton)
+    breakpoints = path.skeleton.breakpoints[1:-1]
     assert np.all(path.lo[1:] > path.hi[:-1])
     for lo, hi, h in zip(path.lo, path.hi, path.h):
-        inside = kinks[(kinks > lo) & (kinks < hi)]
-        # both slope changes of the pair sit in the window, clear of the
-        # edges by at least the averaging half-width
+        inside = breakpoints[(breakpoints > lo) & (breakpoints < hi)]
+        # both breakpoints of the pair, where its slope may change, sit in
+        # the window, clear of the edges by at least the averaging half-width
         assert inside.size == 2
         assert float(inside.min()) >= lo + h - 1e-15
         assert float(inside.max()) <= hi - h + 1e-15
 
 
 def test_every_kink_is_windowed(diagonal_build):
-    """No slope change survives outside the mollification windows."""
+    """No slope change, not even one of rounding size, survives outside the
+    mollification windows."""
     path = diagonal_build.path
-    kinks = kink_times(path.skeleton)
-    for t in kinks:
-        assert path.window_index(float(t)) >= 0
+    skeleton = path.skeleton
+    changed = np.any(np.diff(skeleton.slopes, axis=0) != 0.0, axis=1)
+    assert np.all(path.window_indices(skeleton.breakpoints[1:-1][changed]) >= 0)
 
 
 def test_window_index_boundaries(diagonal_build):
@@ -345,17 +345,17 @@ def test_eval_in_window_matches_direct_convolution(diagonal_build):
     """The fast evaluator agrees with a direct kernel average.
 
     The reference integral is assembled here from the generic panel
-    quadrature with explicit splits at the kink preimages.
+    quadrature with explicit splits at the breakpoint preimages.
     """
     path = diagonal_build.path
-    kinks = kink_times(path.skeleton)
+    breakpoints = path.skeleton.breakpoints[1:-1]
     rng = np.random.default_rng(42)
     for i in (0, 7, -1):
         for t in rng.uniform(path.lo[i], path.hi[i], size=3):
             h = float(path.h[i])
             edges = {-1.0, -0.5, 0.0, 0.5, 1.0}
-            for kink in kinks:
-                u = (t - float(kink)) / h
+            for kappa in breakpoints:
+                u = (t - float(kappa)) / h
                 if -1.0 < u < 1.0:
                     edges.add(u)
             edges = sorted(edges)

@@ -460,6 +460,28 @@ def test_kink_times_skips_straight_joins():
     assert kinks.tolist() == [2.0]
 
 
+@pytest.mark.parametrize("relative_jump, kink", [(1e-6, True), (1e-15, False)])
+def test_kink_times_keeps_a_small_jump_above_rounding(relative_jump, kink):
+    """A slope change of 1e-6 of the slope is a kink; one of 1e-15, a few
+    eps, is rounding (the bound here is 64 eps ||s(0.2)|| / 0.1 ~ 2.8e-14)."""
+    slope = np.array([0.6, 0.8])
+    slopes = np.stack([slope, slope * (1.0 + relative_jump)])
+    path = affine_path_from_slopes(np.array([0.1, 0.2, 0.3]), 0.1 * slope, slopes)
+    assert kink_times(path).tolist() == ([0.2] if kink else [])
+
+
+def test_kink_times_drops_the_rounding_of_collinear_slopes(builds):
+    """All but two of the diagonal fixture's slope changes are below 2e-14,
+    the rounding of collinear slopes: none of them is a kink, and the two
+    order-one changes are."""
+    skeleton = builds[("diagonal", 2, 20)].path.skeleton
+    jump = np.linalg.norm(np.diff(skeleton.slopes, axis=0), axis=1)
+    interior = skeleton.breakpoints[1:-1]
+    rounding = (jump > 0.0) & (jump < 1e-12)
+    assert np.count_nonzero(rounding) >= 30
+    assert kink_times(skeleton).tolist() == interior[jump > 1e-9].tolist()
+
+
 # ---- skeletons ----------------------------------------------------------
 
 

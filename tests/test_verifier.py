@@ -28,13 +28,14 @@ from pathcert.mollifier import (
     row_norms,
 )
 from pathcert.pathfile import reports_to_json
-from pathcert.skeleton import affine_path_from_slopes, eval_affine_many
+from pathcert.skeleton import affine_path_from_slopes, eval_affine_many, kink_times
 from pathcert.verifier import (
     PRODUCT_BOUND,
     FINITE_THRESHOLD,
     SUITE_NAMES,
     coincidence_check,
     envelope_check,
+    envelope_level,
     interpolation_check,
     lemma1_bound_check,
     lemma1_random_suite,
@@ -186,17 +187,44 @@ def test_interpolation_matches_per_anchor_reference(diagonal_build, distortion):
 
 
 def test_envelope_passes_on_fixture(diagonal_build):
-    report = envelope_check(diagonal_build.path, k_max=20)
+    path = diagonal_build.path
+    report = envelope_check(path, dense_grid(path))
     assert report.passed
     assert report.measured <= 1e-10
+    assert report.details.endswith("levels 1 to 20")
 
 
 def test_envelope_fails_on_inflated_skeleton(diagonal_build):
     """Tripling the skeleton pushes norms above the shell ceiling."""
     inflated = _with_skeleton(diagonal_build, _rescaled_skeleton(diagonal_build, 3.0))
-    report = envelope_check(inflated, k_max=20)
+    report = envelope_check(inflated, dense_grid(inflated))
     assert not report.passed
     assert report.measured > 0.1
+
+
+def test_envelope_checks_levels_past_twenty():
+    """A windowless path whose norm peaks at 1/25 at t = 0.012, below
+    1/(2 31): under the ceiling 1/k of every k <= 20, but above 1/41, the
+    ceiling of its own level k(0.012) = 41, so only the deep levels catch it."""
+    breakpoints = np.array([0.001, 0.011, 0.012, 0.013, 0.5])
+    values = np.array([0.001, 0.011, 0.04, 0.013, 0.5])
+    slopes = (np.diff(values) / np.diff(breakpoints))[:, None]
+    skeleton = affine_path_from_slopes(breakpoints, values[:1], slopes)
+    path = SmoothPath(skeleton=skeleton, lo=(), hi=(), h=())
+    report = envelope_check(path, dense_grid(path))
+    assert not report.passed
+    assert 0.04 - 1.0 / 41.0 - 1e-3 < report.measured <= 0.04 - 1.0 / 41.0
+    assert abs(report.witness_t - 0.012) < 1e-4
+    assert report.details.endswith("levels 1 to 499")
+
+
+def test_envelope_level_steps_at_each_edge():
+    """k(t) is k just below t = 1/(2k) and k - 1 at it, as the comparison
+    t < 1/(2k) gives in floating point."""
+    k = np.arange(1.0, 10_002.0)
+    edge = 1.0 / (2.0 * k)
+    assert np.array_equal(envelope_level(np.nextafter(edge, 0.0)), k)
+    assert np.array_equal(envelope_level(edge), k - 1.0)
 
 
 # ---- product bound ------------------------------------------------------
@@ -250,13 +278,11 @@ def test_smoothness_report_does_not_depend_on_the_seed(diagonal_build):
 def test_smoothness_fails_at_each_unmollified_window(builds, monkeypatch):
     """An evaluation that leaves one window unmollified (h = 0 there, while
     the Taylor bound keeps the window's h) fails the check, for each window
-    whose kinks carry a slope jump.  Three of the 20 windows carry only
-    jumps of ~1e-14, the rounding of collinear slopes, and are left out."""
+    that holds a kink; each such window holds both kinks of its pair."""
     path = builds[("spiral", 2, 20)].path
-    skeleton = path.skeleton
-    jumped = row_norms(np.diff(skeleton.slopes, axis=0)) > 1e-9
-    windows = np.unique(path.window_indices(skeleton.breakpoints[1:-1][jumped])).tolist()
-    assert len(windows) == 17 and -1 not in windows
+    kinks = kink_times(path.skeleton)
+    windows = np.unique(path.window_indices(kinks)).tolist()
+    assert 2 * len(windows) == kinks.size and -1 not in windows
     for window in windows:
 
         def unmollified(path, ts, window=window):
@@ -314,7 +340,7 @@ def test_run_checks_rejects_unknown(diagonal_build):
 
 
 def test_report_dict_shape(diagonal_build):
-    report = envelope_check(diagonal_build.path, k_max=5)
+    report = envelope_check(diagonal_build.path, dense_grid(diagonal_build.path))
     data = report.to_dict()
     assert set(data) == {
         "name",
@@ -328,72 +354,79 @@ def test_report_dict_shape(diagonal_build):
     assert isinstance(data["passed"], bool)
 
 
-# ---- batched checks against per-level, per-region, per-trial loops ------
+# ---- batched checks against per-point, per-region, per-trial loops ------
 #
-# Each reference below evaluates one level, region, trial or leg at a time
+# Each reference below evaluates one point, region, trial or leg at a time
 # and keeps the first strict maximum.  The checks evaluate one grid in one
 # batch; since a row has the same bits in any batch, the reports must agree
 # exactly.
 
 
-def _reference_envelope(path, k_max=20, samples_per_level=256):
-    lo, hi = path.domain
-    worst, worst_t, levels = -math.inf, None, 0
-    for k in range(1, k_max + 1):
-        top = min(1.0 / (2.0 * k), hi)
-        start = np.nextafter(lo, hi)
-        if top <= start:
+def _reference_kinks(skeleton):
+    """One breakpoint at a time: a kink when its slope jump's norm exceeds
+    64 eps ||s(kappa)|| / (the shorter piece next to it)."""
+    breakpoints = skeleton.breakpoints.tolist()
+    kinks = []
+    for i in range(1, len(breakpoints) - 1):
+        jump = float(np.linalg.norm(skeleton.slopes[i] - skeleton.slopes[i - 1]))
+        value = skeleton.slopes[i - 1] * breakpoints[i] + skeleton.offsets[i - 1]
+        shorter = min(breakpoints[i] - breakpoints[i - 1], breakpoints[i + 1] - breakpoints[i])
+        if jump > 64.0 * verifier.EPS * float(np.linalg.norm(value)) / shorter:
+            kinks.append(breakpoints[i])
+    return kinks
+
+
+def _reference_envelope(path, grid):
+    """One point at a time, its level k found by climbing while t < 1/(2(k + 1))."""
+    worst, worst_t, levels = -math.inf, None, []
+    for t in grid.tolist():
+        k = 0
+        while t < 1.0 / (2.0 * (k + 1)):
+            k += 1
+        if k == 0:
             continue
-        ts = np.geomspace(start, top, samples_per_level)
-        ts = ts[ts < 1.0 / (2.0 * k)]
-        if ts.size == 0:
-            continue
-        levels += 1
-        excess = row_norms(eval_smooth_many(path, ts)) - 1.0 / k
-        i = int(np.argmax(excess))
-        if float(excess[i]) > worst:
-            worst, worst_t = float(excess[i]), float(ts[i])
-    details = f"max ||s(t)|| - 1/k over {levels} levels, {samples_per_level} samples each"
+        levels.append(k)
+        excess = float(np.linalg.norm(eval_smooth(path, t))) - 1.0 / k
+        if excess > worst:
+            worst, worst_t = excess, t
+    details = (
+        f"max ||s(t)|| - 1/k(t) over {len(levels)} grid points, "
+        f"levels {min(levels)} to {max(levels)}"
+    )
     return worst, worst_t, details
 
 
 def _reference_coincidence(path, points_per_region=64):
+    """One region at a time: from the lower end, or from kappa + h past a
+    kink kappa, to the next kink's kappa - h, or to the upper end; h is the
+    half-width of the window found holding kappa by scanning, else 0."""
     lo, hi = path.domain
-    regions = []
-    cursor = lo
     windows = list(zip(path.lo.tolist(), path.hi.tolist(), path.h.tolist()))
-    for w_lo, w_hi, _ in windows:
-        if w_lo > cursor:
-            regions.append((cursor, w_lo))
-        cursor = w_hi
-    if cursor < hi:
-        regions.append((cursor, hi))
-    for w_lo, w_hi, h in windows:
-        kink_lo = w_hi - 6.0 * h
-        kink_hi = w_hi - 2.0 * h
-        regions += [
-            (w_lo, kink_lo - h),
-            (kink_lo + h, kink_hi - h),
-            (kink_hi + h, w_hi),
-        ]
-    worst, worst_t, total = -math.inf, None, 0
-    eps = np.nextafter(lo, hi)
+    kinks = _reference_kinks(path.skeleton)
+    regions, cursor = [], np.nextafter(lo, hi)
+    for kappa in kinks:
+        h = next((h for w_lo, w_hi, h in windows if w_lo <= kappa <= w_hi), 0.0)
+        regions.append((cursor, kappa - h))
+        cursor = kappa + h
+    regions.append((cursor, hi))
+    worst, worst_t, total, count = -math.inf, None, 0, 0
     for a, b in regions:
-        a, b = max(a, eps), min(b, hi)
         if not (a < b):
             continue
         ts = np.linspace(a, b, points_per_region)
         dev = row_norms(eval_smooth_many(path, ts) - eval_affine_many(path.skeleton, ts))
         total += ts.size
+        count += 1
         i = int(np.argmax(dev))
         if float(dev[i]) > worst:
             worst, worst_t = float(dev[i]), float(ts[i])
-    details = f"max |s - skeleton| over {total} points in {len(regions)} regions"
+    details = f"max |s - skeleton| over {total} points in {count} regions "
+    details += f"clear of {len(kinks)} kinks"
     return worst, worst_t, details
 
 
 def _reference_smoothness(path, trials=verifier.DEFAULT_TRIALS):
-    """One trial at a time: two at each kink found by scanning the slopes,
+    """One trial at a time: two at each kink found by scanning the breakpoints,
     then the generic points, each step cut by scanning the windows it
     reaches; the window a stencil reaches and the slope jumps within reach
     found by scanning, s'' summed kink by kink."""
@@ -404,7 +437,7 @@ def _reference_smoothness(path, trials=verifier.DEFAULT_TRIALS):
     windows = list(zip(path.lo.tolist(), path.hi.tolist(), path.h.tolist()))
     gap = min(b - a for a, b in zip(breakpoints, breakpoints[1:]))
     placed = []
-    kinks = [kappa for kappa, jump in zip(breakpoints[1:-1], jumps) if np.any(jump != 0.0)]
+    kinks = _reference_kinks(skeleton)
     for j, kappa in enumerate(kinks):
         holding = [(w, h) for w, (w_lo, w_hi, h) in enumerate(windows) if w_lo <= kappa <= w_hi]
         if holding:
@@ -490,10 +523,11 @@ def test_batched_checks_match_per_part_reference(builds, case, windowless):
     """Every batched check reports the reference loop's worst point, bit for bit."""
     build = builds[case]
     path = _windowless(build) if windowless else build.path
-    assert _triple(envelope_check(path)) == _reference_envelope(path)
+    assert kink_times(path.skeleton).tolist() == _reference_kinks(path.skeleton)
+    grid = dense_grid(path, per_decade=256, per_window=16)
+    assert _triple(envelope_check(path, grid)) == _reference_envelope(path, grid)
     assert _triple(coincidence_check(path)) == _reference_coincidence(path)
     assert _triple(smoothness_check(path)) == _reference_smoothness(path)
-    grid = dense_grid(path, per_decade=256, per_window=16)
     for restricted in (False, True):
         report = product_bound_scan(path, build.anchors, grid, restricted)
         assert _triple(report) == _reference_product(path, build.anchors, grid, restricted)
@@ -592,16 +626,19 @@ def test_suite_names_frozen():
 
 
 def test_run_checks_sizes_the_product_grid_before_any_check(diagonal_build, monkeypatch):
-    """A product grid above its cap stops the run before the first check."""
+    """A grid above its cap stops the run before the first check, whichever
+    of the two checks that read it is chosen."""
 
     def no_check(*args, **kwargs):
         raise AssertionError("ran a check")
 
     monkeypatch.setattr(verifier, "lemma1_random_suite", no_check)
-    with pytest.raises(InputError, match="above the cap"):
-        run_checks(
-            diagonal_build.path, diagonal_build.anchors, ("lemma1", "product"), per_window=10**12
-        )
+    for grid_check in ("envelope", "product"):
+        with pytest.raises(InputError, match="above the cap"):
+            run_checks(
+                diagonal_build.path, diagonal_build.anchors, ("lemma1", grid_check),
+                per_window=10**12,
+            )
 
 
 def test_a_negative_seed_is_rejected_before_any_check(diagonal_build, monkeypatch):

@@ -6,8 +6,9 @@ Run by hand, and only for an intended output change:
 
 The manifest holds the sha256 of every artifact ``golden_artifacts``
 makes, and the Python, numpy and machine it was made on;
-``test_golden.py`` rebuilds the artifacts and compares.  List each
-artifact whose hash an output change moves in CHANGES.md.
+``test_golden.py`` rebuilds the artifacts and compares.  The script prints
+each artifact it adds, removes or changes against the manifest it
+replaces; list those in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -91,7 +92,19 @@ def golden_artifacts(builds, directory: str):
         yield f"probe {name}", digest(Path(out).read_text(encoding="utf-8"))
 
 
+def manifest_changes(old: dict, new: dict) -> list[str]:
+    """One line per artifact name that ``new`` adds, removes or changes
+    against ``old``, in manifest order (new names first, then removed)."""
+    lines = [
+        f"{'changed' if name in old else 'added'}: {name}"
+        for name in new
+        if old.get(name) != new[name]
+    ]
+    return lines + [f"removed: {name}" for name in old if name not in new]
+
+
 def main() -> int:
+    old = json.loads(MANIFEST.read_text(encoding="utf-8"))["sha256"] if MANIFEST.exists() else {}
     builds = {
         case: build_path(witness_fixture(case[0], case[1]), k_max=case[2])
         for case in FIXTURE_CASES
@@ -100,7 +113,10 @@ def main() -> int:
         hashes = dict(golden_artifacts(builds, directory))
     document = {"build": build_info(), "sha256": hashes}
     MANIFEST.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {len(hashes)} hashes to {MANIFEST}")
+    changes = manifest_changes(old, hashes)
+    for line in changes:
+        print(line)
+    print(f"wrote {len(hashes)} hashes to {MANIFEST}, {len(changes)} of them moved")
     return 0
 
 
