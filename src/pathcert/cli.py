@@ -22,8 +22,9 @@ import numpy as np
 from .errors import InputError, PipelineError, WitnessNotFoundError
 from .generators import GENERATOR_KINDS, MAX_SIZES, GeneratorSpec, generate_points
 from .geometry import DEFAULT_COVER_HALF_ANGLE, build_sphere_cover, require_seed
-from .mollifier import DEFAULT_PER_DECADE, DEFAULT_PER_WINDOW, log_grid, sample_path
+from .mollifier import DEFAULT_PER_DECADE, DEFAULT_PER_WINDOW, log_grid
 from .pathfile import (
+    atomic_write_chunks,
     atomic_write_text,
     check_writable,
     cover_to_json,
@@ -31,7 +32,7 @@ from .pathfile import (
     load_witness,
     probe_to_json,
     reports_to_json,
-    samples_to_csv,
+    sample_csv_chunks,
     save_build,
     tail_to_csv,
 )
@@ -118,9 +119,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
         grid = log_grid(t_min, t_max, args.points)
     else:
         grid = np.linspace(t_min, t_max, args.points)
-    table = sample_path(build.path, grid)
-    atomic_write_text(args.out, samples_to_csv(table, build.path.dimension))
-    print(f"sample: {len(table)} rows ({args.grid} grid) -> {args.out}")
+    # evaluated, formatted and written one block of rows at a time
+    atomic_write_chunks(args.out, sample_csv_chunks(build.path, grid))
+    print(f"sample: {grid.size} rows ({args.grid} grid) -> {args.out}")
     return 0
 
 

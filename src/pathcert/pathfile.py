@@ -2,10 +2,12 @@
 
 All floats serialize through repr (JSON) or %.17g (CSV), which round
 trips float64 exactly, so a written path reloads bit for bit.  A CSV
-body is one float table formatted by a single %-operation with a
-"%.17g,...,%.17g\n" row template.  Witness and path files are read as
-UTF-8 JSON and checked against one type rule; writes go through a
-temporary file and an atomic rename.
+body is written one block of rows at a time by ``csvtext.csv_rows``,
+whose bytes are those of formatting each value with '%.17g'; it is
+imported only when a CSV is written.  ``sample`` evaluates, formats and
+writes one block at a time.  Witness and path files are read as UTF-8
+JSON and checked against one type rule; writes go through a temporary
+file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import math
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from itertools import chain
 from operator import itemgetter
@@ -24,21 +27,23 @@ import numpy as np
 from .errors import InputError
 from .generators import GeneratorSpec, generate_points
 from .geometry import DEFAULT_COVER_HALF_ANGLE, ConeSpec, UnitDirection, require_seed
-from .mollifier import KERNEL_C, build_smooth_path
+from .mollifier import KERNEL_C, SmoothPath, build_smooth_path, sample_path
 from .pipeline import MAX_K_MAX, PathBuild, check_cover
 from .skeleton import AnchorSequence, WitnessSequence
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write through a temporary file beside ``path`` and a rename; a file
-    that cannot be written (say, in a missing directory) is an InputError
-    naming it."""
+def atomic_write_chunks(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks, each as it is made, through a temporary file beside
+    ``path`` and a rename; a file that cannot be written (say, in a missing
+    directory) is an InputError naming it, and an error while the chunks are
+    made leaves no file behind."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pathcert-")
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            for chunk in chunks:
+                handle.write(chunk)
         os.umask(umask := os.umask(0))  # read the umask: mkstemp made the file 0600
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
@@ -48,6 +53,11 @@ def atomic_write_text(path: str, text: str) -> None:
         if isinstance(exc, OSError):
             raise InputError(f"cannot write output file {path}: {exc.strerror or exc}") from exc
         raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """``atomic_write_chunks`` of one chunk."""
+    atomic_write_chunks(path, (text,))
 
 
 def check_writable(path: str) -> None:
@@ -328,22 +338,46 @@ def load_build(path: str) -> PathBuild:
 
 # ---- samples and reports ------------------------------------------------
 
-
-def _csv_rows(table: np.ndarray) -> str:
-    """Each row of a 2-d float table as one line of %.17g values."""
-    rows, cols = table.shape
-    return (",".join(["%.17g"] * cols) + "\n") * rows % tuple(table.ravel().tolist())
+# rows per CSV block: a 5-D block's temporaries take ~7 MB, and blocks of
+# 1,024-2,048 rows wrote 16,384 rows fastest
+CSV_BLOCK_ROWS = 1024
 
 
-def samples_to_csv(table: np.ndarray, dimension: int) -> str:
-    """CSV of a ``sample_path`` table: a header, then one line per row."""
-    header = (
+def _csv_blocks(table: np.ndarray) -> str:
+    """``csvtext.csv_rows`` of the table, one block of CSV_BLOCK_ROWS rows
+    at a time."""
+    from .csvtext import csv_rows
+
+    return "".join(
+        csv_rows(table[start:start + CSV_BLOCK_ROWS])
+        for start in range(0, len(table), CSV_BLOCK_ROWS)
+    )
+
+
+def _samples_header(dimension: int) -> str:
+    return ",".join(
         ["t"]
         + [f"s{i}" for i in range(1, dimension + 1)]
         + [f"d{i}" for i in range(1, dimension + 1)]
         + ["norm_s", "norm_ds", "product"]
-    )
-    return ",".join(header) + "\n" + _csv_rows(table)
+    ) + "\n"
+
+
+def samples_to_csv(table: np.ndarray, dimension: int) -> str:
+    """CSV of a ``sample_path`` table: a header, then one line per row."""
+    return _samples_header(dimension) + _csv_blocks(table)
+
+
+def sample_csv_chunks(path: SmoothPath, grid: np.ndarray) -> Iterator[str]:
+    """The text of ``samples_to_csv(sample_path(path, grid), dimension)`` in
+    chunks: the header, then one per CSV_BLOCK_ROWS grid points, each block
+    sampled only when its chunk is asked for.  A row has the same bits
+    alone or in any batch, so the chunks join to the same text."""
+    from .csvtext import csv_rows
+
+    yield _samples_header(path.dimension)
+    for start in range(0, grid.size, CSV_BLOCK_ROWS):
+        yield csv_rows(sample_path(path, grid[start:start + CSV_BLOCK_ROWS]))
 
 
 def cover_to_json(cover) -> str:
@@ -383,4 +417,4 @@ def probe_to_json(report) -> str:
 
 def tail_to_csv(report) -> str:
     table = np.array(report.tail_profile, dtype=float).reshape(-1, 2)
-    return "delta,sup\n" + _csv_rows(table)
+    return "delta,sup\n" + _csv_blocks(table)

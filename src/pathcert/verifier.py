@@ -21,7 +21,8 @@ The checks:
 
 Each sampled check builds its whole parameter grid first, evaluates it
 once, taking the values and slopes it needs from the same pass, and
-reports the first t that attains the worst value.
+reports the first t that attains the worst value; ``run_checks`` running
+both the envelope and the product check evaluates their shared grid once.
 A row evaluates to the same bits alone or in any batch, so the report
 does not depend on how the grid is split.  Each check's tolerance and
 sample count are module constants (INTERPOLATION_TOL, ENVELOPE_TOL,
@@ -227,20 +228,27 @@ def envelope_level(ts: np.ndarray) -> np.ndarray:
     return k + (ts < 1.0 / (2.0 * (k + 1.0)))
 
 
+def _envelope_report(ts: np.ndarray, norm_s: np.ndarray) -> CheckReport:
+    """The envelope judgement of ||s|| at the grid ``ts``."""
+    low = ts < 0.5
+    ts = ts[low]
+    k = envelope_level(ts)
+    return _worst(
+        "envelope",
+        norm_s[low] - 1.0 / k,
+        ts,
+        ENVELOPE_TOL,
+        f"max ||s(t)|| - 1/k(t) over {ts.size} grid points, levels {k.min():.0f} to {k.max():.0f}",
+    )
+
+
 def envelope_check(path: SmoothPath, grid) -> CheckReport:
     """||s(t)|| <= 1/k + ENVELOPE_TOL at each grid t, for every k with
     t < 1/(2k): the tightest is 1/k(t) (``envelope_level``).  Grid points
     at t >= 1/2 belong to no level and are skipped."""
     ts = np.asarray(grid, dtype=float)
     ts = ts[ts < 0.5]
-    k = envelope_level(ts)
-    return _worst(
-        "envelope",
-        row_norms(eval_smooth_many(path, ts)) - 1.0 / k,
-        ts,
-        ENVELOPE_TOL,
-        f"max ||s(t)|| - 1/k(t) over {ts.size} grid points, levels {k.min():.0f} to {k.max():.0f}",
-    )
+    return _envelope_report(ts, row_norms(eval_smooth_many(path, ts)))
 
 
 # ---- product bound ------------------------------------------------------
@@ -256,7 +264,14 @@ def product_bound_scan(
     28 k between consecutive anchor times.
     """
     ts = np.asarray(grid, dtype=float)
-    norm_s, norm_ds = map(row_norms, _eval_batch(path, ts))
+    return _product_report(ts, *map(row_norms, _eval_batch(path, ts)), anchors, restricted)
+
+
+def _product_report(
+    ts: np.ndarray, norm_s: np.ndarray, norm_ds: np.ndarray, anchors: AnchorSequence,
+    restricted: bool,
+) -> CheckReport:
+    """The product judgement of ||s|| and ||s'|| at the grid ``ts``."""
     product = norm_s * norm_ds
     details = f"max product over {ts.size} grid points"
     threshold = FINITE_THRESHOLD
@@ -412,6 +427,10 @@ def run_checks(
     # the grid is sized first, so that a grid above its cap stops the run before any check
     if "envelope" in chosen or "product" in chosen:
         grid = dense_grid(path, per_decade=per_decade, per_window=per_window)
+    shared = "envelope" in chosen and "product" in chosen
+    if shared:
+        # both judge ||s|| on one grid, so one evaluation serves both
+        norms = tuple(map(row_norms, _eval_batch(path, grid)))
     reports = []
     for name in chosen:
         if name == "lemma1":
@@ -419,9 +438,14 @@ def run_checks(
         elif name == "interpolation":
             reports.append(interpolation_check(path, anchors))
         elif name == "envelope":
-            reports.append(envelope_check(path, grid))
+            reports.append(
+                _envelope_report(grid, norms[0]) if shared else envelope_check(path, grid)
+            )
         elif name == "product":
-            reports.append(product_bound_scan(path, anchors, grid, restricted))
+            reports.append(
+                _product_report(grid, *norms, anchors, restricted) if shared
+                else product_bound_scan(path, anchors, grid, restricted)
+            )
         elif name == "smoothness":
             reports.append(smoothness_check(path, trials=trials))
         elif name == "coincidence":

@@ -7,6 +7,7 @@ imports and read, on a small build, each attribute and call shape it uses.
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +16,15 @@ from conftest import witness_fixture
 
 from pathcert import (
     build_anchor_sequence,
+    build_path,
     build_skeleton,
     build_smooth_path,
     build_sphere_cover,
     select_dominant_cone,
     select_parity,
 )
+from pathcert.cli import build_parser
+from pathcert.geometry import DEFAULT_COVER_HALF_ANGLE
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -81,3 +85,91 @@ def test_the_replay_reads_what_layers_py_reads():
     path = build_smooth_path(anchors, skeleton=build_skeleton(anchors))
     windows = path.windows
     assert [(w.lo, w.hi) for w in windows] == list(zip(path.lo.tolist(), path.hi.tolist()))
+
+
+@pytest.mark.parametrize(
+    "kind, dimension", [("ray", 1), ("diagonal", 2), ("cone", 3), ("spiral", 4), ("spiral", 5)]
+)
+def test_the_replayed_stages_agree_with_build_path(kind, dimension):
+    """perfbench/layers.py's ``_replay`` rebuilds a build's stages by hand (a
+    cover, ``select_dominant_cone``, ``select_parity`` on a list of captured
+    rows, ``build_anchor_sequence``) and refuses to count anything, failing
+    the traced run, when they disagree with ``build_path``."""
+    witness = witness_fixture(kind, dimension)
+    seed, k_max, half_angle = 0, 40, DEFAULT_COVER_HALF_ANGLE
+    build = build_path(witness, k_max=k_max, half_angle=half_angle, seed=seed)
+    points = witness.points()
+    cone, captured = select_dominant_cone(
+        points, build_sphere_cover(witness.dimension, half_angle, seed=seed)
+    )
+    parity, _ = select_parity([points[i] for i in captured])
+    anchors = build_anchor_sequence(witness, cone, parity, k_max + 1)
+    same = (
+        np.array_equal(cone.axis.coords, build.anchors.cone.axis.coords)
+        and parity == build.parity
+        and anchors.matched == build.anchors.matched
+        and np.array_equal(anchors.a, build.anchors.a)
+        and np.array_equal(anchors.times, build.anchors.times)
+    )
+    assert same, (
+        "build_path no longer equals the stage sequence perfbench/layers.py::_replay "
+        "rebuilds, so every traced build-5d and certify-2d run would fail: such a "
+        "change needs the benchmark change first"
+    )
+
+
+def _args_read_per_kind() -> dict[str, set[str]]:
+    """Per operation kind, every ``args.<name>`` that layers.py reads in the
+    functions ``run_op`` and ``run_extra`` dispatch that kind to, and in the
+    module's functions those call."""
+    tree = ast.parse((PERFBENCH / "layers.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def reached(name, seen):
+        if name in seen or name not in functions:
+            return seen
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                reached(node.id, seen)
+        return seen
+
+    kinds = {}
+    for dispatcher in ("run_op", "run_extra"):
+        table = next(n for n in ast.walk(functions[dispatcher]) if isinstance(n, ast.Dict))
+        for key, value in zip(table.keys, table.values):
+            kinds.setdefault(key.value, set()).update(reached(value.id, set()))
+    return {
+        kind: {
+            node.attr
+            for name in names
+            for node in ast.walk(functions[name])
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args"
+        }
+        for kind, names in kinds.items()
+    }
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """perfbench/workloads.py, imported as the benchmark imports it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    yield importlib.import_module("workloads")
+    for name in ("workloads", "inputs"):
+        sys.modules.pop(name, None)
+
+
+def test_the_parser_reads_every_benchmark_operation(tmp_path, workloads):
+    """``build_parser`` parses the argv of every operation in both workloads'
+    cycles, and each parsed namespace has every attribute layers.py reads
+    for that kind of operation."""
+    read = _args_read_per_kind()
+    assert read["sample"] >= {"path", "points", "out"}
+    assert read["build"] >= {"witness", "half_angle_deg", "seed", "k_max"}
+    for workload in workloads.WORKLOADS:
+        ops = workloads.cycle(workload, 3, tmp_path / workload / "inputs", tmp_path / workload)
+        assert {op.kind for op in ops} == set(read)
+        for op in ops:
+            args = build_parser().parse_args(list(op.argv))
+            missing = sorted(name for name in read[op.kind] if not hasattr(args, name))
+            assert not missing, f"{workload} {op.label}: layers.py reads args.{missing}"

@@ -1,8 +1,10 @@
 """Serialization round trips for witness, path, sample, and report files."""
 
 import json
+import math
 import os
 import stat
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from conftest import RANDOM_BUILD_CASES, random_build
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from pathcert import pathfile
+from pathcert import csvtext, pathfile
 from pathcert.errors import InputError
 from pathcert.generators import GeneratorSpec, generate_points
 from pathcert.harness import ProbeReport
@@ -289,6 +291,104 @@ def test_samples_csv_matches_per_value_format(dimension):
         ",".join(format(v, ".17g") for v in row) + "\n" for row in table.tolist()
     )
     assert samples_to_csv(table, dimension) == reference
+
+
+def _per_value(table: np.ndarray) -> str:
+    return "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in table.tolist())
+
+
+def _from_bits(pattern: int) -> float:
+    return float(np.array([pattern], dtype=np.uint64).view(np.float64)[0])
+
+
+def _neighbours(values) -> list[float]:
+    """Each value and the floats one ulp below and above it (the float above
+    the largest is inf)."""
+    values = np.array(values, dtype=float)
+    with np.errstate(over="ignore"):
+        return np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)]
+        ).tolist()
+
+
+# the kernel's range edges, the nearest float to every power of ten (14 of them
+# round up to that power at 17 digits), the floats beside both, and the
+# subnormal, normal and overflow edges
+_EDGES = _neighbours(
+    [1e-4, 1e16, *(float(f"1e{k}") for k in range(-323, 309))]
+    + [5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308]
+) + [0.0, math.inf, math.nan]
+
+
+@st.composite
+def _ties(draw) -> float:
+    """A float whose decimal expansion has 18 significant digits, the last a 5,
+    so that 17 digits round half to even: m / 2^k with m odd and m 5^k of 18
+    digits, exact while m < 2^53."""
+    k = draw(st.integers(2, 25))
+    lo, hi = -(-(10**17) // 5**k), min(10**18 // 5**k, 2**53)
+    return (2 * draw(st.integers(lo // 2, (hi - 2) // 2)) + 1) / 2**k
+
+
+_CSV_VALUES = st.one_of(
+    st.integers(0, 2**64 - 1).map(_from_bits),
+    st.sampled_from(_EDGES),
+    _ties(),
+    st.floats(1e-4, 1e16),
+).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@settings(max_examples=200)
+@given(st.lists(_CSV_VALUES, min_size=6, max_size=60))
+def test_csv_values_print_as_format_17g(values):
+    """Every float64, as a raw bit pattern, a range edge, an exact tie at the
+    17th digit or a value of the fixed-notation range, prints as '%.17g'."""
+    table = np.array(values[: len(values) // 6 * 6]).reshape(-1, 6)
+    assert samples_to_csv(table, 1).partition("\n")[2] == _per_value(table)
+
+
+def test_ties_round_half_to_even():
+    assert tail_to_csv(SimpleNamespace(tail_profile=[(1234567890123456.25, 1234567890123456.75)]))\
+        == "delta,sup\n1234567890123456.2,1234567890123456.8\n"
+
+
+@pytest.mark.parametrize("offset", [-1.0, 1.0])
+def test_decimal_exponent_estimate_may_miss_by_one(monkeypatch, offset):
+    """An exponent from log10 one too low or one too high steps to the right
+    one, so every digit and exponent is that of '%.16e'."""
+    values = np.array(_neighbours([10.0**k for k in range(-4, 15)]) + [1234.5678, math.pi / 10])
+    log10 = np.log10
+    monkeypatch.setattr(csvtext.np, "log10", lambda x: log10(x) + offset)
+    digits, exponent, off = csvtext._decimal(values)
+    monkeypatch.undo()
+    assert off.size == 0
+    expected = [format(v, ".16e").partition("e") for v in values.tolist()]
+    assert digits.tolist() == [int(mantissa.replace(".", "")) for mantissa, _, _ in expected]
+    assert exponent.tolist() == [int(e) for _, _, e in expected]
+
+
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+def test_csv_of_one_row_and_of_blocks_matches_per_value_format(blocks, extra):
+    rows = blocks * pathfile.CSV_BLOCK_ROWS + extra
+    rng = np.random.default_rng(rows)
+    table = rng.normal(size=(rows, 14)) * np.exp(rng.uniform(-12.0, 12.0, size=(rows, 14)))
+    assert samples_to_csv(table, 5).partition("\n")[2] == _per_value(table)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 64, 299])
+def test_block_size_does_not_change_the_bytes(monkeypatch, diagonal_build, tmp_path, block_rows):
+    """The CSV writer and the streamed ``sample`` give the same bytes for any
+    block size: the writer formats each value alone, and a path row has the
+    same bits alone or in any batch."""
+    path = diagonal_build.path
+    lo, hi = path.domain
+    grid = np.geomspace(np.nextafter(lo, hi), hi, 300)
+    reference = samples_to_csv(sample_path(path, grid), path.dimension)
+    monkeypatch.setattr(pathfile, "CSV_BLOCK_ROWS", block_rows)
+    assert samples_to_csv(sample_path(path, grid), path.dimension) == reference
+    assert "".join(pathfile.sample_csv_chunks(path, grid)) == reference
+    target = tmp_path / "samples.csv"
+    pathfile.atomic_write_chunks(str(target), pathfile.sample_csv_chunks(path, grid))
+    assert target.read_text() == reference
 
 
 @pytest.mark.parametrize("bad", ["0.4", True, [0.4]])

@@ -580,7 +580,8 @@ def test_product_ignores_grid_points_off_the_legs(builds):
 def test_each_check_evaluates_its_grid_in_one_batch(diagonal_build, monkeypatch):
     """envelope, coincidence, interpolation, smoothness and product each make
     one path evaluation, one kink sum giving values and slopes together;
-    coincidence adds its skeleton reference."""
+    coincidence adds its skeleton reference.  envelope and product run
+    together share one evaluation of their grid."""
     calls = []
 
     def counted(name, evaluate):
@@ -607,11 +608,24 @@ def test_each_check_evaluates_its_grid_in_one_batch(diagonal_build, monkeypatch)
         "interpolation": one,
         "smoothness": one,
         "product": one,
+        "envelope,product": one,
     }
     for name, names in expected.items():
         calls.clear()
-        run_checks(path, anchors, (name,), restricted=True)
+        run_checks(path, anchors, name.split(","), restricted=True)
         assert calls == names, name
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+def test_envelope_and_product_together_report_as_alone(builds, restricted):
+    """The shared evaluation gives each report the bytes of its own call."""
+    for case in [("diagonal", 2, 20), ("spiral", 3, 40), ("halfspace", 3, 40)]:
+        path, anchors = builds[case].path, builds[case].anchors
+        grid = dense_grid(path, per_decade=256, per_window=16)
+        alone = [envelope_check(path, grid), product_bound_scan(path, anchors, grid, restricted)]
+        together = run_checks(path, anchors, ("product", "envelope"), restricted=restricted,
+                              per_decade=256, per_window=16)
+        assert reports_to_json(together) == reports_to_json(alone[::-1]), case
 
 
 def test_suite_names_frozen():
