@@ -8,8 +8,9 @@ White, "How to print floating-point numbers accurately", PLDI 1990): with
 |x| = M 2^e and M the 53-bit significand, |x| 10^(16-X) = M 5^(16-X)
 2^(e+16-X), a product held in two uint64 words and shifted.  X starts as
 floor(log10|x|) and steps by one wherever D falls outside [10^16, 10^17).
-Every other value goes through '%.17g' itself.  No floating-point rounding
-enters the digits, so the text is that of '%.17g' on any platform.
+0 and -0 are written as '0' and '-0', and every other value goes through
+'%.17g' itself.  No floating-point rounding enters the digits, so the text
+is that of '%.17g' on any platform.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 # by a '.', the last of which the separator replaces; 8 bytes are a uint64.
 _SLOT = 40
 _HEAD = np.frombuffer(b"-0.0000.", dtype=np.uint8).view(np.uint64)[0]
+# the longest text '%.17g' writes, as -2.2250738585072014e-308
+_WIDE = 24
 
 
 def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -40,8 +43,9 @@ def _keep_table() -> np.ndarray:
     value of sign 1 if negative, exponent X in [-4, 15] and n significant
     digits, keeps the sign, '0.' and -X-1 zeros if X < 0, the first max(n,
     X + 1) digits, the point after digit X if X >= 0 and digits follow it,
-    and the separator.  Row 720 + L keeps the first L bytes and the separator,
-    for a value written by '%.17g' itself."""
+    and the separator.  Row 720 keeps the first _WIDE bytes and the
+    separator, for a value written by '%.17g' itself, and rows 721 and 722
+    the '0' of 0 and the '-0' of -0 and the separator."""
     sign = np.arange(2)[:, None, None, None]
     x = np.arange(-4, 16)[None, :, None, None]
     n = np.arange(18)[None, None, :, None]
@@ -57,13 +61,14 @@ def _keep_table() -> np.ndarray:
         | (point & (x >= 0) & (i == x) & (n > x + 1))
         | (col == _SLOT - 1)
     )
-    written = (col < np.arange(_SLOT)[:, None]) | (col == _SLOT - 1)
-    return np.concatenate([fixed.reshape(-1, _SLOT), written])
+    written = (col < _WIDE) | (col == _SLOT - 1)
+    zero = (col == 1) | (col == _SLOT - 1)
+    return np.concatenate([fixed.reshape(-1, _SLOT), [written, zero, zero | (col == 0)]])
 
 
 _DIGIT_WORDS, _TRAILING_ZEROS = _digit_tables()
 _KEEP = _keep_table()
-_WRITTEN = 2 * 20 * 18  # _KEEP's row for a text of length 0 that '%.17g' wrote
+_WRITTEN = 2 * 20 * 18  # _KEEP's row for a text that '%.17g' wrote, then 0 and -0
 
 
 def _scaled(sig: np.ndarray, exp2: np.ndarray, x10: np.ndarray) -> np.ndarray:
@@ -111,9 +116,15 @@ def csv_rows(table: np.ndarray) -> str:
     values = table.ravel()
     magnitude = np.abs(values)
     fast = (magnitude >= 1e-4) & (magnitude < 1e16)
-    d, x10, off = _decimal(np.where(fast, magnitude, 1.0))
-    fast[off] = False
-    fast &= (x10 >= -4) & (x10 <= 15)
+    # the digits are worked out only for the values in that range; a slice
+    # when that is all of them spares the scatters
+    at = np.flatnonzero(fast)
+    if at.size == values.size:
+        at = slice(None)
+    d, x10, off = _decimal(magnitude[at])
+    good = (x10 >= -4) & (x10 <= 15)
+    good[off] = False
+    fast[at] = good
     # D = first 10^16 + a 10^8 + b, and a and b hold two 4-digit groups each
     a = d // 10**8
     b = (d - a * 10**8).astype(np.uint32)
@@ -130,22 +141,21 @@ def csv_rows(table: np.ndarray) -> str:
     words = np.empty((values.size, _SLOT // 8), dtype=np.uint64)
     words[:, 0] = _HEAD
     for j, group in enumerate(groups, start=1):
-        words[:, j] = _DIGIT_WORDS[group]
+        words[at, j] = _DIGIT_WORDS[group]
     slots = words.view(np.uint8)
-    slots[:, 6] = ord("0") + first
+    slots[at, 6] = ord("0") + first
     slots.reshape(rows, cols, _SLOT)[:, :, -1] = [ord(",")] * (cols - 1) + [ord("\n")]
-    code = ((np.signbit(values) * 20 + x10 + 4) * 18 + 17 - zeros) * fast + _WRITTEN * ~fast
-    slow = np.flatnonzero(~fast)
+    sign = np.signbit(values)
+    zero = magnitude == 0
+    code = _WRITTEN + (1 + sign) * zero
+    code[at] = np.where(good, (sign[at] * 20 + x10 + 4) * 18 + 17 - zeros, _WRITTEN)
+    slow = np.flatnonzero(~(fast | zero))
     if slow.size:
-        text = ("%.17g\n" * slow.size % tuple(values[slow].tolist())).encode("ascii")
-        chars = np.frombuffer(text, dtype=np.uint8)
-        lengths = np.diff(np.flatnonzero(chars == ord("\n")), prepend=-1) - 1
-        chars = chars[chars != ord("\n")]
-        owner = np.repeat(np.arange(slow.size), lengths)
-        slots[slow[owner], np.arange(chars.size) - (np.cumsum(lengths) - lengths)[owner]] = chars
-        code[slow] += lengths
+        # padded with spaces to one width, which bytes.translate deletes below
+        text = (f"%-{_WIDE}.17g" * slow.size % tuple(values[slow].tolist())).encode("ascii")
+        slots[slow, :_WIDE] = np.frombuffer(text, dtype=np.uint8).reshape(-1, _WIDE)
     # the dropped bytes become 0 and bytes.translate deletes them, faster than
     # np.compress; a boolean index of this irregular mask mispredicts branches
     # and is several times slower
     slots *= _KEEP[code]
-    return slots.tobytes().translate(None, b"\0").decode("ascii")
+    return slots.tobytes().translate(None, b"\0 ").decode("ascii")

@@ -21,8 +21,9 @@ The checks:
 
 Each sampled check builds its whole parameter grid first, evaluates it
 once, taking the values and slopes it needs from the same pass, and
-reports the first t that attains the worst value; ``run_checks`` running
-both the envelope and the product check evaluates their shared grid once.
+reports the first t that attains the worst value; ``run_checks``
+evaluates the grid that the envelope and the product check share once,
+for either or both.
 A row evaluates to the same bits alone or in any batch, so the report
 does not depend on how the grid is split.  Each check's tolerance and
 sample count are module constants (INTERPOLATION_TOL, ENVELOPE_TOL,
@@ -247,7 +248,6 @@ def envelope_check(path: SmoothPath, grid) -> CheckReport:
     t < 1/(2k): the tightest is 1/k(t) (``envelope_level``).  Grid points
     at t >= 1/2 belong to no level and are skipped."""
     ts = np.asarray(grid, dtype=float)
-    ts = ts[ts < 0.5]
     return _envelope_report(ts, row_norms(eval_smooth_many(path, ts)))
 
 
@@ -427,10 +427,8 @@ def run_checks(
     # the grid is sized first, so that a grid above its cap stops the run before any check
     if "envelope" in chosen or "product" in chosen:
         grid = dense_grid(path, per_decade=per_decade, per_window=per_window)
-    shared = "envelope" in chosen and "product" in chosen
-    if shared:
-        # both judge ||s|| on one grid, so one evaluation serves both
-        norms = tuple(map(row_norms, _eval_batch(path, grid)))
+        # both judge ||s|| on this grid, so one evaluation serves both
+        norm_s, norm_ds = map(row_norms, _eval_batch(path, grid))
     reports = []
     for name in chosen:
         if name == "lemma1":
@@ -438,14 +436,9 @@ def run_checks(
         elif name == "interpolation":
             reports.append(interpolation_check(path, anchors))
         elif name == "envelope":
-            reports.append(
-                _envelope_report(grid, norms[0]) if shared else envelope_check(path, grid)
-            )
+            reports.append(_envelope_report(grid, norm_s))
         elif name == "product":
-            reports.append(
-                _product_report(grid, *norms, anchors, restricted) if shared
-                else product_bound_scan(path, anchors, grid, restricted)
-            )
+            reports.append(_product_report(grid, norm_s, norm_ds, anchors, restricted))
         elif name == "smoothness":
             reports.append(smoothness_check(path, trials=trials))
         elif name == "coincidence":

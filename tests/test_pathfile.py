@@ -346,6 +346,18 @@ def test_csv_values_print_as_format_17g(values):
     assert samples_to_csv(table, 1).partition("\n")[2] == _per_value(table)
 
 
+def test_texts_of_every_width_from_format_17g_keep_their_bytes():
+    """Values that '%.17g' writes itself, from the 3 bytes of nan to the 24
+    of -2.2250738585072014e-308, in rows with zeros and fixed-notation
+    values, and a row with no fixed-notation value at all."""
+    written = [math.nan, -math.inf, 2.0**-20, -(2.0**60), 1e100, 1e-300, -5e-324,
+               2.0**-1074, -2.2250738585072014e-308, 1e16, -9.9999999999999991e-05]
+    fixed = [0.5, -1234.5678, 1e-4, 0.0, -0.0]
+    assert {len(format(v, ".17g")) for v in written} >= {3, 4, 24}
+    table = np.array([written + fixed, fixed + written[::-1], written[3:] + [0.0] * 8])
+    assert samples_to_csv(table, 7).partition("\n")[2] == _per_value(table)
+
+
 def test_ties_round_half_to_even():
     assert tail_to_csv(SimpleNamespace(tail_profile=[(1234567890123456.25, 1234567890123456.75)]))\
         == "delta,sup\n1234567890123456.2,1234567890123456.8\n"
