@@ -15,6 +15,14 @@ Euclidean norm of the whole point.  '^' is right associative and binds
 tighter than unary minus, so -x1^2 is -(x1^2).  Division by zero and
 invalid powers evaluate to nan rather than raising.
 
+An expression compiles to operations on whole arrays: its evaluator maps
+an (m, n) array of points to float64[m], with no numpy warning, and each
+entry has the bits that evaluating its row alone in Python floats gives.
+'+', '-', '*', '/', unary minus and abs are single IEEE operations
+either way; '^' calls Python's float power on each element, because
+numpy's power can round differently in the last bit; norm(x) is
+``geometry.row_norms``, which has np.linalg.norm's bits.
+
 The expression tree may be at most MAX_DEPTH levels deep: each
 operator, parenthesis pair and abs() is one level, and so is the
 number, variable or norm(x) at a leaf.  A chain a + b + c parses as
@@ -32,6 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ExpressionError
+from .geometry import row_norms
 
 _TOKEN = re.compile(
     r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -40,7 +49,8 @@ _TOKEN = re.compile(
     r"|(?P<ws>\s+)"
 )
 
-Evaluator = Callable[[np.ndarray], float]
+# (m, n) points -> float64[m]
+Evaluator = Callable[[np.ndarray], np.ndarray]
 
 MAX_DEPTH = 100
 MAX_VARIABLE = 64
@@ -139,7 +149,7 @@ class _Parser:
             self.index += 1
             exponent, exponent_deepest = self.factor(depth + 1)
             deepest = self.nest(max(deepest + 1, exponent_deepest), tok[2])
-            return _binary(base, exponent, _safe_pow), deepest
+            return _binary(base, exponent, _pow_rows), deepest
         return base, deepest
 
     def atom(self, depth: int) -> tuple[Evaluator, int]:
@@ -147,7 +157,7 @@ class _Parser:
         kind, value, pos = tok
         if kind == "num":
             const = float(value)
-            return (lambda x: const), depth
+            return (lambda x: np.full(x.shape[0], const)), depth
         if kind == "op" and value == "(":
             inner, deepest = self.expr(depth + 1)
             self.expect_op(")")
@@ -160,12 +170,12 @@ class _Parser:
                     if arg is not None and arg[0] == "name" and arg[1] == "x":
                         self.index += 1
                         self.expect_op(")")
-                        return (lambda x: float(np.linalg.norm(x))), depth
+                        return row_norms, depth
                     raise ExpressionError("norm takes the whole point: norm(x)",
                                           arg[2] if arg else len(self.text))
                 inner, deepest = self.expr(depth + 1)
                 self.expect_op(")")
-                return (lambda x, f=inner: abs(f(x))), deepest
+                return (lambda x, f=inner: np.abs(f(x))), deepest
             m = re.fullmatch(r"x(\d+)", value)
             if m:
                 digits = m.group(1).lstrip("0")
@@ -174,7 +184,7 @@ class _Parser:
                 if not 1 <= idx <= MAX_VARIABLE:
                     raise ExpressionError(f"variables run from x1 to x{MAX_VARIABLE}", pos)
                 self.max_var = max(self.max_var, idx)
-                return (lambda x, i=idx - 1: float(x[i])), depth
+                return (lambda x, i=idx - 1: x[:, i]), depth
             raise ExpressionError(f"unknown name {value!r}", pos)
         raise ExpressionError(f"unexpected {value!r}", pos)
 
@@ -183,10 +193,12 @@ def _binary(left: Evaluator, right: Evaluator, op) -> Evaluator:
     return lambda x: op(left(x), right(x))
 
 
-def _safe_div(a: float, b: float) -> float:
-    if b == 0.0:
-        return math.nan
-    return a / b
+def _safe_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.where(b == 0.0, math.nan, a / b)
+
+
+def _pow_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(_safe_pow, a.tolist(), b.tolist()), float, count=a.size)
 
 
 def _safe_pow(a: float, b: float) -> float:
@@ -200,9 +212,17 @@ def _safe_pow(a: float, b: float) -> float:
 
 
 def parse_expression(text: str) -> tuple[Evaluator, int]:
-    """Parse a field expression; returns (evaluator, max variable index)."""
+    """Parse a field expression; returns (evaluator, max variable index).
+
+    The evaluator maps an (m, n) array of points, n at least that index,
+    to a new float64[m] array of the expression's values."""
     if not text.strip():
         raise ExpressionError("empty expression", 0)
     parser = _Parser(text)
-    evaluator = parser.parse()
+    root = parser.parse()
+
+    def evaluator(x: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):  # overflow to inf, 0/0 to nan, as Python floats
+            return np.array(root(x), dtype=float)
+
     return evaluator, max(parser.max_var, 1)

@@ -29,22 +29,25 @@ higher dimensions Halton points (Halton, Numer. Math. 2, 1960) mapped
 through the inverse normal CDF and normalized.  That map is an in-module
 port of Cephes ``ndtri`` (Moshier, 1989) with libm ``log``, so it returns
 scipy.special.ndtri's bits and the module imports nothing from scipy.
-In dimension 1, {+1, -1} is the whole sphere, and in dimension 2 the
-spacing proves the cover: count >= 2 pi / half_angle equally spaced
-directions put every unit vector within pi / count <= half_angle / 2 of
-one.  From dimension 3 on, ``build_sphere_cover(dimension, half_angle, *,
-seed)`` doubles the candidate set until ``_uncovered`` leaves none of
+Covers are proved through dimension 3.  In dimension 1, {+1, -1} is the
+whole sphere, and in dimension 2 the spacing proves the cover: count >=
+2 pi / half_angle equally spaced directions put every unit vector within
+pi / count <= half_angle / 2 of one.  In dimension 3,
+``build_sphere_cover(3, half_angle)`` doubles the Fibonacci lattice from
+32 directions until ``_prove_cover`` proves it a cover by branch and
+bound over the cells of the cube's faces (Moore, Kearfott & Cloud,
+*Introduction to Interval Analysis*, SIAM 2009); no sample is drawn.
+From dimension 4 on, ``build_sphere_cover(dimension, half_angle, *,
+seed)`` doubles the Halton set until ``_uncovered`` leaves none of
 COVER_SAMPLE_COUNT unit samples drawn from ``seed``.  Halton candidates
 nest, so a doubling computes only the new points, and only the samples
-still uncovered meet them; Fibonacci lattices do not, so each size tests
-the samples again, up to the first chunk it leaves uncovered.
-``_uncovered`` is a fast filter with an exact fallback (Shewchuk, Discrete
-Comput. Geom. 18, 1997): it takes each sample's best cosine in float32,
-whose error for unit vectors in R^n is at most (n + 2) 2^-24, and
-recomputes in float64 only the samples whose float32 value lies within a
-band of _FILTER_MARGIN times that bound about cos(half_angle).  Outside
-the band the two signs agree, so every verdict, and so every cover, is
-the float64 test's.
+still uncovered meet them.  ``_uncovered`` is a fast filter with an
+exact fallback (Shewchuk, Discrete Comput. Geom. 18, 1997): it takes
+each sample's best cosine in float32, whose error for unit vectors in
+R^n is at most (n + 2) 2^-24, and recomputes in float64 only the
+samples whose float32 value lies within a band of _FILTER_MARGIN times
+that bound about cos(half_angle).  Outside the band the two signs
+agree, so every verdict, and so every cover, is the float64 test's.
 Dyadic shells partition the punctured unit ball by 1/(k+1) < ||x|| <= 1/k.
 """
 
@@ -84,6 +87,15 @@ _CONE_BLOCK_ENTRIES = 1 << 16
 # cosine lies farther than this many times the float32 error bound from
 # cos(half_angle); see _uncovered
 _FILTER_MARGIN = 24
+# the 3-D cover proof: the slack its cosine tests keep over their rounding
+# error (a few ulps of 1), the most cells it may visit (a Fibonacci cover
+# takes 6-21 per direction at whole degrees from 2 to 80) and the most
+# times it may split a cell before the candidate counts as not proved, and
+# the (cell, direction) pairs it holds in one step
+_PROOF_MARGIN = 1e-12
+_PROOF_CELLS = 1 << 22
+_PROOF_DEPTH = 40
+_PROOF_PAIRS = 1 << 14
 # below this norm a row's sum of squares is subnormal or 0
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
@@ -472,6 +484,128 @@ def _uncovered(chunks: list[np.ndarray], directions: np.ndarray, half_angle: flo
         yield g
 
 
+def _cube_cells(face: np.ndarray, u0: np.ndarray, v0: np.ndarray, size: float):
+    """Unit centre and angular radius of each cube-face cell
+    [u0, u0 + size] x [v0, v0 + size] of ``face``, as the sphere sees it.
+
+    Face f is the face of the cube [-1, 1]^3 whose outward normal is axis
+    f // 2, with sign + for even f; u and v run along the next two axes.
+    Central projection maps a cell to the geodesic quadrilateral its
+    corners span, so the cap about the centre that reaches the farthest
+    corner, the radius, holds the whole cell.
+    """
+    axis = face // 2
+
+    def points(u, v):
+        p = np.zeros((face.size, 3))
+        rows = np.arange(face.size)
+        p[rows, axis] = 1.0 - 2.0 * (face % 2)
+        p[rows, (axis + 1) % 3] = u
+        p[rows, (axis + 2) % 3] = v
+        return p / row_norms(p)[:, None]
+
+    centre = points(u0 + 0.5 * size, v0 + 0.5 * size)
+    chords = [
+        row_norms(points(u0 + du, v0 + dv) - centre) for du in (0.0, size) for dv in (0.0, size)
+    ]
+    return centre, 2.0 * np.arcsin(0.5 * np.max(chords, axis=0))
+
+
+def _push_cells(stack: list, depth: int, face, iu, iv, cell, direction) -> None:
+    """Push cube-face cells at ``depth``, given by face and integer corner
+    (iu, iv), with their candidate (cell, direction) pairs, in batches of
+    at most _PROOF_PAIRS pairs, or of one cell that has more."""
+    order = np.argsort(cell, kind="stable")
+    cell, direction = cell[order], direction[order]
+    ends = np.searchsorted(cell, np.arange(1, face.size + 1))
+    lo = 0
+    while lo < face.size:
+        start = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + _PROOF_PAIRS, side="right")))
+        stop = int(ends[hi - 1])
+        stack.append(
+            (depth, face[lo:hi], iu[lo:hi], iv[lo:hi], cell[start:stop] - lo, direction[start:stop])
+        )
+        lo = hi
+
+
+def _prove_cover(directions: np.ndarray, half_angle: float):
+    """Prove that every unit vector of R^3 lies within half_angle of a row of
+    ``directions``, by branch and bound over the cells of the cube's faces.
+
+    Returns (True, None) when the proof closes.  A cell of centre c and
+    radius r is covered when some direction lies within half_angle - r of
+    c, since the cap of radius r about c holds the cell.  A cell whose
+    centre lies farther than half_angle from every direction is a hole:
+    the result is then (False, c).  Every other cell splits in four.  Each
+    cell meets only the directions within half_angle + r of its centre,
+    as only those can cover a point of it, and its children start from
+    that list.  Both tests compare cosines with _PROOF_MARGIN to spare,
+    far above their rounding error, so a covered cell is covered and a
+    hole is a hole in exact arithmetic too.  A proof that would visit more
+    than _PROOF_CELLS cells, or split a cell more than _PROOF_DEPTH times,
+    gives up and returns (False, None): the candidate counts as not
+    proved.  Cells are taken depth first, in batches of at most
+    _PROOF_PAIRS (cell, direction) pairs, so memory stays bounded.
+    """
+    cos_hole = math.cos(half_angle) - _PROOF_MARGIN
+    # the six faces start with the directions within reach of their
+    # centres, the axes, whose cosines are the directions' coordinates
+    faces = np.arange(6)
+    reach = math.cos(half_angle + math.acos(1.0 / math.sqrt(3.0))) - _PROOF_MARGIN
+    within = np.stack([directions.T >= reach, directions.T <= -reach], axis=1).reshape(6, -1)
+    stack: list = []
+    _push_cells(stack, 0, faces, faces * 0, faces * 0, *np.nonzero(within))
+    visited = 0
+    while stack:
+        depth, face, iu, iv, cell, direction = stack.pop()
+        visited += face.size
+        if visited > _PROOF_CELLS or depth > _PROOF_DEPTH:
+            return False, None
+        size = 2.0 ** (1 - depth)
+        centre, radius = _cube_cells(face, iu * size - 1.0, iv * size - 1.0, size)
+        near, at = directions[direction], centre[cell]
+        cos = at[:, 0] * near[:, 0] + at[:, 1] * near[:, 1] + at[:, 2] * near[:, 2]
+        keep = cos >= np.cos(half_angle + radius[cell]) - _PROOF_MARGIN
+        cell, direction, cos = cell[keep], direction[keep], cos[keep]
+        best = np.full(face.size, -math.inf)
+        np.maximum.at(best, cell, cos)
+        holes = np.flatnonzero(best < cos_hole)
+        if holes.size:
+            return False, centre[holes[0]]
+        slack = half_angle - radius
+        covered = (slack > 0.0) & (best >= np.cos(np.maximum(slack, 0.0)) + _PROOF_MARGIN)
+        split = np.flatnonzero(~covered)
+        if not split.size:
+            continue
+        rank = np.full(face.size, -1)
+        rank[split] = np.arange(split.size)
+        mine = rank[cell] >= 0
+        quarter = np.arange(4)
+        _push_cells(
+            stack,
+            depth + 1,
+            np.repeat(face[split], 4),
+            (2 * iu[split, None] + quarter // 2).ravel(),
+            (2 * iv[split, None] + quarter % 2).ravel(),
+            (4 * rank[cell[mine], None] + quarter).ravel(),
+            np.repeat(direction[mine], 4),
+        )
+    return True, None
+
+
+def _fibonacci_cover(half_angle: float) -> np.ndarray:
+    """The smallest Fibonacci lattice of 32, 64, 128, ... directions that
+    ``_prove_cover`` proves a cover at half_angle."""
+    count = 32
+    while count <= _MAX_COVER_SIZE:
+        directions = _fibonacci_sphere(count)
+        if _prove_cover(directions, half_angle)[0]:
+            return directions
+        count *= 2
+    raise _cover_too_large(3, half_angle)
+
+
 @lru_cache(maxsize=32)
 def _cached_cover(dimension: int, half_angle: float, seed: int) -> SphereCover:
     if dimension == 1:
@@ -481,6 +615,8 @@ def _cached_cover(dimension: int, half_angle: float, seed: int) -> SphereCover:
         # count >= 2 pi / half_angle directions, 2 pi / count apart, put every
         # unit vector within pi / count <= half_angle / 2 of one: a proof
         directions = _circle_directions(max(int(math.ceil(2.0 * math.pi / half_angle)), 4))
+    elif dimension == 3:
+        directions = _fibonacci_cover(half_angle)
     else:
         directions = _sampled_cover(dimension, half_angle, seed)
     return SphereCover(half_angle=half_angle, directions=directions)
@@ -491,8 +627,8 @@ def require_cover_fits(dimension: int, half_angle: float) -> None:
     arguments before it draws a sample or makes a direction: a dimension or
     half angle out of range, a cover that would need more than
     _MAX_COVER_SIZE directions (in 2-D by its spacing, from 3-D on by the
-    area bound ``_log_fewest_caps``), or a sampled cover whose sample draw
-    would hold more than _MAX_SAMPLE_ENTRIES floats."""
+    area bound ``_log_fewest_caps``), or a sampled cover (dimension 4 on)
+    whose sample draw would hold more than _MAX_SAMPLE_ENTRIES floats."""
     if not isinstance(dimension, int) or dimension < 1:
         raise InputError(f"dimension must be a positive integer, got {dimension!r}")
     if not (0.0 < half_angle < math.pi / 2.0):
@@ -505,7 +641,7 @@ def require_cover_fits(dimension: int, half_angle: float) -> None:
         )
     if too_large:
         raise _cover_too_large(dimension, half_angle)
-    if dimension >= 3 and COVER_SAMPLE_COUNT * dimension > _MAX_SAMPLE_ENTRIES:
+    if dimension >= 4 and COVER_SAMPLE_COUNT * dimension > _MAX_SAMPLE_ENTRIES:
         raise InputError(
             f"a sampled cover in dimension {dimension} draws {COVER_SAMPLE_COUNT} x {dimension} "
             f"samples, above the cap of {_MAX_SAMPLE_ENTRIES} entries"
@@ -528,26 +664,23 @@ def _log_fewest_caps(dimension: int, half_angle: float) -> float:
 
 
 def _sampled_cover(dimension: int, half_angle: float, seed: int) -> np.ndarray:
-    """Directions in dimension >= 3, doubled until each of
-    COVER_SAMPLE_COUNT unit samples drawn from ``seed`` is covered."""
+    """Halton directions in dimension >= 4, doubled from 256 until each of
+    COVER_SAMPLE_COUNT unit samples drawn from ``seed`` is covered.  The
+    candidates nest, so the samples one size leaves meet only the points
+    the next adds."""
     rng = np.random.default_rng(seed)
     chunks = [
         _unit_rows(rng.standard_normal((min(_COVER_CHUNK, COVER_SAMPLE_COUNT - lo), dimension)))
         for lo in range(0, COVER_SAMPLE_COUNT, _COVER_CHUNK)
     ]
-    count, start = (32 if dimension == 3 else 256), 0
+    count, start = 256, 0
     directions = np.empty((0, dimension))
     while count <= _MAX_COVER_SIZE:
-        if dimension == 3:  # Fibonacci lattices do not nest: test every sample again
-            directions = _fibonacci_sphere(count)
-            if not any(g.shape[0] for g in _uncovered(chunks, directions, half_angle)):
-                return directions
-        else:  # Halton candidates nest: the samples left meet only the new points
-            added = _halton_sphere(count, dimension, start)
-            directions = np.concatenate([directions, added])
-            chunks = [g for g in _uncovered(chunks, added, half_angle) if g.shape[0]]
-            if not chunks:
-                return directions
+        added = _halton_sphere(count, dimension, start)
+        directions = np.concatenate([directions, added])
+        chunks = [g for g in _uncovered(chunks, added, half_angle) if g.shape[0]]
+        if not chunks:
+            return directions
         start, count = count, 2 * count
     raise _cover_too_large(dimension, half_angle)
 
@@ -566,9 +699,10 @@ def build_sphere_cover(
 
     Dimension 1 uses {+1, -1}; dimension 2 ``ceil(2 pi / half_angle)``
     (at least 4) equally spaced circle points, about twice the count the
-    spacing bound needs (``seed`` is unused in both); dimension 3 a Fibonacci
-    lattice; higher dimensions a low-discrepancy Gaussian construction.
-    From dimension 3 on, the candidate set is doubled until every one of
+    spacing bound needs; dimension 3 the smallest Fibonacci lattice of 32,
+    64, 128, ... directions that branch and bound proves a cover.  These
+    covers are proved and ``seed`` is unused.  Higher dimensions use a
+    low-discrepancy Gaussian construction, doubled until every one of
     COVER_SAMPLE_COUNT unit samples drawn from ``seed`` lies within
     half_angle of a direction.
     """

@@ -8,8 +8,9 @@ dense grid.  A certified verdict means the estimate stays above eps,
 exhibiting the discontinuity along a single smooth bounded-speed path.
 
 ``ScalarField.values`` evaluates a field on a batch of rows with one
-shape check and one origin test, giving the bits of one call per row;
-the probe uses it for the witness points and for the whole grid.
+shape check, one origin test and one call of its array evaluator, giving
+each row the bits it has alone; the probe uses it for the witness points
+and for the whole grid.
 """
 
 from __future__ import annotations
@@ -37,37 +38,41 @@ _TINY = np.finfo(float).tiny
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Scalar field on R^n, normalized so the origin evaluates to 0."""
+    """Scalar field on R^n, normalized so the origin evaluates to 0.
+
+    ``evaluator`` maps an (m, n) array of points to float64[m]; it may
+    warn on overflow, as ``values`` silences numpy there."""
 
     name: str
     dimension: int
-    evaluator: Callable[[np.ndarray], float]
+    evaluator: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, x) -> float:
         """The field at one point: a one-row call of ``values``."""
         return float(self.values(np.asarray(x, dtype=float)[None])[0])
 
     def values(self, rows) -> np.ndarray:
-        """The field at each row of an (m, dimension) array, as float64[m],
-        with one shape check and one origin test for the whole batch."""
-        arr = np.asarray(rows, dtype=float)
+        """The field at each row of an (m, dimension) array, as float64[m]:
+        one call of the evaluator, in which overflow gives inf and an
+        invalid operation nan without a warning, as Python floats do, and
+        0.0 at every origin row."""
+        arr = np.ascontiguousarray(rows, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != self.dimension:
             raise InputError(
                 f"field {self.name} expects rows of dimension {self.dimension}, "
                 f"got shape {arr.shape}"
             )
-        evaluator = self.evaluator
-        nonzero = np.any(arr, axis=1).tolist()
-        return np.array(
-            [float(evaluator(row)) if keep else 0.0 for row, keep in zip(arr, nonzero)]
-        )
+        with np.errstate(all="ignore"):
+            values = self.evaluator(arr)
+        return np.where(np.any(arr, axis=1), values, 0.0)
 
     @classmethod
     def normalized(
-        cls, name: str, dimension: int, evaluator: Callable[[np.ndarray], float]
+        cls, name: str, dimension: int, evaluator: Callable[[np.ndarray], np.ndarray]
     ) -> "ScalarField":
         """Wrap a raw evaluator, shifting so the origin maps to 0."""
-        at_zero = float(evaluator(np.zeros(dimension)))
+        with np.errstate(all="ignore"):
+            at_zero = float(evaluator(np.zeros((1, dimension)))[0])
         if not math.isfinite(at_zero):
             at_zero = 0.0
         if at_zero == 0.0:
@@ -75,45 +80,57 @@ class ScalarField:
         return cls(
             name=name,
             dimension=dimension,
-            evaluator=lambda x: float(evaluator(x)) - at_zero,
+            evaluator=lambda x: evaluator(x) - at_zero,
         )
 
 
 # ---- built-in fields ----------------------------------------------------
+# Each works on whole arrays and gives each row the bits of evaluating it
+# alone: the sums of squares run in index order, the dot products are
+# np.vecdot's (the row's own x @ y), and exp is libm's, per element.
 
 
-def _rational2d(x: np.ndarray) -> float:
-    denom = x[0] * x[0] + x[1] * x[1]
-    if denom < _TINY and np.any(x):  # the squares lost bits; only x's direction counts
-        return _rational2d(x / np.max(np.abs(x)))
-    return 2.0 * x[0] * x[1] / denom
+def _rescued(x: np.ndarray, tiny: np.ndarray, field) -> np.ndarray:
+    """``field`` on the rows of ``x`` flagged ``tiny``, each divided by its
+    largest magnitude: a denominator there lost bits, and the value
+    depends only on the row's direction."""
+    rows = x[tiny]
+    return field(rows / np.max(np.abs(rows), axis=1)[:, None])
 
 
-def _parabola(x: np.ndarray) -> float:
-    return float(x @ x)
+def _rational(x: np.ndarray) -> np.ndarray:
+    """2 x1 x2 / ||x||^2, the squares summed in index order."""
+    denom = x[:, 0] * x[:, 0]
+    for i in range(1, x.shape[1]):
+        denom = denom + x[:, i] * x[:, i]
+    values = 2.0 * x[:, 0] * x[:, 1] / denom
+    tiny = (denom < _TINY) & np.any(x, axis=1)
+    if np.any(tiny):
+        values[tiny] = _rescued(x, tiny, _rational)
+    return values
 
 
-def _rational3d(x: np.ndarray) -> float:
-    denom = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
-    if denom < _TINY and np.any(x):  # the squares lost bits; only x's direction counts
-        return _rational3d(x / np.max(np.abs(x)))
-    return 2.0 * x[0] * x[1] / denom
+def _parabola(x: np.ndarray) -> np.ndarray:
+    return np.vecdot(x, x)
 
 
-def _ray_bump(axis: np.ndarray, width: float) -> Callable[[np.ndarray], float]:
-    def evaluator(x: np.ndarray) -> float:
-        r2 = float(x @ x)
-        dot = float(x @ axis)
-        if dot <= 0.0:
-            return 0.0
-        if dot * dot < _TINY:
-            # dot^2 lost bits or underflowed: scale a tiny point up, as the bump
-            # sees only its direction; a unit-sized one is at right angles to the axis
-            top = float(np.max(np.abs(x)))
-            return evaluator(x / top) if top < 1.0 else 0.0
+def _ray_bump(axis: np.ndarray, width: float) -> Callable[[np.ndarray], np.ndarray]:
+    def evaluator(x: np.ndarray) -> np.ndarray:
+        r2 = np.vecdot(x, x)
+        dot = np.vecdot(x, axis)
+        dot_sq = dot * dot
+        values = np.zeros(x.shape[0])
         # exp(-tan(angle)^2 / width^2) with angle measured from the axis
-        tan_sq = r2 / (dot * dot) - 1.0
-        return math.exp(-tan_sq / (width * width))
+        live = ~(dot <= 0.0)  # nan goes on to the exp, as in the scalar test
+        bump = live & ~(dot_sq < _TINY)
+        tan_sq = r2[bump] / dot_sq[bump] - 1.0
+        values[bump] = np.fromiter(map(math.exp, (-tan_sq / (width * width)).tolist()), float)
+        # dot^2 lost bits or underflowed: scale a tiny point up, as the bump
+        # sees only its direction; a unit-sized one is at right angles to the axis
+        tiny = live & (dot_sq < _TINY) & (np.max(np.abs(x), axis=1) < 1.0)
+        if np.any(tiny):
+            values[tiny] = _rescued(x, tiny, evaluator)
+        return values
 
     return evaluator
 
@@ -123,11 +140,11 @@ _DIAG3 = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
 _RAY_WIDTH = math.tan(math.pi / 8.0)
 
 BUILTIN_FIELDS: dict[str, ScalarField] = {
-    "rational2d": ScalarField("rational2d", 2, _rational2d),
+    "rational2d": ScalarField("rational2d", 2, _rational),
     "parabola": ScalarField("parabola", 2, _parabola),
     "ray_bump2d": ScalarField("ray_bump2d", 2, _ray_bump(_DIAG2, _RAY_WIDTH)),
     "ray_bump3d": ScalarField("ray_bump3d", 3, _ray_bump(_DIAG3, _RAY_WIDTH)),
-    "rational3d": ScalarField("rational3d", 3, _rational3d),
+    "rational3d": ScalarField("rational3d", 3, _rational),
 }
 
 

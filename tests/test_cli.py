@@ -1067,3 +1067,31 @@ def test_two_dimensional_commands_skip_numpy_random_and_ma(tmp_path):
         "numpy loaded: False 1", "exit codes: 0 0", "loaded:", "unresolved:",
     ]
     assert sorted(pathcert.__all__) == sorted(PACKAGE_NAMES)
+
+
+def test_three_dimensional_commands_skip_numpy_random(tmp_path):
+    """A 3-D build and 3-D probes load no numpy.random: the Fibonacci cover
+    is proved by branch and bound, not sampled."""
+    witness = tmp_path / "witness3.json"
+    witness.write_text(
+        json.dumps({"dimension": 3, "generator": {"kind": "spiral", "count": 160, "stop": 0.012}})
+    )
+    commands = [
+        ["build", "--witness", str(witness), "--out", str(tmp_path / "path.json")],
+        ["probe", "--field", "builtin:rational3d", "--generator", "spiral"],
+        ["probe", "--field", "expr:(0.6*x1 + 0.8*x3)/norm(x)", "--generator", "ray",
+         "--axis=0.6,0,0.8", "--count", "160", "--stop", "0.013"],
+    ]
+    code = (
+        "import sys\n"
+        "from pathcert import cli\n"
+        f"print('exit codes:', *(cli.main(argv) for argv in {commands!r}))\n"
+        "print('loaded:', *[n for n in ('numpy.random',) if n in sys.modules])\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(pathcert.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    lines = [line for line in done.stdout.splitlines() if line.startswith(("exit", "loaded"))]
+    assert lines == ["exit codes: 0 0 0", "loaded:"]

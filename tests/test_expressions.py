@@ -13,7 +13,7 @@ from pathcert.expressions import MAX_DEPTH, MAX_VARIABLE, parse_expression
 
 def _eval(text, point):
     evaluator, _ = parse_expression(text)
-    return evaluator(np.asarray(point, dtype=float))
+    return float(evaluator(np.asarray([point], dtype=float))[0])
 
 
 def test_arithmetic_precedence():
@@ -67,8 +67,9 @@ def test_scientific_notation_numbers():
 def test_rational_field_expression():
     evaluator, n = parse_expression("2*x1*x2/(x1^2+x2^2)")
     assert n == 2
-    assert evaluator(np.array([0.3, 0.3])) == pytest.approx(1.0, rel=1e-14)
-    assert evaluator(np.array([0.3, 0.0])) == 0.0
+    values = evaluator(np.array([[0.3, 0.3], [0.3, 0.0]]))
+    assert values[0] == pytest.approx(1.0, rel=1e-14)
+    assert values[1] == 0.0
 
 
 def test_parse_errors_carry_position():
@@ -129,7 +130,7 @@ def test_depth_limit_is_exact(nested):
     """A tree of MAX_DEPTH levels parses and evaluates; one more level is
     rejected at the token where the tree passes the limit."""
     evaluator, _ = parse_expression(nested(MAX_DEPTH))
-    assert math.isfinite(evaluator(np.array([0.5])))
+    assert math.isfinite(evaluator(np.array([[0.5]]))[0])
     text = nested(MAX_DEPTH + 1)
     with pytest.raises(ExpressionError, match="deeper than 100 levels") as info:
         parse_expression(text)
@@ -167,7 +168,7 @@ _WELL_FORMED = st.recursive(
     )
 )
 def test_parser_raises_only_expression_errors(text):
-    """Any text either parses into an evaluator that returns a float on a
+    """Any text either parses into an evaluator that returns one float64 per
     point of its dimension, or raises ExpressionError naming a position
     inside the text."""
     try:
@@ -177,4 +178,5 @@ def test_parser_raises_only_expression_errors(text):
         return
     assert dimension >= 1
     if dimension <= 3:
-        assert isinstance(evaluator(np.full(dimension, 0.5)), float)
+        values = evaluator(np.full((2, dimension), 0.5))
+        assert values.dtype == np.float64 and values.shape == (2,)

@@ -314,18 +314,21 @@ def test_circle_cover_passes_the_sampled_check(half_angle, seed):
 
 
 def test_low_dimensional_covers_draw_no_samples(monkeypatch):
-    """Covers in dimensions 1 and 2 draw no random samples and test none."""
+    """Covers in dimensions 1 to 3 are proved: they draw no random samples
+    and test none.  Dimension 4 still samples."""
 
     def no_samples(*args):
-        raise AssertionError("sampled a cover that its spacing proves")
+        raise AssertionError("sampled a cover that is proved")
 
     monkeypatch.setattr(np.random, "default_rng", no_samples)
     monkeypatch.setattr(geometry, "_uncovered", no_samples)
     build = geometry._cached_cover.__wrapped__  # past the cache
     assert build(1, 0.7, 91).size == 2
     assert build(2, 0.7, 91).size == math.ceil(2.0 * math.pi / 0.7)
+    assert build(3, 0.7, 91).size == 32
+    assert np.array_equal(build(3, 0.2, 91).directions, build(3, 0.2, 0).directions)
     with pytest.raises(AssertionError, match="sampled"):
-        build(3, 0.7, 91)
+        build(4, 0.7, 91)
 
 
 @pytest.mark.parametrize("dimension", [2, 3, 4])
@@ -447,13 +450,36 @@ def test_float32_filter_decides_threshold_samples_as_float64(
     chunks = _samples(dimension, 5, 3 * 4096)
     chunks[1] = np.concatenate([chunks[1][:1000], planted, chunks[1][1000:]])
     axes = np.concatenate([np.eye(dimension), -np.eye(dimension)])
+
+    def mismatch(got, expected) -> str:
+        """Each sample ``got`` and ``expected`` disagree on, by chunk and
+        index, with its float32 and float64 best cosines over the axes."""
+        lines = [f"block entries {block_entries}, threshold {threshold!r}"]
+        for k, (g, a, b) in enumerate(zip(chunks, got, expected)):
+            in_a, in_b = {r.tobytes() for r in a}, {r.tobytes() for r in b}
+            for i, row in enumerate(g):
+                if (row.tobytes() in in_a) != (row.tobytes() in in_b):
+                    best32 = np.max(axes.astype(np.float32) @ row.astype(np.float32))
+                    lines.append(
+                        f"chunk {k} sample {i}: float32 best {float(best32)!r}, "
+                        f"float64 best {float(np.max(axes @ row))!r}, "
+                        f"left uncovered {row.tobytes() in in_a} (expected {row.tobytes() in in_b})"
+                    )
+        return "\n".join(lines)
+
     whole = list(geometry._uncovered(chunks, axes, half_angle))
-    assert _same_chunks(whole, _brute_force_uncovered(axes, half_angle, chunks))
+    oracle = _brute_force_uncovered(axes, half_angle, chunks)
+    assert _same_chunks(whole, oracle), mismatch(whole, oracle)
     carried = list(geometry._uncovered(chunks, axes[1:], half_angle))
     carried = list(geometry._uncovered(carried, axes[:1], half_angle))
-    assert _same_chunks(carried, whole)
+    assert _same_chunks(carried, whole), mismatch(carried, whole)
     left = {tuple(row) for row in whole[1]}
-    assert [tuple(row) in left for row in planted] == [c < threshold for c in cosines]
+    for i, (row, c) in enumerate(zip(planted, cosines)):
+        best32 = np.max(axes.astype(np.float32) @ row.astype(np.float32))
+        assert (tuple(row) in left) == (c < threshold), (
+            f"planted sample {i} (chunk 1 sample {1000 + i}): float32 best {float(best32)!r}, "
+            f"float64 best {c!r}, threshold {threshold!r}, block entries {block_entries}"
+        )
 
 
 def test_resumed_cover_check_retests_the_failed_chunk():
@@ -486,14 +512,13 @@ def test_resumed_cover_check_retests_the_failed_chunk():
 
 
 @pytest.mark.parametrize("seed", [0, 7])
-@pytest.mark.parametrize("dimension", [3, 4, 5])
+@pytest.mark.parametrize("dimension", [4, 5])
 def test_sampled_cover_is_the_smallest_candidate_that_covers_every_sample(
     monkeypatch, dimension, seed
 ):
     """Against a brute-force oracle on 20,000 samples: the cover is the first
     doubling candidate, built whole, under which every sample reaches
-    cos(half_angle).  Fibonacci sizes each test their whole lattice; Halton
-    doublings test each direction once."""
+    cos(half_angle).  Halton doublings test each direction once."""
     monkeypatch.setattr(geometry, "COVER_SAMPLE_COUNT", 20_000)
     tested = []
     uncovered = geometry._uncovered
@@ -506,20 +531,81 @@ def test_sampled_cover_is_the_smallest_candidate_that_covers_every_sample(
     half_angle = DEFAULT_COVER_HALF_ANGLE
     cover = geometry._sampled_cover(dimension, half_angle, seed)
     chunks = _samples(dimension, seed, 20_000)
-    count = 32 if dimension == 3 else 256
-    while True:
-        if dimension == 3:
-            candidate = geometry._fibonacci_sphere(count)
-        else:
-            candidate = geometry._halton_sphere(count, dimension)
-        if _brute_force_covered(candidate, half_angle, chunks):
-            break
+    count = 256
+    while not _brute_force_covered(geometry._halton_sphere(count, dimension), half_angle, chunks):
         count *= 2
-    assert np.array_equal(cover, candidate)
-    if dimension == 3:
-        assert tested == [32 * 2**i for i in range(len(tested))] and tested[-1] == count
-    else:
-        assert sum(tested) == count and tested[0] == 256
+    assert np.array_equal(cover, geometry._halton_sphere(count, dimension))
+    assert sum(tested) == count and tested[0] == 256
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize(
+    "degrees",
+    [10.0, 15.0, math.degrees(DEFAULT_COVER_HALF_ANGLE), 25.0],
+    ids=["10deg", "15deg", "default", "25deg"],
+)
+def test_proved_cover_is_the_smallest_candidate_the_oracle_accepts(monkeypatch, degrees, seed):
+    """Against the brute-force oracle on 20,000 samples from ``seed``: the 3-D
+    cover is the first Fibonacci candidate under which every sample reaches
+    cos(half_angle).  Each smaller candidate
+    the proof rejects has a hole that the oracle confirms lies farther than
+    half_angle from every direction."""
+    proofs = []
+    prove = geometry._prove_cover
+
+    def recorded(directions, half_angle):
+        proofs.append((directions, *prove(directions, half_angle)))
+        return proofs[-1][1:]
+
+    monkeypatch.setattr(geometry, "_prove_cover", recorded)
+    half_angle = math.radians(degrees)
+    cover = geometry._cached_cover.__wrapped__(3, half_angle, seed)  # past the cache
+    chunks = _samples(3, seed, 20_000)
+    count = 32
+    while not _brute_force_covered(geometry._fibonacci_sphere(count), half_angle, chunks):
+        count *= 2
+    assert np.array_equal(cover.directions, geometry._fibonacci_sphere(count))
+    assert [len(d) for d, _, _ in proofs] == [32 * 2**i for i in range(len(proofs))]
+    assert [proved for _, proved, _ in proofs] == [False] * (len(proofs) - 1) + [True]
+    for directions, _, hole in proofs[:-1]:
+        assert hole is not None and abs(float(np.linalg.norm(hole)) - 1.0) < 1e-15
+        assert not _brute_force_covered(directions, half_angle, [hole[None, :]])
+
+
+def test_a_cover_missing_one_direction_has_a_named_hole():
+    """Fibonacci(128) is the proved cover at 15 degrees.  With any one
+    direction removed it is rejected, and the hole returned lies farther
+    than half_angle from every remaining direction.  (At the default half
+    angle, 17.63 degrees, Fibonacci(128) less any one direction is still a
+    cover: its widest gap is below 17.5 degrees.)"""
+    half_angle = math.radians(15.0)
+    whole = geometry._fibonacci_sphere(128)
+    assert np.array_equal(build_sphere_cover(3, half_angle).directions, whole)
+    for removed in range(128):
+        rest = np.delete(whole, removed, axis=0)
+        proved, hole = geometry._prove_cover(rest, half_angle)
+        assert not proved and hole is not None, removed
+        assert float(np.max(rest @ hole)) < math.cos(half_angle), removed
+        assert not _brute_force_covered(rest, half_angle, [hole[None, :]]), removed
+
+
+def test_a_proof_over_its_budget_is_not_a_proof(monkeypatch):
+    """A proof that would visit more than _PROOF_CELLS cells, or split a cell
+    more than _PROOF_DEPTH times, proves nothing, and the cover doubles."""
+    half_angle = DEFAULT_COVER_HALF_ANGLE
+    fibonacci = geometry._fibonacci_sphere(128)
+    monkeypatch.setattr(geometry, "_PROOF_CELLS", 700)
+    assert geometry._prove_cover(fibonacci, half_angle) == (False, None)
+    monkeypatch.setattr(geometry, "_PROOF_CELLS", 722)
+    assert geometry._prove_cover(fibonacci, half_angle) == (True, None)
+    monkeypatch.setattr(geometry, "_PROOF_DEPTH", 2)
+    assert geometry._prove_cover(fibonacci, half_angle) == (False, None)
+    monkeypatch.setattr(geometry, "_PROOF_DEPTH", 40)
+    monkeypatch.setattr(geometry, "_PROOF_PAIRS", 8)  # the batch size changes no verdict
+    assert geometry._prove_cover(fibonacci, half_angle) == (True, None)
+    # the proofs of 32 and 64 find holes; 128 needs 722 cells, 256 under 500
+    monkeypatch.setattr(geometry, "_PROOF_CELLS", 600)
+    assert geometry._fibonacci_cover(half_angle).shape == (256, 3)
 
 
 @pytest.mark.parametrize("dimension", [4, 5, 8])
@@ -537,7 +623,7 @@ def test_halton_sphere_nests(dimension, count):
 
 
 @pytest.mark.parametrize("seed", [0, 3])
-@pytest.mark.parametrize("dimension", [3, 4, 5])
+@pytest.mark.parametrize("dimension", [4, 5])
 def test_cover_samples_normalize_with_one_norm_pass(monkeypatch, dimension, seed):
     """The samples a cover build tests equal the two-pass form that
     normalized the kept rows by recomputed norms."""

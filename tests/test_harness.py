@@ -1,10 +1,14 @@
 """Scalar fields and the discontinuity probe."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import field_ref
 from pathcert.errors import InputError, WitnessNotFoundError
 from pathcert.generators import GeneratorSpec, generate_points
 from pathcert.harness import (
@@ -69,6 +73,98 @@ def test_rational_fields_of_a_tiny_point():
         expected = field(np.array(x) * 2.0**540)
         assert abs(expected) > 0.5
         assert field(x) == pytest.approx(expected, rel=1e-14)
+
+
+# row entries: zeros, subnormals, extremes, non-finite values and both signs,
+# besides plain floats
+_SPECIAL = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-310, 1e-300, -1e-300, 1e300, -1e300,
+    1e-160, 3e-162, 1.0, -1.0, 0.5, 2.0, 1e154, -1e154, 1.7976931348623157e308,
+    math.inf, -math.inf, math.nan,
+)
+_ENTRY = st.one_of(
+    st.sampled_from(_SPECIAL),
+    st.floats(-4.0, 4.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_CONSTANT = st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0, 1e-300, 1e300, 0.1, 2.5e-3))
+_TREE = st.recursive(
+    st.one_of(
+        st.tuples(st.just("const"), _CONSTANT),
+        st.tuples(st.just("var"), st.integers(1, 5)),
+        st.just(("norm",)),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from("+-*/^"), inner, inner),
+        st.tuples(st.sampled_from(("neg", "abs")), inner),
+    ),
+    max_leaves=10,
+)
+
+
+def _text(tree) -> str:
+    kind = tree[0]
+    if kind == "const":
+        return repr(tree[1])
+    if kind == "var":
+        return f"x{tree[1]}"
+    if kind == "norm":
+        return "norm(x)"
+    if kind == "neg":
+        return f"(-{_text(tree[1])})"
+    if kind == "abs":
+        return f"abs({_text(tree[1])})"
+    return f"({_text(tree[1])}{kind}{_text(tree[2])})"
+
+
+def _rows(data, dimension):
+    rows = data.draw(st.lists(st.lists(_ENTRY, min_size=dimension, max_size=dimension),
+                              min_size=1, max_size=8))
+    rows.append([0.0] * dimension)  # one origin row in every batch
+    return np.array(rows)
+
+
+def _assert_same_bits(field, rows, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = field.values(rows)
+    same = (got.view(np.int64) == expected.view(np.int64)) | (np.isnan(got) & np.isnan(expected))
+    assert got.shape == expected.shape and same.all(), (field.name, rows[~same], got[~same],
+                                                         expected[~same])
+
+
+@settings(max_examples=300)
+@given(tree=_TREE, data=st.data())
+def test_expression_values_keep_the_bits_of_one_row_at_a_time(tree, data):
+    """A field from a random expression, evaluated on a whole batch, gives
+    every row the bits of the per-row evaluation in Python floats (NaN
+    matching NaN), with no numpy warning, overflow included."""
+    field = field_from_expression(_text(tree))
+    rows = _rows(data, field.dimension)
+    reference = field_ref.normalized(lambda x: field_ref.expression(tree, x), field.dimension)
+    _assert_same_bits(field, rows, field_ref.values(reference, rows))
+
+
+_REFERENCE_FIELDS = {
+    "rational2d": field_ref.rational2d,
+    "rational3d": field_ref.rational3d,
+    "parabola": field_ref.parabola,
+    "ray_bump2d": field_ref.ray_bump(np.array([1.0, 1.0]) / math.sqrt(2.0),
+                                     math.tan(math.pi / 8.0)),
+    "ray_bump3d": field_ref.ray_bump(np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0),
+                                     math.tan(math.pi / 8.0)),
+}
+
+
+@settings(max_examples=150)
+@given(name=st.sampled_from(sorted(_REFERENCE_FIELDS)), data=st.data())
+def test_builtin_values_keep_the_bits_of_one_row_at_a_time(name, data):
+    """Each builtin, evaluated on a whole batch with its tiny-denominator
+    rescue applied by row mask, gives every row the bits of its per-row
+    form, with no numpy warning."""
+    field = get_builtin_field(name)
+    rows = _rows(data, field.dimension)
+    _assert_same_bits(field, rows, field_ref.values(_REFERENCE_FIELDS[name], rows))
 
 
 def test_parabola_is_squared_norm():
@@ -157,7 +253,7 @@ def test_unknown_builtin():
 
 
 def test_normalized_shifts_origin_value():
-    field = ScalarField.normalized("shifted", 1, lambda x: float(x[0]) + 5.0)
+    field = ScalarField.normalized("shifted", 1, lambda x: x[:, 0] + 5.0)
     assert field(np.zeros(1)) == 0.0
     assert field([2.0]) == pytest.approx(2.0, rel=1e-15)
 
