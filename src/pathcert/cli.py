@@ -225,7 +225,7 @@ def _cover_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dimension", type=int, required=True)
     p.add_argument("--half-angle-deg", type=float, default=_DEFAULT_HALF_ANGLE_DEG)
     p.add_argument("--seed", type=int, default=0,
-                   help="seed of the samples that check a cover from 4-D on; covers through 3-D "
+                   help="seed of the samples that check a cover from 6-D on; covers through 5-D "
                         "are proved and ignore it")
     p.add_argument("--out", default=None)
 
@@ -235,8 +235,8 @@ def _build_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
     p.add_argument("--half-angle-deg", type=float, default=_DEFAULT_HALF_ANGLE_DEG)
     p.add_argument("--seed", type=int, default=0,
-                   help="seed of the samples that check the sphere cover from 4-D on; "
-                        "builds through 3-D ignore it")
+                   help="seed of the samples that check the sphere cover from 6-D on; "
+                        "builds through 5-D ignore it")
     p.add_argument("--out", required=True, help="path JSON output")
 
 

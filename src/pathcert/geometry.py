@@ -24,35 +24,45 @@ the rows of an array, and its scalar form is a one-row call of it:
 
 Sphere covers supply candidate axes: a finite set of unit directions such
 that every unit vector lies within a prescribed angle of some direction.
-Dimension 3 uses a Fibonacci lattice (Gonzalez, Math. Geosci. 42, 2010),
-higher dimensions Halton points (Halton, Numer. Math. 2, 1960) mapped
-through the inverse normal CDF and normalized.  That map is an in-module
-port of Cephes ``ndtri`` (Moshier, 1989) with libm ``log``, so it returns
-scipy.special.ndtri's bits and the module imports nothing from scipy.
-Covers are proved through dimension 3.  In dimension 1, {+1, -1} is the
+Covers are proved through dimension 5.  In dimension 1, {+1, -1} is the
 whole sphere, and in dimension 2 the spacing proves the cover: count >=
 2 pi / half_angle equally spaced directions put every unit vector within
 pi / count <= half_angle / 2 of one.  In dimension 3,
-``build_sphere_cover(3, half_angle)`` doubles the Fibonacci lattice from
-32 directions until ``_prove_cover`` proves it a cover by branch and
-bound over the cells of the cube's faces (Moore, Kearfott & Cloud,
-*Introduction to Interval Analysis*, SIAM 2009); no sample is drawn.
-From dimension 4 on, ``build_sphere_cover(dimension, half_angle, *,
-seed)`` doubles the Halton set until ``_uncovered`` leaves none of
-COVER_SAMPLE_COUNT unit samples drawn from ``seed``.  Halton candidates
-nest, so a doubling computes only the new points, and only the samples
-still uncovered meet them.  ``_uncovered`` is a fast filter with an
-exact fallback (Shewchuk, Discrete Comput. Geom. 18, 1997): it takes
-each sample's best cosine in float32, whose error for unit vectors in
-R^n is at most (n + 2) 2^-24, and recomputes in float64 only the
-samples whose float32 value lies within a band of _FILTER_MARGIN times
-that bound about cos(half_angle).  Outside the band the two signs
-agree, so every verdict, and so every cover, is the float64 test's.
+``build_sphere_cover(3, half_angle)`` doubles a Fibonacci lattice
+(Gonzalez, Math. Geosci. 42, 2010) from 32 directions until
+``_prove_cover`` proves it a cover by branch and bound over the cells of
+the cube's faces (Moore, Kearfott & Cloud, *Introduction to Interval
+Analysis*, SIAM 2009).  In dimensions 4 and 5, ``_grid_cover`` takes the
+cell centres of an equiangular grid on each face of the cube, proved by
+construction (Conway & Sloane, *Sphere Packings, Lattices and Groups*,
+ch. 2): central projection maps a cell onto the spherical hull of its
+corners, a cap under 90 degrees is convex, so a cell whose corners lie
+within half_angle of its centre lies within it whole.  No proved cover
+draws a sample, and ``seed`` changes none of them.
+
+From dimension 6 on (a grid needs 93,312 directions there at the
+default angle, against 32,768 sampled), ``build_sphere_cover(dimension,
+half_angle, *, seed)`` doubles a set of Halton points (Halton, Numer.
+Math. 2, 1960) mapped through the inverse normal CDF and normalized,
+until ``_uncovered`` leaves none of COVER_SAMPLE_COUNT unit samples drawn
+from ``seed``.  That map is an in-module port of Cephes ``ndtri``
+(Moshier, 1989) with libm ``log``, so it returns scipy.special.ndtri's
+bits and the module imports nothing from scipy.  Halton candidates nest,
+so a doubling computes only the new points, and only the samples still
+uncovered meet them.  ``_uncovered`` is a fast filter with an exact
+fallback (Shewchuk, Discrete Comput. Geom. 18, 1997): it takes each
+sample's best cosine in float32, whose error for unit vectors in R^n is
+at most (n + 2) 2^-24, and recomputes in float64 only the samples whose
+float32 value lies within a band of _FILTER_MARGIN times that bound about
+cos(half_angle).  Outside the band the two signs agree, so every
+verdict, and so every sampled cover, is the float64 test's.
+
 Dyadic shells partition the punctured unit ball by 1/(k+1) < ||x|| <= 1/k.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -87,11 +97,11 @@ _CONE_BLOCK_ENTRIES = 1 << 16
 # cosine lies farther than this many times the float32 error bound from
 # cos(half_angle); see _uncovered
 _FILTER_MARGIN = 24
-# the 3-D cover proof: the slack its cosine tests keep over their rounding
-# error (a few ulps of 1), the most cells it may visit (a Fibonacci cover
-# takes 6-21 per direction at whole degrees from 2 to 80) and the most
-# times it may split a cell before the candidate counts as not proved, and
-# the (cell, direction) pairs it holds in one step
+# the cover proofs: the slack their cosine tests keep over their rounding
+# error (a few ulps of 1); for the 3-D proof, the most cells it may visit
+# (a Fibonacci cover takes 6-21 per direction at whole degrees from 2 to
+# 80) and the most times it may split a cell before the candidate counts
+# as not proved, and the (cell, direction) pairs it holds in one step
 _PROOF_MARGIN = 1e-12
 _PROOF_CELLS = 1 << 22
 _PROOF_DEPTH = 40
@@ -606,6 +616,108 @@ def _fibonacci_cover(half_angle: float) -> np.ndarray:
     raise _cover_too_large(3, half_angle)
 
 
+def _grid_tangents(steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cell edges (steps + 1) and centres (steps) of ``steps`` equal
+    angular steps across [-45, 45] degrees, as the tangents a cube face
+    gives them.  Each is sin / cos of its angle's magnitude with the sign
+    put back, so the values are exactly symmetric about 0, and the ends are
+    set to exactly -1 and 1, so the cells tile the face.  ``np.tan`` is not
+    used: ``np.sin`` and ``np.cos`` give the same bits under every SIMD
+    kernel, and the directions become path bytes through the cone axis."""
+    multiple = np.arange(-steps, steps + 1)  # of pi / (4 steps)
+    angle = np.abs(multiple) * (math.pi / (4 * steps))
+    tangent = np.copysign(np.sin(angle) / np.cos(angle), multiple)
+    tangent[0], tangent[-1] = -1.0, 1.0
+    return tangent[::2], tangent[1::2]
+
+
+def _grid_min_cosine(dimension: int, steps: int) -> float:
+    """The smallest cosine from a cell's centre to one of its corners over
+    the cells of the equiangular grid with ``steps`` cells per edge on a
+    face of the cube [-1, 1]^dimension.
+
+    Reflecting a cell's index along one axis (k to steps - 1 - k) or
+    permuting the axes maps it onto another cell by a signed permutation,
+    which keeps angles, since edges and centres are symmetric and the same
+    on every axis; the other faces are signed permutations of this one.
+    So the cells whose indices ascend and lie in the upper half, one per
+    class, C(ceil(steps / 2) + dimension - 2, dimension - 1) of them, are
+    enough.  Sums run over the coordinates in index order.
+    """
+    n = dimension - 1
+    edges, centres = _grid_tangents(steps)
+    cells = np.array(list(itertools.combinations_with_replacement(range(steps // 2, steps), n)))
+    bits = np.array(list(itertools.product((0, 1), repeat=n)))
+    centre = centres[cells][:, None, :]  # (cell, 1, axis)
+    corner = edges[cells[:, None, :] + bits]  # (cell, corner, axis)
+    dot, centre_sq, corner_sq = 1.0, 1.0, 1.0
+    for i in range(n):
+        dot = dot + centre[..., i] * corner[..., i]
+        centre_sq = centre_sq + centre[..., i] * centre[..., i]
+        corner_sq = corner_sq + corner[..., i] * corner[..., i]
+    return float(np.min(dot / np.sqrt(centre_sq * corner_sq)))
+
+
+@lru_cache(maxsize=32)
+def _grid_steps(dimension: int, half_angle: float) -> int:
+    """The fewest cells per face edge, m, for which every cell of the
+    equiangular grid has each corner within half_angle of its centre: the
+    smallest cosine from centre to corner is at least cos(half_angle) +
+    _PROOF_MARGIN.  The search starts at the m whose 2 dimension m^(dimension
+    - 1) directions reach the area bound ``_log_fewest_caps``, as no fewer
+    can cover, and raises the cover's InputError once a grid would hold more
+    than _MAX_COVER_SIZE directions, before any direction is made."""
+    n = dimension - 1
+    fewest = math.exp(_log_fewest_caps(dimension, half_angle)) / (2 * dimension)
+    steps = max(1, math.ceil(fewest ** (1.0 / n) * (1.0 - 1e-9)))
+    cos_needed = math.cos(half_angle) + _PROOF_MARGIN
+    while 2 * dimension * steps**n <= _MAX_COVER_SIZE:
+        if _grid_min_cosine(dimension, steps) >= cos_needed:
+            return steps
+        steps += 1
+    raise _cover_too_large(dimension, half_angle)
+
+
+def _grid_directions(dimension: int, steps: int) -> np.ndarray:
+    """The unit centres of the equiangular grid with ``steps`` cells per edge
+    on each face of the cube [-1, 1]^dimension, 2 dimension steps^(dimension
+    - 1) of them.  Faces come in the order axis 0 +, axis 0 -, axis 1 +, ...;
+    within a face, cells come in lexicographic order of their indices along
+    the other axes, taken in increasing order, each index counted from the
+    -45 degree end.  Every face is a signed permutation of the first, bit
+    for bit."""
+    n = dimension - 1
+    _, centres = _grid_tangents(steps)
+    face = np.ones((steps**n, dimension))
+    face[:, 1:] = np.stack(np.meshgrid(*[centres] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    norm_sq = face[:, 0] * face[:, 0]
+    for i in range(1, dimension):
+        norm_sq += face[:, i] * face[:, i]
+    face /= np.sqrt(norm_sq)[:, None]
+    directions = np.empty((dimension, 2, steps**n, dimension))
+    for axis in range(dimension):
+        for side, sign in enumerate((1.0, -1.0)):
+            rows = directions[axis, side]
+            rows[:, axis] = sign * face[:, 0]
+            rows[:, :axis] = face[:, 1 : axis + 1]
+            rows[:, axis + 1 :] = face[:, axis + 1 :]
+    return directions.reshape(-1, dimension)
+
+
+def _grid_cover(dimension: int, half_angle: float) -> np.ndarray:
+    """The equiangular cube-face grid cover of dimension 4 or 5, proved by
+    construction: see ``_grid_steps`` for its size, ``_grid_directions``
+    for its order.  Cone selection breaks ties to the lowest index, so the
+    order is part of the result."""
+    return _grid_directions(dimension, _grid_steps(dimension, half_angle))
+
+
+# the dimensions whose cover is the cube-face grid: from 6-D on a grid is
+# larger than the sampled cover (93,312 directions against 32,768 at the
+# default angle)
+_GRID_DIMENSIONS = (4, 5)
+
+
 @lru_cache(maxsize=32)
 def _cached_cover(dimension: int, half_angle: float, seed: int) -> SphereCover:
     if dimension == 1:
@@ -617,6 +729,8 @@ def _cached_cover(dimension: int, half_angle: float, seed: int) -> SphereCover:
         directions = _circle_directions(max(int(math.ceil(2.0 * math.pi / half_angle)), 4))
     elif dimension == 3:
         directions = _fibonacci_cover(half_angle)
+    elif dimension in _GRID_DIMENSIONS:
+        directions = _grid_cover(dimension, half_angle)
     else:
         directions = _sampled_cover(dimension, half_angle, seed)
     return SphereCover(half_angle=half_angle, directions=directions)
@@ -627,8 +741,9 @@ def require_cover_fits(dimension: int, half_angle: float) -> None:
     arguments before it draws a sample or makes a direction: a dimension or
     half angle out of range, a cover that would need more than
     _MAX_COVER_SIZE directions (in 2-D by its spacing, from 3-D on by the
-    area bound ``_log_fewest_caps``), or a sampled cover (dimension 4 on)
-    whose sample draw would hold more than _MAX_SAMPLE_ENTRIES floats."""
+    area bound ``_log_fewest_caps``, in 4-D and 5-D also by the grid
+    ``_grid_steps`` proves), or a sampled cover (dimension 6 on) whose
+    sample draw would hold more than _MAX_SAMPLE_ENTRIES floats."""
     if not isinstance(dimension, int) or dimension < 1:
         raise InputError(f"dimension must be a positive integer, got {dimension!r}")
     if not (0.0 < half_angle < math.pi / 2.0):
@@ -641,7 +756,9 @@ def require_cover_fits(dimension: int, half_angle: float) -> None:
         )
     if too_large:
         raise _cover_too_large(dimension, half_angle)
-    if dimension >= 4 and COVER_SAMPLE_COUNT * dimension > _MAX_SAMPLE_ENTRIES:
+    if dimension in _GRID_DIMENSIONS:
+        _grid_steps(dimension, float(half_angle))  # raises for a grid too large
+    elif dimension > _GRID_DIMENSIONS[-1] and COVER_SAMPLE_COUNT * dimension > _MAX_SAMPLE_ENTRIES:
         raise InputError(
             f"a sampled cover in dimension {dimension} draws {COVER_SAMPLE_COUNT} x {dimension} "
             f"samples, above the cap of {_MAX_SAMPLE_ENTRIES} entries"
@@ -664,10 +781,10 @@ def _log_fewest_caps(dimension: int, half_angle: float) -> float:
 
 
 def _sampled_cover(dimension: int, half_angle: float, seed: int) -> np.ndarray:
-    """Halton directions in dimension >= 4, doubled from 256 until each of
-    COVER_SAMPLE_COUNT unit samples drawn from ``seed`` is covered.  The
-    candidates nest, so the samples one size leaves meet only the points
-    the next adds."""
+    """Halton directions, doubled from 256 until each of COVER_SAMPLE_COUNT
+    unit samples drawn from ``seed`` is covered: the cover from dimension 6
+    on.  The candidates nest, so the samples one size leaves meet only the
+    points the next adds."""
     rng = np.random.default_rng(seed)
     chunks = [
         _unit_rows(rng.standard_normal((min(_COVER_CHUNK, COVER_SAMPLE_COUNT - lo), dimension)))
@@ -700,11 +817,13 @@ def build_sphere_cover(
     Dimension 1 uses {+1, -1}; dimension 2 ``ceil(2 pi / half_angle)``
     (at least 4) equally spaced circle points, about twice the count the
     spacing bound needs; dimension 3 the smallest Fibonacci lattice of 32,
-    64, 128, ... directions that branch and bound proves a cover.  These
-    covers are proved and ``seed`` is unused.  Higher dimensions use a
-    low-discrepancy Gaussian construction, doubled until every one of
-    COVER_SAMPLE_COUNT unit samples drawn from ``seed`` lies within
-    half_angle of a direction.
+    64, 128, ... directions that branch and bound proves a cover;
+    dimensions 4 and 5 the centres of the smallest equiangular grid on the
+    cube's faces whose every cell lies within half_angle of its centre
+    (1,000 and 6,250 directions at the default angle).  These covers are
+    proved and ``seed`` is unused.  From dimension 6 on, a low-discrepancy
+    Gaussian construction is doubled until every one of COVER_SAMPLE_COUNT
+    unit samples drawn from ``seed`` lies within half_angle of a direction.
     """
     require_cover_fits(dimension, half_angle)
     return _cached_cover(dimension, float(half_angle), require_seed(seed))

@@ -1,6 +1,7 @@
 """End-to-end command line runs with real files."""
 
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -1095,3 +1096,55 @@ def test_three_dimensional_commands_skip_numpy_random(tmp_path):
     )
     lines = [line for line in done.stdout.splitlines() if line.startswith(("exit", "loaded"))]
     assert lines == ["exit codes: 0 0 0", "loaded:"]
+
+
+def test_four_and_five_dimensional_commands_skip_numpy_random(tmp_path):
+    """A 4-D and a 5-D build and probe load no numpy.random: their covers are
+    cube-face grids, proved by construction, not sampled.  With numpy's
+    dispatched SIMD kernels switched off, a second interpreter builds both
+    grid covers with the bits this one gets: they rest on np.sin, np.cos,
+    np.sqrt and basic arithmetic alone."""
+    commands = []
+    for dimension in (4, 5):
+        witness = tmp_path / f"witness{dimension}.json"
+        generator = {"kind": "spiral", "count": 160, "stop": 0.012}
+        witness.write_text(json.dumps({"dimension": dimension, "generator": generator}))
+        commands.append(
+            ["build", "--witness", str(witness), "--out", str(tmp_path / f"path{dimension}.json")]
+        )
+    commands += [
+        ["probe", "--field", "expr:x4/norm(x)", "--generator", "ray", "--axis=0,0,0,1",
+         "--count", "160", "--stop", "0.013"],
+        ["probe", "--field", "expr:(x1 + x5)/norm(x)", "--generator", "spiral"],
+    ]
+    code = (
+        "import sys\n"
+        "from pathcert import cli\n"
+        f"print('exit codes:', *(cli.main(argv) for argv in {commands!r}))\n"
+        "print('loaded:', *[n for n in ('numpy.random',) if n in sys.modules])\n"
+    )
+    covers = (
+        "import hashlib\n"
+        "from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__\n"
+        "from pathcert.geometry import build_sphere_cover\n"
+        "print('dispatched:', *[f for f in __cpu_dispatch__ if __cpu_features__.get(f)])\n"
+        "for d in (4, 5):\n"
+        "    directions = build_sphere_cover(d).directions\n"
+        "    print('cover', d, hashlib.sha256(directions.tobytes()).hexdigest())\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(pathcert.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    lines = [line for line in done.stdout.splitlines() if line.startswith(("exit", "loaded"))]
+    assert lines == ["exit codes: 0 0 0 0", "loaded:"]
+    env["NPY_DISABLE_CPU_FEATURES"] = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+    done = subprocess.run(
+        [sys.executable, "-c", covers], env=env, capture_output=True, text=True, check=True
+    )
+    mine = []
+    for d in (4, 5):
+        directions = geometry.build_sphere_cover(d).directions
+        mine.append(f"cover {d} {hashlib.sha256(directions.tobytes()).hexdigest()}")
+    assert done.stdout.splitlines() == ["dispatched:", *mine]

@@ -1,5 +1,6 @@
 """Sphere covers, cone membership, and dyadic shell selection."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -314,8 +315,9 @@ def test_circle_cover_passes_the_sampled_check(half_angle, seed):
 
 
 def test_low_dimensional_covers_draw_no_samples(monkeypatch):
-    """Covers in dimensions 1 to 3 are proved: they draw no random samples
-    and test none.  Dimension 4 still samples."""
+    """Covers in dimensions 1 to 5 are proved: they draw no random samples
+    and test none, and the seed changes none of them.  Dimension 6 still
+    samples."""
 
     def no_samples(*args):
         raise AssertionError("sampled a cover that is proved")
@@ -326,12 +328,17 @@ def test_low_dimensional_covers_draw_no_samples(monkeypatch):
     assert build(1, 0.7, 91).size == 2
     assert build(2, 0.7, 91).size == math.ceil(2.0 * math.pi / 0.7)
     assert build(3, 0.7, 91).size == 32
-    assert np.array_equal(build(3, 0.2, 91).directions, build(3, 0.2, 0).directions)
+    assert build(4, 0.7, 91).size == 8 * 2**3  # two cells per face edge
+    assert build(5, 0.7, 91).size == 10 * 2**4
+    for dimension in (3, 4, 5):
+        assert np.array_equal(
+            build(dimension, 0.2, 91).directions, build(dimension, 0.2, 0).directions
+        )
     with pytest.raises(AssertionError, match="sampled"):
-        build(4, 0.7, 91)
+        build(6, 0.7, 91)
 
 
-@pytest.mark.parametrize("dimension", [2, 3, 4])
+@pytest.mark.parametrize("dimension", [2, 3, 4, 5])
 def test_cover_property_against_grid_oracle(dimension):
     """Every unit vector is within half_angle of some cover direction.
 
@@ -368,14 +375,32 @@ def test_halton_points_match_scipy(dimension):
         assert np.array_equal(geometry._halton_points(count, dimension), expected)
 
 
+def _sampled_size(dimension, seed):
+    return len(geometry._sampled_cover(dimension, DEFAULT_COVER_HALF_ANGLE, seed))
+
+
+def _built_size(dimension, seed):
+    return build_sphere_cover(dimension, seed=seed).size
+
+
 @pytest.mark.parametrize(
-    "dimension,size,seed",
-    [(3, 128, 0), (4, 2048, 0), (5, 8192, 0), (3, 128, 7), (4, 2048, 7), (5, 8192, 7)],
-    ids=["3-128", "4-2048", "5-8192", "3-128-seed7", "4-2048-seed7", "5-8192-seed7"],
+    "dimension,size,seed,cover_size",
+    [
+        (3, 128, 0, _built_size), (4, 1000, 0, _built_size), (5, 6250, 0, _built_size),
+        (3, 128, 7, _built_size), (4, 1000, 7, _built_size), (5, 6250, 7, _built_size),
+        (4, 2048, 0, _sampled_size), (5, 8192, 0, _sampled_size),
+        (4, 2048, 7, _sampled_size), (5, 8192, 7, _sampled_size),
+    ],
+    ids=[
+        "3-128", "4-1000", "5-6250", "3-128-seed7", "4-1000-seed7", "5-6250-seed7",
+        "4-2048", "5-8192", "4-2048-seed7", "5-8192-seed7",
+    ],
 )
-def test_cover_sizes_at_seed_zero(dimension, size, seed):
-    """The default cover sizes, at seed 0 and at a second seed."""
-    assert build_sphere_cover(dimension, seed=seed).size == size
+def test_cover_sizes_at_seed_zero(dimension, size, seed, cover_size):
+    """The default cover sizes, at seed 0 and at a second seed.  In 4-D and
+    5-D the sampled route, which covers dimension 6 on and covered these
+    before the grid, keeps its sizes too, called directly."""
+    assert cover_size(dimension, seed) == size
 
 
 @pytest.mark.parametrize(
@@ -608,6 +633,150 @@ def test_a_proof_over_its_budget_is_not_a_proof(monkeypatch):
     assert geometry._fibonacci_cover(half_angle).shape == (256, 3)
 
 
+def _unit(v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def _own_cell_directions(directions, steps, points) -> np.ndarray:
+    """For each unit point, the grid direction at the documented index of
+    the cell that holds it: the face of its largest |coordinate| (axis 0 +,
+    axis 0 -, axis 1 +, ...), then, lexicographically over the other axes in
+    increasing order, which of ``steps`` equal angular steps across [-45,
+    45] degrees the arctan of each coordinate over the largest falls in."""
+    p, dimension = points.shape
+    n = dimension - 1
+    rows = np.arange(p)
+    axis = np.argmax(np.abs(points), axis=1)
+    top = points[rows, axis]
+    others = np.array([[j for j in range(dimension) if j != i] for i in range(dimension)])
+    angles = np.arctan(points[rows[:, None], others[axis]] / np.abs(top)[:, None])
+    cells = np.clip(np.floor((angles / (math.pi / 2) + 0.5) * steps).astype(int), 0, steps - 1)
+    index = (2 * axis + (top < 0)) * steps**n
+    for j in range(n):
+        index += cells[:, j] * steps ** (n - 1 - j)
+    return directions[index]
+
+
+WHOLE_DEGREES = range(5, 81)
+
+
+@pytest.mark.parametrize("dimension", [4, 5])
+def test_grid_cover_against_an_own_cell_oracle(dimension):
+    """At every whole degree from 5 to 80, every one of 100,000 seeded
+    Gaussian samples and every cell corner of every face, made here with
+    math.tan, lies within half_angle of the direction of its own cell,
+    found from its coordinates and the documented order.
+
+    That is a stronger claim than lying within half_angle of some direction,
+    which it implies, and it costs one lookup per point instead of a search
+    over every direction.  A corner belongs to several cells; any of them
+    will do.  Angles whose grids have the same m cells per face edge share
+    one direction set, tested at the smallest of them."""
+    g = np.random.default_rng(2026 + dimension).standard_normal((100_000, dimension))
+    samples = g / np.linalg.norm(g, axis=1)[:, None]
+    n = dimension - 1
+    smallest: dict[int, int] = {}
+    for degrees in WHOLE_DEGREES:
+        smallest.setdefault(geometry._grid_steps(dimension, math.radians(degrees)), degrees)
+    assert min(smallest) == 1 and len(smallest) > 10
+    for steps, degrees in smallest.items():
+        half_angle = math.radians(degrees)
+        directions = geometry._grid_cover(dimension, half_angle)
+        assert directions.shape == (2 * dimension * steps**n, dimension)
+        edges = [math.tan(math.pi / 4 * (2 * k / steps - 1)) for k in range(steps + 1)]
+        grid = np.array(list(itertools.product(edges, repeat=n)))
+        points = [("sample", samples)]
+        for axis in range(dimension):
+            for sign in (1.0, -1.0):
+                face = np.insert(grid, axis, sign, axis=1)
+                unit = face / np.linalg.norm(face, axis=1)[:, None]
+                points.append((f"corner of face {axis} {sign:+}", unit))
+        for what, unit in points:
+            own = _own_cell_directions(directions, steps, unit)
+            cosines = np.einsum("ij,ij->i", unit, own)
+            worst = int(np.argmin(cosines))
+            assert cosines[worst] >= math.cos(half_angle), (
+                f"{degrees} degrees, {steps} steps: {what} {unit[worst]} lies "
+                f"{math.degrees(math.acos(cosines[worst]))} degrees from its cell's direction"
+            )
+
+
+@pytest.mark.parametrize("dimension", [4, 5])
+def test_the_next_coarser_grid_fails_the_corner_test_at_a_named_corner(dimension):
+    """At every whole degree from 5 to 80 and at the default angle, where the
+    cover has m > 1 cells per face edge, the grid with M = m - 1 has a
+    named corner farther than half_angle from its cell's centre, so the
+    corner test rejects it (at 60 degrees in 4-D the one-step grid's
+    corners lie exactly half_angle from the axis, and its margin does).
+    With t = tan(pi / (4 M)): for even M the corner is the axis e_0, of the
+    cell centred on (1, t, ..., t); for odd M it is (1, -t, ..., -t), of
+    the cell centred on the axis.
+
+    For even M the axis is also farther than half_angle from every
+    direction of that grid, so no coarser grid covers.  For odd M a
+    neighbouring cell's centre can be nearer, and the coarser grid may
+    cover without the corner test proving it: at 26 degrees in 5-D, 400,000
+    samples put the 3-step grid's covering radius near 24.6 degrees,
+    against the 28.2 degrees its corner test finds."""
+    n = dimension - 1
+    holes = 0
+    for degrees in [*WHOLE_DEGREES, math.degrees(DEFAULT_COVER_HALF_ANGLE)]:
+        half_angle = math.radians(degrees)
+        coarse = geometry._grid_steps(dimension, half_angle) - 1
+        if coarse == 0:
+            # the one-step grid's corners are the cube's vertices, at cosine
+            # 1 / sqrt(d) from the axes; it is accepted only where they lie
+            # strictly within half_angle, not at 60 degrees in 4-D
+            assert 1.0 / math.sqrt(dimension) > math.cos(half_angle), degrees
+            continue
+        t = math.tan(math.pi / (4 * coarse))
+        if coarse % 2 == 0:
+            corner, centre = _unit([1.0] + [0.0] * n), _unit([1.0] + [t] * n)
+        else:
+            corner, centre = _unit([1.0] + [-t] * n), _unit([1.0] + [0.0] * n)
+        directions = geometry._grid_directions(dimension, coarse)
+        assert float(np.max(directions @ centre)) > 1.0 - 1e-15, (degrees, coarse)
+        assert float(corner @ centre) < math.cos(half_angle) + geometry._PROOF_MARGIN, (
+            degrees, coarse
+        )
+        if coarse % 2 == 0:
+            assert float(np.max(directions @ corner)) < math.cos(half_angle), (degrees, coarse)
+            holes += 1
+    assert holes >= 10
+
+
+@pytest.mark.parametrize("dimension,steps", [(4, 64), (5, 21)])
+def test_a_grid_above_the_size_cap_allocates_no_direction(monkeypatch, dimension, steps):
+    """The finest grid under _MAX_COVER_SIZE has ``steps`` cells per face edge
+    (8 x 64^3 = 2^21 directions in 4-D, 10 x 21^4 in 5-D), and its corner
+    test needs half_angle >= atan(sqrt(d - 1) tan(pi / (4 steps))), 1.2177
+    and 4.2797 degrees.  Just above that the grid is accepted; just below
+    it the area bound still lets the cover through, and the InputError of a
+    cover too large comes from the corner tests alone, before any direction
+    exists and with a small part of the 64-80 MB its directions would take."""
+    limit = math.atan(math.sqrt(dimension - 1) * math.tan(math.pi / (4 * steps)))
+    above, below = limit * (1.0 + 1e-6), limit * (1.0 - 1e-6)
+    assert geometry._grid_steps(dimension, above) == steps
+    assert geometry._log_fewest_caps(dimension, below) < math.log(geometry._MAX_COVER_SIZE)
+
+    def no_directions(*args):
+        raise AssertionError(f"made the directions of {args}")
+
+    monkeypatch.setattr(geometry, "_grid_directions", no_directions)
+    tracemalloc.start()
+    try:
+        refused = f"could not cover the sphere in dimension {dimension} "
+        with pytest.raises(InputError, match=refused):
+            build_sphere_cover(dimension, below)
+        with pytest.raises(InputError, match=refused):
+            geometry.require_cover_fits(dimension, below)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 @pytest.mark.parametrize("dimension", [4, 5, 8])
 @pytest.mark.parametrize("count", [1, 256, 1000])
 def test_halton_sphere_nests(dimension, count):
@@ -666,14 +835,15 @@ def test_ndtri_matches_scipy_bit_for_bit():
 
 def test_cover_memory_is_bounded():
     """Verification holds one block of directions against one chunk of
-    samples, not the whole cover at once."""
+    samples, not the whole cover at once.  (The 5-D cover is the grid;
+    the sampled route is called directly.)"""
     tracemalloc.start()
     try:
-        cover = build_sphere_cover(5, seed=918_273)
+        directions = geometry._sampled_cover(5, DEFAULT_COVER_HALF_ANGLE, 918_273)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert cover.size >= 8192
+    assert len(directions) >= 8192
     assert peak < 64 * 2**20
 
 
@@ -945,8 +1115,11 @@ def test_fewest_caps_bound_lies_below_the_area_ratio(dimension, half_angle):
     assert 0.0 < bound <= sphere / cap * (1.0 + 1e-12)
 
 
-@pytest.mark.parametrize("dimension,size", [(3, 128), (4, 2048), (5, 8192)])
+@pytest.mark.parametrize(
+    "dimension,size", [(3, 128), (4, 1000), (5, 6250), (4, 2048), (5, 8192)]
+)
 def test_default_covers_are_not_smaller_than_the_area_bound(dimension, size):
+    """The default covers, and the sampled route's sizes in 4-D and 5-D."""
     assert math.exp(geometry._log_fewest_caps(dimension, DEFAULT_COVER_HALF_ANGLE)) < size
 
 
