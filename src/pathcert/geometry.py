@@ -27,18 +27,14 @@ that every unit vector lies within a prescribed angle of some direction.
 Covers are proved through dimension 5.  In dimension 1, {+1, -1} is the
 whole sphere, and in dimension 2 the spacing proves the cover: count >=
 2 pi / half_angle equally spaced directions put every unit vector within
-pi / count <= half_angle / 2 of one.  In dimension 3,
-``build_sphere_cover(3, half_angle)`` doubles a Fibonacci lattice
-(Gonzalez, Math. Geosci. 42, 2010) from 32 directions until
-``_prove_cover`` proves it a cover by branch and bound over the cells of
-the cube's faces (Moore, Kearfott & Cloud, *Introduction to Interval
-Analysis*, SIAM 2009).  In dimensions 4 and 5, ``_grid_cover`` takes the
-cell centres of an equiangular grid on each face of the cube, proved by
-construction (Conway & Sloane, *Sphere Packings, Lattices and Groups*,
-ch. 2): central projection maps a cell onto the spherical hull of its
-corners, a cap under 90 degrees is convex, so a cell whose corners lie
-within half_angle of its centre lies within it whole.  No proved cover
-draws a sample, and ``seed`` changes none of them.
+pi / count <= half_angle / 2 of one.  In dimensions 3 to 5,
+``_grid_cover`` takes the cell centres of an equiangular grid on each
+face of the cube, proved by construction (Conway & Sloane, *Sphere
+Packings, Lattices and Groups*, ch. 2): central projection maps a cell
+onto the spherical hull of its corners, a cap under 90 degrees is
+convex, so a cell whose corners lie within half_angle of its centre lies
+within it whole.  No proved cover draws a sample, and ``seed`` changes
+none of them.
 
 From dimension 6 on (a grid needs 93,312 directions there at the
 default angle, against 32,768 sampled), ``build_sphere_cover(dimension,
@@ -97,15 +93,9 @@ _CONE_BLOCK_ENTRIES = 1 << 16
 # cosine lies farther than this many times the float32 error bound from
 # cos(half_angle); see _uncovered
 _FILTER_MARGIN = 24
-# the cover proofs: the slack their cosine tests keep over their rounding
-# error (a few ulps of 1); for the 3-D proof, the most cells it may visit
-# (a Fibonacci cover takes 6-21 per direction at whole degrees from 2 to
-# 80) and the most times it may split a cell before the candidate counts
-# as not proved, and the (cell, direction) pairs it holds in one step
+# the slack the grid covers' corner test keeps over its rounding error
+# (a few ulps of 1)
 _PROOF_MARGIN = 1e-12
-_PROOF_CELLS = 1 << 22
-_PROOF_DEPTH = 40
-_PROOF_PAIRS = 1 << 14
 # below this norm a row's sum of squares is subnormal or 0
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
@@ -221,16 +211,21 @@ class ConeSpec:
 class SphereCover:
     """Finite set of unit directions covering the sphere to half_angle.
 
-    ``directions`` has shape (m, n); rows are unit vectors.
+    ``directions`` has shape (m, n), m >= 1; rows are finite unit vectors,
+    and half_angle lies in (0, pi/2).
     """
 
     half_angle: float
     directions: np.ndarray
 
     def __post_init__(self) -> None:
+        if not (0.0 < self.half_angle < math.pi / 2.0):
+            raise InputError(f"half_angle must lie in (0, pi/2), got {self.half_angle!r}")
         dirs = np.array(self.directions, dtype=float)
-        if dirs.ndim != 2:
-            raise InputError("directions must have shape (m, dimension)")
+        if dirs.ndim != 2 or dirs.shape[0] == 0:
+            raise InputError("directions must have shape (m, dimension) with m >= 1")
+        if not np.all(np.isfinite(dirs)):
+            raise InputError("cover directions have non-finite entries")
         if np.max(np.abs(row_norms(dirs) - 1.0)) > UNIT_TOL:
             raise InputError("cover directions must be unit vectors")
         dirs.setflags(write=False)
@@ -494,128 +489,6 @@ def _uncovered(chunks: list[np.ndarray], directions: np.ndarray, half_angle: flo
         yield g
 
 
-def _cube_cells(face: np.ndarray, u0: np.ndarray, v0: np.ndarray, size: float):
-    """Unit centre and angular radius of each cube-face cell
-    [u0, u0 + size] x [v0, v0 + size] of ``face``, as the sphere sees it.
-
-    Face f is the face of the cube [-1, 1]^3 whose outward normal is axis
-    f // 2, with sign + for even f; u and v run along the next two axes.
-    Central projection maps a cell to the geodesic quadrilateral its
-    corners span, so the cap about the centre that reaches the farthest
-    corner, the radius, holds the whole cell.
-    """
-    axis = face // 2
-
-    def points(u, v):
-        p = np.zeros((face.size, 3))
-        rows = np.arange(face.size)
-        p[rows, axis] = 1.0 - 2.0 * (face % 2)
-        p[rows, (axis + 1) % 3] = u
-        p[rows, (axis + 2) % 3] = v
-        return p / row_norms(p)[:, None]
-
-    centre = points(u0 + 0.5 * size, v0 + 0.5 * size)
-    chords = [
-        row_norms(points(u0 + du, v0 + dv) - centre) for du in (0.0, size) for dv in (0.0, size)
-    ]
-    return centre, 2.0 * np.arcsin(0.5 * np.max(chords, axis=0))
-
-
-def _push_cells(stack: list, depth: int, face, iu, iv, cell, direction) -> None:
-    """Push cube-face cells at ``depth``, given by face and integer corner
-    (iu, iv), with their candidate (cell, direction) pairs, in batches of
-    at most _PROOF_PAIRS pairs, or of one cell that has more."""
-    order = np.argsort(cell, kind="stable")
-    cell, direction = cell[order], direction[order]
-    ends = np.searchsorted(cell, np.arange(1, face.size + 1))
-    lo = 0
-    while lo < face.size:
-        start = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, start + _PROOF_PAIRS, side="right")))
-        stop = int(ends[hi - 1])
-        stack.append(
-            (depth, face[lo:hi], iu[lo:hi], iv[lo:hi], cell[start:stop] - lo, direction[start:stop])
-        )
-        lo = hi
-
-
-def _prove_cover(directions: np.ndarray, half_angle: float):
-    """Prove that every unit vector of R^3 lies within half_angle of a row of
-    ``directions``, by branch and bound over the cells of the cube's faces.
-
-    Returns (True, None) when the proof closes.  A cell of centre c and
-    radius r is covered when some direction lies within half_angle - r of
-    c, since the cap of radius r about c holds the cell.  A cell whose
-    centre lies farther than half_angle from every direction is a hole:
-    the result is then (False, c).  Every other cell splits in four.  Each
-    cell meets only the directions within half_angle + r of its centre,
-    as only those can cover a point of it, and its children start from
-    that list.  Both tests compare cosines with _PROOF_MARGIN to spare,
-    far above their rounding error, so a covered cell is covered and a
-    hole is a hole in exact arithmetic too.  A proof that would visit more
-    than _PROOF_CELLS cells, or split a cell more than _PROOF_DEPTH times,
-    gives up and returns (False, None): the candidate counts as not
-    proved.  Cells are taken depth first, in batches of at most
-    _PROOF_PAIRS (cell, direction) pairs, so memory stays bounded.
-    """
-    cos_hole = math.cos(half_angle) - _PROOF_MARGIN
-    # the six faces start with the directions within reach of their
-    # centres, the axes, whose cosines are the directions' coordinates
-    faces = np.arange(6)
-    reach = math.cos(half_angle + math.acos(1.0 / math.sqrt(3.0))) - _PROOF_MARGIN
-    within = np.stack([directions.T >= reach, directions.T <= -reach], axis=1).reshape(6, -1)
-    stack: list = []
-    _push_cells(stack, 0, faces, faces * 0, faces * 0, *np.nonzero(within))
-    visited = 0
-    while stack:
-        depth, face, iu, iv, cell, direction = stack.pop()
-        visited += face.size
-        if visited > _PROOF_CELLS or depth > _PROOF_DEPTH:
-            return False, None
-        size = 2.0 ** (1 - depth)
-        centre, radius = _cube_cells(face, iu * size - 1.0, iv * size - 1.0, size)
-        near, at = directions[direction], centre[cell]
-        cos = at[:, 0] * near[:, 0] + at[:, 1] * near[:, 1] + at[:, 2] * near[:, 2]
-        keep = cos >= np.cos(half_angle + radius[cell]) - _PROOF_MARGIN
-        cell, direction, cos = cell[keep], direction[keep], cos[keep]
-        best = np.full(face.size, -math.inf)
-        np.maximum.at(best, cell, cos)
-        holes = np.flatnonzero(best < cos_hole)
-        if holes.size:
-            return False, centre[holes[0]]
-        slack = half_angle - radius
-        covered = (slack > 0.0) & (best >= np.cos(np.maximum(slack, 0.0)) + _PROOF_MARGIN)
-        split = np.flatnonzero(~covered)
-        if not split.size:
-            continue
-        rank = np.full(face.size, -1)
-        rank[split] = np.arange(split.size)
-        mine = rank[cell] >= 0
-        quarter = np.arange(4)
-        _push_cells(
-            stack,
-            depth + 1,
-            np.repeat(face[split], 4),
-            (2 * iu[split, None] + quarter // 2).ravel(),
-            (2 * iv[split, None] + quarter % 2).ravel(),
-            (4 * rank[cell[mine], None] + quarter).ravel(),
-            np.repeat(direction[mine], 4),
-        )
-    return True, None
-
-
-def _fibonacci_cover(half_angle: float) -> np.ndarray:
-    """The smallest Fibonacci lattice of 32, 64, 128, ... directions that
-    ``_prove_cover`` proves a cover at half_angle."""
-    count = 32
-    while count <= _MAX_COVER_SIZE:
-        directions = _fibonacci_sphere(count)
-        if _prove_cover(directions, half_angle)[0]:
-            return directions
-        count *= 2
-    raise _cover_too_large(3, half_angle)
-
-
 def _grid_tangents(steps: int) -> tuple[np.ndarray, np.ndarray]:
     """The cell edges (steps + 1) and centres (steps) of ``steps`` equal
     angular steps across [-45, 45] degrees, as the tangents a cube face
@@ -631,10 +504,11 @@ def _grid_tangents(steps: int) -> tuple[np.ndarray, np.ndarray]:
     return tangent[::2], tangent[1::2]
 
 
-def _grid_min_cosine(dimension: int, steps: int) -> float:
+def _grid_min_cosine(dimension: int, steps: int, cells=None) -> float:
     """The smallest cosine from a cell's centre to one of its corners over
     the cells of the equiangular grid with ``steps`` cells per edge on a
-    face of the cube [-1, 1]^dimension.
+    face of the cube [-1, 1]^dimension, or over ``cells`` alone: rows of
+    cell indices along the other dimension - 1 axes.
 
     Reflecting a cell's index along one axis (k to steps - 1 - k) or
     permuting the axes maps it onto another cell by a signed permutation,
@@ -642,11 +516,14 @@ def _grid_min_cosine(dimension: int, steps: int) -> float:
     on every axis; the other faces are signed permutations of this one.
     So the cells whose indices ascend and lie in the upper half, one per
     class, C(ceil(steps / 2) + dimension - 2, dimension - 1) of them, are
-    enough.  Sums run over the coordinates in index order.
+    enough, and are the default.  Sums run over the coordinates in index
+    order, elementwise, so a cell's cosines have the same bits in any set
+    of cells.
     """
     n = dimension - 1
     edges, centres = _grid_tangents(steps)
-    cells = np.array(list(itertools.combinations_with_replacement(range(steps // 2, steps), n)))
+    if cells is None:
+        cells = np.array(list(itertools.combinations_with_replacement(range(steps // 2, steps), n)))
     bits = np.array(list(itertools.product((0, 1), repeat=n)))
     centre = centres[cells][:, None, :]  # (cell, 1, axis)
     corner = edges[cells[:, None, :] + bits]  # (cell, corner, axis)
@@ -666,13 +543,31 @@ def _grid_steps(dimension: int, half_angle: float) -> int:
     _PROOF_MARGIN.  The search starts at the m whose 2 dimension m^(dimension
     - 1) directions reach the area bound ``_log_fewest_caps``, as no fewer
     can cover, and raises the cover's InputError once a grid would hold more
-    than _MAX_COVER_SIZE directions, before any direction is made."""
+    than _MAX_COVER_SIZE directions, before any direction is made.
+
+    Each m is tried first on two cells: the one at the axis, index m // 2
+    on every axis (centred on it for odd m, with it as a corner for even),
+    and the one at the cube's vertex, index m - 1.  Both are among the
+    cells ``_grid_min_cosine`` takes by default, with the same bits, so
+    their worst corner angle is a lower bound on the grid's: an m they
+    fail, the whole grid fails, and only an m they pass is tested whole.
+    Under the size cap the pair's smallest cosine is the grid's, or an ulp
+    or two above it: the axis cell is the worst in 4-D and 5-D, the vertex
+    cell in 3-D, where the axis cell's angle atan(sqrt(2) tan(pi / 4m))
+    falls 13% short for large m.  So the search from the area bound's 267
+    cells per edge to the 591 of 0.1242 degrees tests one grid whole, not
+    325.
+    """
     n = dimension - 1
     fewest = math.exp(_log_fewest_caps(dimension, half_angle)) / (2 * dimension)
     steps = max(1, math.ceil(fewest ** (1.0 / n) * (1.0 - 1e-9)))
     cos_needed = math.cos(half_angle) + _PROOF_MARGIN
     while 2 * dimension * steps**n <= _MAX_COVER_SIZE:
-        if _grid_min_cosine(dimension, steps) >= cos_needed:
+        named = np.array([[steps // 2] * n, [steps - 1] * n])
+        if (
+            _grid_min_cosine(dimension, steps, named) >= cos_needed
+            and _grid_min_cosine(dimension, steps) >= cos_needed
+        ):
             return steps
         steps += 1
     raise _cover_too_large(dimension, half_angle)
@@ -705,7 +600,7 @@ def _grid_directions(dimension: int, steps: int) -> np.ndarray:
 
 
 def _grid_cover(dimension: int, half_angle: float) -> np.ndarray:
-    """The equiangular cube-face grid cover of dimension 4 or 5, proved by
+    """The equiangular cube-face grid cover of dimension 3, 4 or 5, proved by
     construction: see ``_grid_steps`` for its size, ``_grid_directions``
     for its order.  Cone selection breaks ties to the lowest index, so the
     order is part of the result."""
@@ -715,7 +610,7 @@ def _grid_cover(dimension: int, half_angle: float) -> np.ndarray:
 # the dimensions whose cover is the cube-face grid: from 6-D on a grid is
 # larger than the sampled cover (93,312 directions against 32,768 at the
 # default angle)
-_GRID_DIMENSIONS = (4, 5)
+_GRID_DIMENSIONS = (3, 4, 5)
 
 
 @lru_cache(maxsize=32)
@@ -727,8 +622,6 @@ def _cached_cover(dimension: int, half_angle: float, seed: int) -> SphereCover:
         # count >= 2 pi / half_angle directions, 2 pi / count apart, put every
         # unit vector within pi / count <= half_angle / 2 of one: a proof
         directions = _circle_directions(max(int(math.ceil(2.0 * math.pi / half_angle)), 4))
-    elif dimension == 3:
-        directions = _fibonacci_cover(half_angle)
     elif dimension in _GRID_DIMENSIONS:
         directions = _grid_cover(dimension, half_angle)
     else:
@@ -741,7 +634,7 @@ def require_cover_fits(dimension: int, half_angle: float) -> None:
     arguments before it draws a sample or makes a direction: a dimension or
     half angle out of range, a cover that would need more than
     _MAX_COVER_SIZE directions (in 2-D by its spacing, from 3-D on by the
-    area bound ``_log_fewest_caps``, in 4-D and 5-D also by the grid
+    area bound ``_log_fewest_caps``, in 3-D to 5-D also by the grid
     ``_grid_steps`` proves), or a sampled cover (dimension 6 on) whose
     sample draw would hold more than _MAX_SAMPLE_ENTRIES floats."""
     if not isinstance(dimension, int) or dimension < 1:
@@ -816,11 +709,10 @@ def build_sphere_cover(
 
     Dimension 1 uses {+1, -1}; dimension 2 ``ceil(2 pi / half_angle)``
     (at least 4) equally spaced circle points, about twice the count the
-    spacing bound needs; dimension 3 the smallest Fibonacci lattice of 32,
-    64, 128, ... directions that branch and bound proves a cover;
-    dimensions 4 and 5 the centres of the smallest equiangular grid on the
-    cube's faces whose every cell lies within half_angle of its centre
-    (1,000 and 6,250 directions at the default angle).  These covers are
+    spacing bound needs; dimensions 3 to 5 the centres of the smallest
+    equiangular grid on the cube's faces whose every cell lies within
+    half_angle of its centre (96, 1,000 and 6,250 directions at the
+    default angle).  These covers are
     proved and ``seed`` is unused.  From dimension 6 on, a low-discrepancy
     Gaussian construction is doubled until every one of COVER_SAMPLE_COUNT
     unit samples drawn from ``seed`` lies within half_angle of a direction.

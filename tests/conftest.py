@@ -5,6 +5,12 @@ the same handful of builds over and over, so they are built once per
 session and shared.
 """
 
+# pathcert before numpy: importing pathcert sets the BLAS thread count
+# to 1 unless the environment sets one, and OpenBLAS reads that count
+# once, when numpy loads it.  Imported later, the suite would run its
+# matrix products on every core while the commands run on one thread.
+import pathcert  # noqa: F401, I001
+
 import math
 
 import numpy as np

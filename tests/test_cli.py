@@ -1,6 +1,8 @@
 """End-to-end command line runs with real files."""
 
 import contextlib
+import ctypes
+import glob
 import hashlib
 import inspect
 import io
@@ -11,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -966,6 +969,29 @@ def test_import_sets_one_blas_thread_unless_set():
     assert done.stdout.split() == ["1", "2", "1"]
 
 
+def test_the_suite_runs_blas_on_the_thread_count_of_the_commands():
+    """A command's OpenBLAS runs on one thread, and the suite's on the count
+    its environment names, also 1 unless set: conftest imports pathcert
+    before numpy.  The float32 cover filter is a BLAS product, so only then
+    do its tests run what the commands run."""
+    libs = glob.glob(str(Path(numpy.__file__).parent.with_name("numpy.libs") / "*openblas*"))
+    if not libs:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    threads = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+    threads.argtypes, threads.restype = [], ctypes.c_int
+    code = (
+        "import ctypes, pathcert, numpy\n"
+        f"print(ctypes.CDLL({libs[0]!r}).scipy_openblas_get_num_threads64_())\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(pathcert.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["1"]
+    assert threads() == int(os.environ["OPENBLAS_NUM_THREADS"])
+
+
 def test_high_dimensional_commands_import_no_scipy(tmp_path):
     """Covers, builds and probes in dimension >= 4 run without scipy."""
     witness = tmp_path / "witness5.json"
@@ -1070,42 +1096,15 @@ def test_two_dimensional_commands_skip_numpy_random_and_ma(tmp_path):
     assert sorted(pathcert.__all__) == sorted(PACKAGE_NAMES)
 
 
-def test_three_dimensional_commands_skip_numpy_random(tmp_path):
-    """A 3-D build and 3-D probes load no numpy.random: the Fibonacci cover
-    is proved by branch and bound, not sampled."""
-    witness = tmp_path / "witness3.json"
-    witness.write_text(
-        json.dumps({"dimension": 3, "generator": {"kind": "spiral", "count": 160, "stop": 0.012}})
-    )
-    commands = [
-        ["build", "--witness", str(witness), "--out", str(tmp_path / "path.json")],
-        ["probe", "--field", "builtin:rational3d", "--generator", "spiral"],
-        ["probe", "--field", "expr:(0.6*x1 + 0.8*x3)/norm(x)", "--generator", "ray",
-         "--axis=0.6,0,0.8", "--count", "160", "--stop", "0.013"],
-    ]
-    code = (
-        "import sys\n"
-        "from pathcert import cli\n"
-        f"print('exit codes:', *(cli.main(argv) for argv in {commands!r}))\n"
-        "print('loaded:', *[n for n in ('numpy.random',) if n in sys.modules])\n"
-    )
-    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
-    env["PYTHONPATH"] = str(Path(pathcert.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    lines = [line for line in done.stdout.splitlines() if line.startswith(("exit", "loaded"))]
-    assert lines == ["exit codes: 0 0 0", "loaded:"]
-
-
-def test_four_and_five_dimensional_commands_skip_numpy_random(tmp_path):
-    """A 4-D and a 5-D build and probe load no numpy.random: their covers are
-    cube-face grids, proved by construction, not sampled.  With numpy's
-    dispatched SIMD kernels switched off, a second interpreter builds both
-    grid covers with the bits this one gets: they rest on np.sin, np.cos,
+def test_three_to_five_dimensional_commands_skip_numpy_random(tmp_path):
+    """Builds and probes in 3-D, 4-D and 5-D load no numpy.random: their
+    covers are cube-face grids, proved by construction, not sampled.  With
+    numpy's dispatched SIMD kernels switched off, a second interpreter
+    builds the three grid covers, at the default angle and at 5 and 0.5
+    degrees, with the bits this one gets: they rest on np.sin, np.cos,
     np.sqrt and basic arithmetic alone."""
     commands = []
-    for dimension in (4, 5):
+    for dimension in (3, 4, 5):
         witness = tmp_path / f"witness{dimension}.json"
         generator = {"kind": "spiral", "count": 160, "stop": 0.012}
         witness.write_text(json.dumps({"dimension": dimension, "generator": generator}))
@@ -1113,6 +1112,9 @@ def test_four_and_five_dimensional_commands_skip_numpy_random(tmp_path):
             ["build", "--witness", str(witness), "--out", str(tmp_path / f"path{dimension}.json")]
         )
     commands += [
+        ["probe", "--field", "builtin:rational3d", "--generator", "spiral"],
+        ["probe", "--field", "expr:(0.6*x1 + 0.8*x3)/norm(x)", "--generator", "ray",
+         "--axis=0.6,0,0.8", "--count", "160", "--stop", "0.013"],
         ["probe", "--field", "expr:x4/norm(x)", "--generator", "ray", "--axis=0,0,0,1",
          "--count", "160", "--stop", "0.013"],
         ["probe", "--field", "expr:(x1 + x5)/norm(x)", "--generator", "spiral"],
@@ -1123,14 +1125,18 @@ def test_four_and_five_dimensional_commands_skip_numpy_random(tmp_path):
         f"print('exit codes:', *(cli.main(argv) for argv in {commands!r}))\n"
         "print('loaded:', *[n for n in ('numpy.random',) if n in sys.modules])\n"
     )
+    angles = [
+        (3, geometry.DEFAULT_COVER_HALF_ANGLE), (3, math.radians(5.0)), (3, math.radians(0.5)),
+        (4, geometry.DEFAULT_COVER_HALF_ANGLE), (5, geometry.DEFAULT_COVER_HALF_ANGLE),
+    ]
     covers = (
         "import hashlib\n"
         "from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__\n"
         "from pathcert.geometry import build_sphere_cover\n"
         "print('dispatched:', *[f for f in __cpu_dispatch__ if __cpu_features__.get(f)])\n"
-        "for d in (4, 5):\n"
-        "    directions = build_sphere_cover(d).directions\n"
-        "    print('cover', d, hashlib.sha256(directions.tobytes()).hexdigest())\n"
+        f"for d, half_angle in {angles!r}:\n"
+        "    directions = build_sphere_cover(d, half_angle).directions\n"
+        "    print('cover', d, half_angle, hashlib.sha256(directions.tobytes()).hexdigest())\n"
     )
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env["PYTHONPATH"] = str(Path(pathcert.__file__).resolve().parents[1])
@@ -1138,13 +1144,13 @@ def test_four_and_five_dimensional_commands_skip_numpy_random(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     lines = [line for line in done.stdout.splitlines() if line.startswith(("exit", "loaded"))]
-    assert lines == ["exit codes: 0 0 0 0", "loaded:"]
+    assert lines == ["exit codes: 0 0 0 0 0 0 0", "loaded:"]
     env["NPY_DISABLE_CPU_FEATURES"] = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
     done = subprocess.run(
         [sys.executable, "-c", covers], env=env, capture_output=True, text=True, check=True
     )
     mine = []
-    for d in (4, 5):
-        directions = geometry.build_sphere_cover(d).directions
-        mine.append(f"cover {d} {hashlib.sha256(directions.tobytes()).hexdigest()}")
+    for d, half_angle in angles:
+        directions = geometry.build_sphere_cover(d, half_angle).directions
+        mine.append(f"cover {d} {half_angle} {hashlib.sha256(directions.tobytes()).hexdigest()}")
     assert done.stdout.splitlines() == ["dispatched:", *mine]

@@ -327,7 +327,7 @@ def test_low_dimensional_covers_draw_no_samples(monkeypatch):
     build = geometry._cached_cover.__wrapped__  # past the cache
     assert build(1, 0.7, 91).size == 2
     assert build(2, 0.7, 91).size == math.ceil(2.0 * math.pi / 0.7)
-    assert build(3, 0.7, 91).size == 32
+    assert build(3, 0.7, 91).size == 6 * 2**2  # two cells per face edge
     assert build(4, 0.7, 91).size == 8 * 2**3  # two cells per face edge
     assert build(5, 0.7, 91).size == 10 * 2**4
     for dimension in (3, 4, 5):
@@ -342,8 +342,9 @@ def test_low_dimensional_covers_draw_no_samples(monkeypatch):
 def test_cover_property_against_grid_oracle(dimension):
     """Every unit vector is within half_angle of some cover direction.
 
-    Checked against sample sets generated independently of the cover's
-    own randomized verification.
+    Checked on points the cover never sees: an even circle in 2-D, seeded
+    Gaussian samples from 3-D on.  These covers are proved by construction
+    and draw no samples of their own.
     """
     cover = build_sphere_cover(dimension)
     if dimension == 2:
@@ -353,7 +354,9 @@ def test_cover_property_against_grid_oracle(dimension):
         rng = np.random.default_rng(1234)
         g = rng.standard_normal((20000, dimension))
         samples = g / np.linalg.norm(g, axis=1)[:, None]
-    best = (samples @ cover.directions.T).max(axis=1)
+    # 1,000 samples at a time: the whole 20,000 x 6,250 product in 5-D takes 1 GB
+    blocks = [samples[lo : lo + 1000] for lo in range(0, len(samples), 1000)]
+    best = np.concatenate([(block @ cover.directions.T).max(axis=1) for block in blocks])
     worst_angle = float(np.max(np.arccos(np.clip(best, -1.0, 1.0))))
     assert worst_angle <= cover.half_angle + 1e-9
 
@@ -386,20 +389,21 @@ def _built_size(dimension, seed):
 @pytest.mark.parametrize(
     "dimension,size,seed,cover_size",
     [
-        (3, 128, 0, _built_size), (4, 1000, 0, _built_size), (5, 6250, 0, _built_size),
-        (3, 128, 7, _built_size), (4, 1000, 7, _built_size), (5, 6250, 7, _built_size),
+        (3, 96, 0, _built_size), (4, 1000, 0, _built_size), (5, 6250, 0, _built_size),
+        (3, 96, 7, _built_size), (4, 1000, 7, _built_size), (5, 6250, 7, _built_size),
         (4, 2048, 0, _sampled_size), (5, 8192, 0, _sampled_size),
         (4, 2048, 7, _sampled_size), (5, 8192, 7, _sampled_size),
     ],
     ids=[
-        "3-128", "4-1000", "5-6250", "3-128-seed7", "4-1000-seed7", "5-6250-seed7",
+        "3-96", "4-1000", "5-6250", "3-96-seed7", "4-1000-seed7", "5-6250-seed7",
         "4-2048", "5-8192", "4-2048-seed7", "5-8192-seed7",
     ],
 )
 def test_cover_sizes_at_seed_zero(dimension, size, seed, cover_size):
-    """The default cover sizes, at seed 0 and at a second seed.  In 4-D and
-    5-D the sampled route, which covers dimension 6 on and covered these
-    before the grid, keeps its sizes too, called directly."""
+    """The default cover sizes, at seed 0 and at a second seed: the grid's
+    6 x 4^2, 8 x 5^3 and 10 x 5^4.  In 4-D and 5-D the sampled route,
+    which covers dimension 6 on and covered these before the grid, keeps
+    its sizes too, called directly."""
     assert cover_size(dimension, seed) == size
 
 
@@ -569,68 +573,34 @@ def test_sampled_cover_is_the_smallest_candidate_that_covers_every_sample(
     [10.0, 15.0, math.degrees(DEFAULT_COVER_HALF_ANGLE), 25.0],
     ids=["10deg", "15deg", "default", "25deg"],
 )
-def test_proved_cover_is_the_smallest_candidate_the_oracle_accepts(monkeypatch, degrees, seed):
+def test_proved_cover_is_the_smallest_candidate_the_oracle_accepts(degrees, seed):
     """Against the brute-force oracle on 20,000 samples from ``seed``: the 3-D
-    cover is the first Fibonacci candidate under which every sample reaches
-    cos(half_angle).  Each smaller candidate
-    the proof rejects has a hole that the oracle confirms lies farther than
-    half_angle from every direction."""
-    proofs = []
-    prove = geometry._prove_cover
-
-    def recorded(directions, half_angle):
-        proofs.append((directions, *prove(directions, half_angle)))
-        return proofs[-1][1:]
-
-    monkeypatch.setattr(geometry, "_prove_cover", recorded)
+    cover is the grid with the fewest cells per face edge under which every
+    sample reaches cos(half_angle), whatever the seed.  Each coarser grid
+    leaves samples the oracle finds farther than half_angle from every
+    direction, and fails the corner test."""
     half_angle = math.radians(degrees)
     cover = geometry._cached_cover.__wrapped__(3, half_angle, seed)  # past the cache
     chunks = _samples(3, seed, 20_000)
-    count = 32
-    while not _brute_force_covered(geometry._fibonacci_sphere(count), half_angle, chunks):
-        count *= 2
-    assert np.array_equal(cover.directions, geometry._fibonacci_sphere(count))
-    assert [len(d) for d, _, _ in proofs] == [32 * 2**i for i in range(len(proofs))]
-    assert [proved for _, proved, _ in proofs] == [False] * (len(proofs) - 1) + [True]
-    for directions, _, hole in proofs[:-1]:
-        assert hole is not None and abs(float(np.linalg.norm(hole)) - 1.0) < 1e-15
-        assert not _brute_force_covered(directions, half_angle, [hole[None, :]])
+    steps = 1
+    while not _brute_force_covered(geometry._grid_directions(3, steps), half_angle, chunks):
+        assert geometry._grid_min_cosine(3, steps) < math.cos(half_angle), (degrees, steps)
+        steps += 1
+    assert np.array_equal(cover.directions, geometry._grid_directions(3, steps))
 
 
 def test_a_cover_missing_one_direction_has_a_named_hole():
-    """Fibonacci(128) is the proved cover at 15 degrees.  With any one
-    direction removed it is rejected, and the hole returned lies farther
-    than half_angle from every remaining direction.  (At the default half
-    angle, 17.63 degrees, Fibonacci(128) less any one direction is still a
-    cover: its widest gap is below 17.5 degrees.)"""
-    half_angle = math.radians(15.0)
-    whole = geometry._fibonacci_sphere(128)
-    assert np.array_equal(build_sphere_cover(3, half_angle).directions, whole)
-    for removed in range(128):
-        rest = np.delete(whole, removed, axis=0)
-        proved, hole = geometry._prove_cover(rest, half_angle)
-        assert not proved and hole is not None, removed
-        assert float(np.max(rest @ hole)) < math.cos(half_angle), removed
-        assert not _brute_force_covered(rest, half_angle, [hole[None, :]]), removed
-
-
-def test_a_proof_over_its_budget_is_not_a_proof(monkeypatch):
-    """A proof that would visit more than _PROOF_CELLS cells, or split a cell
-    more than _PROOF_DEPTH times, proves nothing, and the cover doubles."""
-    half_angle = DEFAULT_COVER_HALF_ANGLE
-    fibonacci = geometry._fibonacci_sphere(128)
-    monkeypatch.setattr(geometry, "_PROOF_CELLS", 700)
-    assert geometry._prove_cover(fibonacci, half_angle) == (False, None)
-    monkeypatch.setattr(geometry, "_PROOF_CELLS", 722)
-    assert geometry._prove_cover(fibonacci, half_angle) == (True, None)
-    monkeypatch.setattr(geometry, "_PROOF_DEPTH", 2)
-    assert geometry._prove_cover(fibonacci, half_angle) == (False, None)
-    monkeypatch.setattr(geometry, "_PROOF_DEPTH", 40)
-    monkeypatch.setattr(geometry, "_PROOF_PAIRS", 8)  # the batch size changes no verdict
-    assert geometry._prove_cover(fibonacci, half_angle) == (True, None)
-    # the proofs of 32 and 64 find holes; 128 needs 722 cells, 256 under 500
-    monkeypatch.setattr(geometry, "_PROOF_CELLS", 600)
-    assert geometry._fibonacci_cover(half_angle).shape == (256, 3)
+    """The 3-D grid covers at 10 degrees and at the default angle have no
+    direction to spare: with any one removed, that direction itself lies
+    farther than half_angle from every remaining one.  (Not so at 15
+    degrees, where the corner test is looser and some directions of the
+    150 can go.)"""
+    for half_angle, size in ((math.radians(10.0), 294), (DEFAULT_COVER_HALF_ANGLE, 96)):
+        whole = build_sphere_cover(3, half_angle).directions
+        assert len(whole) == size
+        for removed, hole in enumerate(whole):
+            rest = np.delete(whole, removed, axis=0)
+            assert not _brute_force_covered(rest, half_angle, [hole[None, :]]), (size, removed)
 
 
 def _unit(v) -> np.ndarray:
@@ -661,7 +631,7 @@ def _own_cell_directions(directions, steps, points) -> np.ndarray:
 WHOLE_DEGREES = range(5, 81)
 
 
-@pytest.mark.parametrize("dimension", [4, 5])
+@pytest.mark.parametrize("dimension", [3, 4, 5])
 def test_grid_cover_against_an_own_cell_oracle(dimension):
     """At every whole degree from 5 to 80, every one of 100,000 seeded
     Gaussian samples and every cell corner of every face, made here with
@@ -702,24 +672,48 @@ def test_grid_cover_against_an_own_cell_oracle(dimension):
             )
 
 
-@pytest.mark.parametrize("dimension", [4, 5])
+def _worst_corner(dimension, steps):
+    """The centre and corner, as unit vectors made with math.tan, of the
+    cell of face axis 0 + and the corner of it where ``_grid_min_cosine``
+    attains its minimum: over the cells it takes, whose indices ascend and
+    lie in the upper half of each axis, the first of the smallest cosines
+    in cell order, then corner order."""
+    n = dimension - 1
+    edges = np.array([math.tan(math.pi / 4 * (2 * k / steps - 1)) for k in range(steps + 1)])
+    centres = np.array([math.tan(math.pi / 4 * ((2 * k + 1) / steps - 1)) for k in range(steps)])
+    cells = np.array(list(itertools.combinations_with_replacement(range(steps // 2, steps), n)))
+    bits = np.array(list(itertools.product((0, 1), repeat=n)))
+    centre = np.insert(centres[cells], 0, 1.0, axis=1)
+    corner = np.insert(edges[cells[:, None, :] + bits], 0, 1.0, axis=2)
+    centre /= np.linalg.norm(centre, axis=-1, keepdims=True)
+    corner /= np.linalg.norm(corner, axis=-1, keepdims=True)
+    cosines = np.einsum("ij,ikj->ik", centre, corner)
+    cell, bit = np.unravel_index(np.argmin(cosines), cosines.shape)
+    return centre[cell], corner[cell, bit]
+
+
+@pytest.mark.parametrize("dimension", [3, 4, 5])
 def test_the_next_coarser_grid_fails_the_corner_test_at_a_named_corner(dimension):
     """At every whole degree from 5 to 80 and at the default angle, where the
     cover has m > 1 cells per face edge, the grid with M = m - 1 has a
     named corner farther than half_angle from its cell's centre, so the
     corner test rejects it (at 60 degrees in 4-D the one-step grid's
     corners lie exactly half_angle from the axis, and its margin does).
-    With t = tan(pi / (4 M)): for even M the corner is the axis e_0, of the
-    cell centred on (1, t, ..., t); for odd M it is (1, -t, ..., -t), of
-    the cell centred on the axis.
+    The corner is the one where ``_grid_min_cosine`` attains its minimum.
+    In 4-D and 5-D the cell at the axis attains it, to within an ulp: with
+    t = tan(pi / 4M), for even M its corner e_0 lies atan(sqrt(d - 1) t)
+    from its centre (1, t, ..., t), and for odd M its corner (1, t, ..., t)
+    as far from its centre e_0.  In 3-D the cell at the cube's vertex
+    attains it, and the axis cell may pass: at 5 degrees, M = 14, e_0 lies
+    4.54 degrees from its cell's centre.
 
-    For even M the axis is also farther than half_angle from every
-    direction of that grid, so no coarser grid covers.  For odd M a
-    neighbouring cell's centre can be nearer, and the coarser grid may
-    cover without the corner test proving it: at 26 degrees in 5-D, 400,000
-    samples put the 3-step grid's covering radius near 24.6 degrees,
-    against the 28.2 degrees its corner test finds."""
-    n = dimension - 1
+    Where the named corner is also farther than half_angle from every
+    direction of that grid (at 36 of the 77 angles in 3-D, 49 in 4-D and
+    5-D), no coarser grid covers.  Elsewhere a neighbouring cell's centre
+    can be nearer, and the coarser grid may cover without the corner test
+    proving it: at 26 degrees in 5-D, 400,000 samples put the 3-step
+    grid's covering radius near 24.6 degrees, against the 28.2 degrees its
+    corner test finds."""
     holes = 0
     for degrees in [*WHOLE_DEGREES, math.degrees(DEFAULT_COVER_HALF_ANGLE)]:
         half_angle = math.radians(degrees)
@@ -730,32 +724,41 @@ def test_the_next_coarser_grid_fails_the_corner_test_at_a_named_corner(dimension
             # strictly within half_angle, not at 60 degrees in 4-D
             assert 1.0 / math.sqrt(dimension) > math.cos(half_angle), degrees
             continue
-        t = math.tan(math.pi / (4 * coarse))
-        if coarse % 2 == 0:
-            corner, centre = _unit([1.0] + [0.0] * n), _unit([1.0] + [t] * n)
-        else:
-            corner, centre = _unit([1.0] + [-t] * n), _unit([1.0] + [0.0] * n)
+        centre, corner = _worst_corner(dimension, coarse)
         directions = geometry._grid_directions(dimension, coarse)
         assert float(np.max(directions @ centre)) > 1.0 - 1e-15, (degrees, coarse)
-        assert float(corner @ centre) < math.cos(half_angle) + geometry._PROOF_MARGIN, (
-            degrees, coarse
-        )
-        if coarse % 2 == 0:
-            assert float(np.max(directions @ corner)) < math.cos(half_angle), (degrees, coarse)
-            holes += 1
+        cosine = float(corner @ centre)
+        assert abs(cosine - geometry._grid_min_cosine(dimension, coarse)) < 1e-15, (degrees, coarse)
+        assert cosine < math.cos(half_angle) + geometry._PROOF_MARGIN, (degrees, coarse)
+        holes += float(np.max(directions @ corner)) < math.cos(half_angle)
     assert holes >= 10
+    if dimension == 3:
+        t = math.tan(math.pi / 56)
+        assert geometry._grid_steps(3, math.radians(5.0)) == 15
+        assert math.degrees(math.acos(_unit([1.0, t, t])[0])) == pytest.approx(4.54, abs=0.005)
 
 
-@pytest.mark.parametrize("dimension,steps", [(4, 64), (5, 21)])
+@pytest.mark.parametrize("dimension,steps", [(3, 591), (4, 64), (5, 21)])
 def test_a_grid_above_the_size_cap_allocates_no_direction(monkeypatch, dimension, steps):
     """The finest grid under _MAX_COVER_SIZE has ``steps`` cells per face edge
-    (8 x 64^3 = 2^21 directions in 4-D, 10 x 21^4 in 5-D), and its corner
-    test needs half_angle >= atan(sqrt(d - 1) tan(pi / (4 steps))), 1.2177
-    and 4.2797 degrees.  Just above that the grid is accepted; just below
+    (6 x 591^2 directions in 3-D, 8 x 64^3 = 2^21 in 4-D, 10 x 21^4 in
+    5-D), and its corner test needs half_angle >= acos(c - _PROOF_MARGIN),
+    c its ``_grid_min_cosine``: 0.12423, 1.2177 and 4.2797 degrees.  In 4-D
+    and 5-D that is atan(sqrt(d - 1) tan(pi / (4 steps))), the axis cell's
+    angle; in 3-D the vertex cell's angle is wider, and the axis cell's is
+    0.10768 degrees.  Just above the limit the grid is accepted; just below
     it the area bound still lets the cover through, and the InputError of a
     cover too large comes from the corner tests alone, before any direction
-    exists and with a small part of the 64-80 MB its directions would take."""
-    limit = math.atan(math.sqrt(dimension - 1) * math.tan(math.pi / (4 * steps)))
+    exists and with a small part of the 50-80 MB its directions would take."""
+    worst = geometry._grid_min_cosine(dimension, steps)
+    limit = math.acos(worst - geometry._PROOF_MARGIN)
+    axis_cell = math.atan(math.sqrt(dimension - 1) * math.tan(math.pi / (4 * steps)))
+    expected = {3: 0.12423, 4: 1.2177, 5: 4.2797}[dimension]
+    assert math.degrees(limit) == pytest.approx(expected, abs=5e-5)
+    if dimension == 3:
+        assert math.degrees(axis_cell) == pytest.approx(0.10768, abs=5e-6)
+    else:
+        assert axis_cell == pytest.approx(math.acos(worst), rel=1e-12)
     above, below = limit * (1.0 + 1e-6), limit * (1.0 - 1e-6)
     assert geometry._grid_steps(dimension, above) == steps
     assert geometry._log_fewest_caps(dimension, below) < math.log(geometry._MAX_COVER_SIZE)
@@ -775,6 +778,49 @@ def test_a_grid_above_the_size_cap_allocates_no_direction(monkeypatch, dimension
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("dimension,top", [(3, 120), (4, 40), (5, 16)])
+def test_every_grid_the_axis_and_vertex_cells_fail_fails_the_corner_test(
+    monkeypatch, dimension, top
+):
+    """For every grid of up to ``top`` cells per face edge, the smallest
+    cosine of the axis and vertex cells is at least the whole grid's, and
+    at most two ulps above it.  So each m below the first the pair passes
+    fails the corner test, and ``_grid_steps``, which tests whole only the
+    grids the pair passes, returns the smallest m whose whole grid passes
+    and tests one grid whole: checked at 1 to 80 degrees, where that m is
+    at most ``top``, and in 3-D at the finest grid under the size cap."""
+    full = [math.nan]  # full[m]: the whole grid's smallest cosine
+    for steps in range(1, top + 1):
+        full.append(geometry._grid_min_cosine(dimension, steps))
+        cells = np.array([[steps // 2] * (dimension - 1), [steps - 1] * (dimension - 1)])
+        named = geometry._grid_min_cosine(dimension, steps, cells)
+        assert full[steps] <= named <= full[steps] + 4.5e-16, steps
+    whole = []
+    min_cosine = geometry._grid_min_cosine
+
+    def counted(dimension, steps, cells=None):
+        if cells is None:
+            whole.append(steps)
+        return min_cosine(dimension, steps, cells)
+
+    monkeypatch.setattr(geometry, "_grid_min_cosine", counted)
+    search = geometry._grid_steps.__wrapped__  # past the cache
+    tested = 0
+    for degrees in range(1, 81):
+        half_angle = math.radians(degrees)
+        passing = [m for m in range(1, top + 1) if full[m] >= math.cos(half_angle) + 1e-12]
+        if passing:
+            whole.clear()
+            assert search(dimension, half_angle) == passing[0], degrees
+            assert whole == passing[:1], degrees
+            tested += 1
+    assert tested >= 70
+    if dimension == 3:  # from the area bound's 267 cells per edge to 591
+        whole.clear()
+        assert search(3, math.acos(min_cosine(3, 591) - 1e-12) * (1.0 + 1e-6)) == 591
+        assert whole == [591]
 
 
 @pytest.mark.parametrize("dimension", [4, 5, 8])
@@ -878,6 +924,24 @@ def test_cover_validation():
         build_sphere_cover(2, half_angle=0.0)
     with pytest.raises(InputError):
         build_sphere_cover(2, half_angle=math.pi)
+
+
+def test_sphere_cover_rejects_non_finite_directions():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InputError, match="non-finite"):
+            SphereCover(0.5, np.array([[1.0, 0.0], [bad, 0.0]]))
+
+
+def test_sphere_cover_rejects_an_empty_direction_set():
+    """An empty cover would leave cone selection no direction to pick."""
+    with pytest.raises(InputError, match="m >= 1"):
+        SphereCover(0.5, np.empty((0, 3)))
+
+
+@pytest.mark.parametrize("half_angle", [0.0, -0.1, math.pi / 2.0, 2.0, math.nan])
+def test_sphere_cover_rejects_a_half_angle_outside_the_open_quarter_turn(half_angle):
+    with pytest.raises(InputError, match="half_angle must lie in"):
+        SphereCover(half_angle, np.array([[1.0, 0.0], [-1.0, 0.0]]))
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
@@ -1116,7 +1180,7 @@ def test_fewest_caps_bound_lies_below_the_area_ratio(dimension, half_angle):
 
 
 @pytest.mark.parametrize(
-    "dimension,size", [(3, 128), (4, 1000), (5, 6250), (4, 2048), (5, 8192)]
+    "dimension,size", [(3, 96), (4, 1000), (5, 6250), (4, 2048), (5, 8192)]
 )
 def test_default_covers_are_not_smaller_than_the_area_bound(dimension, size):
     """The default covers, and the sampled route's sizes in 4-D and 5-D."""
