@@ -1096,39 +1096,27 @@ def test_two_dimensional_commands_skip_numpy_random_and_ma(tmp_path):
     assert sorted(pathcert.__all__) == sorted(PACKAGE_NAMES)
 
 
-def test_three_to_five_dimensional_commands_skip_numpy_random(tmp_path):
-    """Builds and probes in 3-D, 4-D and 5-D load no numpy.random: their
-    covers are cube-face grids, proved by construction, not sampled.  With
-    numpy's dispatched SIMD kernels switched off, a second interpreter
-    builds the three grid covers, at the default angle and at 5 and 0.5
-    degrees, with the bits this one gets: they rest on np.sin, np.cos,
-    np.sqrt and basic arithmetic alone."""
+def _run_commands_and_grid_covers(tmp_path, dimensions, probes, angles):
+    """Build a spiral path in each of ``dimensions`` and run ``probes`` in a
+    fresh interpreter, and assert that every command exits 0 and none loads
+    numpy.random.  Then build the grid cover at each ``(d, half_angle)`` of
+    ``angles`` in a second interpreter with numpy's dispatched SIMD kernels
+    switched off, and assert that it gets the bits this one gets."""
     commands = []
-    for dimension in (3, 4, 5):
+    for dimension in dimensions:
         witness = tmp_path / f"witness{dimension}.json"
         generator = {"kind": "spiral", "count": 160, "stop": 0.012}
         witness.write_text(json.dumps({"dimension": dimension, "generator": generator}))
         commands.append(
             ["build", "--witness", str(witness), "--out", str(tmp_path / f"path{dimension}.json")]
         )
-    commands += [
-        ["probe", "--field", "builtin:rational3d", "--generator", "spiral"],
-        ["probe", "--field", "expr:(0.6*x1 + 0.8*x3)/norm(x)", "--generator", "ray",
-         "--axis=0.6,0,0.8", "--count", "160", "--stop", "0.013"],
-        ["probe", "--field", "expr:x4/norm(x)", "--generator", "ray", "--axis=0,0,0,1",
-         "--count", "160", "--stop", "0.013"],
-        ["probe", "--field", "expr:(x1 + x5)/norm(x)", "--generator", "spiral"],
-    ]
+    commands += probes
     code = (
         "import sys\n"
         "from pathcert import cli\n"
         f"print('exit codes:', *(cli.main(argv) for argv in {commands!r}))\n"
         "print('loaded:', *[n for n in ('numpy.random',) if n in sys.modules])\n"
     )
-    angles = [
-        (3, geometry.DEFAULT_COVER_HALF_ANGLE), (3, math.radians(5.0)), (3, math.radians(0.5)),
-        (4, geometry.DEFAULT_COVER_HALF_ANGLE), (5, geometry.DEFAULT_COVER_HALF_ANGLE),
-    ]
     covers = (
         "import hashlib\n"
         "from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__\n"
@@ -1144,7 +1132,7 @@ def test_three_to_five_dimensional_commands_skip_numpy_random(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     lines = [line for line in done.stdout.splitlines() if line.startswith(("exit", "loaded"))]
-    assert lines == ["exit codes: 0 0 0 0 0 0 0", "loaded:"]
+    assert lines == ["exit codes: " + " ".join(["0"] * len(commands)), "loaded:"]
     env["NPY_DISABLE_CPU_FEATURES"] = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
     done = subprocess.run(
         [sys.executable, "-c", covers], env=env, capture_output=True, text=True, check=True
@@ -1154,3 +1142,34 @@ def test_three_to_five_dimensional_commands_skip_numpy_random(tmp_path):
         directions = geometry.build_sphere_cover(d, half_angle).directions
         mine.append(f"cover {d} {half_angle} {hashlib.sha256(directions.tobytes()).hexdigest()}")
     assert done.stdout.splitlines() == ["dispatched:", *mine]
+
+
+def test_three_dimensional_commands_skip_numpy_random(tmp_path):
+    """A 3-D build and 3-D probes load no numpy.random: the 3-D cover is a
+    cube-face grid, proved by construction, not sampled.  With numpy's
+    dispatched SIMD kernels switched off, the grid covers at the default
+    angle and at 5 and 0.5 degrees come out with the same bits: they rest on
+    np.sin, np.cos, np.sqrt and basic arithmetic alone."""
+    probes = [
+        ["probe", "--field", "builtin:rational3d", "--generator", "spiral"],
+        ["probe", "--field", "expr:(0.6*x1 + 0.8*x3)/norm(x)", "--generator", "ray",
+         "--axis=0.6,0,0.8", "--count", "160", "--stop", "0.013"],
+    ]
+    angles = [
+        (3, geometry.DEFAULT_COVER_HALF_ANGLE), (3, math.radians(5.0)), (3, math.radians(0.5)),
+    ]
+    _run_commands_and_grid_covers(tmp_path, (3,), probes, angles)
+
+
+def test_four_and_five_dimensional_commands_skip_numpy_random(tmp_path):
+    """A 4-D and a 5-D build and probe load no numpy.random: their covers are
+    cube-face grids, proved by construction, not sampled.  With numpy's
+    dispatched SIMD kernels switched off, both default grid covers come out
+    with the same bits."""
+    probes = [
+        ["probe", "--field", "expr:x4/norm(x)", "--generator", "ray", "--axis=0,0,0,1",
+         "--count", "160", "--stop", "0.013"],
+        ["probe", "--field", "expr:(x1 + x5)/norm(x)", "--generator", "spiral"],
+    ]
+    angles = [(4, geometry.DEFAULT_COVER_HALF_ANGLE), (5, geometry.DEFAULT_COVER_HALF_ANGLE)]
+    _run_commands_and_grid_covers(tmp_path, (4, 5), probes, angles)
