@@ -709,12 +709,15 @@ def test_the_next_coarser_grid_fails_the_corner_test_at_a_named_corner(dimension
 
     Where the named corner is also farther than half_angle from every
     direction of that grid (at 36 of the 77 angles in 3-D, 49 in 4-D and
-    5-D), no coarser grid covers.  Elsewhere a neighbouring cell's centre
-    can be nearer, and the coarser grid may cover without the corner test
-    proving it: at 26 degrees in 5-D, 400,000 samples put the 3-step
-    grid's covering radius near 24.6 degrees, against the 28.2 degrees its
-    corner test finds."""
-    holes = 0
+    5-D), no coarser grid covers.  In 4-D and 5-D that holds at every angle
+    where M is even, for the axis e_0 itself (19 angles in 4-D, 22 in 5-D),
+    so there m is the smallest grid that covers.  Elsewhere a neighbouring
+    cell's centre can be nearer, and the coarser grid may cover without
+    the corner test proving it: at 26 degrees in 5-D, 400,000 samples put
+    the 3-step grid's covering radius near 24.6 degrees, against the 28.2
+    degrees its corner test finds."""
+    axis = _unit([1.0] + [0.0] * (dimension - 1))
+    holes = axis_holes = 0
     for degrees in [*WHOLE_DEGREES, math.degrees(DEFAULT_COVER_HALF_ANGLE)]:
         half_angle = math.radians(degrees)
         coarse = geometry._grid_steps(dimension, half_angle) - 1
@@ -731,7 +734,11 @@ def test_the_next_coarser_grid_fails_the_corner_test_at_a_named_corner(dimension
         assert abs(cosine - geometry._grid_min_cosine(dimension, coarse)) < 1e-15, (degrees, coarse)
         assert cosine < math.cos(half_angle) + geometry._PROOF_MARGIN, (degrees, coarse)
         holes += float(np.max(directions @ corner)) < math.cos(half_angle)
-    assert holes >= 10
+        if dimension > 3 and coarse % 2 == 0:
+            assert float(np.max(directions @ axis)) < math.cos(half_angle), (degrees, coarse)
+            axis_holes += 1
+    assert holes == {3: 36, 4: 49, 5: 49}[dimension]
+    assert axis_holes == {3: 0, 4: 19, 5: 22}[dimension]
     if dimension == 3:
         t = math.tan(math.pi / 56)
         assert geometry._grid_steps(3, math.radians(5.0)) == 15
