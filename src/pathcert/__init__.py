@@ -45,8 +45,7 @@ _EXPORTS = {
     ),
     "verifier": (
         "CheckReport", "coincidence_check", "envelope_check", "interpolation_check",
-        "lemma1_bound_check", "lemma1_random_suite", "product_bound_scan", "run_checks",
-        "smoothness_check",
+        "product_bound_scan", "run_checks", "smoothness_check",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -24,10 +24,10 @@ the rows of an array, and its scalar form is a one-row call of it:
 
 Sphere covers supply candidate axes: a finite set of unit directions such
 that every unit vector lies within a prescribed angle of some direction.
-Covers are proved through dimension 5.  In dimension 1, {+1, -1} is the
+Covers are proved through dimension 6.  In dimension 1, {+1, -1} is the
 whole sphere, and in dimension 2 the spacing proves the cover: count >=
 2 pi / half_angle equally spaced directions put every unit vector within
-pi / count <= half_angle / 2 of one.  In dimensions 3 to 5,
+pi / count <= half_angle / 2 of one.  In dimensions 3 to 6,
 ``_grid_cover`` takes the cell centres of an equiangular grid on each
 face of the cube, proved by construction (Conway & Sloane, *Sphere
 Packings, Lattices and Groups*, ch. 2): central projection maps a cell
@@ -36,8 +36,9 @@ convex, so a cell whose corners lie within half_angle of its centre lies
 within it whole.  No proved cover draws a sample, and ``seed`` changes
 none of them.
 
-From dimension 6 on (a grid needs 93,312 directions there at the
-default angle, against 32,768 sampled), ``build_sphere_cover(dimension,
+From dimension 7 on (a grid needs 1,647,086 directions there at the
+default angle, against 131,072 sampled, and from 8-D on more than
+_MAX_COVER_SIZE), ``build_sphere_cover(dimension,
 half_angle, *, seed)`` doubles a set of Halton points (Halton, Numer.
 Math. 2, 1960) mapped through the inverse normal CDF and normalized,
 until ``_uncovered`` leaves none of COVER_SAMPLE_COUNT unit samples drawn
@@ -552,7 +553,7 @@ def _grid_steps(dimension: int, half_angle: float) -> int:
     their worst corner angle is a lower bound on the grid's: an m they
     fail, the whole grid fails, and only an m they pass is tested whole.
     Under the size cap the pair's smallest cosine is the grid's, or an ulp
-    or two above it: the axis cell is the worst in 4-D and 5-D, the vertex
+    or two above it: the axis cell is the worst in 4-D to 6-D, the vertex
     cell in 3-D, where the axis cell's angle atan(sqrt(2) tan(pi / 4m))
     falls 13% short for large m.  So the search from the area bound's 267
     cells per edge to the 591 of 0.1242 degrees tests one grid whole, not
@@ -600,17 +601,18 @@ def _grid_directions(dimension: int, steps: int) -> np.ndarray:
 
 
 def _grid_cover(dimension: int, half_angle: float) -> np.ndarray:
-    """The equiangular cube-face grid cover of dimension 3, 4 or 5, proved by
+    """The equiangular cube-face grid cover of dimension 3 to 6, proved by
     construction: see ``_grid_steps`` for its size, ``_grid_directions``
     for its order.  Cone selection breaks ties to the lowest index, so the
     order is part of the result."""
     return _grid_directions(dimension, _grid_steps(dimension, half_angle))
 
 
-# the dimensions whose cover is the cube-face grid: from 6-D on a grid is
-# larger than the sampled cover (93,312 directions against 32,768 at the
-# default angle)
-_GRID_DIMENSIONS = (3, 4, 5)
+# the dimensions whose cover is the cube-face grid.  In 6-D it is larger
+# than the sampled cover (93,312 directions against 32,768 at the default
+# angle) but proved, and quicker to build and select from; in 7-D its
+# 1,647,086 directions take over three times as long as the 131,072 sampled
+_GRID_DIMENSIONS = (3, 4, 5, 6)
 
 
 @lru_cache(maxsize=32)
@@ -634,8 +636,8 @@ def require_cover_fits(dimension: int, half_angle: float) -> None:
     arguments before it draws a sample or makes a direction: a dimension or
     half angle out of range, a cover that would need more than
     _MAX_COVER_SIZE directions (in 2-D by its spacing, from 3-D on by the
-    area bound ``_log_fewest_caps``, in 3-D to 5-D also by the grid
-    ``_grid_steps`` proves), or a sampled cover (dimension 6 on) whose
+    area bound ``_log_fewest_caps``, in 3-D to 6-D also by the grid
+    ``_grid_steps`` proves), or a sampled cover (dimension 7 on) whose
     sample draw would hold more than _MAX_SAMPLE_ENTRIES floats."""
     if not isinstance(dimension, int) or dimension < 1:
         raise InputError(f"dimension must be a positive integer, got {dimension!r}")
@@ -675,7 +677,7 @@ def _log_fewest_caps(dimension: int, half_angle: float) -> float:
 
 def _sampled_cover(dimension: int, half_angle: float, seed: int) -> np.ndarray:
     """Halton directions, doubled from 256 until each of COVER_SAMPLE_COUNT
-    unit samples drawn from ``seed`` is covered: the cover from dimension 6
+    unit samples drawn from ``seed`` is covered: the cover from dimension 7
     on.  The candidates nest, so the samples one size leaves meet only the
     points the next adds."""
     rng = np.random.default_rng(seed)
@@ -709,11 +711,11 @@ def build_sphere_cover(
 
     Dimension 1 uses {+1, -1}; dimension 2 ``ceil(2 pi / half_angle)``
     (at least 4) equally spaced circle points, about twice the count the
-    spacing bound needs; dimensions 3 to 5 the centres of the smallest
+    spacing bound needs; dimensions 3 to 6 the centres of the smallest
     equiangular grid on the cube's faces whose every cell lies within
-    half_angle of its centre (96, 1,000 and 6,250 directions at the
+    half_angle of its centre (96, 1,000, 6,250 and 93,312 directions at the
     default angle).  These covers are
-    proved and ``seed`` is unused.  From dimension 6 on, a low-discrepancy
+    proved and ``seed`` is unused.  From dimension 7 on, a low-discrepancy
     Gaussian construction is doubled until every one of COVER_SAMPLE_COUNT
     unit samples drawn from ``seed`` lies within half_angle of a direction.
     """

@@ -332,42 +332,27 @@ def _kinks(skeleton: PiecewiseAffinePath, ts: np.ndarray, hs: np.ndarray) -> tup
     return first, row, slopes[kink] - slopes[kink - 1], x
 
 
-def _mollified_batch(items) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Kernel averages of skeletons and of their slopes, one (values,
-    slopes) pair per (skeleton, ts, hs) item, one row per t.
+def _mollified_rows(
+    skeleton: PiecewiseAffinePath, ts: np.ndarray, hs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel averages of the skeleton and of its slopes, one row per t.
 
     Starts from the affine piece holding t - h, continued to t.  Every
     breakpoint kappa inside (t - h, t + h) with slope jump delta then
     adds delta h (x K(x) - M(x)) to the value and delta K(x) to the
-    slope, where x = (t - kappa) / h; K and M serve both.  At h = 0 no
-    breakpoint is met and the row is an affine piece holding t.  K and M
-    come from one kernel evaluation for the kinks of all items; each item
-    keeps its own kink list and its own sums.  All arithmetic is
-    elementwise, so a row never depends on the batch or the items around it.
+    slope, where x = (t - kappa) / h; K and M come from one kernel
+    evaluation and serve both.  At h = 0 no breakpoint is met and the row
+    is an affine piece holding t.  All arithmetic is elementwise, so a row
+    never depends on the batch around it.
     """
-    kinks = [_kinks(*item) for item in items]
-    xs = np.concatenate([k[3] for k in kinks])
-    mass, moment = kernel_mass_moment(xs) if xs.size else (xs, xs)
-    results = []
-    stop = 0
-    for (skeleton, ts, hs), (first, row, jump, x) in zip(items, kinks):
-        start, stop = stop, stop + row.size
-        k, m = mass[start:stop], moment[start:stop]
-        slope = skeleton.slopes[first]
-        value = slope * ts[:, None] + skeleton.offsets[first]
-        # add.at adds term by term in index order: each row in breakpoint order
-        np.add.at(value, row, jump * (hs[row] * (x * k - m))[:, None])
-        np.add.at(slope, row, jump * k[:, None])
-        results.append((value, slope))
-    return results
-
-
-def _mollified_rows(
-    skeleton: PiecewiseAffinePath, ts: np.ndarray, hs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel averages of the skeleton and of its slopes, one row per t: the
-    one-item call of ``_mollified_batch``."""
-    return _mollified_batch([(skeleton, ts, hs)])[0]
+    first, row, jump, x = _kinks(skeleton, ts, hs)
+    mass, moment = kernel_mass_moment(x) if x.size else (x, x)
+    slope = skeleton.slopes[first]
+    value = slope * ts[:, None] + skeleton.offsets[first]
+    # add.at adds term by term in index order: each row in breakpoint order
+    np.add.at(value, row, jump * (hs[row] * (x * mass - moment))[:, None])
+    np.add.at(slope, row, jump * mass[:, None])
+    return value, slope
 
 
 def _second_derivative_rows(

@@ -359,25 +359,6 @@ def eval_affine_derivative(path: PiecewiseAffinePath, t: float) -> np.ndarray:
     return eval_affine_derivative_many(path, [float(t)])[0]
 
 
-def affine_path_from_slopes(breakpoints, start_value, slopes) -> PiecewiseAffinePath:
-    """Continuous path from breakpoints, a start value, and segment slopes.
-
-    Offsets are chained so each segment starts where the previous ended.
-    """
-    bp = np.asarray(breakpoints, dtype=float)
-    sl = np.asarray(slopes, dtype=float)
-    value = np.asarray(start_value, dtype=float)
-    if sl.ndim != 2 or sl.shape[0] != bp.size - 1:
-        raise InputError("need one slope row per segment")
-    if value.shape != (sl.shape[1],):
-        raise InputError("start value dimension does not match slopes")
-    offsets = np.empty_like(sl)
-    for i in range(sl.shape[0]):
-        offsets[i] = value - sl[i] * bp[i]
-        value = value + sl[i] * (bp[i + 1] - bp[i])
-    return PiecewiseAffinePath(breakpoints=bp, slopes=sl, offsets=offsets)
-
-
 def build_skeleton(anchors: AnchorSequence) -> PiecewiseAffinePath:
     """Piecewise-affine path through the anchor data.
 

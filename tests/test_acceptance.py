@@ -17,12 +17,12 @@ from pathcert import cli
 from pathcert import verifier
 from pathcert.mollifier import KERNEL_C, SmoothPath, bump_kernel, dense_grid, eval_smooth_many
 from quadrature import integrate_panels
+from random_paths import lemma1_random_suite
 from pathcert.skeleton import eval_affine_many
 from pathcert.verifier import (
     coincidence_check,
     envelope_check,
     interpolation_check,
-    lemma1_random_suite,
     product_bound_scan,
     smoothness_check,
 )
@@ -35,7 +35,8 @@ def _announce(capsys, label, ok, detail):
 
 def test_averaged_derivative_bound(capsys):
     """Kernel-averaged slope of random segmented paths stays under the
-    slope-norm budget."""
+    slope-norm budget: the random-path self-test of the kink sum, which
+    lives in tests/random_paths.py."""
     started = time.perf_counter()
     report = lemma1_random_suite(seed=0)
     elapsed = time.perf_counter() - started

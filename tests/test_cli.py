@@ -179,6 +179,21 @@ def test_sample_range_outside_domain(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_a_nan_sample_range_is_reported_in_plain_floats(tmp_path, capsys):
+    """A range that is not a number is refused, and the message prints the
+    default lower end as a float, not as numpy's repr of one."""
+    path_file = _build_path_file(tmp_path, capsys)
+    lo, hi = pathfile.load_build(path_file).path.domain
+    rc, _, err = _run(
+        ["sample", "--path", path_file, "--out", str(tmp_path / "s.csv"), "--t-max", "nan"],
+        capsys,
+    )
+    assert rc == 2
+    start = math.nextafter(lo, hi)
+    assert f"error: sampling range [{start!r}, nan] must lie inside ({lo!r}, {hi!r}]" in err
+    assert "np.float64" not in err
+
+
 def test_check_subset_passes_and_reports(tmp_path, capsys):
     path_file = _build_path_file(tmp_path, capsys)
     out = tmp_path / "reports.json"
@@ -1018,7 +1033,7 @@ def test_high_dimensional_commands_import_no_scipy(tmp_path):
     assert done.stdout.splitlines()[-2:] == ["exit codes: 0 0 0", "scipy modules:"]
 
 
-# every name the package exported when it imported all its modules at once
+# every name the package exports
 PACKAGE_NAMES = (
     "DomainError ExpressionError InputError PipelineError WitnessNotFoundError "
     "CONE_HALF_ANGLE DEFAULT_COVER_HALF_ANGLE ConeSpec SphereCover UnitDirection "
@@ -1028,20 +1043,20 @@ PACKAGE_NAMES = (
     "dense_grid eval_smooth eval_smooth_derivative eval_smooth_derivative_many "
     "eval_smooth_many sample_path PathBuild build_path AnchorSequence PiecewiseAffinePath "
     "WitnessSequence build_anchor_sequence build_skeleton eval_affine eval_affine_derivative "
-    "CheckReport coincidence_check envelope_check interpolation_check lemma1_bound_check "
-    "lemma1_random_suite product_bound_scan run_checks smoothness_check"
+    "CheckReport coincidence_check envelope_check interpolation_check product_bound_scan "
+    "run_checks smoothness_check"
 ).split()
 
 
 def test_two_dimensional_commands_skip_numpy_random_and_ma(tmp_path):
     """A 2-D build and a 2-D probe load neither numpy.random (their covers
-    are proved by spacing, not sampled) nor numpy.ma; check and sample never
-    load numpy.ma.  The build, which evaluates no path, never builds the
-    kernel table.  Each command loads only its own modules: build and sample
-    none of the verifier, the harness, the expression parser and
-    numpy.polynomial, and check not the harness.  Importing the package
-    pins the BLAS threads and loads no numpy; every name it exported when
-    it imported all its modules still resolves from it."""
+    are proved by spacing, not sampled) nor numpy.ma; sample and check, whose
+    checks draw no random numbers, load neither either.  The build, which
+    evaluates no path, never builds the kernel table.  Each command loads
+    only its own modules: build and sample none of the verifier, the
+    harness, the expression parser and numpy.polynomial, and check not the
+    harness.  Importing the package pins the BLAS threads and loads no
+    numpy; every name it exports resolves from it."""
     witness = tmp_path / "witness2.json"
     witness.write_text(
         json.dumps(
@@ -1072,7 +1087,7 @@ def test_two_dimensional_commands_skip_numpy_random_and_ma(tmp_path):
         f"print('exit codes:', cli.main({sample!r}))\n"
         f"print('loaded:', *loaded('numpy.random', 'numpy.ma', *{own!r}))\n"
         f"print('exit codes:', cli.main({check!r}))\n"
-        f"print('loaded:', *loaded('numpy.ma', *{own[1:]!r}))\n"
+        f"print('loaded:', *loaded('numpy.random', 'numpy.ma', *{own[1:]!r}))\n"
     )
     probing = head + (
         f"print('exit codes:', *(cli.main(argv) for argv in {probes!r}))\n"
@@ -1096,12 +1111,13 @@ def test_two_dimensional_commands_skip_numpy_random_and_ma(tmp_path):
     assert sorted(pathcert.__all__) == sorted(PACKAGE_NAMES)
 
 
-def _run_commands_and_grid_covers(tmp_path, dimensions, probes, angles):
-    """Build a spiral path in each of ``dimensions`` and run ``probes`` in a
-    fresh interpreter, and assert that every command exits 0 and none loads
-    numpy.random.  Then build the grid cover at each ``(d, half_angle)`` of
-    ``angles`` in a second interpreter with numpy's dispatched SIMD kernels
-    switched off, and assert that it gets the bits this one gets."""
+def _run_commands_and_grid_covers(tmp_path, dimensions, after, angles):
+    """Build a spiral path ``path<d>.json`` in each of ``dimensions``, then
+    run the commands ``after``, in a fresh interpreter, and assert that
+    every command exits 0 and none loads numpy.random.  Then build the grid
+    cover at each ``(d, half_angle)`` of ``angles`` in a second interpreter
+    with numpy's dispatched SIMD kernels switched off, and assert that it
+    gets the bits this one gets."""
     commands = []
     for dimension in dimensions:
         witness = tmp_path / f"witness{dimension}.json"
@@ -1110,7 +1126,7 @@ def _run_commands_and_grid_covers(tmp_path, dimensions, probes, angles):
         commands.append(
             ["build", "--witness", str(witness), "--out", str(tmp_path / f"path{dimension}.json")]
         )
-    commands += probes
+    commands += after
     code = (
         "import sys\n"
         "from pathcert import cli\n"
@@ -1173,3 +1189,14 @@ def test_four_and_five_dimensional_commands_skip_numpy_random(tmp_path):
     ]
     angles = [(4, geometry.DEFAULT_COVER_HALF_ANGLE), (5, geometry.DEFAULT_COVER_HALF_ANGLE)]
     _run_commands_and_grid_covers(tmp_path, (4, 5), probes, angles)
+
+
+def test_six_dimensional_build_and_check_skip_numpy_random(tmp_path):
+    """A 6-D build and a check of its path with all six suites load no
+    numpy.random: the 6-D cover is a cube-face grid, proved by construction,
+    and no check draws a random number.  With numpy's dispatched SIMD kernels
+    switched off, the default 6-D grid cover comes out with the same bits."""
+    check = ["check", "--path", str(tmp_path / "path6.json"), "--suite", "all"]
+    _run_commands_and_grid_covers(
+        tmp_path, (6,), [check], [(6, geometry.DEFAULT_COVER_HALF_ANGLE)]
+    )

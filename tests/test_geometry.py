@@ -315,8 +315,8 @@ def test_circle_cover_passes_the_sampled_check(half_angle, seed):
 
 
 def test_low_dimensional_covers_draw_no_samples(monkeypatch):
-    """Covers in dimensions 1 to 5 are proved: they draw no random samples
-    and test none, and the seed changes none of them.  Dimension 6 still
+    """Covers in dimensions 1 to 6 are proved: they draw no random samples
+    and test none, and the seed changes none of them.  Dimension 7 still
     samples."""
 
     def no_samples(*args):
@@ -330,12 +330,13 @@ def test_low_dimensional_covers_draw_no_samples(monkeypatch):
     assert build(3, 0.7, 91).size == 6 * 2**2  # two cells per face edge
     assert build(4, 0.7, 91).size == 8 * 2**3  # two cells per face edge
     assert build(5, 0.7, 91).size == 10 * 2**4
-    for dimension in (3, 4, 5):
+    assert build(6, 0.7, 91).size == 12 * 3**5  # three cells per face edge
+    for dimension in (3, 4, 5, 6):
         assert np.array_equal(
             build(dimension, 0.2, 91).directions, build(dimension, 0.2, 0).directions
         )
     with pytest.raises(AssertionError, match="sampled"):
-        build(6, 0.7, 91)
+        build(7, 0.7, 91)
 
 
 @pytest.mark.parametrize("dimension", [2, 3, 4, 5])
@@ -631,12 +632,13 @@ def _own_cell_directions(directions, steps, points) -> np.ndarray:
 WHOLE_DEGREES = range(5, 81)
 
 
-@pytest.mark.parametrize("dimension", [3, 4, 5])
+@pytest.mark.parametrize("dimension", [3, 4, 5, 6])
 def test_grid_cover_against_an_own_cell_oracle(dimension):
-    """At every whole degree from 5 to 80, every one of 100,000 seeded
-    Gaussian samples and every cell corner of every face, made here with
-    math.tan, lies within half_angle of the direction of its own cell,
-    found from its coordinates and the documented order.
+    """At every whole degree from 5 to 80 (from 10 in 6-D: finer 6-D grids
+    exceed _MAX_COVER_SIZE), every one of 100,000 seeded Gaussian samples
+    and every cell corner of every face, made here with math.tan, lies
+    within half_angle of the direction of its own cell, found from its
+    coordinates and the documented order.
 
     That is a stronger claim than lying within half_angle of some direction,
     which it implies, and it costs one lookup per point instead of a search
@@ -647,22 +649,17 @@ def test_grid_cover_against_an_own_cell_oracle(dimension):
     samples = g / np.linalg.norm(g, axis=1)[:, None]
     n = dimension - 1
     smallest: dict[int, int] = {}
-    for degrees in WHOLE_DEGREES:
+    for degrees in WHOLE_DEGREES[5 if dimension == 6 else 0 :]:
         smallest.setdefault(geometry._grid_steps(dimension, math.radians(degrees)), degrees)
-    assert min(smallest) == 1 and len(smallest) > 10
+    assert min(smallest) == 1 and len(smallest) >= 10
     for steps, degrees in smallest.items():
         half_angle = math.radians(degrees)
         directions = geometry._grid_cover(dimension, half_angle)
         assert directions.shape == (2 * dimension * steps**n, dimension)
         edges = [math.tan(math.pi / 4 * (2 * k / steps - 1)) for k in range(steps + 1)]
         grid = np.array(list(itertools.product(edges, repeat=n)))
-        points = [("sample", samples)]
-        for axis in range(dimension):
-            for sign in (1.0, -1.0):
-                face = np.insert(grid, axis, sign, axis=1)
-                unit = face / np.linalg.norm(face, axis=1)[:, None]
-                points.append((f"corner of face {axis} {sign:+}", unit))
-        for what, unit in points:
+
+        def check(what, unit):
             own = _own_cell_directions(directions, steps, unit)
             cosines = np.einsum("ij,ij->i", unit, own)
             worst = int(np.argmin(cosines))
@@ -670,6 +667,13 @@ def test_grid_cover_against_an_own_cell_oracle(dimension):
                 f"{degrees} degrees, {steps} steps: {what} {unit[worst]} lies "
                 f"{math.degrees(math.acos(cosines[worst]))} degrees from its cell's direction"
             )
+
+        check("sample", samples)
+        for axis in range(dimension):
+            for sign in (1.0, -1.0):
+                face = np.insert(grid, axis, sign, axis=1)
+                unit = face / np.linalg.norm(face, axis=1)[:, None]
+                check(f"corner of face {axis} {sign:+}", unit)
 
 
 def _worst_corner(dimension, steps):
@@ -787,7 +791,7 @@ def test_a_grid_above_the_size_cap_allocates_no_direction(monkeypatch, dimension
     assert peak < 8 * 2**20
 
 
-@pytest.mark.parametrize("dimension,top", [(3, 120), (4, 40), (5, 16)])
+@pytest.mark.parametrize("dimension,top", [(3, 120), (4, 40), (5, 16), (6, 11)])
 def test_every_grid_the_axis_and_vertex_cells_fail_fails_the_corner_test(
     monkeypatch, dimension, top
 ):

@@ -38,11 +38,8 @@ import two_path_eval
 from kernel_table_ref import pair_table_eval, rebuild_kernel_table
 from quadrature import integrate_panels
 from update_golden import MANIFEST, build_info
-from pathcert.skeleton import (
-    affine_path_from_slopes,
-    eval_affine_derivative_many,
-    eval_affine_many,
-)
+from pathcert.skeleton import eval_affine_derivative_many, eval_affine_many
+from random_paths import affine_path_from_slopes
 
 # normalization constant computed once with an unrelated adaptive
 # quadrature implementation, frozen here as a regression pin

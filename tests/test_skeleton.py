@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import FIXTURE_CASES, FIXTURE_DIMENSIONS, FIXTURE_KINDS, witness_fixture
+from random_paths import affine_path_from_slopes
 
 import pathcert
 from pathcert.errors import DomainError, InputError
@@ -18,7 +19,6 @@ from pathcert.skeleton import (
     AnchorSequence,
     PiecewiseAffinePath,
     WitnessSequence,
-    affine_path_from_slopes,
     anchor_shell,
     anchor_spacing,
     breakpoints_for,

@@ -28,7 +28,7 @@ from pathcert.mollifier import (
     row_norms,
 )
 from pathcert.pathfile import reports_to_json
-from pathcert.skeleton import affine_path_from_slopes, eval_affine_many, kink_times
+from pathcert.skeleton import eval_affine_many, kink_times
 from pathcert.verifier import (
     PRODUCT_BOUND,
     FINITE_THRESHOLD,
@@ -37,13 +37,19 @@ from pathcert.verifier import (
     envelope_check,
     envelope_level,
     interpolation_check,
-    lemma1_bound_check,
-    lemma1_random_suite,
     product_bound_scan,
-    random_affine_path,
     run_checks,
-    slope_norm_budget,
     smoothness_check,
+)
+from random_paths import (
+    LEMMA1_PATHS,
+    LEMMA1_POINTS_PER_PATH,
+    affine_path_from_slopes,
+    lemma1_bound_check,
+    lemma1_path_reports,
+    lemma1_random_suite,
+    random_affine_path,
+    slope_norm_budget,
 )
 
 
@@ -105,18 +111,18 @@ def test_random_suite_small_run():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_random_suite_equals_one_bound_check_per_path(seed):
-    """lemma1's one kernel pass over all its paths gives each path the report
-    of its own lemma1_bound_check call, bit for bit, and the suite reports
-    the first worst of them."""
+    """The random suite draws path k, its scale and its points from child k
+    of the seed, gives each path the report of its own lemma1_bound_check
+    call, bit for bit, and reports the first worst of them."""
     single = []
-    for child in np.random.SeedSequence(seed).spawn(verifier.LEMMA1_PATHS):
+    for child in np.random.SeedSequence(seed).spawn(LEMMA1_PATHS):
         rng = np.random.default_rng(child)
         path = random_affine_path(rng)
         lo, hi = path.domain
         scale = float(rng.uniform(0.2, 0.8)) * 0.5 * (hi - lo)
-        ts = rng.uniform(lo + scale, hi - scale, size=verifier.LEMMA1_POINTS_PER_PATH)
+        ts = rng.uniform(lo + scale, hi - scale, size=LEMMA1_POINTS_PER_PATH)
         single.append(lemma1_bound_check(path, scale, ts).to_dict())
-    assert [r.to_dict() for r in verifier._lemma1_path_reports(seed)] == single
+    assert [r.to_dict() for r in lemma1_path_reports(seed)] == single
     worst = max(single, key=lambda r: r["measured"])
     report = lemma1_random_suite(seed=seed)
     assert (report.measured, report.witness_t) == (worst["measured"], worst["witness_t"])
@@ -128,6 +134,79 @@ def test_random_affine_path_shapes():
         path = random_affine_path(rng)
         assert 1 <= path.dimension <= 4
         assert 2 <= path.segment_count() <= 8
+
+
+def _lemma1_reference(path, ts):
+    """The worst ||s'(t)|| over the largest slope norm among the pieces
+    [bp[i], bp[i + 1]] that meet [t - h, t + h], one t and piece at a time."""
+    bp, norms = path.skeleton.breakpoints, row_norms(path.skeleton.slopes)
+    worst = 0.0
+    for t, ds in zip(ts, row_norms(eval_smooth_derivative_many(path, ts))):
+        h = path.h[path.window_index(t)] if path.window_index(t) >= 0 else 0.0
+        reach = max(n for i, n in enumerate(norms) if bp[i] <= t + h and bp[i + 1] >= t - h)
+        worst = max(worst, ds / reach if reach > 0.0 else (0.0 if ds == 0.0 else math.inf))
+    return worst
+
+
+def _kinked_window_path(slopes):
+    """A 1-d path on [1, 3] with one window [1.2, 1.8] of half-width 0.15 and
+    breakpoints at 1.4, 1.5 and 1.6, so a row near 1.5 meets three kinks."""
+    skeleton = affine_path_from_slopes([1.0, 1.4, 1.5, 1.6, 3.0], [0.5], np.array(slopes)[:, None])
+    return SmoothPath(skeleton=skeleton, lo=[1.2], hi=[1.8], h=[0.15])
+
+
+@pytest.mark.parametrize(
+    "slopes", [[1.0, 6.0, -6.0, 1.0], [0.5, -3.0, 4.0, 2.0], [0.0, 0.0, 0.0, 0.0]]
+)
+def test_lemma1_bounds_rows_that_meet_several_kinks(slopes):
+    """lemma1 takes the largest slope norm among every piece a row's range
+    meets, however many kinks lie in it, and matches a one-row-at-a-time
+    reference; on a flat path ||s'|| = 0 everywhere and counts as ratio 0."""
+    path = _kinked_window_path(slopes)
+    grid = dense_grid(path, per_decade=256, per_window=200)
+    # a row within h - 0.1 of 1.5 meets all three kinks
+    assert np.count_nonzero(np.abs(grid - 1.5) < path.h[0] - 0.1) > 10
+    (report,) = run_checks(path, None, ("lemma1",), per_decade=256, per_window=200)
+    assert report.passed, report
+    assert report.measured == _lemma1_reference(path, grid)
+    if not any(slopes):
+        assert report.measured == 0.0
+
+
+def test_lemma1_holds_on_every_fixture(builds):
+    """On every fixture ||s'|| stays within the largest slope norm its
+    averaging range reaches, to rounding; off the windows s' is its piece's
+    slope, so the worst ratio is at least 1."""
+    for case, build in builds.items():
+        (report,) = run_checks(build.path, build.anchors, ("lemma1",))
+        assert report.passed and 1.0 <= report.measured <= 1.0 + 1e-7, case
+        assert report.threshold == 1.0 + verifier.LEMMA1_TOL
+
+
+def test_lemma1_matches_the_reference_on_fixtures(builds):
+    for case in [("diagonal", 2, 20), ("cone", 2, 20), ("halfspace", 3, 20)]:
+        path, anchors = builds[case].path, builds[case].anchors
+        grid = dense_grid(path, per_decade=64, per_window=16)
+        (report,) = run_checks(path, anchors, ("lemma1",), per_decade=64, per_window=16)
+        assert report.measured == _lemma1_reference(path, grid), case
+
+
+def test_lemma1_fails_an_overshooting_kernel_on_every_fixture(builds, monkeypatch):
+    """A kernel mass K scaled by 1.01 carries s' past the slope it averages
+    towards, so lemma1 fails on every fixture, inside a window."""
+    mass_moment = mollifier.kernel_mass_moment
+
+    def overshooting(x):
+        mass, moment = mass_moment(x)
+        return 1.01 * mass, moment
+
+    monkeypatch.setattr(mollifier, "kernel_mass_moment", overshooting)
+    for case, build in builds.items():
+        (report,) = run_checks(build.path, build.anchors, ("lemma1",))
+        assert not report.passed, case
+        assert report.measured > 1.01 and report.details.endswith(
+            f"window {build.path.window_index(report.witness_t)}"
+        ), case
 
 
 # ---- interpolation ------------------------------------------------------
@@ -267,11 +346,9 @@ def test_smoothness_passes_on_fixture(diagonal_build):
 
 
 def test_smoothness_report_does_not_depend_on_the_seed(diagonal_build):
-    """The trials are fixed, so the seed moves only lemma1."""
+    """No check draws a random number, so the seed moves no report."""
     path, anchors = diagonal_build.path, diagonal_build.anchors
-    texts = [
-        reports_to_json(run_checks(path, anchors, ("smoothness",), seed=seed)) for seed in (0, 7)
-    ]
+    texts = [reports_to_json(run_checks(path, anchors, seed=seed)) for seed in (0, 7)]
     assert texts[0] == texts[1]
 
 
@@ -603,12 +680,14 @@ def test_each_check_evaluates_its_grid_in_one_batch(diagonal_build, monkeypatch)
     path, anchors = diagonal_build.path, diagonal_build.anchors
     one = ["_eval_batch", "_mollified_rows"]
     expected = {
+        "lemma1": one,
         "envelope": one,
         "coincidence": [*one, "eval_affine_many"],
         "interpolation": one,
         "smoothness": one,
         "product": one,
         "envelope,product": one,
+        "lemma1,envelope,product": one,
     }
     for name, names in expected.items():
         calls.clear()
@@ -641,32 +720,30 @@ def test_suite_names_frozen():
 
 def test_run_checks_sizes_the_product_grid_before_any_check(diagonal_build, monkeypatch):
     """A grid above its cap stops the run before the first check, whichever
-    of the two checks that read it is chosen."""
+    of the three checks that read it is chosen."""
 
     def no_check(*args, **kwargs):
         raise AssertionError("ran a check")
 
-    monkeypatch.setattr(verifier, "lemma1_random_suite", no_check)
-    for grid_check in ("envelope", "product"):
+    monkeypatch.setattr(verifier, "interpolation_check", no_check)
+    for grid_check in ("lemma1", "envelope", "product"):
         with pytest.raises(InputError, match="above the cap"):
             run_checks(
-                diagonal_build.path, diagonal_build.anchors, ("lemma1", grid_check),
+                diagonal_build.path, diagonal_build.anchors, ("interpolation", grid_check),
                 per_window=10**12,
             )
 
 
 def test_a_negative_seed_is_rejected_before_any_check(diagonal_build, monkeypatch):
-    """lemma1 refuses a negative seed, and run_checks does so before its
-    first check."""
+    """run_checks still refuses a negative seed, which no check reads,
+    before its first check."""
     path, anchors = diagonal_build.path, diagonal_build.anchors
     message = "seed must be a non-negative integer, got -1"
-    with pytest.raises(InputError, match=message):
-        lemma1_random_suite(seed=-1)
 
     def no_check(*args, **kwargs):
         raise AssertionError("ran a check")
 
-    for name in ("interpolation_check", "lemma1_random_suite", "smoothness_check"):
+    for name in ("interpolation_check", "_lemma1_report", "smoothness_check"):
         monkeypatch.setattr(verifier, name, no_check)
     with pytest.raises(InputError, match=message):
         run_checks(path, anchors, ("interpolation", "lemma1", "smoothness"), seed=-1)
