@@ -610,8 +610,9 @@ def _grid_cover(dimension: int, half_angle: float) -> np.ndarray:
 
 # the dimensions whose cover is the cube-face grid.  In 6-D it is larger
 # than the sampled cover (93,312 directions against 32,768 at the default
-# angle) but proved, and quicker to build and select from; in 7-D its
-# 1,647,086 directions take over three times as long as the 131,072 sampled
+# angle) but proved and quicker to build, though cone selection over it is
+# about 3x slower once the cover is cached; in 7-D its 1,647,086 directions
+# take over three times as long as the 131,072 sampled
 _GRID_DIMENSIONS = (3, 4, 5, 6)
 
 

@@ -4,6 +4,7 @@ Every check gets at least one corrupted input that must turn the
 verdict red; a suite that cannot fail verifies nothing.
 """
 
+import hashlib
 import json
 import math
 
@@ -51,6 +52,7 @@ from random_paths import (
     random_affine_path,
     slope_norm_budget,
 )
+from update_golden import MANIFEST, build_info
 
 
 def _rescaled_skeleton(build, factor):
@@ -126,6 +128,26 @@ def test_random_suite_equals_one_bound_check_per_path(seed):
     worst = max(single, key=lambda r: r["measured"])
     report = lemma1_random_suite(seed=seed)
     assert (report.measured, report.witness_t) == (worst["measured"], worst["witness_t"])
+
+
+def test_random_suite_keeps_its_golden_bytes():
+    """The random suite's reports at seed 0, whose rows meet several kinks,
+    keep the bytes they had as golden artifacts on the build the golden
+    hashes were made on: they pin the order of the kink sum's adds, which
+    the built paths' rows, meeting at most one kink, never see."""
+    made_on = json.loads(MANIFEST.read_text(encoding="utf-8"))["build"]
+    if made_on != build_info():
+        pytest.skip(f"the digests were made on {made_on}, not on this build {build_info()}")
+
+    def digest(reports):
+        return hashlib.sha256(reports_to_json(reports).encode("utf-8")).hexdigest()
+
+    assert digest(lemma1_path_reports(0)) == (
+        "3962622489eb9f0d817471c511170e8d1aef351d4ca75124c41e0389a9fdb1ac"
+    )
+    assert digest([lemma1_random_suite(0)]) == (
+        "9712c0b852202634fe911719a73b5364388bc3dc7ae4f80118552012de94882f"
+    )
 
 
 def test_random_affine_path_shapes():
