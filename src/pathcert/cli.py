@@ -8,14 +8,40 @@ usage, 3 for a failed construction stage.
 A subcommand's options are added when that subcommand is parsed, and the
 verifier and the probing harness are imported only by the commands that
 use them, so no command pays for another's modules.
+
+``run()`` is the process entry point, of ``python -m pathcert.cli`` and of
+the installed ``pathcert`` script.  It freezes the objects made at import
+out of the collector's generations, runs ``main``, the ``atexit`` handlers
+and a last flush of stdout and stderr, and ends the process with
+``os._exit``, so the interpreter does not tear down the objects numpy and
+pathcert made at import.  That is safe because ``main`` writes, closes and
+renames every output before it returns, and pathcert starts no thread and
+registers no exit handler.  An exception that escapes ``main`` still takes
+the normal interpreter exit and prints its traceback.  Only under ``python
+-m`` is the collector also off while this module imports numpy and
+pathcert; the script imports it before ``run`` is called.  ``main(argv)``
+itself leaves the collector, the open files and the exit handlers as it
+found them.
+
+Status lines on stdout are best effort: a command whose stdout is closed
+or broken still writes its files and keeps its exit code.  ``cover``
+without ``--out``, whose output is stdout, exits 2 instead.
 """
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":
+    gc.disable()  # until run(): no collection could free an import's objects
+
 import argparse
+import atexit
+import contextlib
 import math
+import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
@@ -57,37 +83,77 @@ def _parse_field(spec: str) -> ScalarField:
     return field_from_expression(spec)
 
 
+# the file options of the commands, each given as its attribute name
+_OUTPUTS = ("out", "tail_csv", "path_out")
+_INPUTS = ("path", "witness")
+
+
+def _same_file(first: str, second: str) -> bool:
+    if os.path.realpath(first) == os.path.realpath(second):
+        return True
+    try:
+        return os.path.samefile(first, second)
+    except OSError:  # one of them does not exist yet
+        return False
+
+
+def _option(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _check_arguments(args: argparse.Namespace) -> None:
-    """Reject, before any work, an output file that cannot be written, a
-    negative seed and a size argument below 1 or above its cap."""
-    for name in ("out", "tail_csv", "path_out"):
-        if getattr(args, name, None):
-            check_writable(getattr(args, name))
+    """Reject, before any work, an output file that cannot be written or that
+    is an input or another output of the command, a negative seed and a size
+    argument below 1 or above its cap."""
+    outputs = [name for name in _OUTPUTS if getattr(args, name, None)]
+    for name in outputs:
+        check_writable(getattr(args, name))
+    files = outputs + [name for name in _INPUTS if getattr(args, name, None)]
+    for i, name in enumerate(outputs):
+        for other in files[i + 1:]:
+            if _same_file(getattr(args, name), getattr(args, other)):
+                raise InputError(
+                    f"{_option(name)} and {_option(other)} name the same file: "
+                    f"{getattr(args, name)}"
+                )
     if hasattr(args, "seed"):
         require_seed(args.seed, "--seed")
     if hasattr(args, "k_max"):
         check_k_max(args.k_max)
     for name, cap in MAX_SIZES.items():
         value = getattr(args, name, 1)
-        option = "--" + name.replace("_", "-")
+        option = _option(name)
         if value > cap:
             raise InputError(f"{option} must be at most {cap}, got {value}")
         if value < 1:
             raise InputError(f"{option} must be at least 1, got {value}")
 
 
+def _status(line: str) -> None:
+    """Print a status line, or drop it if stdout is closed or broken: a
+    command's results are its files and its exit code."""
+    with contextlib.suppress(OSError):
+        print(line)  # prints nothing when sys.stdout is None (fd 1 closed)
+
+
 # ---- subcommands --------------------------------------------------------
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
+    if not args.out and sys.stdout is None:
+        raise InputError("cannot write standard output: it is closed")
     half_angle = math.radians(args.half_angle_deg)
     cover = build_sphere_cover(args.dimension, half_angle, seed=args.seed)
     text = cover_to_json(cover)
     if args.out:
         atomic_write_text(args.out, text)
-        print(f"cover: {cover.size} directions in dimension {cover.dimension} -> {args.out}")
-    else:
+        _status(f"cover: {cover.size} directions in dimension {cover.dimension} -> {args.out}")
+        return 0
+    try:
         sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise InputError(f"cannot write standard output: {exc.strerror or exc}") from exc
     return 0
 
 
@@ -97,7 +163,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     build = build_path(witness, k_max=args.k_max, half_angle=half_angle, seed=args.seed)
     save_build(args.out, build)
     lo, hi = build.path.domain
-    print(
+    _status(
         f"build: {len(build.anchors.matched)} matched anchors of {len(build.anchors.a)}, "
         f"parity {build.parity}, domain ({lo:.6g}, {hi:.6g}] -> {args.out}"
     )
@@ -121,7 +187,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         grid = np.linspace(t_min, t_max, args.points)
     # evaluated, formatted and written one block of rows at a time
     atomic_write_chunks(args.out, sample_csv_chunks(build.path, grid))
-    print(f"sample: {grid.size} rows ({args.grid} grid) -> {args.out}")
+    _status(f"sample: {grid.size} rows ({args.grid} grid) -> {args.out}")
     return 0
 
 
@@ -149,7 +215,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         atomic_write_text(args.out, reports_to_json(reports))
     for report in reports:
         status = "PASS" if report.passed else "FAIL"
-        print(
+        _status(
             f"check {report.name}: {status} measured={report.measured:.6g} "
             f"threshold={report.threshold:.6g}"
         )
@@ -197,7 +263,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
         atomic_write_text(args.tail_csv, tail_to_csv(report))
     if args.path_out:
         save_build(args.path_out, build)
-    print(
+    _status(
         f"probe {field.name}: {report.verdict} "
         f"limsup~{report.limsup_estimate:.6g} epsilon={report.epsilon:.6g}"
     )
@@ -342,5 +408,19 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> NoReturn:
+    """Run ``main`` on the process's arguments and end the process with its
+    exit code, without the interpreter's teardown."""
+    gc.freeze()
+    gc.enable()
+    code = main()
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            with contextlib.suppress(OSError):
+                stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

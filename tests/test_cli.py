@@ -2,6 +2,7 @@
 
 import contextlib
 import ctypes
+import gc
 import glob
 import hashlib
 import inspect
@@ -11,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy
@@ -508,6 +510,51 @@ NAMED_IN_ERROR.update(
     (case, f"{os.sep}{os.path.join('no-such-dir', 'out.txt')}: ")
     for case in OUTPUT_CASES
 )
+
+
+def _naming_an_input(*argv):
+    """argv with {file} a witness file, {link} a hard link to it, {new} a file
+    not yet written and {new_alias} another spelling of it."""
+
+    def write(tmp_path, capsys):
+        names = {
+            "file": _write_witness(tmp_path),
+            "link": str(tmp_path / "link.json"),
+            "new": str(tmp_path / "report.json"),
+            "new_alias": os.path.join(str(tmp_path), ".", "report.json"),
+        }
+        os.link(names["file"], names["link"])
+        return [arg.format(**names) for arg in argv]
+
+    return write
+
+
+# an output that names an input or another output of its command: the
+# options the error names, and argv
+SAME_FILE_CASES = {
+    "sample-out-is-its-path": ("--out and --path", ("sample", "--path", "{file}", "--out", "{file}")),
+    "check-out-is-its-path": ("--out and --path", ("check", "--path", "{file}", "--out", "{file}")),
+    "build-out-is-its-witness": ("--out and --witness",
+                                 ("build", "--witness", "{file}", "--out", "{file}")),
+    "build-out-a-hard-link-to-its-witness": ("--out and --witness",
+                                             ("build", "--witness", "{file}", "--out", "{link}")),
+    "probe-path-out-is-its-witness": (
+        "--path-out and --witness",
+        ("probe", "--field", "rational2d", "--witness", "{link}", "--path-out", "{file}"),
+    ),
+    "probe-tail-csv-is-its-out": (
+        "--out and --tail-csv",
+        ("probe", "--field", "rational2d", *_SMALL_PROBE, "--out", "{new}",
+         "--tail-csv", "{new_alias}"),
+    ),
+}
+MALFORMED_INPUTS.update(
+    (case, _naming_an_input(*argv)) for case, (_, argv) in SAME_FILE_CASES.items()
+)
+NAMED_IN_ERROR.update(
+    (case, f"error: {options} name the same file: ")
+    for case, (options, _) in SAME_FILE_CASES.items()
+)
 # fields non-finite all along the path, non-finite probe numbers, and
 # 2-D covers finer than the cover size cap
 _NON_FINITE_FIELD = "error: field is non-finite on every grid point"
@@ -970,6 +1017,142 @@ def test_usage_errors_exit_2(capsys):
     assert _run(["cover"], capsys)[0] == 2
     assert _run(["cover", "--dimension", "2", "--bogus"], capsys)[0] == 2
     assert _run(["sample", "--path", "x.json"], capsys)[0] == 2
+
+
+def _cli_env(unbuffered):
+    """The environment of a command run as a child, its stdout unbuffered or
+    written from a buffer at the end."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pathcert.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return dict(env, PYTHONUNBUFFERED="1") if unbuffered else env
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["cover", "--dimension", "3"], 0),
+        (["probe", "--field", "parabola", *_SMALL_PROBE], 1),
+    ],
+    ids=["cover", "parabola-probe"],
+)
+def test_python_m_writes_the_bytes_and_the_exit_code_of_main(capsys, argv, code):
+    """``python -m pathcert.cli``, which leaves through run() and os._exit,
+    writes to a pipe the bytes main prints, from its stdout buffer, and
+    exits with main's code."""
+    rc, out, _ = _run(argv, capsys)
+    assert rc == code
+    done = subprocess.run(
+        [sys.executable, "-m", "pathcert.cli", *argv], env=_cli_env(False), capture_output=True
+    )
+    assert (done.returncode, done.stdout) == (rc, out.encode())
+    assert b"Traceback" not in done.stderr
+
+
+def test_run_keeps_the_exit_handlers_and_the_exit_code_of_main(tmp_path, capsys):
+    """An atexit handler registered before run() still runs, and a failed
+    build stage exits 3 through run() as through main."""
+    witness = tmp_path / "narrow.json"
+    witness.write_text(json.dumps(
+        {"dimension": 2, "pairs": [{"x": [0.4, 0.0]}, {"x": [0.41, 0.0]}, {"x": [0.42, 0.0]}]}
+    ))
+    argv = ["build", "--witness", str(witness), "--out", str(tmp_path / "p.json")]
+    assert _run(argv, capsys)[0] == 3
+    code = (
+        "import atexit, sys\n"
+        "atexit.register(print, 'exit handler ran')\n"
+        "from pathcert.cli import run\n"
+        "run()\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=_cli_env(False), capture_output=True, text=True
+    )
+    assert done.returncode == 3
+    assert done.stdout == "exit handler ran\n"
+    assert done.stderr.startswith("pipeline error: ")
+
+
+def test_a_closed_or_broken_stdout_drops_only_the_status_line(tmp_path, capsys, monkeypatch):
+    """With its stdout pipe closed before it writes, or with fd 1 closed, a
+    sample writes the CSV main writes and exits 0, with no traceback; cover,
+    whose output is stdout, exits 2 with fd 1 closed, as main does with no
+    sys.stdout.  Unbuffered, the status line's own print meets the broken
+    pipe."""
+    path = _build_path_file(tmp_path, capsys)
+    expected = tmp_path / "expected.csv"
+    assert _run(["sample", "--path", path, "--out", str(expected), "--points", "64"], capsys)[0] == 0
+
+    def sample(name):
+        return [sys.executable, "-m", "pathcert.cli", "sample", "--path", path,
+                "--out", str(tmp_path / name), "--points", "64"]
+
+    child = subprocess.Popen(
+        sample("broken.csv"), env=_cli_env(True), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 0
+    assert b"Traceback" not in err
+    assert (tmp_path / "broken.csv").read_bytes() == expected.read_bytes()
+
+    # sh runs the command with fd 1 closed, so sys.stdout is None
+    closed = ["sh", "-c", 'exec "$@" >&-', "sh"]
+    done = subprocess.run([*closed, *sample("closed.csv")], env=_cli_env(True), capture_output=True)
+    assert done.returncode == 0 and b"Traceback" not in done.stderr
+    assert (tmp_path / "closed.csv").read_bytes() == expected.read_bytes()
+
+    cover = ["cover", "--dimension", "3"]
+    done = subprocess.run([*closed, sys.executable, "-m", "pathcert.cli", *cover],
+                          env=_cli_env(True), capture_output=True, text=True)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli.main(cover) == done.returncode == 2
+    assert done.stderr == capsys.readouterr().err == (
+        "error: cannot write standard output: it is closed\n"
+    )
+
+
+def test_main_leaves_the_collector_the_open_files_and_the_threads_as_found(tmp_path, capsys):
+    """run() may skip the interpreter's teardown because main, in every
+    command, closes what it opens and starts no thread; nor does it touch
+    the collector, which run() alone sets."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd here")
+    witness = _write_witness(tmp_path)
+    path = str(tmp_path / "path.json")
+    commands = [
+        ["build", "--witness", witness, "--k-max", "12", "--out", path],
+        ["sample", "--path", path, "--out", str(tmp_path / "s.csv"), "--points", "64"],
+        ["check", "--path", path, "--suite", "interpolation", "--out", str(tmp_path / "r.json")],
+        ["probe", "--field", "rational2d", *_SMALL_PROBE, "--out", str(tmp_path / "probe.json"),
+         "--tail-csv", str(tmp_path / "tail.csv"), "--path-out", str(tmp_path / "p2.json")],
+        ["cover", "--dimension", "3", "--out", str(tmp_path / "cover.json")],
+        ["cover", "--dimension", "3"],
+    ]
+
+    def state():
+        fds = sorted(os.listdir("/proc/self/fd"))
+        return gc.isenabled(), gc.get_freeze_count(), fds, threading.active_count()
+
+    before = state()
+    for argv in commands:
+        assert _run(argv, capsys)[0] == 0, argv
+        assert state() == before, argv
+
+
+def test_no_module_registers_an_exit_handler():
+    """run() runs the atexit handlers registered by the time main returns,
+    then ends the process; pathcert itself registers none."""
+    sources = sorted(Path(pathcert.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    assert [p.name for p in sources if "atexit.register" in p.read_text()] == []
+    assert [p.name for p in sources if "from atexit import" in p.read_text()] == []
+
+
+def test_the_installed_script_is_the_entry_point_of_python_m():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"pathcert": "pathcert.cli:run"}
 
 
 def test_import_sets_one_blas_thread_unless_set():
