@@ -38,6 +38,7 @@ if __name__ == "__main__":
 import argparse
 import atexit
 import contextlib
+import itertools
 import math
 import os
 import sys
@@ -83,7 +84,7 @@ def _parse_field(spec: str) -> ScalarField:
     return field_from_expression(spec)
 
 
-# the file options of the commands, each given as its attribute name
+# the file options of the commands, by attribute name; no command takes two inputs
 _OUTPUTS = ("out", "tail_csv", "path_out")
 _INPUTS = ("path", "witness")
 
@@ -105,17 +106,13 @@ def _check_arguments(args: argparse.Namespace) -> None:
     """Reject, before any work, an output file that cannot be written or that
     is an input or another output of the command, a negative seed and a size
     argument below 1 or above its cap."""
-    outputs = [name for name in _OUTPUTS if getattr(args, name, None)]
-    for name in outputs:
-        check_writable(getattr(args, name))
-    files = outputs + [name for name in _INPUTS if getattr(args, name, None)]
-    for i, name in enumerate(outputs):
-        for other in files[i + 1:]:
-            if _same_file(getattr(args, name), getattr(args, other)):
-                raise InputError(
-                    f"{_option(name)} and {_option(other)} name the same file: "
-                    f"{getattr(args, name)}"
-                )
+    files = [(name, value) for name in _OUTPUTS + _INPUTS if (value := getattr(args, name, None))]
+    for name, target in files:
+        if name in _OUTPUTS:
+            check_writable(target)
+    for (name, target), (other, source) in itertools.combinations(files, 2):
+        if _same_file(target, source):
+            raise InputError(f"{_option(name)} and {_option(other)} name the same file: {target}")
     if hasattr(args, "seed"):
         require_seed(args.seed, "--seed")
     if hasattr(args, "k_max"):
