@@ -104,8 +104,8 @@ def _option(name: str) -> str:
 
 def _check_arguments(args: argparse.Namespace) -> None:
     """Reject, before any work, an output file that cannot be written or that
-    is an input or another output of the command, a negative seed and a size
-    argument below 1 or above its cap."""
+    is an input or another output of the command, a negative seed, a size
+    argument below 1 or above its cap and a --min-witnesses below 1."""
     files = [(name, value) for name in _OUTPUTS + _INPUTS if (value := getattr(args, name, None))]
     for name, target in files:
         if name in _OUTPUTS:
@@ -117,6 +117,8 @@ def _check_arguments(args: argparse.Namespace) -> None:
         require_seed(args.seed, "--seed")
     if hasattr(args, "k_max"):
         check_k_max(args.k_max)
+    if getattr(args, "min_witnesses", 1) < 1:
+        raise InputError(f"--min-witnesses must be at least 1, got {args.min_witnesses}")
     for name, cap in MAX_SIZES.items():
         value = getattr(args, name, 1)
         option = _option(name)

@@ -42,11 +42,11 @@ _MAX_COVER_SIZE), ``build_sphere_cover(dimension,
 half_angle, *, seed)`` doubles a set of Halton points (Halton, Numer.
 Math. 2, 1960) mapped through the inverse normal CDF and normalized,
 until ``_uncovered`` leaves none of COVER_SAMPLE_COUNT unit samples drawn
-from ``seed``.  That map is an in-module port of Cephes ``ndtri``
-(Moshier, 1989) with libm ``log``, so it returns scipy.special.ndtri's
-bits and the module imports nothing from scipy.  Halton candidates nest,
-so a doubling computes only the new points, and only the samples still
-uncovered meet them.  ``_uncovered`` is a fast filter with an exact
+from ``seed``.  That map is ``statistics.NormalDist().inv_cdf`` (Wichura,
+AS 241, Appl. Statist. 37, 1988), imported only when Halton directions
+are made; it agrees with scipy.special.ndtri to about 1e-15, not bit for
+bit.  Halton candidates nest, so a doubling computes only the new points,
+and only the samples still uncovered meet them.  ``_uncovered`` is a fast filter with an exact
 fallback (Shewchuk, Discrete Comput. Geom. 18, 1997): it takes each
 sample's best cosine in float32, whose error for unit vectors in R^n is
 at most (n + 2) 2^-24, and recomputes in float64 only the samples whose
@@ -348,91 +348,6 @@ def _halton_points(count: int, dimension: int, start: int = 0) -> np.ndarray:
     return np.stack([_radical_inverse(index, base) for base in _primes(dimension)], axis=1)
 
 
-# Cephes ndtri (Moshier, Methods and Programs for Mathematical Functions,
-# 1989), the coefficients scipy.special.ndtri uses; leading 1 of Q omitted
-_SQRT_2PI = 2.50662827463100050242e0
-_EXP_M2 = 0.13533528323661269189  # exp(-2), the branch point
-# |u - 1/2| <= 1/2 - exp(-2)
-_NDTRI_P0 = (
-    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-    1.39312609387279679503e1, -1.23916583867381258016e0,
-)
-_NDTRI_Q0 = (
-    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-    1.59056225126211695515e1, -1.18331621121330003142e0,
-)
-# tails with 2 <= sqrt(-2 log y) < 8
-_NDTRI_P1 = (
-    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
-)
-_NDTRI_Q1 = (
-    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
-)
-# tails with sqrt(-2 log y) >= 8
-_NDTRI_P2 = (
-    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
-)
-_NDTRI_Q2 = (
-    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-    2.89247864745380683936e-6, 6.79019408009981274425e-9,
-)
-
-
-def _polevl(x: np.ndarray, coefficients) -> np.ndarray:
-    """Cephes polevl: Horner's rule from the highest coefficient down."""
-    result = np.full_like(x, coefficients[0])
-    for c in coefficients[1:]:
-        result = result * x + c
-    return result
-
-
-def _p1evl(x: np.ndarray, coefficients) -> np.ndarray:
-    """Cephes p1evl: polevl with a leading coefficient 1 left out of the table."""
-    return _polevl(x, (1.0, *coefficients))
-
-
-def _log(values: np.ndarray) -> np.ndarray:
-    # libm log per element, as Cephes calls it; numpy's vectorised log can
-    # round differently in the last bit
-    return np.fromiter(map(math.log, values.tolist()), float, count=values.size)
-
-
-def _ndtri(u: np.ndarray) -> np.ndarray:
-    """Inverse standard normal CDF of each entry of ``u`` in (0, 1).
-
-    The operations of Cephes ndtri in the same order, so the result equals
-    scipy.special.ndtri bit for bit on a platform whose libm log matches.
-    """
-    upper = u > 1.0 - _EXP_M2
-    y = np.where(upper, 1.0 - u, u)
-    out = np.empty_like(y)
-    central = y > _EXP_M2
-    yc = y[central] - 0.5
-    y2 = yc * yc
-    ratio = y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0)
-    out[central] = (yc + yc * ratio) * _SQRT_2PI
-    tail = ~central
-    x = np.sqrt(-2.0 * _log(y[tail]))
-    x0 = x - _log(x) / x
-    z = 1.0 / x
-    x1 = np.where(
-        x < 8.0,
-        z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1),
-        z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2),
-    )
-    x = x0 - x1
-    out[tail] = np.where(upper[tail], x, -x)
-    return out
-
-
 def _unit_rows(g: np.ndarray) -> np.ndarray:
     """The rows of ``g`` long enough to normalize, each divided by its norm."""
     norms = np.linalg.norm(g, axis=1)
@@ -444,11 +359,14 @@ def _unit_rows(g: np.ndarray) -> np.ndarray:
 
 def _halton_sphere(count: int, dimension: int, start: int = 0) -> np.ndarray:
     """Directions from Halton points ``start`` to ``count - 1``, pushed through
-    the inverse normal CDF and normalized.  Each point maps on its own, so
+    the standard library's inverse normal CDF and normalized.  Each point maps on its own, so
     the directions for [0, 2n) are those for [0, n) followed by those for
     [n, 2n)."""
+    from statistics import NormalDist  # only the Halton routes need it
+
     u = np.clip(_halton_points(count, dimension, start), 1e-12, 1.0 - 1e-12)
-    return _unit_rows(_ndtri(u))
+    g = np.fromiter(map(NormalDist().inv_cdf, u.ravel().tolist()), float, count=u.size)
+    return _unit_rows(g.reshape(u.shape))
 
 
 def _uncovered(chunks: list[np.ndarray], directions: np.ndarray, half_angle: float):

@@ -196,9 +196,15 @@ def derive_witness(
 ) -> WitnessSequence:
     """Collect generator points with |f| >= epsilon into a witness sequence.
 
-    Raises WitnessNotFoundError when fewer than min_count points qualify.
+    Raises WitnessNotFoundError when fewer than min_count points qualify,
+    or when they stop short of the deepest dyadic band sampled: the smallest
+    qualifying norm must lie below twice the smallest nonzero point norm, or
+    a continuous field could be certified on points the smallest rung of the
+    probe's ladder still sees.
     """
     _check_epsilon(epsilon)
+    if min_count < 1:
+        raise InputError(f"min_count must be at least 1, got {min_count!r}")
     if isinstance(generator, GeneratorSpec):
         if generator.dimension != field.dimension:
             raise InputError("generator and field dimensions differ")
@@ -206,10 +212,19 @@ def derive_witness(
     else:
         points = stack_rows(generator, "point")
     magnitudes = np.abs(field.values(points))
-    survivors = points[np.isfinite(magnitudes) & (magnitudes >= epsilon)]
+    kept = np.isfinite(magnitudes) & (magnitudes >= epsilon)
+    survivors = points[kept]
     if len(survivors) < min_count:
         raise WitnessNotFoundError(
             f"only {len(survivors)} of {len(points)} points reach |f| >= {epsilon}"
+        )
+    with np.errstate(over="ignore"):  # a point too large to survive may overflow
+        norms = np.hypot.reduce(np.abs(points), axis=1)
+    deepest, reached = float(np.min(norms[norms > 0.0])), float(np.min(norms[kept]))
+    if not reached < 2.0 * deepest:
+        raise WitnessNotFoundError(
+            f"the points with |f| >= {epsilon} stop at norm {reached:.6g}, "
+            f"not below twice the smallest norm {deepest:.6g}"
         )
     return WitnessSequence.ingest(survivors)
 

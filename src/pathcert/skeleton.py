@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .geometry import UNIT_TOL, ConeSpec, cone_contains_many, require_rows, shell_indices
-from .geometry import row_norms, stack_rows, vector_norms
+from .geometry import _rescale_extreme_points, row_norms, stack_rows, vector_norms
 
 _TIME_TOL = 1e-12
 _CONTINUITY_TOL = 1e-12
@@ -145,6 +145,10 @@ class WitnessSequence:
         x = x * scale
         if directions is None:
             y = x / norms[:, None]
+            # a subnormal norm has lost bits: scale those rows exactly first
+            low = norms < np.finfo(float).tiny
+            scaled = _rescale_extreme_points(x[low])
+            y[low] = scaled / vector_norms(scaled, "point {}")[:, None]
         else:
             y = stack_rows(directions, "direction")
             if len(y) != len(x):

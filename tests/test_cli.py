@@ -585,6 +585,14 @@ NUMBER_CASES = {
     "cover-2d-half-angle-1e-320-deg": (
         ("cover", "--dimension", "2", "--half-angle-deg", "1e-320"), _COVER_TOO_LARGE
     ),
+    "probe-min-witnesses-0": (
+        ("probe", "--field", "parabola", *_SMALL_PROBE, "--min-witnesses", "0"),
+        "error: --min-witnesses must be at least 1, got 0",
+    ),
+    "probe-min-witnesses-negative": (
+        ("probe", "--field", "rational2d", *_SMALL_PROBE, "--min-witnesses", "-1"),
+        "error: --min-witnesses must be at least 1, got -1",
+    ),
 }
 MALFORMED_INPUTS.update(
     (case, lambda tmp_path, capsys, argv=argv: list(argv))
@@ -705,6 +713,48 @@ def test_probe_expression_field(capsys):
     )
     assert rc == 0
     assert "discontinuous-certified" in out
+
+
+@pytest.mark.parametrize("generator", ["diagonal", "spiral"])
+def test_probe_of_a_bump_whose_survivors_stop_short_finds_no_violation(capsys, generator):
+    """A smooth radial bump, continuous at 0, reaches |f| >= 0.5 only on
+    norms down to 0.053, while the generated points go down to 0.015: the
+    survivors miss the deepest band sampled, so the probe falls back to
+    the whole sequence and certifies nothing.  rational2d, whose survivors
+    reach the last point, still certifies."""
+    bump = "expr:1/(1 + ((norm(x) - 0.1)*20)^4)"
+    rc, out, err = _run(["probe", "--field", bump, "--generator", generator], capsys)
+    assert rc == 1
+    assert "stop at norm 0.053134, not below twice the smallest norm 0.015" in err
+    assert "falling back to the unfiltered sequence" in err
+    assert "no-violation-found" in out
+    rc, out, _ = _run(["probe", "--field", "rational2d", "--generator", "diagonal"], capsys)
+    assert rc == 0 and "discontinuous-certified" in out
+
+
+def test_the_paper_field_is_certified_along_its_parabola_only(tmp_path, capsys):
+    """x1^2 x2 / (x1^4 + x2^2) tends to 0 along every line through 0 but is
+    1/2 on x2 = x1^2.  A witness on that parabola certifies it at eps 0.4,
+    and its path passes every check, restricted product included; the
+    diagonal and the rays along (1, 0), (1, 0.001), (1, 1) and (0.1, 1)
+    find no violation."""
+    radii = [0.45 * (0.012 / 0.45) ** (i / 239) for i in range(240)]
+    u = [math.sqrt((math.sqrt(1.0 + 4.0 * r * r) - 1.0) / 2.0) for r in radii]  # ||(u, u^2)|| = r
+    witness = tmp_path / "parabola.json"
+    witness.write_text(json.dumps({"dimension": 2, "pairs": [{"x": [a, a * a]} for a in u]}))
+    field = ("--field", "expr:x1^2*x2/(x1^4 + x2^2)", "--epsilon", "0.4")
+    rc, out, _ = _run(["probe", *field, "--witness", str(witness)], capsys)
+    assert rc == 0 and "discontinuous-certified" in out
+    path = str(tmp_path / "path.json")
+    assert _run(["build", "--witness", str(witness), "--out", path], capsys)[0] == 0
+    rc, out, _ = _run(["check", "--path", path, "--restricted"], capsys)
+    assert rc == 0 and out.count(": PASS ") == 6
+    lines = [("--generator", "diagonal")] + [
+        ("--generator", "ray", "--axis", axis) for axis in ("1,0", "1,0.001", "1,1", "0.1,1")
+    ]
+    for generator in lines:
+        rc, out, _ = _run(["probe", *field, *generator], capsys)
+        assert (rc, "no-violation-found" in out) == (1, True), generator
 
 
 def test_probe_witness_file_with_directions(tmp_path, capsys):
@@ -1238,8 +1288,9 @@ PACKAGE_NAMES = (
 
 def test_two_dimensional_commands_skip_numpy_random_and_ma(tmp_path):
     """A 2-D build and a 2-D probe load neither numpy.random (their covers
-    are proved by spacing, not sampled) nor numpy.ma; sample and check, whose
-    checks draw no random numbers, load neither either.  The build, which
+    are proved by spacing, not sampled), numpy.ma nor statistics (they make
+    no Halton directions); sample and check, whose checks draw no random
+    numbers, load none of them either.  The build, which
     evaluates no path, never builds the kernel table.  Each command loads
     only its own modules: build and sample none of the verifier, the
     harness, the expression parser and numpy.polynomial, and check not the
@@ -1273,13 +1324,13 @@ def test_two_dimensional_commands_skip_numpy_random_and_ma(tmp_path):
         f"print('exit codes:', cli.main({build!r}))\n"
         "print('kernel tables built:', _kernel_table.cache_info().currsize)\n"
         f"print('exit codes:', cli.main({sample!r}))\n"
-        f"print('loaded:', *loaded('numpy.random', 'numpy.ma', *{own!r}))\n"
+        f"print('loaded:', *loaded('numpy.random', 'numpy.ma', 'statistics', *{own!r}))\n"
         f"print('exit codes:', cli.main({check!r}))\n"
-        f"print('loaded:', *loaded('numpy.random', 'numpy.ma', *{own[1:]!r}))\n"
+        f"print('loaded:', *loaded('numpy.random', 'numpy.ma', 'statistics', *{own[1:]!r}))\n"
     )
     probing = head + (
         f"print('exit codes:', *(cli.main(argv) for argv in {probes!r}))\n"
-        "print('loaded:', *loaded('numpy.random', 'numpy.ma', 'numpy.polynomial'))\n"
+        "print('loaded:', *loaded('numpy.random', 'numpy.ma', 'numpy.polynomial', 'statistics'))\n"
         f"print('unresolved:', *[n for n in {PACKAGE_NAMES!r} if not hasattr(pathcert, n)])\n"
     )
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}

@@ -870,11 +870,14 @@ def test_cover_samples_normalize_with_one_norm_pass(monkeypatch, dimension, seed
     assert _same_chunks(drawn, expected)
 
 
-def test_ndtri_matches_scipy_bit_for_bit():
-    """The in-module Cephes port returns scipy's bits on Halton coordinates,
-    uniform draws, both deep tails and the branch points."""
-    from scipy.special import ndtri
+def test_inverse_normal_cdf_is_close_to_scipy_ndtri():
+    """The standard library's inverse normal CDF, which maps Halton points
+    to sphere directions, lies within 4e-15 max(1, |x|) of scipy's ndtri on
+    Halton coordinates, uniform draws, both deep tails and the branch
+    points, all restricted to the clipped domain [1e-12, 1 - 1e-12]."""
+    from statistics import NormalDist
 
+    ndtri = pytest.importorskip("scipy.special").ndtri
     rng = np.random.default_rng(11)
     edges = (1e-12, 1.0 - 1e-12, 0.5, math.exp(-2.0), 1.0 - math.exp(-2.0))
     inputs = [
@@ -886,8 +889,15 @@ def test_ndtri_matches_scipy_bit_for_bit():
         np.array([w for v in edges for w in (np.nextafter(v, 0.0), v, np.nextafter(v, 1.0))]),
     ]
     for u in inputs:
-        assert u.min() > 0.0 and u.max() < 1.0
-        assert np.array_equal(geometry._ndtri(u).view(np.int64), ndtri(u).view(np.int64))
+        u = u[(u >= 1e-12) & (u <= 1.0 - 1e-12)]
+        assert u.size
+        x = np.fromiter(map(NormalDist().inv_cdf, u.tolist()), float, count=u.size)
+        expected = ndtri(u)
+        assert np.all(np.abs(x - expected) <= 4e-15 * np.maximum(1.0, np.abs(expected)))
+    # and the directions are the normalized scipy quantiles, to rounding
+    halton = np.clip(geometry._halton_points(4096, 8), 1e-12, 1.0 - 1e-12)
+    directions = geometry._unit_rows(ndtri(halton))
+    assert np.allclose(geometry._halton_sphere(4096, 8), directions, rtol=0.0, atol=1e-14)
 
 
 def test_cover_memory_is_bounded():

@@ -301,6 +301,25 @@ def test_derive_witness_min_count_threshold():
     assert len(witness.pairs) == 5
 
 
+def test_derive_witness_refuses_a_min_count_below_1():
+    field = get_builtin_field("rational2d")
+    for min_count in (0, -1):
+        with pytest.raises(InputError, match=f"min_count must be at least 1, got {min_count}"):
+            derive_witness(field, _diagonal_spec(), min_count=min_count)
+
+
+def test_derive_witness_needs_survivors_in_the_deepest_band():
+    """Survivors must come within twice the smallest candidate norm.  On the
+    diagonal |x1| + |x2| is sqrt(2) ||x||: it reaches 0.1 only down to norm
+    0.071, above twice the deepest norm 0.02, but 0.05 down to 0.035."""
+    field = field_from_expression("abs(x1) + abs(x2)")
+    spec = _diagonal_spec(count=40, stop=0.02)
+    with pytest.raises(WitnessNotFoundError, match="stop at norm 0.07.*smallest norm 0.02$"):
+        derive_witness(field, spec, epsilon=0.1)
+    witness = derive_witness(field, spec, epsilon=0.05)
+    assert 0.02 <= np.min(np.linalg.norm(witness.x, axis=1)) < 0.04
+
+
 def test_certify_rational2d_along_diagonal():
     field = get_builtin_field("rational2d")
     witness = derive_witness(field, _diagonal_spec())

@@ -180,11 +180,18 @@ def test_ingest_keeps_a_rescaled_point_inside_the_unit_ball():
     assert float(np.linalg.norm(w.x[0])) == 1.0
 
 
-def test_ingest_keeps_the_norm_of_a_point_with_subnormal_squares():
+@pytest.mark.parametrize(
+    "point", [[3e-160, 4e-160], [3e-315, 4e-315], [1e-322, 1e-322]],
+    ids=["3e-160", "3e-315", "1e-322"],
+)
+def test_ingest_keeps_the_norm_of_a_point_with_subnormal_squares(point):
     """The squares of [3e-160, 4e-160] sum to a subnormal number, so the
-    plain norm loses bits; the rescued one keeps the radial y unit."""
-    w = WitnessSequence.ingest([[3e-160, 4e-160]])
-    assert np.allclose(w.y, [[0.6, 0.8]], rtol=0.0, atol=1e-15)
+    plain norm loses bits; the rescued one keeps the radial y unit.  The
+    other two points have subnormal norms, so they are divided by it only
+    after an exact power-of-two scaling."""
+    w = WitnessSequence.ingest([point])
+    exact = np.multiply(point, 2.0**600)  # the same vector, far from underflow
+    assert np.allclose(w.y[0], exact / np.linalg.norm(exact), rtol=0.0, atol=1e-15)
     assert float(np.linalg.norm(w.y[0])) == pytest.approx(1.0, abs=1e-15)
 
 
